@@ -393,10 +393,10 @@ let resilience_bench () =
   in
   let row_json (name, _, rate, m) =
     Printf.sprintf
-      "{\"tool\":\"%s\",\"fault_rate\":%.3f,\"status\":\"%s\",\"status_detail\":\"%s\",\"slowdown\":%.4f,\"records\":%d,\"total_exceptions\":%d}"
+      "{\"tool\":\"%s\",\"fault_rate\":%.3f,\"status\":\"%s\",\"status_detail\":%s,\"slowdown\":%.4f,\"records\":%d,\"total_exceptions\":%d}"
       name rate
       (R.status_to_string m.R.status)
-      (R.json_escape (R.status_detail m.R.status))
+      (Fpx_obs.Json.quote (R.status_detail m.R.status))
       m.R.slowdown m.R.records m.R.total_exceptions
   in
   let json =
@@ -480,8 +480,8 @@ let static_bench () =
   in
   let row_json (name, m0, m1) =
     Printf.sprintf
-      "{\"program\":\"%s\",\"slowdown\":%.4f,\"slowdown_pruned\":%.4f,\"log_identical\":%b}"
-      (R.json_escape name) m0.R.slowdown m1.R.slowdown
+      "{\"program\":%s,\"slowdown\":%.4f,\"slowdown_pruned\":%.4f,\"log_identical\":%b}"
+      (Fpx_obs.Json.quote name) m0.R.slowdown m1.R.slowdown
       (m0.R.log = m1.R.log)
   in
   let json =
@@ -751,7 +751,7 @@ let sdc_bench () =
 let serve_bench () =
   let module Server = Fpx_serve.Server in
   let module Client = Fpx_serve.Client in
-  let module J = Fpx_serve.Json in
+  let module J = Fpx_obs.Json in
   let sock_path tag =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "fpx-bench-%s-%d.sock" tag (Unix.getpid ()))

@@ -1333,7 +1333,7 @@ let campaign_cmd =
 (* --- Persistent analysis service ------------------------------------- *)
 
 module Serve = Fpx_serve.Server
-module SJson = Fpx_serve.Json
+module Json = Fpx_obs.Json
 
 let shed_exit = 7
 
@@ -1531,54 +1531,54 @@ let submit_cmd =
             exit 124
           | Some tgt ->
             if Sys.file_exists tgt && not (Sys.is_directory tgt) then
-              ("sass", SJson.Str (read_file_text tgt))
-            else ("program", SJson.Str tgt)
+              ("sass", Json.Str (read_file_text tgt))
+            else ("program", Json.Str tgt)
         in
-        SJson.Obj
-          ([ ("op", SJson.Str "submit"); ("tool", SJson.Str tool); source ]
-          @ (if fm then [ ("fast_math", SJson.Bool true) ] else [])
-          @ (if amp then [ ("ampere", SJson.Bool true) ] else [])
+        Json.Obj
+          ([ ("op", Json.Str "submit"); ("tool", Json.Str tool); source ]
+          @ (if fm then [ ("fast_math", Json.Bool true) ] else [])
+          @ (if amp then [ ("ampere", Json.Bool true) ] else [])
           @ (match tenant with
-            | Some name -> [ ("tenant", SJson.Str name) ]
+            | Some name -> [ ("tenant", Json.Str name) ]
             | None -> [])
           @
           match budget with
-          | Some b -> [ ("budget", SJson.Num (float_of_int b)) ]
+          | Some b -> [ ("budget", Json.Num (float_of_int b)) ]
           | None -> [])
       | "burn" ->
-        SJson.Obj
-          [ ("op", SJson.Str "burn"); ("ms", SJson.Num (float_of_int ms)) ]
+        Json.Obj
+          [ ("op", Json.Str "burn"); ("ms", Json.Num (float_of_int ms)) ]
       | ("ping" | "stats" | "metrics" | "shutdown") as o ->
-        SJson.Obj [ ("op", SJson.Str o) ]
+        Json.Obj [ ("op", Json.Str o) ]
       | o ->
         Printf.eprintf "fpx_run submit: unknown op %S\n" o;
         exit 124
     in
-    let resp = Fpx_serve.Client.request client (SJson.to_string req) in
+    let resp = Fpx_serve.Client.request client (Json.to_string req) in
     Fpx_serve.Client.close client;
     let parsed =
-      try SJson.parse resp
-      with SJson.Parse_error m ->
+      try Json.parse resp
+      with Json.Parse_error m ->
         Printf.eprintf "fpx_run submit: bad response: %s\n" m;
         exit 124
     in
     if json then print_endline resp
     else begin
-      match SJson.str_field "status" parsed with
+      match Json.str_field "status" parsed with
       | Some "ok" -> (
-        match SJson.member "payload" parsed with
-        | Some (SJson.Str s) -> print_string (if s = "" then "" else s ^ "\n")
-        | Some p -> print_endline (SJson.to_string p)
+        match Json.member "payload" parsed with
+        | Some (Json.Str s) -> print_string (if s = "" then "" else s ^ "\n")
+        | Some p -> print_endline (Json.to_string p)
         | None -> print_endline resp)
       | _ -> print_endline resp
     end;
-    match SJson.str_field "status" parsed with
+    match Json.str_field "status" parsed with
     | Some "ok" -> (
       (* classify the payload like a local run: hung / faulted runs get
          the same exit codes `fpx_run detect` gives them *)
-      match SJson.member "payload" parsed with
+      match Json.member "payload" parsed with
       | Some payload -> (
-        match SJson.str_field "status" payload with
+        match Json.str_field "status" payload with
         | Some "hung" -> exit hang_exit
         | Some "faulted" -> exit fault_exit
         | _ -> ())
@@ -1745,16 +1745,16 @@ let mt_report_cmd =
   in
   let run file =
     let parsed =
-      try SJson.parse (read_file_text file)
-      with SJson.Parse_error m ->
+      try Json.parse (read_file_text file)
+      with Json.Parse_error m ->
         Printf.eprintf "fpx_run mt report: %s: %s\n" file m;
         exit 124
     in
-    let str k j = Option.value ~default:"?" (SJson.str_field k j) in
-    let num k j = Option.value ~default:0 (SJson.int_field k j) in
+    let str k j = Option.value ~default:"?" (Json.str_field k j) in
+    let num k j = Option.value ~default:0 (Json.int_field k j) in
     Printf.printf "partition=%s\n" (str "partition" parsed);
-    (match SJson.member "tenants" parsed with
-    | Some (SJson.List ts) ->
+    (match Json.member "tenants" parsed with
+    | Some (Json.List ts) ->
       List.iter
         (fun o ->
           Printf.printf
@@ -1770,8 +1770,8 @@ let mt_report_cmd =
     | _ ->
       Printf.eprintf "fpx_run mt report: %s: no \"tenants\" array\n" file;
       exit 124);
-    match SJson.member "timeline" parsed with
-    | Some (SJson.List tl) -> Printf.printf "timeline: %d launches\n" (List.length tl)
+    match Json.member "timeline" parsed with
+    | Some (Json.List tl) -> Printf.printf "timeline: %d launches\n" (List.length tl)
     | _ -> ()
   in
   Cmd.v

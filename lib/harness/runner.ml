@@ -203,11 +203,10 @@ let geomean = function
     exp (List.fold_left (fun a x -> a +. log (max x 1e-9)) 0.0 xs
          /. float_of_int (List.length xs))
 
-(* --- JSON rendering (hand-rolled; the report shape is small) --------- *)
-
-let json_escape = Fpx_obs.Jsonx.escape
+(* --- JSON rendering (a template: [slowdown] is fixed at %.4f) -------- *)
 
 let to_json m =
+  let quote = Fpx_obs.Json.quote in
   let counts =
     String.concat ","
       (List.map
@@ -220,22 +219,18 @@ let to_json m =
     String.concat ","
       (List.map
          (fun (e : Gpu_fpx.Analyzer.escape) ->
-           Printf.sprintf
-             "{\"kernel\":\"%s\",\"loc\":\"%s\",\"kind\":\"%s\"}"
-             (json_escape e.Gpu_fpx.Analyzer.store_kernel)
-             (json_escape e.Gpu_fpx.Analyzer.store_loc)
+           Printf.sprintf "{\"kernel\":%s,\"loc\":%s,\"kind\":\"%s\"}"
+             (quote e.Gpu_fpx.Analyzer.store_kernel)
+             (quote e.Gpu_fpx.Analyzer.store_loc)
              (Fpx_num.Kind.to_string e.Gpu_fpx.Analyzer.kind))
          m.escapes)
   in
-  let log =
-    String.concat ","
-      (List.map (fun l -> Printf.sprintf "\"%s\"" (json_escape l)) m.log)
-  in
+  let log = String.concat "," (List.map quote m.log) in
   Printf.sprintf
-    "{\"program\":\"%s\",\"tool\":\"%s\",\"slowdown\":%.4f,\"hang\":%b,\"status\":\"%s\",\"status_detail\":\"%s\",\"records\":%d,\"dyn_instrs\":%d,\"total_exceptions\":%d,\"counts\":[%s],\"escapes\":[%s],\"log\":[%s]}"
-    (json_escape m.program)
-    (json_escape (tool_config_to_string m.tool))
+    "{\"program\":%s,\"tool\":%s,\"slowdown\":%.4f,\"hang\":%b,\"status\":\"%s\",\"status_detail\":%s,\"records\":%d,\"dyn_instrs\":%d,\"total_exceptions\":%d,\"counts\":[%s],\"escapes\":[%s],\"log\":[%s]}"
+    (quote m.program)
+    (quote (tool_config_to_string m.tool))
     m.slowdown m.hang
     (status_to_string m.status)
-    (json_escape (status_detail m.status))
+    (quote (status_detail m.status))
     m.records m.dyn_instrs m.total_exceptions counts escapes log

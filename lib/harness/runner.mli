@@ -96,10 +96,6 @@ val run_repair :
 
 val geomean : float list -> float
 
-val json_escape : string -> string
-(** Escape for inclusion inside a JSON string literal (quotes,
-    backslashes, named control escapes, [\uXXXX] for the rest). *)
-
 val to_json : measurement -> string
 (** Machine-readable report: program, tool, slowdown, hang, counts,
     escapes and log lines, as a single JSON object. *)

@@ -149,13 +149,13 @@ let to_json t =
   in
   let counters =
     field_list (function
-      | Counter c -> Some (Printf.sprintf "%s:%d" (Jsonx.quote c.c_name) c.c_v)
+      | Counter c -> Some (Printf.sprintf "%s:%d" (Json.quote c.c_name) c.c_v)
       | _ -> None)
   in
   let gauges =
     field_list (function
       | Gauge g ->
-        Some (Printf.sprintf "%s:%s" (Jsonx.quote g.g_name) (Jsonx.float_lit g.g_v))
+        Some (Printf.sprintf "%s:%s" (Json.quote g.g_name) (Json.float_lit g.g_v))
       | _ -> None)
   in
   let histograms =
@@ -165,7 +165,7 @@ let to_json t =
           String.concat ","
             (List.mapi
                (fun i le ->
-                 Printf.sprintf "{\"le\":%s,\"count\":%d}" (Jsonx.float_lit le)
+                 Printf.sprintf "{\"le\":%s,\"count\":%d}" (Json.float_lit le)
                    h.h_counts.(i))
                (Array.to_list h.h_buckets)
             @ [ Printf.sprintf "{\"le\":\"+Inf\",\"count\":%d}"
@@ -173,7 +173,7 @@ let to_json t =
         in
         Some
           (Printf.sprintf "%s:{\"buckets\":[%s],\"sum\":%s,\"count\":%d}"
-             (Jsonx.quote h.h_name) buckets (Jsonx.float_lit h.h_sum) h.h_count)
+             (Json.quote h.h_name) buckets (Json.float_lit h.h_sum) h.h_count)
       | _ -> None)
   in
   Printf.sprintf "{\"counters\":{%s},\"gauges\":{%s},\"histograms\":{%s}}"

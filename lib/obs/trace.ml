@@ -45,9 +45,9 @@ let length t = min t.recorded t.capacity
 let dropped t = max 0 (t.recorded - t.capacity)
 
 let arg_json = function
-  | S s -> Jsonx.quote s
+  | S s -> Json.quote s
   | I n -> string_of_int n
-  | F v -> Jsonx.float_lit v
+  | F v -> Json.float_lit v
   | B b -> string_of_bool b
 
 let args_json buf args =
@@ -56,7 +56,7 @@ let args_json buf args =
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (Jsonx.quote k);
+        Buffer.add_string buf (Json.quote k);
         Buffer.add_char buf ':';
         Buffer.add_string buf (arg_json v))
       args;
@@ -67,7 +67,7 @@ let event_json e =
   let buf = Buffer.create 128 in
   Buffer.add_string buf
     (Printf.sprintf "{\"name\":%s,\"cat\":%s,\"pid\":%d,\"tid\":%d,\"ts\":%d"
-       (Jsonx.quote e.name) (Jsonx.quote e.cat) e.pid e.tid e.ts);
+       (Json.quote e.name) (Json.quote e.cat) e.pid e.tid e.ts);
   (match e.ph with
   | Complete d -> Buffer.add_string buf (Printf.sprintf ",\"ph\":\"X\",\"dur\":%d" d)
   | Instant -> Buffer.add_string buf ",\"ph\":\"i\",\"s\":\"g\""
@@ -90,5 +90,5 @@ let to_chrome_json ?(clock = "simulated-cycles") t =
   Buffer.add_string buf
     (Printf.sprintf
        "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":%s,\"dropped_events\":%d}}"
-       (Jsonx.quote clock) (dropped t));
+       (Json.quote clock) (dropped t));
   Buffer.contents buf

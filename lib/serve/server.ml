@@ -1,4 +1,5 @@
 module Sched = Fpx_sched.Sched
+module Json = Fpx_obs.Json
 module Metrics = Fpx_obs.Metrics
 module R = Fpx_harness.Runner
 module W = Fpx_workloads.Workload

@@ -218,14 +218,14 @@ let report_text (o : outcome) =
 
 (* --- JSON / metrics export ------------------------------------------ *)
 
-let json_escape = Runner.json_escape
+let quote = Fpx_obs.Json.quote
 
 let outcome_json o =
   Printf.sprintf
-    "{\"tenant\":\"%s\",\"program\":\"%s\",\"tool\":\"%s\",\"status\":\"%s\",\"launches\":%d,\"total_cycles\":%d,\"contention_cycles\":%d,\"records\":%d,\"records_seen\":%d,\"drains_delayed\":%d,\"records_stranded\":%d,\"backoff_k\":%d,\"total_exceptions\":%d,\"report_sha\":\"%s\"}"
-    (json_escape o.tenant.Tenant.id)
-    (json_escape o.tenant.Tenant.program)
-    (json_escape (Runner.tool_config_to_string o.tenant.Tenant.tool))
+    "{\"tenant\":%s,\"program\":%s,\"tool\":%s,\"status\":\"%s\",\"launches\":%d,\"total_cycles\":%d,\"contention_cycles\":%d,\"records\":%d,\"records_seen\":%d,\"drains_delayed\":%d,\"records_stranded\":%d,\"backoff_k\":%d,\"total_exceptions\":%d,\"report_sha\":\"%s\"}"
+    (quote o.tenant.Tenant.id)
+    (quote o.tenant.Tenant.program)
+    (quote (Runner.tool_config_to_string o.tenant.Tenant.tool))
     (Runner.status_to_string o.m.Runner.status)
     o.launches o.total_cycles o.contention_cycles o.m.Runner.records
     o.records_seen o.drains_delayed o.records_stranded o.backoff_k
@@ -237,8 +237,7 @@ let result_json r =
     String.concat ","
       (List.map
          (fun (id, kernel) ->
-           Printf.sprintf "[\"%s\",\"%s\"]" (json_escape id)
-             (json_escape kernel))
+           Printf.sprintf "[%s,%s]" (quote id) (quote kernel))
          r.timeline)
   in
   Printf.sprintf

@@ -35,6 +35,11 @@ run() {
 
 run "dune build" dune build
 
+# Fpx_obs.Json is the one JSON codec: no second escaper, unescaper or
+# Jsonx module may come back into the shipped code.
+run "one json codec" \
+  sh -c '! grep -rnE "json_escape|json_unescape|Jsonx" lib bin bench/main.ml'
+
 run "dune runtest" dune runtest
 
 # Smoke the architectural bit-flip campaign end to end: a pinned-seed

@@ -184,6 +184,32 @@ let test_store_append_load_reset () =
   Alcotest.(check bool) "key independent of nothing else" true
     (String.length key = 32)
 
+(* Stores written before the shared codec escaped CR and TAB as \u00XX;
+   they must still load. A braced but malformed line is skipped. *)
+let test_store_old_lines () =
+  let root = tmpdir () in
+  let key = Store.key_of ~seed:2 ~total:9 ~budget_factor:16 ~programs:[ "a" ] in
+  Store.append ~root ~key
+    [ {|{"id":1,}|};
+      {|{"id":7,"program":"GEMM","site":"reg-bit-flip","target":"reg r3","outcome":"crash","detected":false,"detail":"trap:\u000d\u0009 \"q\" \\ end"}|}
+    ];
+  let expected =
+    {
+      C.id = 7;
+      program = "GEMM";
+      site = "reg-bit-flip";
+      target = "reg r3";
+      outcome = C.Crash;
+      detected = false;
+      detail = "trap:\r\t \"q\" \\ end";
+    }
+  in
+  Alcotest.(check bool) "old line loads, malformed skipped" true
+    (List.filter_map C.result_of_line (Store.load ~root ~key) = [ expected ]);
+  Alcotest.(check bool) "rewritten with named escapes" true
+    (String.ends_with ~suffix:{|"detail":"trap:\r\t \"q\" \\ end"}|}
+       (C.result_to_line expected))
+
 (* --- a tiny end-to-end campaign -------------------------------------- *)
 
 let small_cfg ?store ?halt_after ?(jobs = 1) () =
@@ -254,6 +280,8 @@ let suite =
         test_result_line_roundtrip;
       Alcotest.test_case "store: append/load/torn-tail/reset" `Quick
         test_store_append_load_reset;
+      Alcotest.test_case "store: old escapes load, malformed skipped" `Quick
+        test_store_old_lines;
       Alcotest.test_case "campaign: resume + jobs invariance" `Quick
         test_campaign_resume_and_jobs_invariance;
       Alcotest.test_case "campaign: rerun matches plan" `Quick

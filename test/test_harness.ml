@@ -6,6 +6,7 @@ module Catalog = Fpx_workloads.Catalog
 module R = Fpx_harness.Runner
 module E = Fpx_harness.Experiments
 module Gpu = Fpx_gpu
+module Json = Fpx_obs.Json
 
 let detector = R.Detector Gpu_fpx.Detector.default_config
 
@@ -204,33 +205,14 @@ let test_channel_capacity_ablation () =
 
 (* --- JSON output ---------------------------------------------------------- *)
 
-(* A minimal well-formedness scanner for the hand-rolled JSON: tracks
-   string state and brace/bracket depth, so an unescaped quote or an
-   unbalanced container in [R.to_json] fails the test. *)
+(* [R.to_json] is compact: it must parse, and no raw control character
+   may appear anywhere in it (the parser itself tolerates them inside
+   strings). *)
 let json_well_formed s =
-  let depth = ref 0
-  and in_str = ref false
-  and esc = ref false
-  and ok = ref true in
-  String.iter
-    (fun c ->
-      if !esc then esc := false
-      else if !in_str then (
-        match c with
-        | '\\' -> esc := true
-        | '"' -> in_str := false
-        | c when Char.code c < 0x20 -> ok := false
-        | _ -> ())
-      else
-        match c with
-        | '"' -> in_str := true
-        | '{' | '[' -> incr depth
-        | '}' | ']' ->
-          decr depth;
-          if !depth < 0 then ok := false
-        | _ -> ())
-    s;
-  !ok && !depth = 0 && not !in_str
+  String.for_all (fun c -> Char.code c >= 0x20) s
+  && match Json.parse s with
+     | _ -> true
+     | exception Json.Parse_error _ -> false
 
 let contains ~sub s =
   let n = String.length sub in
@@ -257,34 +239,9 @@ let test_to_json () =
   Alcotest.(check bool) "status_detail field" true
     (contains ~sub:"\"status_detail\":" j)
 
-(* Decode a JSON string-literal body produced by [R.json_escape]; a
-   failure to invert means the escaper emitted something a JSON parser
-   would reject or reread differently. *)
-let json_unescape s =
-  let b = Buffer.create (String.length s) in
-  let n = String.length s in
-  let hex i = int_of_string ("0x" ^ String.sub s i 4) in
-  let rec go i =
-    if i < n then
-      if s.[i] <> '\\' then (
-        Buffer.add_char b s.[i];
-        go (i + 1))
-      else
-        match s.[i + 1] with
-        | '"' -> Buffer.add_char b '"'; go (i + 2)
-        | '\\' -> Buffer.add_char b '\\'; go (i + 2)
-        | '/' -> Buffer.add_char b '/'; go (i + 2)
-        | 'n' -> Buffer.add_char b '\n'; go (i + 2)
-        | 't' -> Buffer.add_char b '\t'; go (i + 2)
-        | 'r' -> Buffer.add_char b '\r'; go (i + 2)
-        | 'b' -> Buffer.add_char b '\b'; go (i + 2)
-        | 'f' -> Buffer.add_char b '\012'; go (i + 2)
-        | 'u' -> Buffer.add_char b (Char.chr (hex (i + 2))); go (i + 6)
-        | c -> Alcotest.fail (Printf.sprintf "bad escape \\%c" c)
-  in
-  go 0;
-  Buffer.contents b
-
+(* Every string the reports quote must reparse to itself: a failure
+   means the escaper emitted something a JSON parser would reject or
+   reread differently. *)
 let test_json_escape_roundtrip () =
   let cases =
     [ "plain";
@@ -297,8 +254,8 @@ let test_json_escape_roundtrip () =
   in
   List.iter
     (fun s ->
-      let e = R.json_escape s in
-      Alcotest.(check string) "round-trip" s (json_unescape e);
+      let e = Json.quote s in
+      Alcotest.(check bool) "round-trip" true (Json.parse e = Json.Str s);
       String.iter
         (fun c ->
           Alcotest.(check bool) "no raw control char escapes the escaper" true

@@ -5,7 +5,7 @@
    recovers), and a socket round trip through the real daemon including
    the HTTP /metrics endpoint. *)
 
-module J = Fpx_serve.Json
+module J = Fpx_obs.Json
 module Cache = Fpx_serve.Cache
 module Server = Fpx_serve.Server
 module Client = Fpx_serve.Client
@@ -72,7 +72,62 @@ let test_json_errors () =
   Alcotest.(check bool) "unterminated string" true (bad "\"abc");
   Alcotest.(check bool) "bare word" true (bad "submit");
   Alcotest.(check bool) "missing colon" true (bad "{\"a\" 1}");
-  Alcotest.(check bool) "empty input" true (bad "")
+  Alcotest.(check bool) "empty input" true (bad "");
+  Alcotest.(check bool) "underscore in \\u" true (bad {|"\u00_1"|});
+  Alcotest.(check bool) "sign in \\u" true (bad {|"\u+001"|});
+  Alcotest.(check bool) "short \\u" true (bad {|"\u01"|});
+  Alcotest.(check bool) "hex \\u either case" true
+    (J.parse ("\"" ^ "\\u00e9\\u00C9" ^ "\"") = J.Str "\xc3\xa9\xc3\x89");
+  let nest n = String.make n '[' ^ String.make n ']' in
+  let nest_obj n =
+    String.concat "" (List.init n (fun _ -> {|{"a":|})) ^ "null"
+    ^ String.make n '}'
+  in
+  Alcotest.(check bool) "nesting at the limit" false (bad (nest J.max_depth));
+  Alcotest.(check bool) "arrays past the limit" true
+    (bad (nest (J.max_depth + 1)));
+  Alcotest.(check bool) "objects past the limit" true
+    (bad (nest_obj (J.max_depth + 1)))
+
+(* Strings over every byte value, nested containers, integral and finite
+   fractional floats. NaN and infinities are left out: [float_lit]
+   renders them as strings by design. *)
+let json_gen =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (0 -- 12) in
+  let num =
+    oneof
+      [ map float_of_int small_signed_int;
+        map float_of_int int;
+        map
+          (fun b ->
+            let f = Int64.float_of_bits b in
+            if Float.is_finite f then f else 0.5)
+          ui64 ]
+  in
+  sized_size (0 -- 4)
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [ return J.Null;
+               map (fun b -> J.Bool b) bool;
+               map (fun f -> J.Num f) num;
+               map (fun s -> J.Str s) str ]
+         in
+         if n = 0 then leaf
+         else
+           frequency
+             [ (1, leaf);
+               (2, map (fun xs -> J.List xs) (list_size (0 -- 4) (self (n - 1))));
+               ( 2,
+                 map
+                   (fun fs -> J.Obj fs)
+                   (list_size (0 -- 4) (pair str (self (n - 1)))) ) ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"json: parse (to_string v) = v"
+    (QCheck.make ~print:J.to_string json_gen)
+    (fun v -> J.parse (J.to_string v) = v)
 
 let test_json_accessors () =
   let v = J.parse {|{"op":"ping","n":3,"b":false}|} in
@@ -366,11 +421,11 @@ let test_shed_never_loses_cached () =
 
 (* --- Socket round trip ------------------------------------------------ *)
 
-let test_socket_end_to_end () =
+let start_socket_server tag =
   let path =
     Filename.concat
       (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fpx-serve-test-%d.sock" (Unix.getpid ()))
+      (Printf.sprintf "fpx-serve-test-%s-%d.sock" tag (Unix.getpid ()))
   in
   if Sys.file_exists path then Sys.remove path;
   let t = Server.create () in
@@ -379,6 +434,10 @@ let test_socket_end_to_end () =
   in
   Alcotest.(check bool) "socket appears" true
     (poll (fun () -> Sys.file_exists path));
+  (t, path, server_thread)
+
+let test_socket_end_to_end () =
+  let t, path, server_thread = start_socket_server "e2e" in
   let c = Client.connect_unix path in
   Alcotest.(check string) "ping over the wire"
     {|{"status":"ok","payload":"pong"}|}
@@ -422,12 +481,36 @@ let test_socket_end_to_end () =
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists path);
   Server.shutdown t
 
+(* Hostile JSON on the wire gets an error reply, quickly, and the same
+   connection keeps being served: one frame at the wire cap nesting
+   8 Mi arrays deep, then a non-hex \u escape. *)
+let test_socket_hostile_json () =
+  let t, path, server_thread = start_socket_server "hostile" in
+  let c = Client.connect_unix path in
+  let status req = J.str_field "status" (J.parse (Client.request c req)) in
+  let half = Fpx_serve.Wire.max_frame / 2 in
+  Alcotest.(check (option string)) "deep frame is an error" (Some "error")
+    (status (String.make half '[' ^ String.make half ']'));
+  Alcotest.(check (option string)) "bad \\u is an error" (Some "error")
+    (status {|{"op":"ping","x":"\u00_1"}|});
+  Alcotest.(check string) "next ping answered"
+    {|{"status":"ok","payload":"pong"}|}
+    (Client.request c {|{"op":"ping"}|});
+  Alcotest.(check (option string)) "shutdown acknowledged" (Some "ok")
+    (status {|{"op":"shutdown"}|});
+  Client.close c;
+  Thread.join server_thread;
+  Server.shutdown t
+
 let suite =
   ( "serve",
     [ Alcotest.test_case "json: roundtrip" `Quick test_json_roundtrip;
       Alcotest.test_case "json: parse forms" `Quick test_json_parse_forms;
       Alcotest.test_case "json: errors" `Quick test_json_errors;
       Alcotest.test_case "json: accessors" `Quick test_json_accessors;
+      QCheck_alcotest.to_alcotest
+        ~rand:(Random.State.make [| 0x5eed |])
+        prop_json_roundtrip;
       Alcotest.test_case "content: digests" `Quick test_content_digest;
       Alcotest.test_case "content: save idempotent" `Quick
         test_content_save_idempotent;
@@ -453,4 +536,6 @@ let suite =
       Alcotest.test_case "overload: cache hits still served" `Quick
         test_shed_never_loses_cached;
       Alcotest.test_case "socket: end to end + /metrics" `Quick
-        test_socket_end_to_end ] )
+        test_socket_end_to_end;
+      Alcotest.test_case "socket: hostile json answered, next served" `Quick
+        test_socket_hostile_json ] )
