@@ -1019,13 +1019,15 @@ let exec_bench () =
         Instr.make Isa.IADD [ Op.reg 12; Op.reg 12; Op.imm_i 3l ];
         Instr.make (Isa.ISETP { Isa.op = Isa.Lt; or_unordered = false }) [ Op.pred 0; Op.reg 12; Op.reg 13 ] ])
   in
-  let time_engine ~engine prog =
-    let dev = Gpu.Device.create ~engine () in
+  let time_engine
+      (run :
+        ?hooks:Gpu.Exec.hooks -> ?max_dyn_instrs:int ->
+        device:Gpu.Device.t -> grid:int -> block:int ->
+        params:Gpu.Param.t list -> Program.t -> Gpu.Stats.t) prog =
+    let dev = Gpu.Device.create () in
     let out = Gpu.Memory.alloc_zeroed dev.Gpu.Device.memory ~bytes:(4 * 512) in
     let params = [ Gpu.Param.Ptr out ] in
-    let launch () =
-      Gpu.Exec.run ~device:dev ~grid:4 ~block:128 ~params prog
-    in
+    let launch () = run ~device:dev ~grid:4 ~block:128 ~params prog in
     ignore (launch ());
     (* warm: decode + allocate once *)
     let t0 = Unix.gettimeofday () in
@@ -1043,8 +1045,8 @@ let exec_bench () =
   let rows =
     List.map
       (fun (name, prog) ->
-        let ips_ref = time_engine ~engine:Gpu.Device.Reference prog in
-        let ips_dec = time_engine ~engine:Gpu.Device.Decoded prog in
+        let ips_ref = time_engine Fpx_oracle.Exec_ref.run prog in
+        let ips_dec = time_engine Gpu.Exec.run prog in
         (name, ips_ref, ips_dec, ips_dec /. ips_ref))
       classes
   in

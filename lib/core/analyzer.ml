@@ -136,33 +136,24 @@ let classify_reg (api : Exec.warp_api) ~lane (n, width) =
 
 (* Listing 2: compile-time detection of exceptional immediates. *)
 let compile_e_type (i : Instr.t) =
+  let of_value v =
+    if Float.is_nan v then Some Exce.Nan
+    else if Float.is_finite v then None
+    else Some Exce.Inf
+  in
   Array.fold_left
     (fun acc (o : Operand.t) ->
       match acc with
       | Some _ -> acc
       | None -> (
         match o.Operand.base with
-        | Operand.Imm_f64 v ->
-          if Float.is_nan v then Some Exce.Nan
-          else if Float.abs v = Float.infinity then Some Exce.Inf
-          else None
-        | Operand.Imm_f32 b ->
-          if Fp32.is_nan b then Some Exce.Nan
-          else if Fp32.is_inf b then Some Exce.Inf
-          else None
-        | Operand.Generic s ->
-          let contains sub =
-            let ls = String.length s and lb = String.length sub in
-            let rec go i = i + lb <= ls && (String.sub s i lb = sub || go (i + 1)) in
-            go 0
-          in
-          if contains "NAN" then Some Exce.Nan
-          else if contains "INF" then Some Exce.Inf
-          else None
+        | Operand.Imm_f64 v -> of_value v
+        | Operand.Imm_f32 b -> of_value (Fp32.to_float b)
+        | Operand.Generic s -> Option.bind (Operand.generic_value s) of_value
         | Operand.Reg _ | Operand.Pred _ | Operand.Imm_i _ | Operand.Cbank _
         | Operand.Label _ ->
           None))
-    None (Array.to_list i.Instr.operands |> Array.of_list)
+    None i.Instr.operands
 
 let has_ev kinds = List.exists Kind.is_exceptional kinds
 

@@ -37,6 +37,11 @@ type report = {
 val render : report -> string list
 (** Listing-style ["#GPU-FPX-ANA ..."] lines. *)
 
+val compile_e_type : Fpx_sass.Instr.t -> Exce.t option
+(** Listing 2's JIT-time check: the class of the first NaN or INF
+    immediate (IMM_DOUBLE, FP32 immediate or [GENERIC] token) among an
+    instruction's operands. *)
+
 type escape = { store_kernel : string; store_loc : string; kind : Fpx_num.Kind.t }
 (** An exceptional value written back to global memory — the situation
     §5 warns about: the kernel output {e looks} computed but carries the

@@ -34,7 +34,7 @@ type uop =
   | U_fmul of { d : dst; a : f32src; b : f32src }
   | U_ffma of { d : dst; a : f32src; b : f32src; c : f32src }
   | U_mufu_f32 of { d : dst; m : Isa.mufu_op; a : f32src }
-  | U_mufu_64h of { d : dst; rcp : bool; a : i32src }
+  | U_mufu_64h of { d : dst; m : Isa.mufu_op; a : i32src }
   | U_hadd2 of { d : dst; a : i32src; b : i32src }
   | U_hmul2 of { d : dst; a : i32src; b : i32src }
   | U_hfma2 of { d : dst; a : i32src; b : i32src; c : i32src }
@@ -87,19 +87,13 @@ type uop =
 type entry = { uop : uop; guard : guard; cost : int }
 type t = { prog : Program.t; entries : entry array; nslots : int }
 
+exception Trap of string
+
 (* Poison exceptions carry exactly what the reference core raises at
    the same dynamic point: its Trap for malformed operands, and the
    Invalid_argument Array.get raises when a mutant lost an operand. *)
-let trapf fmt = Printf.ksprintf (fun s -> Exec_ref.Trap s) fmt
+let trapf fmt = Printf.ksprintf (fun s -> Trap s) fmt
 let oob = Invalid_argument "index out of bounds"
-
-let parse_generic_f64 s =
-  match s with
-  | "+INF" | "INF" -> Some infinity
-  | "-INF" -> Some neg_infinity
-  | "+QNAN" | "QNAN" | "+SNAN" -> Some Float.nan
-  | "-QNAN" | "-SNAN" -> Some (-.Float.nan)
-  | _ -> float_of_string_opt s
 
 let canon (v : int32) = Int32.to_int v land 0xffffffff
 
@@ -128,7 +122,7 @@ let decode_f32 ~ftz ~nslots i k =
     | Operand.Imm_f64 v -> f32_imm ~ftz ~o (Fp32.of_float v)
     | Operand.Imm_i v -> f32_imm ~ftz ~o v
     | Operand.Generic s -> (
-      match parse_generic_f64 s with
+      match Operand.generic_value s with
       | Some v -> f32_imm ~ftz ~o (Fp32.of_float v)
       | None -> F32_poison (trapf "bad GENERIC operand %S" s))
     | Operand.Cbank { offset; _ } ->
@@ -167,7 +161,7 @@ let decode_f64 ~nslots i k =
     | Operand.Imm_f64 v -> f64_mods ~o v
     | Operand.Imm_f32 b -> f64_mods ~o (Fp32.to_float b)
     | Operand.Generic s -> (
-      match parse_generic_f64 s with
+      match Operand.generic_value s with
       | Some v -> f64_mods ~o v
       | None -> F64_poison (trapf "bad GENERIC operand %S" s))
     | Operand.Cbank { offset; _ } ->
@@ -286,7 +280,7 @@ let uop_of ~nslots ~ftz (i : Instr.t) =
   | Isa.FFMA | Isa.FFMA32I ->
     U_ffma { d = d32 (); a = f32 1; b = f32 2; c = f32 3 }
   | Isa.MUFU ((Isa.Rcp64h | Isa.Rsq64h) as m) ->
-    U_mufu_64h { d = d32 (); rcp = (m = Isa.Rcp64h); a = i32 1 }
+    U_mufu_64h { d = d32 (); m; a = i32 1 }
   | Isa.MUFU m -> U_mufu_f32 { d = d32 (); m; a = f32 1 }
   | Isa.HADD2 -> U_hadd2 { d = d32 (); a = i32 1; b = i32 2 }
   | Isa.HMUL2 -> U_hmul2 { d = d32 (); a = i32 1; b = i32 2 }

@@ -9,9 +9,10 @@
     static instruction carries its {!Fpx_sass.Isa.base_cost}.
 
     Observable behaviour is frozen against the reference interpreter
-    ({!Exec_ref}): a malformed operand — a predicate where a float was
-    expected, an unparsable [GENERIC] string, a register index past the
-    file, a mutant with a missing operand — does {e not} fail at decode
+    (the test-only oracle under [test/oracle/]): a malformed operand —
+    a predicate where a float was expected, an unparsable [GENERIC]
+    string, a register index past the file, a mutant with a missing
+    operand — does {e not} fail at decode
     time. It decodes to a {e poison} descriptor carrying the exact
     exception the reference core would raise, and raises it only when
     the operand is dynamically read (or the destination dynamically
@@ -24,6 +25,10 @@
     zero-extended 32-bit words in native [int]s; immediates here are
     pre-converted to that representation (with source modifiers and
     decode-time FTZ already applied). *)
+
+exception Trap of string
+(** Simulator fault: watchdog timeout, malformed operand, bad address.
+    Poison descriptors carry it; {!Exec.Trap} is the same exception. *)
 
 (** FP32 source: produces 32-bit float bits (zero-extended int).
     [_m] variants carry neg/abs modifiers and whether the program-level
@@ -76,7 +81,8 @@ type uop =
   | U_fmul of { d : dst; a : f32src; b : f32src }
   | U_ffma of { d : dst; a : f32src; b : f32src; c : f32src }
   | U_mufu_f32 of { d : dst; m : Fpx_sass.Isa.mufu_op; a : f32src }
-  | U_mufu_64h of { d : dst; rcp : bool; a : i32src }
+  | U_mufu_64h of { d : dst; m : Fpx_sass.Isa.mufu_op; a : i32src }
+      (** [Rcp64h]/[Rsq64h]: a raw high word in, a raw high word out. *)
   | U_hadd2 of { d : dst; a : i32src; b : i32src }
   | U_hmul2 of { d : dst; a : i32src; b : i32src }
   | U_hfma2 of { d : dst; a : i32src; b : i32src; c : i32src }
@@ -147,9 +153,3 @@ type t = {
 val program : Fpx_sass.Program.t -> t
 (** Compile; never raises. Malformed operands become poison
     descriptors (see above). *)
-
-val parse_generic_f64 : string -> float option
-(** The [Generic] operand grammar ("+INF", "QNAN", float literals…),
-    shared with decode-time immediate resolution. [None] is the
-    reference core's ["bad GENERIC operand"] trap, deferred to first
-    read via a poison descriptor. *)

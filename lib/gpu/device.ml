@@ -1,17 +1,13 @@
-type engine = Decoded | Reference
-
 type t = {
   name : string;
   memory : Memory.t;
   cost : Cost.t;
   obs : Fpx_obs.Sink.t;
   fault : Fpx_fault.Fault.plan;
-  engine : engine;
   bw : Bandwidth.binding option;
 }
 
 let create ?(name = "SM-SIM (RTX 2070 SUPER model)") ?(cost = Cost.default)
     ?(mem_bytes = 64 * 1024 * 1024) ?(obs = Fpx_obs.Sink.null)
-    ?(fault = Fpx_fault.Fault.none) ?(engine = Decoded) ?bw () =
-  { name; memory = Memory.create ~size_bytes:mem_bytes; cost; obs; fault;
-    engine; bw }
+    ?(fault = Fpx_fault.Fault.none) ?bw () =
+  { name; memory = Memory.create ~size_bytes:mem_bytes; cost; obs; fault; bw }

@@ -3,15 +3,6 @@
     observability sink every layer running on this device reports
     into. *)
 
-type engine =
-  | Decoded
-      (** The production path: programs are compiled once by {!Decode}
-          into flat micro-op arrays and run over unboxed warp state. *)
-  | Reference
-      (** The original tree-walking interpreter, kept intact as the
-          semantic oracle the decoded path is differentially tested
-          against. *)
-
 type t = {
   name : string;
   memory : Memory.t;
@@ -20,7 +11,6 @@ type t = {
   fault : Fpx_fault.Fault.plan;
       (** {!Fpx_fault.Fault.none} unless injecting faults; every layer
           running on this device consults the same plan. *)
-  engine : engine;  (** {!Decoded} unless differential-testing. *)
   bw : Bandwidth.binding option;
       (** [None] for a dedicated device. On a multi-tenant co-run each
           tenant's device shares one {!Bandwidth} meter; the engine and
@@ -33,10 +23,9 @@ val create :
   ?mem_bytes:int ->
   ?obs:Fpx_obs.Sink.t ->
   ?fault:Fpx_fault.Fault.plan ->
-  ?engine:engine ->
   ?bw:Bandwidth.binding ->
   unit ->
   t
 (** Default: 64 MiB of global memory, {!Cost.default}, name
     ["SM-SIM (RTX 2070 SUPER model)"], observability and fault injection
-    disabled, the {!Decoded} engine, no bandwidth meter. *)
+    disabled, no bandwidth meter. *)

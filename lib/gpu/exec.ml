@@ -10,23 +10,23 @@
    floats via [Int32.float_of_bits]-style unboxable primitive chains,
    and the per-lane closures of the reference core are gone.
 
-   Dispatch on {!Device.engine} keeps the original tree-walking core
-   ({!Exec_ref}) available as the semantic oracle; both engines share
-   the hook ABI (types re-exported below) and must stay observably
-   byte-identical — see the differential property in the test suite. *)
+   This is the library's only interpreter. The original tree-walking
+   core (the "reference core" below) is frozen under test/oracle/ as
+   the semantic oracle; it shares this module's hook ABI, and the two
+   must stay observably byte-identical — see the differential
+   properties in test/test_decode.ml. *)
 
 open Fpx_sass
 module Fp32 = Fpx_num.Fp32
 module Fp64 = Fpx_num.Fp64
-module Sfu = Fpx_num.Sfu
 module Kind = Fpx_num.Kind
 module Fault = Fpx_fault.Fault
 
-exception Trap = Exec_ref.Trap
+exception Trap = Decode.Trap
 
-type ctx = Exec_ref.ctx = { device : Device.t; stats : Stats.t }
+type ctx = { device : Device.t; stats : Stats.t }
 
-type warp_api = Exec_ref.warp_api = {
+type warp_api = {
   warp_index : int;
   block : int;
   mutable executing_lanes : int list;
@@ -37,15 +37,12 @@ type warp_api = Exec_ref.warp_api = {
 }
 
 type callback = ctx -> warp_api -> unit
+type injection = { fixed_cost : int; fn : callback }
+type hooks = { before : injection list array; after : injection list array }
 
-type injection = Exec_ref.injection = { fixed_cost : int; fn : callback }
-
-type hooks = Exec_ref.hooks = {
-  before : injection list array;
-  after : injection list array;
-}
-
-let no_hooks = Exec_ref.no_hooks
+let no_hooks prog =
+  let n = Program.length prog in
+  { before = Array.make n []; after = Array.make n [] }
 
 let warp_size = 32
 let done_pc = max_int
@@ -186,8 +183,13 @@ let wr_pred preds ~lane (pd : Decode.pdst) v =
          if v then m lor (1 lsl lane) else m land lnot (1 lsl lane))
   | Decode.PD_poison e -> raise e
 
-(* See the FCHK comment in {!Exec_ref}; identical logic on boxed
-   bits. *)
+(* FCHK: would the fast reciprocal-based division path be unsafe for
+   a / b? Exceptional denominators and range-extreme operands force the
+   IEEE slow path. A NaN (or zero) numerator is left on the fast path:
+   the Newton refinement still produces the IEEE-correct NaN (or zero)
+   quotient there, so hardware has no reason to trap it — and that NaN
+   consequently flows through the refinement FMAs, which is how precise
+   compilation exposes more NaN sites than fast-math (Table 6). *)
 let fchk_needs_slowpath a b =
   let ca = Fp32.classify a and cb = Fp32.classify b in
   let extreme x =
@@ -227,23 +229,11 @@ let exec_lane ~ftz ~flt ~(stats : Stats.t) st cbank0 ~mem ~shared ~lane ~base
     wr32 ~ftz regs base d (f32b (Float.fma (f32f va) (f32f vb) (f32f vc)));
     next
   | Decode.U_mufu_f32 { d; m; a } ->
-    let va = Int32.of_int (rd_f32 regs base cbank0 a) in
-    let r =
-      match m with
-      | Isa.Rcp -> Sfu.rcp va
-      | Isa.Rsq -> Sfu.rsq va
-      | Isa.Sqrt -> Sfu.sqrt va
-      | Isa.Ex2 -> Sfu.ex2 va
-      | Isa.Lg2 -> Sfu.lg2 va
-      | Isa.Sin -> Sfu.sin va
-      | Isa.Cos -> Sfu.cos va
-      | Isa.Rcp64h | Isa.Rsq64h -> assert false
-    in
+    let r = Isa.eval_mufu m (Int32.of_int (rd_f32 regs base cbank0 a)) in
     wr32_raw regs base d (Int32.to_int r land 0xffffffff);
     next
-  | Decode.U_mufu_64h { d; rcp; a } ->
-    let va = Int32.of_int (rd_i32 regs base cbank0 a) in
-    let r = if rcp then Sfu.rcp64h va else Sfu.rsq64h va in
+  | Decode.U_mufu_64h { d; m; a } ->
+    let r = Isa.eval_mufu m (Int32.of_int (rd_i32 regs base cbank0 a)) in
     wr32_raw regs base d (Int32.to_int r land 0xffffffff);
     next
   | Decode.U_hadd2 { d; a; b } ->
@@ -321,11 +311,7 @@ let exec_lane ~ftz ~flt ~(stats : Stats.t) st cbank0 ~mem ~shared ~lane ~base
   | Decode.U_psetp { pd; op; p1; p2 } ->
     let v1 = rd_pred st.preds ~lane p1 in
     let v2 = rd_pred st.preds ~lane p2 in
-    wr_pred st.preds ~lane pd
-      (match op with
-      | Isa.Pand -> v1 && v2
-      | Isa.Por -> v1 || v2
-      | Isa.Pxor -> v1 <> v2);
+    wr_pred st.preds ~lane pd (Isa.eval_pbool op v1 v2);
     next
   | Decode.U_fchk { pd; a; b } ->
     let vb = rd_f32 regs base cbank0 b in
@@ -823,13 +809,5 @@ let run_decoded ?hooks ?(max_dyn_instrs = 50_000_000) ~device ~grid ~block
   stats
 
 let run ?hooks ?max_dyn_instrs ~device ~grid ~block ~params prog =
-  match device.Device.engine with
-  | Device.Reference ->
-    let stats =
-      Exec_ref.run ?hooks ?max_dyn_instrs ~device ~grid ~block ~params prog
-    in
-    charge_slot_contention ~device ~grid ~block stats;
-    stats
-  | Device.Decoded ->
-    run_decoded ?hooks ?max_dyn_instrs ~device ~grid ~block ~params
-      (Decode.program prog)
+  run_decoded ?hooks ?max_dyn_instrs ~device ~grid ~block ~params
+    (Decode.program prog)

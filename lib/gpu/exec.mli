@@ -10,11 +10,10 @@
     Programs are compiled once by {!Decode} into flat micro-op arrays
     and executed over unboxed per-warp state (a flat [int] register
     file, predicate bitsets); {!run} decodes on the fly, callers with a
-    cache (the NVBit runtime) pre-decode and use {!run_decoded}. The
-    original tree-walking interpreter survives as {!Exec_ref} and is
-    selected per-device with [Device.create ~engine:Reference]; both
-    engines share one hook ABI (the types below are re-exports) and are
-    differentially tested to be observably identical.
+    cache (the NVBit runtime) pre-decode and use {!run_decoded}. This is
+    the library's only interpreter; the original tree-walking core is
+    kept under [test/oracle/] as the semantic oracle it is
+    differentially tested against.
 
     Instrumentation is injected per static instruction as before/after
     callbacks (the NVBit model). Callbacks receive a {!warp_api} view of
@@ -22,11 +21,11 @@
 
 exception Trap of string
 (** Simulator fault: watchdog timeout, malformed operand, bad address.
-    The same exception as {!Exec_ref.Trap}, whichever engine raised. *)
+    The same exception as {!Decode.Trap}. *)
 
-type ctx = Exec_ref.ctx = { device : Device.t; stats : Stats.t }
+type ctx = { device : Device.t; stats : Stats.t }
 
-type warp_api = Exec_ref.warp_api = {
+type warp_api = {
   warp_index : int;  (** Global warp index within the launch. *)
   block : int;
   mutable executing_lanes : int list;
@@ -42,7 +41,7 @@ type warp_api = Exec_ref.warp_api = {
 
 type callback = ctx -> warp_api -> unit
 
-type injection = Exec_ref.injection = {
+type injection = {
   fixed_cost : int;
       (** Cycles charged per dynamic execution (trampoline + value
           materialisation); computed by the NVBit layer from
@@ -50,7 +49,7 @@ type injection = Exec_ref.injection = {
   fn : callback;
 }
 
-type hooks = Exec_ref.hooks = {
+type hooks = {
   before : injection list array;  (** Indexed by pc. *)
   after : injection list array;
 }
@@ -67,9 +66,7 @@ val run :
   Fpx_sass.Program.t ->
   Stats.t
 (** Execute a launch; returns this launch's stats (one launch counted).
-    Dispatches on [device.engine]: the default {!Device.Decoded} engine
-    decodes the program (uncached) and runs it; {!Device.Reference}
-    runs the original interpreter.
+    Decodes the program (uncached) and runs it with {!run_decoded}.
     @raise Trap on watchdog expiry (default 50M warp-instructions) or
     malformed programs. *)
 
@@ -83,5 +80,4 @@ val run_decoded :
   Decode.t ->
   Stats.t
 (** Same contract as {!run}, over a pre-decoded program — the path the
-    NVBit runtime takes with its per-kernel decode cache. Ignores
-    [device.engine]. *)
+    NVBit runtime takes with its per-kernel decode cache. *)

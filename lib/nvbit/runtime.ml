@@ -40,7 +40,7 @@ let invocations t ~kernel =
 
 let totals t = t.total
 
-(* Per-kernel decode cache for the decoded engine. Keyed by kernel name
+(* Per-kernel decode cache. Keyed by kernel name
    but validated by physical equality on the program: an instr-flip
    mutant shares its victim's name, and a stale decode would execute the
    unmutated code. *)
@@ -57,11 +57,7 @@ let decoded t prog =
     d
 
 let exec t ?hooks ~grid ~block ~params prog =
-  match t.dev.Device.engine with
-  | Device.Decoded ->
-    Exec.run_decoded ?hooks ~device:t.dev ~grid ~block ~params
-      (decoded t prog)
-  | Device.Reference -> Exec.run ?hooks ~device:t.dev ~grid ~block ~params prog
+  Exec.run_decoded ?hooks ~device:t.dev ~grid ~block ~params (decoded t prog)
 
 let instrumented_hooks t tool prog =
   let key = prog.Fpx_sass.Program.name in

@@ -22,6 +22,19 @@ let mufu_is_64h = function
   | Rcp64h | Rsq64h -> true
   | Rcp | Rsq | Sqrt | Ex2 | Lg2 | Sin | Cos -> false
 
+let eval_mufu op x =
+  let module Sfu = Fpx_num.Sfu in
+  match op with
+  | Rcp -> Sfu.rcp x
+  | Rsq -> Sfu.rsq x
+  | Sqrt -> Sfu.sqrt x
+  | Ex2 -> Sfu.ex2 x
+  | Lg2 -> Sfu.lg2 x
+  | Sin -> Sfu.sin x
+  | Cos -> Sfu.cos x
+  | Rcp64h -> Sfu.rcp64h x
+  | Rsq64h -> Sfu.rsq64h x
+
 type cmp = { op : cmp_op; or_unordered : bool }
 and cmp_op = Lt | Le | Gt | Ge | Eq | Ne
 
@@ -63,6 +76,9 @@ let sreg_to_string = function
   | Lane_id -> "SR_LANEID"
 
 type pbool = Pand | Por | Pxor
+
+let eval_pbool b p q =
+  match b with Pand -> p && q | Por -> p || q | Pxor -> p <> q
 
 type atom_ty = Af32 | Ai32
 

@@ -17,6 +17,11 @@ type mufu_op = Rcp | Rsq | Sqrt | Ex2 | Lg2 | Sin | Cos | Rcp64h | Rsq64h
 val mufu_op_to_string : mufu_op -> string
 val mufu_is_64h : mufu_op -> bool
 
+val eval_mufu : mufu_op -> int32 -> int32
+(** The SFU result bits for one input word ({!Fpx_num.Sfu}): an FP32
+    value for the 32-bit ops, the high word of an FP64 pair for
+    [Rcp64h]/[Rsq64h]. *)
+
 (** Comparison condition. [or_unordered] gives the [.LTU]-style variants
     that are true when either operand is NaN; plain variants are false on
     NaN — the control-flow-skewing behaviour of §1. *)
@@ -39,6 +44,9 @@ val sreg_to_string : sreg -> string
 
 (** Predicate combination for PSETP. *)
 type pbool = Pand | Por | Pxor
+
+val eval_pbool : pbool -> bool -> bool -> bool
+(** PSETP's truth table. *)
 
 (** Atomic operand type for ATOM.ADD. *)
 type atom_ty = Af32 | Ai32

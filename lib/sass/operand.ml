@@ -42,6 +42,13 @@ let float_token v =
     let g9 = Printf.sprintf "%.9g" v in
     if float_of_string g9 = v then g9 else Printf.sprintf "%.17g" v
 
+let generic_value = function
+  | "+INF" | "INF" -> Some infinity
+  | "-INF" -> Some neg_infinity
+  | "+QNAN" | "QNAN" | "+SNAN" -> Some Float.nan
+  | "-QNAN" | "-SNAN" -> Some (-.Float.nan)
+  | s -> float_of_string_opt s
+
 let base_to_string = function
   | Reg n -> if n = rz then "RZ" else Printf.sprintf "R%d" n
   | Pred n -> if n = pt then "PT" else Printf.sprintf "P%d" n

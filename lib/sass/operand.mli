@@ -42,3 +42,12 @@ val label : int -> t
 val is_reg : t -> bool
 val reg_num : t -> int option
 val to_string : t -> string
+
+val float_token : float -> string
+(** Render an FP immediate: ["+INF"], ["-INF"], ["+QNAN"], ["-QNAN"],
+    bare integers, or the shortest round-tripping [%g] literal. *)
+
+val generic_value : string -> float option
+(** The value of a [Generic] token (["+INF"], ["QNAN"], ["-SNAN"], a
+    float literal…), the inverse of {!float_token}. [None] for a token
+    naming no value, which the executor traps on when read. *)

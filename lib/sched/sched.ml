@@ -14,14 +14,17 @@ let span_end () = if Fpx_obs.Span.enabled () then Fpx_obs.Span.end_ ()
 module Pool = struct
   (* A fixed set of worker domains spawned once and fed through a
      mutex-guarded queue: the domain-spawn cost is paid at [create],
-     not per map call. Tasks are pre-packed [unit -> unit] closures
-     (each writes its own result slot and never raises), so the queue
-     needs no existential wrapper. *)
+     not per map call. A task is a pre-packed closure that computes its
+     result (never raising) and returns the step publishing it, so the
+     queue needs no existential wrapper. The worker takes the task off
+     [running] before publishing: a caller woken by [await] must never
+     still count its own task in [in_flight], which serve's admission
+     control reads. *)
   type t = {
     jobs : int;
     m : Mutex.t;
     work : Condition.t;
-    q : (unit -> unit) Queue.t;
+    q : (unit -> unit -> unit) Queue.t;
     mutable queued : int;  (* tasks enqueued, not yet picked up *)
     mutable running : int;  (* tasks currently executing on a worker *)
     mutable stop : bool;
@@ -40,10 +43,11 @@ module Pool = struct
         pool.queued <- pool.queued - 1;
         pool.running <- pool.running + 1;
         Mutex.unlock pool.m;
-        task ();
+        let publish = task () in
         Mutex.lock pool.m;
         pool.running <- pool.running - 1;
         Mutex.unlock pool.m;
+        publish ();
         loop ()
       end
     in
@@ -102,10 +106,11 @@ module Pool = struct
           try Done (f ())
           with e -> Raised (e, Printexc.get_raw_backtrace ())
         in
-        Mutex.lock fut.fm;
-        fut.state <- r;
-        Condition.broadcast fut.fc;
-        Mutex.unlock fut.fm);
+        fun () ->
+          Mutex.lock fut.fm;
+          fut.state <- r;
+          Condition.broadcast fut.fc;
+          Mutex.unlock fut.fm);
     fut
 
   let await fut =

@@ -82,14 +82,6 @@ let join_env_into ~widen dst src =
 
 (* --- operand reads ---------------------------------------------------- *)
 
-let generic_f64 s =
-  match s with
-  | "+INF" | "INF" -> Some infinity
-  | "-INF" -> Some neg_infinity
-  | "+QNAN" | "QNAN" | "+SNAN" -> Some Float.nan
-  | "-QNAN" | "-SNAN" -> Some (-.Float.nan)
-  | _ -> float_of_string_opt s
-
 let reg32 env n =
   if n = Operand.rz then A.of_const32 0l
   else if n < Array.length env.regs then env.regs.(n)
@@ -103,7 +95,7 @@ let rd32 ~ftz env (o : Operand.t) =
     | Operand.Imm_i v -> A.of_const32 v
     | Operand.Imm_f64 v -> A.of_const32 (Fp32.of_float v)
     | Operand.Generic s -> (
-      match generic_f64 s with
+      match Operand.generic_value s with
       | Some v -> A.of_const32 (Fp32.of_float v)
       | None -> A.top)
     | Operand.Cbank _ -> A.top
@@ -131,7 +123,7 @@ let rd64 env (o : Operand.t) =
     | Operand.Imm_f64 v -> A.of_const64 v
     | Operand.Imm_f32 b -> A.of_const64 (Fp32.to_float b)
     | Operand.Generic s -> (
-      match generic_f64 s with
+      match Operand.generic_value s with
       | Some v -> A.of_const64 v
       | None -> top64)
     | Operand.Cbank _ -> top64
@@ -141,7 +133,7 @@ let rd64 env (o : Operand.t) =
   if o.Operand.neg then A.neg_mod A.W64 v else v
 
 (* Raw word read (MOV, I2F, MUFU.*64H input): no modifiers, no flush —
-   mirrors [exec.ml]'s [i32_value]. *)
+   mirrors [Exec]'s integer source reads. *)
 let rdi env (o : Operand.t) =
   match o.Operand.base with
   | Operand.Reg n -> reg32 env n
@@ -323,13 +315,7 @@ let exec_abs ~ftz env (i : Instr.t) =
     [ a; b ]
   | Isa.PSETP b ->
     let p1 = rd_pred env (opnd 1) and p2 = rd_pred env (opnd 2) in
-    wr_pred env i
-      (plift2
-         (match b with
-         | Isa.Pand -> ( && )
-         | Isa.Por -> ( || )
-         | Isa.Pxor -> ( <> ))
-         p1 p2);
+    wr_pred env i (plift2 (Isa.eval_pbool b) p1 p2);
     []
   | Isa.FCHK ->
     wr_pred env i 3;

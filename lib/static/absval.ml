@@ -402,17 +402,7 @@ let mufu op x =
       invalid_arg "Absval.mufu: use mufu64h for the 64H variants"
     | _ -> (
       match x.const32 with
-      | Some b ->
-        of_const32
-          (match op with
-          | Fpx_sass.Isa.Rcp -> Sfu.rcp b
-          | Fpx_sass.Isa.Rsq -> Sfu.rsq b
-          | Fpx_sass.Isa.Sqrt -> Sfu.sqrt b
-          | Fpx_sass.Isa.Ex2 -> Sfu.ex2 b
-          | Fpx_sass.Isa.Lg2 -> Sfu.lg2 b
-          | Fpx_sass.Isa.Sin -> Sfu.sin b
-          | Fpx_sass.Isa.Cos -> Sfu.cos b
-          | Fpx_sass.Isa.Rcp64h | Fpx_sass.Isa.Rsq64h -> assert false)
+      | Some b -> of_const32 (Fpx_sass.Isa.eval_mufu op b)
       | None ->
         let cls = ref m_none in
         let add_c m = cls := !cls lor m in
@@ -479,15 +469,11 @@ let mufu op x =
         make W32 ~lo:!lo ~hi:!hi !cls)
 
 let mufu64h op x =
-  let f =
-    match (op : Fpx_sass.Isa.mufu_op) with
-    | Fpx_sass.Isa.Rcp64h -> Sfu.rcp64h
-    | Fpx_sass.Isa.Rsq64h -> Sfu.rsq64h
-    | _ -> invalid_arg "Absval.mufu64h: not a 64H op"
-  in
+  if not (Fpx_sass.Isa.mufu_is_64h op) then
+    invalid_arg "Absval.mufu64h: not a 64H op";
   match x.const32 with
   | Some b ->
-    let hi = f b in
+    let hi = Fpx_sass.Isa.eval_mufu op b in
     let pair_cls =
       match Fp64.classify_hi hi with
       | Kind.Nan -> m_nan

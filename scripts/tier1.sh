@@ -40,6 +40,13 @@ run "dune build" dune build
 run "one json codec" \
   sh -c '! grep -rnE "json_escape|json_unescape|Jsonx" lib bin bench/main.ml'
 
+# One interpreter ships: the reference oracle lives in test/oracle, no
+# engine selector may come back, and GENERIC tokens are interpreted
+# only in lib/sass (Operand.generic_value).
+run "one interpreter" \
+  sh -c '! grep -rnE "Exec_ref|engine:|Device\.Reference" lib bin &&
+         ! grep -rnF "\"+QNAN\"" lib --exclude-dir=sass'
+
 run "dune runtest" dune runtest
 
 # Smoke the architectural bit-flip campaign end to end: a pinned-seed

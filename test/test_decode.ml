@@ -1,6 +1,7 @@
 (* Differential testing of the two-stage execution core: the decoded
-   engine must be observably identical to the reference interpreter —
-   memory digests, detector logs, Stats accounting, trap messages —
+   engine must be observably identical to the reference interpreter
+   (Fpx_oracle.Exec_ref, test/oracle/) — memory digests, detector logs,
+   Stats accounting, trap messages —
    over the fuzz generator's full opcode coverage, under architectural
    fault injection, and on the poison paths for malformed operands. *)
 
@@ -28,20 +29,51 @@ type outcome = {
   trap : string option;
 }
 
-let run_case ~engine ?fault ?(detector = false) (c : Repro.t) =
+(* An engine is its launch entry point. *)
+type engine =
+  ?hooks:Exec.hooks -> ?max_dyn_instrs:int -> device:Device.t -> grid:int ->
+  block:int -> params:Param.t list -> Program.t -> Stats.t
+
+let decoded : engine = Exec.run
+let reference : engine = Fpx_oracle.Exec_ref.run
+
+(* One launch the way the NVBit runtime drives it — the Instr_flip
+   mutation at JIT time, the tool's hooks built with Inject, the run,
+   then the drain — with the engine the only moving part. *)
+let launch ~(run : engine) dev tool ~grid ~block ~params prog =
+  let kernel = prog.Program.name in
+  let prog =
+    match
+      Option.bind (Fault.active dev.Device.fault) (fun a ->
+          Fault.arch_instr_flip a ~kernel)
+    with
+    | None -> prog
+    | Some (pc, sel) -> (
+      match Mutate.instr_flip prog ~pc ~sel with
+      | Ok p -> p
+      | Error msg -> raise (Exec.Trap ("decode-fail: " ^ msg)))
+  in
+  match tool with
+  | None -> run ~device:dev ~grid ~block ~params prog
+  | Some tool ->
+    let b = Fpx_tool.Inject.create dev prog in
+    Fpx_tool.instrument tool prog b;
+    let pre = Stats.create () in
+    Fpx_tool.on_launch_begin tool pre;
+    let stats =
+      run ~hooks:(Fpx_tool.Inject.build b) ~device:dev ~grid ~block ~params
+        prog
+    in
+    Stats.add stats pre;
+    Fpx_tool.on_drain tool stats ~kernel;
+    stats
+
+let run_case ~run ?fault ?(detector = false) (c : Repro.t) =
   let fault =
     match fault with Some s -> Fault.of_spec s | None -> Fault.none
   in
-  let dev = Device.create ~engine ~fault () in
-  let rt = Fpx_nvbit.Runtime.create dev in
-  let det =
-    if detector then begin
-      let d = Det.create dev in
-      Fpx_nvbit.Runtime.attach rt (Det.tool d);
-      Some d
-    end
-    else None
-  in
+  let dev = Device.create ~fault () in
+  let det = if detector then Some (Det.create dev) else None in
   let mem = dev.Device.memory in
   let params =
     List.map
@@ -52,16 +84,16 @@ let run_case ~engine ?fault ?(detector = false) (c : Repro.t) =
         | Parse.I32 v -> Param.I32 v)
       c.Repro.params
   in
-  let trap =
-    try
-      Fpx_nvbit.Runtime.launch rt ~grid:c.Repro.grid ~block:c.Repro.block
-        ~params c.Repro.prog;
-      None
+  let st, trap =
+    match
+      launch ~run dev (Option.map Det.tool det) ~grid:c.Repro.grid
+        ~block:c.Repro.block ~params c.Repro.prog
     with
-    | Exec.Trap m -> Some ("Trap: " ^ m)
-    | Invalid_argument m -> Some ("Invalid_argument: " ^ m)
+    | st -> (st, None)
+    | exception Exec.Trap m -> (Stats.create (), Some ("Trap: " ^ m))
+    | exception Invalid_argument m ->
+      (Stats.create (), Some ("Invalid_argument: " ^ m))
   in
-  let st = Fpx_nvbit.Runtime.totals rt in
   {
     digest = Memory.digest mem;
     log = (match det with Some d -> Det.log_lines d | None -> []);
@@ -83,8 +115,8 @@ let outcome = Alcotest.testable (fun ppf o ->
     ( = )
 
 let check_same ?fault ?detector what c =
-  let r = run_case ~engine:Device.Reference ?fault ?detector c in
-  let d = run_case ~engine:Device.Decoded ?fault ?detector c in
+  let r = run_case ~run:reference ?fault ?detector c in
+  let d = run_case ~run:decoded ?fault ?detector c in
   Alcotest.check outcome what r d
 
 (* --- generator-driven differential ------------------------------------ *)
@@ -96,8 +128,8 @@ let arb_case =
   |> QCheck.set_print (fun c -> Repro.render c)
 
 let same ?fault ?(detector = false) c =
-  run_case ~engine:Device.Reference ?fault ~detector c
-  = run_case ~engine:Device.Decoded ?fault ~detector c
+  run_case ~run:reference ?fault ~detector c
+  = run_case ~run:decoded ?fault ~detector c
 
 let prop_bare =
   QCheck.Test.make ~count:150 ~name:"decoded = reference, bare" arb_case
@@ -212,14 +244,14 @@ let poison_case ~armed =
 
 let test_poison_dormant () =
   let c = poison_case ~armed:false in
-  let d = run_case ~engine:Device.Decoded c in
+  let d = run_case ~run:decoded c in
   Alcotest.(check (option string)) "guarded-off poison is inert" None d.trap;
   check_same "dormant poison" c
 
 let test_poison_armed () =
   let c = poison_case ~armed:true in
-  let r = run_case ~engine:Device.Reference c in
-  let d = run_case ~engine:Device.Decoded c in
+  let r = run_case ~run:reference c in
+  let d = run_case ~run:decoded c in
   Alcotest.(check bool) "reference traps" true (r.trap <> None);
   Alcotest.check outcome "armed poison" r d
 

@@ -177,13 +177,17 @@ let test_pool_in_flight_concurrent_submitters () =
       Alcotest.(check int) "all completed" 12 (List.length results);
       Alcotest.(check int) "sum of results" 12
         (List.fold_left ( + ) 0 results);
-      (* completion may race the worker's book-keeping decrement only
-         until await returns; by then every task function has run *)
-      Alcotest.(check bool) "in_flight settles to zero" true
-        (let rec wait n =
-           Sched.Pool.in_flight pool = 0 || (n > 0 && (Thread.yield (); wait (n - 1)))
-         in
-         wait 1000))
+      Alcotest.(check int) "idle once every future is awaited" 0
+        (Sched.Pool.in_flight pool);
+      (* a finished task leaves the books before its future is published,
+         so the caller woken by await never still sees it in flight *)
+      for i = 1 to 300 do
+        let v = Sched.Pool.await (Sched.Pool.submit pool (fun () -> i)) in
+        let n = Sched.Pool.in_flight pool in
+        if v <> i || n <> 0 then
+          Alcotest.failf "round %d: result %d, in_flight %d right after await"
+            i v n
+      done)
 
 let test_pool_sweep_identical () =
   let programs =

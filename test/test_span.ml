@@ -93,11 +93,22 @@ let test_ring_drops_counted () =
 
 let test_cross_domain_tracks () =
   let r = Span.create () in
+  (* Each body waits, up to a deadline, until a second body is running:
+     two bodies then overlap, so they ran on two domains, however fast
+     one domain could otherwise have stolen all eight. *)
+  let started = Atomic.make 0 in
+  let body i =
+    Atomic.incr started;
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
+      Domain.cpu_relax ()
+    done;
+    i * i
+  in
   Span.with_installed r (fun () ->
       ignore
         (Fpx_sched.Sched.map ~jobs:4
-           (fun i ->
-             Span.with_ ~cat:"work" "task-body" (fun () -> i * i))
+           (fun i -> Span.with_ ~cat:"work" "task-body" (fun () -> body i))
            [ 1; 2; 3; 4; 5; 6; 7; 8 ]
           : int list));
   let infos = Span.track_infos r in

@@ -426,6 +426,58 @@ let test_chains_guarded_then_reappears () =
       (List.length c2.Flow.hops)
   | cs -> Alcotest.failf "expected 2 chains, got %d" (List.length cs)
 
+(* --- GENERIC tokens ------------------------------------------------------ *)
+
+(* Every token Parse turns into a Generic operand means one value to the
+   decoder, the abstract interpreter and the analyzer's JIT-time check,
+   and survives the float_token / generic_value round trip. FSEL reads
+   it as FP32, F2F.F32.F64 as FP64. *)
+let test_generic_tokens () =
+  let module D = Fpx_gpu.Decode in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun tok ->
+      let v = Option.get (Op.generic_value tok) in
+      let f32 = Fp32.of_float v in
+      Alcotest.(check int64) (tok ^ ": token round trip") (bits v)
+        (bits (Option.get (Op.generic_value (Op.float_token v))));
+      let prog =
+        Parse.program
+          (Printf.sprintf "FSEL R0, %s, RZ, PT ;\nF2F.F32.F64 R1, %s ;" tok tok)
+      in
+      let kind = if Float.is_nan v then Gpu_fpx.Exce.Nan else Gpu_fpx.Exce.Inf in
+      let a = Absint.analyze prog in
+      List.iter
+        (fun pc ->
+          let i = Program.instr prog pc in
+          (* "-INF" parses as a negated "INF" *)
+          let o = Instr.get_operand i 1 in
+          let parsed =
+            match o.Op.base with
+            | Op.Generic s ->
+              Option.map
+                (fun x -> bits (if o.Op.neg then Float.neg x else x))
+                (Op.generic_value s)
+            | _ -> None
+          in
+          Alcotest.(check (option int64)) (tok ^ ": parsed Generic value")
+            (Some (bits v)) parsed;
+          Alcotest.(check bool) (tok ^ ": analyzer class") true
+            (Analyzer.compile_e_type i = Some kind);
+          Alcotest.(check (option int32)) (tok ^ ": absint constant") (Some f32)
+            (Absint.fact a pc).Absint.dest32.Av.const32)
+        [ 0; 1 ];
+      let d = D.program prog in
+      (match d.D.entries.(0).D.uop with
+      | D.U_fsel { a = D.F32_imm b; _ } ->
+        Alcotest.(check int32) (tok ^ ": decoded FP32 bits") f32 (Int32.of_int b)
+      | _ -> Alcotest.fail (tok ^ ": FSEL source did not decode to an immediate"));
+      match d.D.entries.(1).D.uop with
+      | D.U_f32_of_f64 { a = D.F64_imm x; _ } ->
+        Alcotest.(check int64) (tok ^ ": decoded FP64 bits") (bits v) (bits x)
+      | _ -> Alcotest.fail (tok ^ ": F2F source did not decode to an immediate"))
+    [ "+INF"; "INF"; "-INF"; "+QNAN"; "QNAN"; "-QNAN" ]
+
 let suite =
   ( "static",
     [ Alcotest.test_case "golden disasm" `Quick test_golden_disasm;
@@ -442,6 +494,8 @@ let suite =
       qcheck_case prop_fma_sound;
       qcheck_case prop_join_monotone;
       Alcotest.test_case "widening stabilises" `Quick test_widen_terminates;
+      Alcotest.test_case "generic tokens agree across layers" `Quick
+        test_generic_tokens;
       Alcotest.test_case "prune: constant program" `Quick
         test_prune_clean_program;
       Alcotest.test_case "prune: zero pivot keeps its sites" `Quick
