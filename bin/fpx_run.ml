@@ -114,35 +114,6 @@ let registry_doc () =
          Printf.sprintf "$(b,%s): %s" e.Fpx_tool.tool_id e.Fpx_tool.doc)
        (Fpx_tool.registered ()))
 
-(* A tool name is a registry id, or a "+"-joined composition of ids
-   (run as one stack). [static_prune] only affects detector members. *)
-let tool_config_of_name ~static_prune name =
-  let base = function
-    | "detect" ->
-      Ok (R.Detector { Gpu_fpx.Detector.default_config with static_prune })
-    | "analyze" -> Ok R.Analyzer
-    | "binfpe" -> Ok R.Binfpe
-    | id ->
-      Error
-        (`Msg
-          (Printf.sprintf "unknown tool %S (known: %s)" id
-             (String.concat ", "
-                (List.map
-                   (fun (e : Fpx_tool.entry) -> e.Fpx_tool.tool_id)
-                   (Fpx_tool.registered ())))))
-  in
-  match String.split_on_char '+' name with
-  | [ one ] -> base one
-  | parts ->
-    let rec collect acc = function
-      | [] -> Ok (R.Stack (List.rev acc))
-      | p :: tl ->
-        (match base p with
-        | Ok c -> collect (c :: acc) tl
-        | Error _ as e -> e)
-    in
-    collect [] parts
-
 (* --- Fault injection flags ------------------------------------------- *)
 
 let site_names =
@@ -683,8 +654,8 @@ let sweep_cmd =
   in
   let run tool_name jobs static_prune fm amp out census metrics_out fseed
       frate fkinds =
-    match tool_config_of_name ~static_prune tool_name with
-    | Error (`Msg m) ->
+    match Fpx_harness.Toolreg.tool_config_of_name ~static_prune tool_name with
+    | Error m ->
       Printf.eprintf "fpx_run: %s\n" m;
       exit 124
     | Ok tool ->
@@ -743,9 +714,9 @@ let stack_cmd =
   in
   let run w tools fm amp repaired json trace_out metrics_out fseed frate
       fkinds =
-    match tool_config_of_name ~static_prune:false (String.concat "+" tools)
+    match Fpx_harness.Toolreg.tool_config_of_name (String.concat "+" tools)
     with
-    | Error (`Msg m) ->
+    | Error m ->
       Printf.eprintf "fpx_run: %s\n" m;
       exit 124
     | Ok tool ->
@@ -941,8 +912,8 @@ let diagnose_cmd =
   in
   let run tool_name jobs programs fm amp json out span_trace_out flame_out
       metrics_out =
-    match tool_config_of_name ~static_prune:false tool_name with
-    | Error (`Msg m) ->
+    match Fpx_harness.Toolreg.tool_config_of_name tool_name with
+    | Error m ->
       Printf.eprintf "fpx_run: %s\n" m;
       exit 124
     | Ok tool ->

@@ -453,7 +453,7 @@ let load cfg =
   in
   summary_of cfg results
 
-let run ?pool ?(sink = Fpx_obs.Sink.null) cfg =
+let run ?(sink = Fpx_obs.Sink.null) cfg =
   Fpx_obs.Span.with_ ~cat:"campaign" "campaign.run" (fun () ->
       let profiles = Array.of_list (List.map profile_exn cfg.programs) in
       let k = key cfg in
@@ -499,7 +499,7 @@ let run ?pool ?(sink = Fpx_obs.Sink.null) cfg =
       let artifacts = ref [] in
       List.iter
         (fun batch ->
-          let rs = Sched.map ?pool ~jobs:cfg.jobs (run_one cfg profiles) batch in
+          let rs = Sched.map ~jobs:cfg.jobs (run_one cfg profiles) batch in
           (match cfg.store with
           | Some root ->
             Store.append ~root ~key:k

@@ -109,13 +109,11 @@ type summary = {
 }
 
 val run :
-  ?pool:Fpx_sched.Sched.Pool.t -> ?sink:Fpx_obs.Sink.t -> config -> summary
+  ?sink:Fpx_obs.Sink.t -> config -> summary
 (** Execute (or resume) the campaign: golden-profile each program, fan
     the pending injections out over {!Fpx_sched.Sched.map}, classify
     each against golden, and append every batch to the store before
-    starting the next. [pool] reuses a persistent worker pool across
-    batches (takes precedence over [cfg.jobs]); results are
-    byte-identical either way.
+    starting the next. Results are byte-identical for any [cfg.jobs].
     @raise Failure when a program's golden run itself fails. *)
 
 val rerun : config -> id:int -> result

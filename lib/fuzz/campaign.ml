@@ -57,7 +57,7 @@ let check_case (cfg : config) id =
         min_instrs = Repro.instr_count minimized;
         artifact }
 
-let run ?pool (cfg : config) =
+let run (cfg : config) =
   Fpx_obs.Span.with_ ~cat:"fuzz"
     ~args:
       (if Fpx_obs.Span.enabled () then
@@ -68,7 +68,7 @@ let run ?pool (cfg : config) =
     "fuzz.campaign"
   @@ fun () ->
   let ids = List.init cfg.runs Fun.id in
-  let results = Sched.map ?pool ~jobs:cfg.jobs (check_case cfg) ids in
+  let results = Sched.map ~jobs:cfg.jobs (check_case cfg) ids in
   let klang_cases =
     List.length (List.filter Sassgen.is_klang_case ids)
   in

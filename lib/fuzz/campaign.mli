@@ -38,10 +38,9 @@ type summary = {
   found : found list;  (** In case-id order. *)
 }
 
-val run : ?pool:Fpx_sched.Sched.Pool.t -> config -> summary
-(** [pool] reuses a persistent worker pool for the case sweep (takes
-    precedence over [cfg.jobs]); the summary is byte-identical either
-    way. *)
+val run : config -> summary
+(** The case sweep runs on [cfg.jobs] domains; the summary is
+    byte-identical for any job count. *)
 
 val summary_json : summary -> string
 (** Deterministic (no timing, no job count); trailing newline. *)

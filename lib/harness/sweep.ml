@@ -1,7 +1,7 @@
 module W = Fpx_workloads.Workload
 module Sched = Fpx_sched.Sched
 
-let run ?pool ?(jobs = 1) ?cost ?(observe = false) ?fault ?mode ~tool programs =
+let run ?(jobs = 1) ?cost ?(observe = false) ?fault ?mode ~tool programs =
   (* One job = one whole program run on a fresh device, channel, fault
      plan and sink — jobs share nothing, so the per-program measurements
      are identical to the sequential ones and [Sched.map] returns them
@@ -15,7 +15,7 @@ let run ?pool ?(jobs = 1) ?cost ?(observe = false) ?fault ?mode ~tool programs =
        else [])
     "sweep.run"
     (fun () ->
-      Sched.map ?pool ~jobs
+      Sched.map ~jobs
         (fun w ->
           let obs =
             if observe then Fpx_obs.Sink.create () else Fpx_obs.Sink.null

@@ -8,7 +8,6 @@
     including under fault injection and static pruning. *)
 
 val run :
-  ?pool:Fpx_sched.Sched.Pool.t ->
   ?jobs:int ->
   ?cost:Fpx_gpu.Cost.t ->
   ?observe:bool ->
@@ -18,10 +17,7 @@ val run :
   Fpx_workloads.Workload.t list ->
   Runner.measurement list
 (** Measurements in input (catalog) order regardless of [jobs]
-    (default 1 = plain sequential loop). [pool] runs the sweep on a
-    persistent {!Fpx_sched.Sched.Pool.t} instead of spawning domains
-    per call — same results, no per-call spawn cost; it takes
-    precedence over [jobs]. [observe] (default false)
+    (default 1 = plain sequential loop). [observe] (default false)
     attaches a fresh metrics/trace sink to each run, for
     {!merged_metrics}. [fault] builds a fresh plan from the spec per
     run, exactly as {!Runner.run} does. *)

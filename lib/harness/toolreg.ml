@@ -34,3 +34,26 @@ let ensure () =
     done_ := true;
     List.iter Fpx_tool.register entries
   end
+
+let tool_config_of_name ?(static_prune = false) name =
+  let base = function
+    | "detect" ->
+      Ok (Runner.Detector { Gpu_fpx.Detector.default_config with static_prune })
+    | "analyze" -> Ok Runner.Analyzer
+    | "binfpe" -> Ok Runner.Binfpe
+    | id ->
+      Error
+        (Printf.sprintf "unknown tool %S (known: %s)" id
+           (String.concat ", "
+              (List.map
+                 (fun (e : Fpx_tool.entry) -> e.Fpx_tool.tool_id)
+                 (Fpx_tool.registered ()))))
+  in
+  match String.split_on_char '+' name with
+  | [ one ] -> base one
+  | parts ->
+    let rec collect acc = function
+      | [] -> Ok (Runner.Stack (List.rev acc))
+      | p :: tl -> Result.bind (base p) (fun c -> collect (c :: acc) tl)
+    in
+    collect [] parts

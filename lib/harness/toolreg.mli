@@ -11,3 +11,11 @@
 
 val ensure : unit -> unit
 (** Idempotent; later calls are free. *)
+
+val tool_config_of_name :
+  ?static_prune:bool -> string -> (Runner.tool_config, string) result
+(** Resolve a tool name as the CLI and the serve daemon accept it: a
+    registered id ([detect], [analyze], [binfpe]) or a ["+"]-joined
+    composition of them, run as one stack. [static_prune] (default
+    false) only affects detector members. [Error] names the first
+    unknown id and lists the registered ones. *)

@@ -12,16 +12,54 @@ let span_task i remaining =
 let span_end () = if Fpx_obs.Span.enabled () then Fpx_obs.Span.end_ ()
 
 module Pool = struct
+  type 'a outcome = ('a, exn * Printexc.raw_backtrace) result
+
+  let capture f =
+    try Ok (f ()) with e -> Error (e, Printexc.get_raw_backtrace ())
+
+  let unwrap = function
+    | Ok v -> v
+    | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+
+  (* The one write-once completion cell. Results and exceptions both
+     travel through it, so [await] reproduces the outcome exactly. *)
+  type 'a future = {
+    fm : Mutex.t;
+    fc : Condition.t;
+    mutable state : 'a outcome option;
+  }
+
+  let promise () =
+    { fm = Mutex.create (); fc = Condition.create (); state = None }
+
+  let fulfil fut r =
+    Mutex.lock fut.fm;
+    if Option.is_some fut.state then begin
+      Mutex.unlock fut.fm;
+      invalid_arg "Sched.Pool.fulfil: already fulfilled"
+    end;
+    fut.state <- Some r;
+    Condition.broadcast fut.fc;
+    Mutex.unlock fut.fm
+
+  let await fut =
+    Mutex.lock fut.fm;
+    while Option.is_none fut.state do
+      Condition.wait fut.fc fut.fm
+    done;
+    let r = Option.get fut.state in
+    Mutex.unlock fut.fm;
+    unwrap r
+
   (* A fixed set of worker domains spawned once and fed through a
      mutex-guarded queue: the domain-spawn cost is paid at [create],
-     not per map call. A task is a pre-packed closure that computes its
-     result (never raising) and returns the step publishing it, so the
+     not per request. A task is a pre-packed closure that computes its
+     outcome (never raising) and returns the step publishing it, so the
      queue needs no existential wrapper. The worker takes the task off
      [running] before publishing: a caller woken by [await] must never
      still count its own task in [in_flight], which serve's admission
      control reads. *)
   type t = {
-    jobs : int;
     m : Mutex.t;
     work : Condition.t;
     q : (unit -> unit -> unit) Queue.t;
@@ -53,19 +91,15 @@ module Pool = struct
     in
     loop ()
 
-  let create ?jobs () =
-    let jobs =
-      match jobs with Some j when j >= 1 -> j | _ -> recommended_jobs ()
-    in
+  let create ~jobs =
+    if jobs < 1 then invalid_arg "Sched.Pool.create: jobs < 1";
     let pool =
-      { jobs; m = Mutex.create (); work = Condition.create ();
+      { m = Mutex.create (); work = Condition.create ();
         q = Queue.create (); queued = 0; running = 0; stop = false;
         workers = [] }
     in
     pool.workers <- List.init jobs (fun _ -> Domain.spawn (worker pool));
     pool
-
-  let jobs pool = pool.jobs
 
   let in_flight pool =
     Mutex.lock pool.m;
@@ -84,46 +118,12 @@ module Pool = struct
     Condition.signal pool.work;
     Mutex.unlock pool.m
 
-  (* A one-shot completion cell. Results and exceptions both travel
-     through it, so [await] reproduces the task's outcome exactly. *)
-  type 'a future = {
-    fm : Mutex.t;
-    fc : Condition.t;
-    mutable state : 'a state;
-  }
-
-  and 'a state =
-    | Pending
-    | Done of 'a
-    | Raised of exn * Printexc.raw_backtrace
-
   let submit pool f =
-    let fut = { fm = Mutex.create (); fc = Condition.create ();
-                state = Pending }
-    in
+    let fut = promise () in
     enqueue pool (fun () ->
-        let r =
-          try Done (f ())
-          with e -> Raised (e, Printexc.get_raw_backtrace ())
-        in
-        fun () ->
-          Mutex.lock fut.fm;
-          fut.state <- r;
-          Condition.broadcast fut.fc;
-          Mutex.unlock fut.fm);
+        let r = capture f in
+        fun () -> fulfil fut r);
     fut
-
-  let await fut =
-    Mutex.lock fut.fm;
-    while fut.state = Pending do
-      Condition.wait fut.fc fut.fm
-    done;
-    let r = fut.state in
-    Mutex.unlock fut.fm;
-    match r with
-    | Done v -> v
-    | Raised (e, bt) -> Printexc.raise_with_backtrace e bt
-    | Pending -> assert false
 
   let run pool f = await (submit pool f)
 
@@ -137,66 +137,17 @@ module Pool = struct
     List.iter Domain.join workers
 end
 
-let materialize out =
-  (* Materialise in input order, so the first failing item (in input
-     order) is the one re-raised. *)
-  Fpx_obs.Span.with_ ~cat:"sched" "sched.materialize" (fun () ->
-      Array.to_list
-        (Array.map
-           (function
-             | Some (Ok v) -> v
-             | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-             | None -> assert false)
-           out))
-
-(* Fan the n index tasks over a persistent pool: every index is one
-   pool task writing its input-order slot, the caller blocks until all
-   slots are filled. Result and exception semantics match the
-   spawn-per-call path exactly. *)
-let pool_mapi pool f xs =
-  let arr = Array.of_list xs in
-  let n = Array.length arr in
-  let out = Array.make n None in
-  Fpx_obs.Span.with_ ~cat:"sched"
-    ~args:
-      (if Fpx_obs.Span.enabled () then
-         [ ("pool_jobs", Fpx_obs.Trace.I (Pool.jobs pool));
-           ("n", Fpx_obs.Trace.I n) ]
-       else [])
-    "sched.map"
-    (fun () ->
-      let futs =
-        Array.init n (fun i ->
-            Pool.submit pool (fun () ->
-                span_task i (n - 1 - i);
-                Fun.protect ~finally:span_end (fun () ->
-                    out.(i) <-
-                      Some
-                        (try Ok (f i arr.(i))
-                         with e ->
-                           Error (e, Printexc.get_raw_backtrace ())))))
-      in
-      Array.iter Pool.await futs);
-  materialize out
-
-let mapi ?pool ?(jobs = 1) f xs =
-  match (pool, xs) with
-  | _, [] -> []
-  | Some pool, _ -> pool_mapi pool f xs
-  | None, [ x ] ->
-    span_task 0 0;
-    Fun.protect ~finally:span_end (fun () -> [ f 0 x ])
-  | None, _ ->
+let map ~jobs f xs =
+  match xs with
+  | [] -> []
+  | _ ->
     let arr = Array.of_list xs in
     let n = Array.length arr in
     let out = Array.make n None in
     let compute i =
       span_task i (n - 1 - i);
       Fun.protect ~finally:span_end (fun () ->
-          out.(i) <-
-            Some
-              (try Ok (f i arr.(i))
-               with e -> Error (e, Printexc.get_raw_backtrace ())))
+          out.(i) <- Some (Pool.capture (fun () -> f arr.(i))))
     in
     Fpx_obs.Span.with_ ~cat:"sched"
       ~args:
@@ -235,7 +186,10 @@ let mapi ?pool ?(jobs = 1) f xs =
           Fpx_obs.Span.with_ ~cat:"sched" "sched.join" (fun () ->
               Array.iter Domain.join spawned)
         end);
-    materialize out
-
-let map ?pool ?jobs f xs = mapi ?pool ?jobs (fun _ x -> f x) xs
-let iter ?pool ?jobs f xs = ignore (map ?pool ?jobs f xs : unit list)
+    (* Materialise in input order, so the first failing item (in input
+       order) is the one re-raised. *)
+    Fpx_obs.Span.with_ ~cat:"sched" "sched.materialize" (fun () ->
+        Array.to_list
+          (Array.map
+             (function Some r -> Pool.unwrap r | None -> assert false)
+             out))

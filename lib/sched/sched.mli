@@ -5,19 +5,13 @@
     across N worker domains, returning results {e in input order} so
     every downstream report is byte-identical to the sequential run.
 
-    [jobs <= 1] (the default) never touches [Domain] at all: it is a
-    plain sequential loop with exactly the sequential semantics,
-    including exception propagation order. With [jobs > 1], workers
-    steal the next unclaimed input index, each job's exception is
-    captured in its slot, and after the join the first failing job in
-    {e input} order is re-raised (later jobs may then already have run —
-    the only observable difference from the sequential mode).
-
-    Long-lived callers (the [fpx_run serve] daemon, repeated sweeps)
-    can instead pass [?pool] — a persistent {!Pool.t} of worker domains
-    created once and reused across calls — which skips the per-call
-    domain spawn/join entirely while keeping the same input-order
-    result and exception contract.
+    [jobs <= 1] never touches [Domain] at all: it is a plain sequential
+    loop with exactly the sequential semantics, including exception
+    propagation order. With [jobs > 1], workers steal the next unclaimed
+    input index, each job's exception is captured in its slot, and
+    after the join the first failing job in {e input} order is
+    re-raised (later jobs may then already have run — the only
+    observable difference from the sequential mode).
 
     When a {!Fpx_obs.Span} recorder is installed, every phase of a run
     emits wall-clock spans on the recording domain's track:
@@ -33,10 +27,10 @@ val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — how many jobs this machine
     can usefully run. *)
 
-(** Persistent worker-domain pool: create once, submit many, shut down
-    once. Pays the domain-spawn cost at {!Pool.create} instead of per
-    map call — the difference between ~100us and ~10ms per request for
-    a daemon serving small programs.
+(** Persistent worker-domain pool for the serve daemon: create once,
+    submit many, shut down once. Pays the domain-spawn cost at
+    {!Pool.create} instead of per request — the difference between
+    ~100us and ~10ms per request for a daemon serving small programs.
 
     Tasks submitted from {e inside} a pool task must not [await] on the
     same pool (a task waiting for a slot it is occupying can deadlock a
@@ -44,26 +38,42 @@ val recommended_jobs : unit -> int
 module Pool : sig
   type t
 
+  type 'a outcome = ('a, exn * Printexc.raw_backtrace) result
+  (** A computation's result, or the exception it raised with the
+      backtrace at the raise point. *)
+
+  val capture : (unit -> 'a) -> 'a outcome
+  (** Run the thunk, catching any exception it raises. *)
+
+  val unwrap : 'a outcome -> 'a
+  (** The value, or re-raise the exception with its original
+      backtrace. *)
+
   type 'a future
-  (** A one-shot completion cell for a submitted task. *)
+  (** A write-once completion cell: one {!fulfil}, any number of
+      {!await}s from any thread or domain. *)
 
-  val create : ?jobs:int -> unit -> t
-  (** Spawn [jobs] worker domains (default
-      {!recommended_jobs}; values [< 1] also fall back to it). *)
+  val promise : unit -> 'a future
+  (** An empty cell, for callers that complete it themselves (the
+      serve cache's coalesced computes). *)
 
-  val jobs : t -> int
-  (** Worker-domain count fixed at {!create}. *)
+  val fulfil : 'a future -> 'a outcome -> unit
+  (** Publish the outcome and wake every waiter.
+      @raise Invalid_argument if the cell is already fulfilled. *)
+
+  val await : 'a future -> 'a
+  (** Block until the cell is fulfilled, then {!unwrap} it. *)
+
+  val create : jobs:int -> t
+  (** Spawn [jobs] (at least 1) worker domains. *)
 
   val in_flight : t -> int
   (** Tasks queued plus tasks currently executing — the admission
       signal the serve daemon sheds load on. *)
 
   val submit : t -> (unit -> 'a) -> 'a future
-  (** Enqueue a task. @raise Invalid_argument after {!shutdown}. *)
-
-  val await : 'a future -> 'a
-  (** Block until the task completes; re-raises the task's exception
-      with its original backtrace. *)
+  (** Enqueue a task; its outcome fulfils the returned cell.
+      @raise Invalid_argument after {!shutdown}. *)
 
   val run : t -> (unit -> 'a) -> 'a
   (** [run t f] is [await (submit t f)]. *)
@@ -73,12 +83,6 @@ module Pool : sig
       {!submit} calls raise. *)
 end
 
-val map : ?pool:Pool.t -> ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] is [List.map f xs] computed on up to [jobs]
-    domains (capped at the list length), results in input order.
-    [map ~pool f xs] computes on [pool]'s persistent workers instead;
-    [pool] takes precedence over [jobs]. *)
-
-val mapi : ?pool:Pool.t -> ?jobs:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
-
-val iter : ?pool:Pool.t -> ?jobs:int -> ('a -> unit) -> 'a list -> unit
+    domains (capped at the list length), results in input order. *)

@@ -1,13 +1,8 @@
 module Content = Fpx_store.Content
 module Metrics = Fpx_obs.Metrics
+module Pool = Fpx_sched.Sched.Pool
 
 type entry = { value : string; mutable tick : int }
-
-type waiter = {
-  wm : Mutex.t;
-  wc : Condition.t;
-  mutable outcome : (string, exn * Printexc.raw_backtrace) result option;
-}
 
 type stats = {
   hits : int;
@@ -22,7 +17,7 @@ type t = {
   capacity : int;
   m : Mutex.t;
   table : (string, entry) Hashtbl.t;
-  pending : (string, waiter) Hashtbl.t;
+  pending : (string, string Pool.future) Hashtbl.t;
   mutable clock : int;  (* recency ticks; bumped on insert and hit *)
   mutable hits : int;
   mutable misses : int;
@@ -115,18 +110,6 @@ let find t k =
 let is_pending t k =
   locked t (fun () -> Hashtbl.mem t.pending k)
 
-let wait_outcome w =
-  Mutex.lock w.wm;
-  while w.outcome = None do
-    Condition.wait w.wc w.wm
-  done;
-  let o = w.outcome in
-  Mutex.unlock w.wm;
-  match o with
-  | Some (Ok v) -> v
-  | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-  | None -> assert false
-
 let find_or_compute t k f =
   let action =
     locked t (fun () ->
@@ -141,10 +124,7 @@ let find_or_compute t k f =
             Metrics.incr t.c_coalesced;
             `Join w
           | None ->
-            let w =
-              { wm = Mutex.create (); wc = Condition.create ();
-                outcome = None }
-            in
+            let w = Pool.promise () in
             Hashtbl.replace t.pending k w;
             t.misses <- t.misses + 1;
             Metrics.incr t.c_misses;
@@ -152,24 +132,18 @@ let find_or_compute t k f =
   in
   match action with
   | `Hit v -> v
-  | `Join w -> wait_outcome w
+  | `Join w -> Pool.await w
   | `Compute w ->
-    let outcome =
-      try Ok (f ())
-      with e -> Error (e, Printexc.get_raw_backtrace ())
-    in
+    (* cache (or drop) the outcome before waking the joiners, so a
+       request arriving after them is a hit, not another join *)
+    let outcome = Pool.capture f in
     locked t (fun () ->
         Hashtbl.remove t.pending k;
         match outcome with
         | Ok v -> insert t k v
         | Error _ -> ());
-    Mutex.lock w.wm;
-    w.outcome <- Some outcome;
-    Condition.broadcast w.wc;
-    Mutex.unlock w.wm;
-    (match outcome with
-    | Ok v -> v
-    | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+    Pool.fulfil w outcome;
+    Pool.unwrap outcome
 
 let stats t =
   locked t (fun () ->

@@ -55,7 +55,7 @@ let create ?(config = default_config) () =
   in
   {
     cfg;
-    pool = Sched.Pool.create ~jobs:cfg.jobs ();
+    pool = Sched.Pool.create ~jobs:cfg.jobs;
     cache = Cache.create ~capacity:cfg.cache_capacity metrics;
     metrics;
     quota =
@@ -169,15 +169,9 @@ let resp_ok payload =
 type source = Catalog of W.t | Sass of string
 
 let tool_config_of_name name =
-  let base = function
-    | "detect" -> R.Detector Gpu_fpx.Detector.default_config
-    | "analyze" -> R.Analyzer
-    | "binfpe" -> R.Binfpe
-    | id -> raise (Reject (Printf.sprintf "unknown tool %S" id))
-  in
-  match String.split_on_char '+' name with
-  | [ one ] -> base one
-  | parts -> R.Stack (List.map base parts)
+  match Fpx_harness.Toolreg.tool_config_of_name name with
+  | Ok tool -> tool
+  | Error msg -> raise (Reject msg)
 
 let parse_sass text =
   try Fpx_sass.Parse.file text
@@ -457,18 +451,12 @@ let http_response ~status ~body =
      Content-Length: %d\r\nConnection: close\r\n\r\n%s"
     status (String.length body) body
 
-let write_all fd s =
-  let buf = Bytes.of_string s in
-  let n = Bytes.length buf in
-  let off = ref 0 in
-  while !off < n do
-    off := !off + Unix.write fd buf !off (n - !off)
-  done
-
 (* One-shot HTTP handler: a Prometheus scraper pointed at the same
-   socket gets /metrics without speaking the framed protocol. *)
-let handle_http t conn =
+   socket gets /metrics without speaking the framed protocol. [start]
+   is the request's first bytes, already read by the dispatcher. *)
+let handle_http t conn ~start =
   let buf = Buffer.create 256 in
+  Buffer.add_string buf start;
   let chunk = Bytes.create 256 in
   let rec read_head () =
     if Buffer.length buf > 8192 then ()
@@ -501,26 +489,25 @@ let handle_http t conn =
       http_response ~status:"200 OK" ~body:(metrics_text t)
     else http_response ~status:"404 Not Found" ~body:"not found\n"
   in
-  write_all conn resp
+  Wire.write_all conn (Bytes.of_string resp)
 
 let handle_conn t conn =
   Fun.protect
     ~finally:(fun () -> try Unix.close conn with Unix.Unix_error _ -> ())
     (fun () ->
       try
-        let peek = Bytes.create 4 in
-        let n = Unix.recv conn peek 0 4 [ Unix.MSG_PEEK ] in
-        if n >= 4 && Bytes.to_string peek = "GET " then handle_http t conn
-        else if n = 0 then ()
-        else
-          let rec loop () =
-            match Wire.read_frame conn with
-            | None -> ()
-            | Some req ->
-              Wire.write_frame conn (handle t req);
-              loop ()
-          in
-          loop ()
+        (* The first 4 bytes decide the protocol, however the client
+           splits them across writes: "GET " is HTTP, anything else is
+           a frame header. *)
+        let rec frames = function
+          | None -> ()
+          | Some header ->
+            Wire.write_frame conn (handle t (Wire.read_payload conn header));
+            frames (Wire.read_header conn)
+        in
+        match Wire.read_header conn with
+        | Some ("GET " as start) -> handle_http t conn ~start
+        | first -> frames first
       with
       | End_of_file | Unix.Unix_error _ -> ()
       | Wire.Frame_too_large n ->

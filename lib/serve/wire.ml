@@ -30,12 +30,13 @@ let read_exact fd n ~eof_ok =
   in
   go 0
 
-let read_frame fd =
-  match read_exact fd 4 ~eof_ok:true with
-  | None -> None
-  | Some hdr ->
-    let n = Int32.to_int (Bytes.get_int32_be hdr 0) in
-    if n < 0 || n > max_frame then raise (Frame_too_large n);
-    (match read_exact fd n ~eof_ok:false with
-    | Some payload -> Some (Bytes.to_string payload)
-    | None -> assert false)
+let read_header fd = Option.map Bytes.to_string (read_exact fd 4 ~eof_ok:true)
+
+let read_payload fd header =
+  let n = Int32.to_int (String.get_int32_be header 0) in
+  if n < 0 || n > max_frame then raise (Frame_too_large n);
+  match read_exact fd n ~eof_ok:false with
+  | Some payload -> Bytes.to_string payload
+  | None -> assert false
+
+let read_frame fd = Option.map (read_payload fd) (read_header fd)

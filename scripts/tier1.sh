@@ -47,6 +47,11 @@ run "one interpreter" \
   sh -c '! grep -rnE "Exec_ref|engine:|Device\.Reference" lib bin &&
          ! grep -rnF "\"+QNAN\"" lib --exclude-dir=sass'
 
+# One batch fan-out: Sched.map ~jobs. The pooled map route must not
+# come back; Sched.Pool serves the daemon only.
+run "one fan-out" \
+  sh -c '! grep -rnE "\?pool|~pool|pool_mapi" lib bin'
+
 run "dune runtest" dune runtest
 
 # Smoke the architectural bit-flip campaign end to end: a pinned-seed

@@ -29,22 +29,29 @@ let test_map_order () =
         (Sched.map ~jobs (fun x -> x * x) xs))
     [ 1; 2; 4; 8; 64 ];
   Alcotest.(check (list int)) "empty" [] (Sched.map ~jobs:4 (fun x -> x) []);
+  (* a one-element list runs inline: min jobs n - 1 = 0 domains *)
   Alcotest.(check (list int)) "singleton" [ 9 ]
     (Sched.map ~jobs:4 (fun x -> x * x) [ 3 ])
 
-let test_mapi_indices () =
+let test_map_index_tagged () =
   Alcotest.(check (list int))
     "index + value" [ 10; 21; 32; 43 ]
-    (Sched.mapi ~jobs:3 (fun i x -> (10 * x) + i) [ 1; 2; 3; 4 ])
+    (Sched.map ~jobs:3 (fun (i, x) -> (10 * x) + i)
+       [ (0, 1); (1, 2); (2, 3); (3, 4) ])
 
 let test_first_error_wins () =
   let f x = if x mod 2 = 0 then failwith (string_of_int x) else x in
   Alcotest.check_raises "first failing input re-raised" (Failure "2")
     (fun () -> ignore (Sched.map ~jobs:4 f [ 1; 2; 3; 4; 5; 6 ]))
 
-let test_iter_runs_everything () =
+(* every item runs exactly once, whichever domain claims it *)
+let test_map_runs_every_item () =
   let total = Atomic.make 0 in
-  Sched.iter ~jobs:4 (fun x -> ignore (Atomic.fetch_and_add total x)) (List.init 100 (fun i -> i));
+  ignore
+    (Sched.map ~jobs:4
+       (fun x -> ignore (Atomic.fetch_and_add total x))
+       (List.init 100 (fun i -> i))
+      : unit list);
   Alcotest.(check int) "sum" 4950 (Atomic.get total)
 
 let test_recommended_jobs () =
@@ -52,33 +59,48 @@ let test_recommended_jobs () =
 
 (* --- Pool ------------------------------------------------------------- *)
 
-let test_pool_map_matches_seq () =
-  let pool = Sched.Pool.create ~jobs:3 () in
-  Fun.protect
-    ~finally:(fun () -> Sched.Pool.shutdown pool)
-    (fun () ->
-      Alcotest.(check int) "jobs fixed at create" 3 (Sched.Pool.jobs pool);
-      (* reuse the same pool across several calls *)
-      for n = 0 to 3 do
-        let xs = List.init (10 * n) Fun.id in
-        Alcotest.(check (list int))
-          (Printf.sprintf "n=%d" (List.length xs))
-          (List.mapi (fun i x -> (10 * x) + i) xs)
-          (Sched.mapi ~pool (fun i x -> (10 * x) + i) xs)
-      done;
-      Alcotest.(check int) "idle between calls" 0 (Sched.Pool.in_flight pool))
-
+(* A future carries its task's exception: awaiting the futures in
+   submission order re-raises the first failing one, as [map] does. *)
 let test_pool_first_error_wins () =
-  let pool = Sched.Pool.create ~jobs:4 () in
+  let pool = Sched.Pool.create ~jobs:4 in
   Fun.protect
     ~finally:(fun () -> Sched.Pool.shutdown pool)
     (fun () ->
       let f x = if x mod 2 = 0 then failwith (string_of_int x) else x in
+      let futs =
+        List.map (fun x -> Sched.Pool.submit pool (fun () -> f x))
+          [ 1; 2; 3; 4; 5; 6 ]
+      in
       Alcotest.check_raises "first failing input re-raised" (Failure "2")
-        (fun () -> ignore (Sched.map ~pool f [ 1; 2; 3; 4; 5; 6 ])))
+        (fun () -> ignore (List.map Sched.Pool.await futs : int list));
+      (* awaiting again replays the same outcome *)
+      Alcotest.check_raises "await is repeatable" (Failure "4")
+        (fun () -> ignore (Sched.Pool.await (List.nth futs 3) : int));
+      Alcotest.(check int) "successes still readable" 5
+        (Sched.Pool.await (List.nth futs 4)))
+
+(* The bare cell: awaited from several domains, fulfilled once, a
+   second fulfil rejected. *)
+let test_pool_promise_fulfil () =
+  let fut = Sched.Pool.promise () in
+  let waiters =
+    List.init 3 (fun _ -> Domain.spawn (fun () -> Sched.Pool.await fut))
+  in
+  Sched.Pool.fulfil fut (Sched.Pool.capture (fun () -> 17));
+  Alcotest.(check (list int)) "every waiter woken" [ 17; 17; 17 ]
+    (List.map Domain.join waiters);
+  Alcotest.check_raises "write-once"
+    (Invalid_argument "Sched.Pool.fulfil: already fulfilled") (fun () ->
+      Sched.Pool.fulfil fut (Ok 18));
+  Alcotest.(check int) "first value kept" 17 (Sched.Pool.await fut)
+
+let test_pool_create_needs_a_worker () =
+  Alcotest.check_raises "jobs = 0"
+    (Invalid_argument "Sched.Pool.create: jobs < 1") (fun () ->
+      ignore (Sched.Pool.create ~jobs:0 : Sched.Pool.t))
 
 let test_pool_submit_await () =
-  let pool = Sched.Pool.create ~jobs:2 () in
+  let pool = Sched.Pool.create ~jobs:2 in
   Fun.protect
     ~finally:(fun () -> Sched.Pool.shutdown pool)
     (fun () ->
@@ -94,7 +116,7 @@ let test_pool_submit_await () =
         (Sched.Pool.run pool (fun () -> 42)))
 
 let test_pool_shutdown_rejects () =
-  let pool = Sched.Pool.create ~jobs:2 () in
+  let pool = Sched.Pool.create ~jobs:2 in
   Alcotest.(check int) "warm pool runs" 7
     (Sched.Pool.run pool (fun () -> 7));
   Sched.Pool.shutdown pool;
@@ -108,7 +130,7 @@ let test_pool_shutdown_rejects () =
    while futures are still queued must complete them all — no result is
    dropped on the floor. *)
 let test_pool_shutdown_completes_pending () =
-  let pool = Sched.Pool.create ~jobs:1 () in
+  let pool = Sched.Pool.create ~jobs:1 in
   let gate = Atomic.make false in
   let blocker =
     Sched.Pool.submit pool (fun () ->
@@ -129,21 +151,18 @@ let test_pool_shutdown_completes_pending () =
   Alcotest.(check int) "drained" 0 (Sched.Pool.in_flight pool)
 
 let test_pool_submit_after_shutdown_message () =
-  let pool = Sched.Pool.create ~jobs:2 () in
+  let pool = Sched.Pool.create ~jobs:2 in
   Sched.Pool.shutdown pool;
   let expected = Invalid_argument "Sched.Pool: submit after shutdown" in
   Alcotest.check_raises "submit" expected (fun () ->
       ignore (Sched.Pool.submit pool (fun () -> 0)));
   Alcotest.check_raises "run (via submit)" expected (fun () ->
-      ignore (Sched.Pool.run pool (fun () -> 0)));
-  (* map over a warm pool reports the same error *)
-  Alcotest.check_raises "map" expected (fun () ->
-      ignore (Sched.map ~pool (fun x -> x) [ 1; 2; 3 ]))
+      ignore (Sched.Pool.run pool (fun () -> 0)))
 
 (* in_flight = queued + running must account every submission exactly,
    also when the submitters race each other from several threads. *)
 let test_pool_in_flight_concurrent_submitters () =
-  let pool = Sched.Pool.create ~jobs:2 () in
+  let pool = Sched.Pool.create ~jobs:2 in
   Fun.protect
     ~finally:(fun () -> Sched.Pool.shutdown pool)
     (fun () ->
@@ -188,27 +207,6 @@ let test_pool_in_flight_concurrent_submitters () =
           Alcotest.failf "round %d: result %d, in_flight %d right after await"
             i v n
       done)
-
-let test_pool_sweep_identical () =
-  let programs =
-    List.filter_map
-      (fun n ->
-        match Fpx_workloads.Catalog.find n with
-        | w -> Some w
-        | exception Not_found -> None)
-      [ "Triad"; "GEMM"; "hotspot" ]
-  in
-  let tool = R.Detector Gpu_fpx.Detector.default_config in
-  let seq = Sweep.report_json (Sweep.run ~tool programs) in
-  let pool = Sched.Pool.create ~jobs:3 () in
-  Fun.protect
-    ~finally:(fun () -> Sched.Pool.shutdown pool)
-    (fun () ->
-      Alcotest.(check string) "pool sweep = sequential bytes" seq
-        (Sweep.report_json (Sweep.run ~pool ~tool programs));
-      (* and again on the warm pool *)
-      Alcotest.(check string) "second pool sweep identical" seq
-        (Sweep.report_json (Sweep.run ~pool ~tool programs)))
 
 (* --- Loc_table.merge -------------------------------------------------- *)
 
@@ -406,16 +404,19 @@ let suite =
   ( "sched",
     [ Alcotest.test_case "map: input order for any jobs" `Quick
         test_map_order;
-      Alcotest.test_case "mapi: indices" `Quick test_mapi_indices;
+      Alcotest.test_case "map: index-tagged items" `Quick
+        test_map_index_tagged;
       Alcotest.test_case "first error in input order" `Quick
         test_first_error_wins;
-      Alcotest.test_case "iter covers every item" `Quick
-        test_iter_runs_everything;
+      Alcotest.test_case "map: every item runs once" `Quick
+        test_map_runs_every_item;
       Alcotest.test_case "recommended jobs" `Quick test_recommended_jobs;
-      Alcotest.test_case "pool: map matches sequential" `Quick
-        test_pool_map_matches_seq;
       Alcotest.test_case "pool: first error in input order" `Quick
         test_pool_first_error_wins;
+      Alcotest.test_case "pool: promise/fulfil cell" `Quick
+        test_pool_promise_fulfil;
+      Alcotest.test_case "pool: create needs a worker" `Quick
+        test_pool_create_needs_a_worker;
       Alcotest.test_case "pool: submit/await" `Quick test_pool_submit_await;
       Alcotest.test_case "pool: shutdown rejects submits" `Quick
         test_pool_shutdown_rejects;
@@ -425,8 +426,6 @@ let suite =
         test_pool_submit_after_shutdown_message;
       Alcotest.test_case "pool: in_flight under concurrent submitters"
         `Quick test_pool_in_flight_concurrent_submitters;
-      Alcotest.test_case "pool: sweep byte-identical" `Quick
-        test_pool_sweep_identical;
       Alcotest.test_case "loc merge: dedup count" `Quick
         test_loc_merge_dedup_count;
       Alcotest.test_case "loc merge: first-seen wins" `Quick

@@ -35,6 +35,10 @@ let tmpdir =
     Content.mkdir_p d;
     d
 
+let poll ?(tries = 100) ?(delay = 0.02) p =
+  let rec go n = p () || (n < tries && (Thread.delay delay; go (n + 1))) in
+  go 0
+
 (* --- Json ------------------------------------------------------------- *)
 
 let test_json_roundtrip () =
@@ -231,6 +235,42 @@ let test_cache_error_not_cached () =
   Alcotest.(check string) "later compute succeeds" "ok"
     (Cache.find_or_compute c k (fun () -> "ok"))
 
+(* A request that joins an in-flight compute which then raises gets the
+   same exception; the failure leaves nothing cached or pending. *)
+let test_cache_coalesced_error () =
+  let c = Cache.create ~capacity:8 (Metrics.create ()) in
+  let k = Cache.key ~kind:"t" ~program:"p" ~config:"c" in
+  let attempt compute () =
+    match Cache.find_or_compute c k compute with
+    | v -> Ok v
+    | exception Failure m -> Error m
+  in
+  let gate = Atomic.make false in
+  let owner =
+    Domain.spawn
+      (attempt (fun () ->
+           while not (Atomic.get gate) do
+             Domain.cpu_relax ()
+           done;
+           failwith "boom"))
+  in
+  Alcotest.(check bool) "compute in flight" true
+    (poll (fun () -> Cache.is_pending c k));
+  (* the joiner's own compute must never run *)
+  let joiner = Domain.spawn (attempt (fun () -> "joiner computed")) in
+  Alcotest.(check bool) "joiner coalesced" true
+    (poll (fun () -> (Cache.stats c).Cache.coalesced = 1));
+  Atomic.set gate true;
+  let result = Alcotest.(result string string) in
+  Alcotest.check result "owner sees the error" (Error "boom")
+    (Domain.join owner);
+  Alcotest.check result "joiner sees the same error" (Error "boom")
+    (Domain.join joiner);
+  Alcotest.(check (option string)) "nothing cached" None (Cache.find c k);
+  Alcotest.(check bool) "nothing pending" false (Cache.is_pending c k);
+  Alcotest.(check string) "later compute succeeds" "ok"
+    (Cache.find_or_compute c k (fun () -> "ok"))
+
 (* --- Server.handle ---------------------------------------------------- *)
 
 let counter_of t name =
@@ -361,10 +401,6 @@ let test_handle_errors () =
 
 (* --- Admission control ------------------------------------------------ *)
 
-let poll ?(tries = 100) ?(delay = 0.02) p =
-  let rec go n = p () || (n < tries && (Thread.delay delay; go (n + 1))) in
-  go 0
-
 let in_flight_of t =
   let r = J.parse (Server.handle t {|{"op":"stats"}|}) in
   match J.member "payload" r with
@@ -436,21 +472,18 @@ let start_socket_server tag =
     (poll (fun () -> Sys.file_exists path));
   (t, path, server_thread)
 
-let test_socket_end_to_end () =
-  let t, path, server_thread = start_socket_server "e2e" in
-  let c = Client.connect_unix path in
-  Alcotest.(check string) "ping over the wire"
-    {|{"status":"ok","payload":"pong"}|}
-    (Client.request c {|{"op":"ping"}|});
-  let r1 = Client.request c (submit_req "Triad") in
-  let r2 = Client.request c (submit_req "Triad") in
-  Alcotest.(check string) "wire responses byte-identical" r1 r2;
-  Client.close c;
-  (* HTTP on the same socket *)
+(* Raw bytes over a fresh connection, [parts] written with a pause
+   between them; then the write side is closed and the reply read to
+   EOF. *)
+let raw_exchange path parts =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX path);
-  let http = "GET /metrics HTTP/1.0\r\n\r\n" in
-  ignore (Unix.write_substring fd http 0 (String.length http) : int);
+  List.iteri
+    (fun i s ->
+      if i > 0 then Thread.delay 0.1;
+      ignore (Unix.write_substring fd s 0 (String.length s) : int))
+    parts;
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
   let buf = Buffer.create 1024 in
   let chunk = Bytes.create 1024 in
   let rec drain () =
@@ -462,9 +495,24 @@ let test_socket_end_to_end () =
   in
   drain ();
   Unix.close fd;
-  let body = Buffer.contents buf in
-  Alcotest.(check bool) "HTTP 200" true
-    (String.length body > 15 && String.sub body 0 15 = "HTTP/1.0 200 OK");
+  Buffer.contents buf
+
+let is_http_200 reply =
+  String.length reply > 15 && String.sub reply 0 15 = "HTTP/1.0 200 OK"
+
+let test_socket_end_to_end () =
+  let t, path, server_thread = start_socket_server "e2e" in
+  let c = Client.connect_unix path in
+  Alcotest.(check string) "ping over the wire"
+    {|{"status":"ok","payload":"pong"}|}
+    (Client.request c {|{"op":"ping"}|});
+  let r1 = Client.request c (submit_req "Triad") in
+  let r2 = Client.request c (submit_req "Triad") in
+  Alcotest.(check string) "wire responses byte-identical" r1 r2;
+  Client.close c;
+  (* HTTP on the same socket *)
+  let body = raw_exchange path [ "GET /metrics HTTP/1.0\r\n\r\n" ] in
+  Alcotest.(check bool) "HTTP 200" true (is_http_200 body);
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -479,6 +527,32 @@ let test_socket_end_to_end () =
   Client.close c2;
   Thread.join server_thread;
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists path);
+  Server.shutdown t
+
+(* The protocol is decided on the first 4 bytes however the client
+   splits them: a scraper whose request line arrives as "GE" + "T ..."
+   still gets HTTP, and a frame whose header arrives in two writes is
+   still a frame. *)
+let test_socket_split_first_bytes () =
+  let t, path, server_thread = start_socket_server "split" in
+  Alcotest.(check bool) "split GET answered with HTTP 200" true
+    (is_http_200 (raw_exchange path [ "GE"; "T /metrics HTTP/1.0\r\n\r\n" ]));
+  let ping = {|{"op":"ping"}|} in
+  let frame = Bytes.create (4 + String.length ping) in
+  Bytes.set_int32_be frame 0 (Int32.of_int (String.length ping));
+  Bytes.blit_string ping 0 frame 4 (String.length ping);
+  let frame = Bytes.to_string frame in
+  let reply =
+    raw_exchange path [ String.sub frame 0 2; String.sub frame 2 (String.length frame - 2) ]
+  in
+  Alcotest.(check string) "split frame header answered as a frame"
+    {|{"status":"ok","payload":"pong"}|}
+    (String.sub reply 4 (String.length reply - 4));
+  let c = Client.connect_unix path in
+  Alcotest.(check (option string)) "shutdown acknowledged" (Some "ok")
+    (J.str_field "status" (J.parse (Client.request c {|{"op":"shutdown"}|})));
+  Client.close c;
+  Thread.join server_thread;
   Server.shutdown t
 
 (* Hostile JSON on the wire gets an error reply, quickly, and the same
@@ -521,6 +595,8 @@ let suite =
       Alcotest.test_case "cache: LRU bound" `Quick test_cache_lru_bound;
       Alcotest.test_case "cache: concurrent same-key dedupe" `Quick
         test_cache_concurrent_dedupe;
+      Alcotest.test_case "cache: coalesced waiter gets the error" `Quick
+        test_cache_coalesced_error;
       Alcotest.test_case "cache: errors not cached" `Quick
         test_cache_error_not_cached;
       Alcotest.test_case "handle: ping" `Quick test_handle_ping;
@@ -537,5 +613,7 @@ let suite =
         test_shed_never_loses_cached;
       Alcotest.test_case "socket: end to end + /metrics" `Quick
         test_socket_end_to_end;
+      Alcotest.test_case "socket: first 4 bytes split across writes" `Quick
+        test_socket_split_first_bytes;
       Alcotest.test_case "socket: hostile json answered, next served" `Quick
         test_socket_hostile_json ] )
