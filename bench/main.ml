@@ -1,17 +1,110 @@
 (* bench/main.exe — regenerates every table and figure of the paper's
-   evaluation and times the machinery behind each with Bechamel.
+   evaluation, times the machinery behind each with Bechamel, and runs
+   the self-checking gate targets.
 
      dune exec bench/main.exe              # everything
      dune exec bench/main.exe table4       # one artefact
      dune exec bench/main.exe micro        # only the micro-benchmarks
 
    Artefact targets: table1..table7, figure4, figure5, figure6,
-   machines, ablation, summary, bechamel, micro. *)
+   machines, ablation, summary, bechamel, micro. Gate targets: obs,
+   obs2, resilience, static, parallel, fuzz, sdc, exec, tenancy — each
+   writes BENCH_<target>.json through [emit] and exits 1 when a gate
+   fails. End-to-end throughput and serve latency live in bench/e2e. *)
 
 module E = Fpx_harness.Experiments
 module R = Fpx_harness.Runner
 module Catalog = Fpx_workloads.Catalog
 module F = Fpx_fault.Fault
+module J = Fpx_obs.Json
+
+(* --- One measure/emit pair ------------------------------------------------ *)
+
+(* What one timed region cost: wall clock, process CPU time (every
+   domain) and words allocated (minor + major - promoted, which counts
+   joined domains too). The CI box has one core, so CPU and allocation
+   explain what wall time alone cannot. *)
+type sample = { wall_s : float; cpu_s : float; alloc_words : float }
+
+let allocated_words () =
+  let g = Gc.quick_stat () in
+  g.Gc.minor_words +. g.Gc.major_words -. g.Gc.promoted_words
+
+let measure f =
+  let w0 = Unix.gettimeofday () and c0 = Sys.time () in
+  let a0 = allocated_words () in
+  let v = f () in
+  let a1 = allocated_words () in
+  let c1 = Sys.time () and w1 = Unix.gettimeofday () in
+  (v, { wall_s = w1 -. w0; cpu_s = c1 -. c0; alloc_words = a1 -. a0 })
+
+(* [reps] measured runs of [f], each quantity reduced by [pick] (a
+   best-of or a mean); the value is the first run's. *)
+let measure_reps ~reps ~pick f =
+  let runs = List.init reps (fun _ -> measure f) in
+  let by q = pick (List.map (fun (_, s) -> q s) runs) in
+  ( fst (List.hd runs),
+    { wall_s = by (fun s -> s.wall_s);
+      cpu_s = by (fun s -> s.cpu_s);
+      alloc_words = by (fun s -> s.alloc_words) } )
+
+let best = List.fold_left min infinity
+let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
+
+(* Numbers keep the fixed precision they were always printed at, so a
+   regenerated BENCH file diffs cleanly against the committed one. *)
+let num ?(digits = 4) x =
+  J.Num (float_of_string (Printf.sprintf "%.*f" digits x))
+
+let int n = J.Num (float_of_int n)
+let strs xs = J.List (List.map (fun s -> J.Str s) xs)
+
+(* A sample as JSON fields, optionally with the rate of [ops] operations
+   over its wall time (named as bench/e2e names it). *)
+let sample_fields ?ops s =
+  [ ("wall_s", num s.wall_s); ("cpu_s", num s.cpu_s);
+    ("alloc_words", J.Num (Float.round s.alloc_words)) ]
+  @
+  match ops with
+  | None -> []
+  | Some n ->
+    [ ("ops_per_s", num ~digits:2 (float_of_int n /. max 1e-9 s.wall_s)) ]
+
+let sample_json ?ops s = J.Obj (sample_fields ?ops s)
+
+let pp_sample s =
+  Printf.sprintf "%.3fs wall, %.3fs CPU, %.1fM words" s.wall_s s.cpu_s
+    (s.alloc_words /. 1e6)
+
+(* The one BENCH writer: [fields], then every named gate, then [pass] =
+   all gates, as one JSON line in BENCH_<target>.json ([files] are side
+   artefacts written next to it). Prints the section, [lines] and the
+   verdict; exits 1 when a gate fails. *)
+let emit ?(files = []) ~target ~title fields ~gates ~lines =
+  let pass = List.for_all snd gates in
+  let json =
+    J.Obj
+      (fields
+      @ List.map (fun (g, b) -> (g, J.Bool b)) gates
+      @ [ ("pass", J.Bool pass) ])
+  in
+  let files =
+    (Printf.sprintf "BENCH_%s.json" target, J.to_string json ^ "\n") :: files
+  in
+  List.iter
+    (fun (path, s) ->
+      let oc = open_out path in
+      output_string oc s;
+      close_out oc)
+    files;
+  print_string (Fpx_harness.Ascii.section title);
+  List.iter (Printf.printf "  %s\n") lines;
+  Printf.printf "  %s -> %s (%s written)\n"
+    (String.concat ", "
+       (List.map (fun (g, b) -> Printf.sprintf "%s %b" g b) gates))
+    (if pass then "PASS" else "FAIL")
+    (String.concat ", " (List.map fst files));
+  if not pass then exit 1
 
 (* --- Bechamel helpers --------------------------------------------------- *)
 
@@ -119,23 +212,22 @@ let micro_tests () =
                ~hi:values.((!i + 7) land 255))));
       Test.make ~name:"exception record encode+decode" (staged (fun () ->
           incr i;
-          Gpu_fpx.Exce.decode
-            (Gpu_fpx.Exce.encode ~loc:(!i land 0xffff) ~fmt:Fpx_sass.Isa.FP32
-               Gpu_fpx.Exce.Nan)));
+          Fpx_tool.Exce.decode
+            (Fpx_tool.Exce.encode ~loc:(!i land 0xffff) ~fmt:Fpx_sass.Isa.FP32
+               Fpx_tool.Exce.Nan)));
       Test.make ~name:"global-table probe" (staged (fun () ->
           incr i;
           Gpu_fpx.Global_table.test_and_set gt (!i land 0xfffff)));
       Test.make ~name:"kernel launch, uninstrumented" (staged bare);
       Test.make ~name:"kernel launch, detector attached" (staged detected) ]
 
+
 (* --- Observability overhead ---------------------------------------------- *)
 
 (* The obs hooks must be free when disabled: Sink.null (the default) is
    the seed configuration, so its modelled slowdowns must match an
-   active sink's exactly (the sink never touches Stats), and the
-   wall-clock cost of the disabled guards must stay in the noise. The
-   geomeans per tool config plus the deltas land in BENCH_obs.json so
-   future PRs get a perf trajectory. *)
+   active sink's exactly (the sink never touches Stats), and the CPU
+   cost of an active sink must stay within budget. *)
 let obs_bench () =
   let program_names = [ "GEMM"; "nbody"; "GRAMSCHM"; "hotspot"; "Triad" ] in
   let programs = List.map Catalog.find program_names in
@@ -144,97 +236,83 @@ let obs_bench () =
       ("BinFPE", R.Binfpe);
       ("GPU-FPX analyzer", R.Analyzer) ]
   in
-  let geo make_obs tool =
-    R.geomean
-      (List.map
-         (fun w -> (R.run ~obs:(make_obs ()) ~tool w).R.slowdown)
-         programs)
-  in
   let reps = 3 in
   let timed_geo make_obs tool =
-    let g = ref 1.0 and acc = ref 0.0 in
-    for _ = 1 to reps do
-      let t0 = Sys.time () in
-      g := geo make_obs tool;
-      acc := !acc +. (Sys.time () -. t0)
-    done;
-    (!g, !acc /. float_of_int reps)
+    measure_reps ~reps ~pick:mean (fun () ->
+        R.geomean
+          (List.map
+             (fun w -> (R.run ~obs:(make_obs ()) ~tool w).R.slowdown)
+             programs))
   in
   let rows =
     List.map
       (fun (name, tool) ->
-        let g_null, wall_null =
-          timed_geo (fun () -> Fpx_obs.Sink.null) tool
-        in
-        let g_active, wall_active =
+        let g_null, s_null = timed_geo (fun () -> Fpx_obs.Sink.null) tool in
+        let g_active, s_active =
           timed_geo (fun () -> Fpx_obs.Sink.create ()) tool
         in
         let model_delta = abs_float (g_active -. g_null) /. g_null in
-        (name, g_null, g_active, model_delta, wall_null, wall_active))
+        let cpu_delta =
+          (s_active.cpu_s -. s_null.cpu_s) /. max 1e-9 s_null.cpu_s
+        in
+        (name, g_null, g_active, model_delta, s_null, s_active, cpu_delta))
       tools
   in
-  let max_delta =
-    List.fold_left (fun a (_, _, _, d, _, _) -> max a d) 0.0 rows
-  in
+  let max_of f = List.fold_left (fun a r -> max a (f r)) 0.0 rows in
+  let max_delta = max_of (fun (_, _, _, d, _, _, _) -> d) in
   (* An active sink does real work (ring pushes, metric updates), so its
-     wall-clock cost is gated too — generously, because these runs last
-     ~0.1s and shared-CI wall clocks are noisy. The model gate stays
-     tight: slowdown numbers must not move at all. *)
-  let wall_delta (_, _, _, _, wn, wa) = (wa -. wn) /. max 1e-9 wn in
-  let max_wall_delta =
-    List.fold_left (fun a r -> max a (wall_delta r)) 0.0 rows
-  in
-  let wall_budget = 0.5 in
-  let pass_model = max_delta < 0.02 in
-  let pass_wall = max_wall_delta < wall_budget in
-  let pass = pass_model && pass_wall in
-  let row_json ((name, g_null, g_active, delta, wn, wa) as r) =
-    Printf.sprintf
-      "{\"tool\":\"%s\",\"geomean_slowdown_obs_null\":%.6f,\"geomean_slowdown_obs_active\":%.6f,\"model_delta\":%.6f,\"wall_s_obs_null\":%.4f,\"wall_s_obs_active\":%.4f,\"wall_delta\":%.6f}"
-      name g_null g_active delta wn wa (wall_delta r)
-  in
-  let json =
-    Printf.sprintf
-      "{\"programs\":[%s],\"reps\":%d,\"tools\":[%s],\"obs_null_max_model_delta\":%.6f,\"max_wall_delta\":%.6f,\"wall_delta_budget\":%.2f,\"pass_lt_2pct\":%b,\"pass_wall\":%b,\"pass\":%b}\n"
-      (String.concat "," (List.map (Printf.sprintf "\"%s\"") program_names))
-      reps
-      (String.concat "," (List.map row_json rows))
-      max_delta max_wall_delta wall_budget pass_model pass_wall pass
-  in
-  let oc = open_out "BENCH_obs.json" in
-  output_string oc json;
-  close_out oc;
-  print_string (Fpx_harness.Ascii.section "Observability overhead");
-  List.iter
-    (fun ((name, g_null, g_active, delta, wn, wa) as r) ->
-      Printf.printf
-        "  %-18s geomean slowdown %.4fx (obs null) / %.4fx (obs active), \
-         model delta %.4f%%, wall %.3fs -> %.3fs (%+.1f%%)\n"
-        name g_null g_active (100.0 *. delta) wn wa
-        (100.0 *. wall_delta r))
-    rows;
-  Printf.printf
-    "  max model delta %.4f%% -> %s; max wall delta %+.1f%% -> %s \
-     (BENCH_obs.json written)\n"
-    (100.0 *. max_delta)
-    (if pass_model then "PASS (< 2%)" else "FAIL (>= 2%)")
-    (100.0 *. max_wall_delta)
-    (if pass_wall then
-       Printf.sprintf "PASS (< %.0f%%)" (100.0 *. wall_budget)
-     else Printf.sprintf "FAIL (>= %.0f%%)" (100.0 *. wall_budget));
-  if not pass then exit 1
+     CPU cost is gated too — generously, because these runs last ~0.1s
+     on shared CI. The model gate stays tight: slowdown numbers must not
+     move at all. *)
+  let max_cpu_delta = max_of (fun (_, _, _, _, _, _, c) -> c) in
+  let cpu_budget = 0.5 in
+  emit ~target:"obs" ~title:"Observability overhead"
+    [ ("programs", strs program_names);
+      ("reps", int reps);
+      ( "tools",
+        J.List
+          (List.map
+             (fun (name, g_null, g_active, delta, s_null, s_active, c) ->
+               J.Obj
+                 [ ("tool", J.Str name);
+                   ("geomean_slowdown_obs_null", num ~digits:6 g_null);
+                   ("geomean_slowdown_obs_active", num ~digits:6 g_active);
+                   ("model_delta", num ~digits:6 delta);
+                   ("obs_null", sample_json s_null);
+                   ("obs_active", sample_json s_active);
+                   ("cpu_delta", num ~digits:6 c) ])
+             rows) );
+      ("obs_null_max_model_delta", num ~digits:6 max_delta);
+      ("max_cpu_delta", num ~digits:6 max_cpu_delta);
+      ("cpu_delta_budget", num ~digits:2 cpu_budget) ]
+    ~gates:
+      [ ("pass_lt_2pct", max_delta < 0.02);
+        ("pass_cpu", max_cpu_delta < cpu_budget) ]
+    ~lines:
+      (List.map
+         (fun (name, g_null, g_active, delta, s_null, s_active, c) ->
+           Printf.sprintf
+             "%-18s geomean slowdown %.4fx (obs null) / %.4fx (obs active), \
+              model delta %.4f%%, CPU %.3fs -> %.3fs (%+.1f%%)"
+             name g_null g_active (100.0 *. delta) s_null.cpu_s s_active.cpu_s
+             (100.0 *. c))
+         rows
+      @ [ Printf.sprintf
+            "max model delta %.4f%% (budget 2%%), max CPU delta %+.1f%% \
+             (budget %.0f%%)"
+            (100.0 *. max_delta) (100.0 *. max_cpu_delta)
+            (100.0 *. cpu_budget) ])
 
 (* --- Span tracing overhead & self-diagnosis ------------------------------- *)
 
 (* Two halves. (a) The span guards woven through Sched/Runner/Runtime
    must be free when no recorder is installed: the instrumented engine
    path (Sweep.run, every guard live) is timed against a bare List.map
-   over the same runs, min-of-reps, and the delta is gated at < 2%.
-   (b) With a recorder installed, sweeps at jobs=1 and jobs=4 feed
+   over the same runs, best-of-reps, and the wall delta is gated at
+   < 2%. (b) With a recorder installed, sweeps at jobs=1 and jobs=4 feed
    Domprof: the per-phase breakdowns, the dominant-overhead verdict,
    the Chrome trace and the flamegraph all land next to the JSON so
-   every CI run archives a scheduler profile. Lands in BENCH_obs2.json
-   (+ BENCH_obs2_trace.json, BENCH_obs2_flame.folded). *)
+   every CI run archives a scheduler profile. *)
 let obs2_bench () =
   let module Sweep = Fpx_harness.Sweep in
   let module Span = Fpx_obs.Span in
@@ -243,79 +321,63 @@ let obs2_bench () =
   let programs = List.map Catalog.find program_names in
   let detector = R.Detector Gpu_fpx.Detector.default_config in
   let reps = 7 in
-  let min_wall f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      best := min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
-  in
   assert (not (Span.enabled ()));
-  let wall_plain =
-    min_wall (fun () ->
+  let (), plain =
+    measure_reps ~reps ~pick:best (fun () ->
         ignore
           (List.map (fun w -> R.run ~tool:detector w) programs
             : R.measurement list))
   in
-  let wall_guarded =
-    min_wall (fun () ->
+  let (), guarded =
+    measure_reps ~reps ~pick:best (fun () ->
         ignore (Sweep.run ~jobs:1 ~tool:detector programs : R.measurement list))
   in
-  let disabled_delta = (wall_guarded -. wall_plain) /. max 1e-9 wall_plain in
-  let pass_disabled = disabled_delta < 0.02 in
-  let measure jobs =
-    let recorder = Span.create () in
-    let t0 = Unix.gettimeofday () in
-    Span.with_installed recorder (fun () ->
-        let ms = Sweep.run ~jobs ~tool:detector programs in
-        ignore (Sweep.report_json ms : string));
-    let wall_s = Unix.gettimeofday () -. t0 in
-    (recorder, Domprof.of_spans ~jobs ~wall_s recorder)
+  let disabled_delta =
+    (guarded.wall_s -. plain.wall_s) /. max 1e-9 plain.wall_s
   in
-  let _, base = measure 1 in
-  let recorder4, target = measure 4 in
+  let traced jobs =
+    let recorder = Span.create () in
+    let (), s =
+      measure (fun () ->
+          Span.with_installed recorder (fun () ->
+              let ms = Sweep.run ~jobs ~tool:detector programs in
+              ignore (Sweep.report_json ms : string)))
+    in
+    (recorder, s, Domprof.of_spans ~jobs ~wall_s:s.wall_s recorder)
+  in
+  let _, s1, base = traced 1 in
+  let recorder4, s4, target = traced 4 in
   let d = Domprof.diagnose ~base ~target in
   let enabled_delta =
-    (base.Domprof.wall_s -. wall_guarded) /. max 1e-9 wall_guarded
+    (s1.wall_s -. guarded.wall_s) /. max 1e-9 guarded.wall_s
   in
-  let verdict_ok = d.Domprof.verdict <> "" in
-  let pass = pass_disabled && verdict_ok in
-  let write path s =
-    let oc = open_out path in
-    output_string oc s;
-    close_out oc
-  in
-  write "BENCH_obs2_trace.json" (Span.to_chrome_json recorder4);
-  write "BENCH_obs2_flame.folded" (Span.to_collapsed recorder4);
-  write "BENCH_obs2.json"
-    (Printf.sprintf
-       "{\"programs\":[%s],\"reps\":%d,\"wall_s_plain\":%.4f,\"wall_s_guarded\":%.4f,\"disabled_wall_delta\":%.6f,\"pass_disabled_lt_2pct\":%b,\"enabled_wall_delta\":%.6f,\"diagnosis\":%s,\"verdict_nonempty\":%b,\"pass\":%b}\n"
-       (String.concat "," (List.map (Printf.sprintf "\"%s\"") program_names))
-       reps wall_plain wall_guarded disabled_delta pass_disabled enabled_delta
-       (String.trim (Domprof.diagnosis_json d))
-       verdict_ok pass);
-  print_string (Fpx_harness.Ascii.section "Span tracing overhead");
-  Printf.printf
-    "  spans disabled: %.4fs bare vs %.4fs guarded (min of %d) -> %+.2f%% \
-     -> %s\n"
-    wall_plain wall_guarded reps
-    (100.0 *. disabled_delta)
-    (if pass_disabled then "PASS (< 2%)" else "FAIL (>= 2%)");
-  Printf.printf
-    "  spans enabled: jobs=1 wall %.3fs (%+.1f%% vs disabled), jobs=4 wall \
-     %.3fs, %d spans on %d track(s), %d dropped\n"
-    base.Domprof.wall_s
-    (100.0 *. enabled_delta)
-    target.Domprof.wall_s target.Domprof.spans_recorded target.Domprof.tracks
-    target.Domprof.spans_dropped;
-  Printf.printf "  %s\n" d.Domprof.verdict;
-  Printf.printf
-    "  BENCH_obs2.json, BENCH_obs2_trace.json, BENCH_obs2_flame.folded \
-     written -> %s\n"
-    (if pass then "PASS" else "FAIL");
-  if not pass then exit 1
+  emit ~target:"obs2" ~title:"Span tracing overhead"
+    ~files:
+      [ ("BENCH_obs2_trace.json", Span.to_chrome_json recorder4);
+        ("BENCH_obs2_flame.folded", Span.to_collapsed recorder4) ]
+    [ ("programs", strs program_names);
+      ("reps", int reps);
+      ("plain", sample_json plain);
+      ("guarded", sample_json guarded);
+      ("disabled_wall_delta", num ~digits:6 disabled_delta);
+      ("enabled_jobs1", sample_json s1);
+      ("enabled_jobs4", sample_json s4);
+      ("enabled_wall_delta", num ~digits:6 enabled_delta);
+      ("diagnosis", J.parse (Domprof.diagnosis_json d)) ]
+    ~gates:
+      [ ("pass_disabled_lt_2pct", disabled_delta < 0.02);
+        ("verdict_nonempty", d.Domprof.verdict <> "") ]
+    ~lines:
+      [ Printf.sprintf
+          "spans disabled (best of %d): bare %s; guarded %s -> %+.2f%% wall"
+          reps (pp_sample plain) (pp_sample guarded) (100.0 *. disabled_delta);
+        Printf.sprintf "spans enabled: jobs=1 %s (%+.1f%% wall vs disabled)"
+          (pp_sample s1) (100.0 *. enabled_delta);
+        Printf.sprintf
+          "spans enabled: jobs=4 %s, %d spans on %d track(s), %d dropped"
+          (pp_sample s4) target.Domprof.spans_recorded target.Domprof.tracks
+          target.Domprof.spans_dropped;
+        d.Domprof.verdict ]
 
 (* --- Fault injection & resilience ---------------------------------------- *)
 
@@ -324,8 +386,7 @@ let obs2_bench () =
    trips the launch watchdog (Hung, partial records intact) while the
    detector's GT dedup keeps it under budget and it completes merely
    Degraded. Also pins determinism (same seed ⇒ byte-identical
-   measurement JSON) and that a no-fault run still matches the golden
-   detector report. Results land in BENCH_resilience.json. *)
+   measurement JSON). *)
 let resilience_bench () =
   let seed = 20230805 in
   (* watchdog-exhaust is deliberately left out of the matrix: it turns
@@ -370,65 +431,40 @@ let resilience_bench () =
            | R.Hung | R.Faulted _ -> false))
       rows
   in
-  let baseline_unchanged =
-    (* a run without any fault plan must still match the golden detector
-       report — injection machinery is zero-impact when absent *)
-    let golden = Filename.concat (Filename.concat "test" "golden")
-        "gramschm_detect.json"
-    in
-    if not (Sys.file_exists golden) then true
-    else begin
-      let ic = open_in_bin golden in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let m =
-        R.run ~tool:(R.Detector Gpu_fpx.Detector.default_config)
-          (Catalog.find "GRAMSCHM")
-      in
-      String.trim s = String.trim (R.to_json m)
-    end
-  in
-  let pass =
-    deterministic && binfpe_hangs && detector_survives && baseline_unchanged
-  in
-  let row_json (name, _, rate, m) =
-    Printf.sprintf
-      "{\"tool\":\"%s\",\"fault_rate\":%.3f,\"status\":\"%s\",\"status_detail\":%s,\"slowdown\":%.4f,\"records\":%d,\"total_exceptions\":%d}"
-      name rate
-      (R.status_to_string m.R.status)
-      (Fpx_obs.Json.quote (R.status_detail m.R.status))
-      m.R.slowdown m.R.records m.R.total_exceptions
-  in
-  let json =
-    Printf.sprintf
-      "{\"program\":\"myocyte\",\"seed\":%d,\"rates\":[%s],\"rows\":[%s],\"deterministic\":%b,\"binfpe_hangs\":%b,\"detector_survives\":%b,\"baseline_unchanged\":%b,\"pass\":%b}\n"
-      seed
-      (String.concat "," (List.map (Printf.sprintf "%.3f") rates))
-      (String.concat "," (List.map row_json rows))
-      deterministic binfpe_hangs detector_survives baseline_unchanged pass
-  in
-  let oc = open_out "BENCH_resilience.json" in
-  output_string oc json;
-  close_out oc;
-  print_string (Fpx_harness.Ascii.section "Fault injection & resilience");
-  List.iter
-    (fun (name, _, rate, m) ->
-      Printf.printf
-        "  %-8s rate %.3f: %-9s slowdown %9.2fx, %6d records, %2d \
-         exception site(s)%s\n"
-        name rate
-        (R.status_to_string m.R.status)
-        m.R.slowdown m.R.records m.R.total_exceptions
-        (match R.status_detail m.R.status with
-        | "" -> ""
-        | d -> "  [" ^ d ^ "]"))
-    rows;
-  Printf.printf
-    "  deterministic %b, binfpe hangs %b, detector survives %b, baseline \
-     unchanged %b -> %s (BENCH_resilience.json written)\n"
-    deterministic binfpe_hangs detector_survives baseline_unchanged
-    (if pass then "PASS" else "FAIL");
-  if not pass then exit 1
+  emit ~target:"resilience" ~title:"Fault injection & resilience"
+    [ ("program", J.Str "myocyte");
+      ("seed", int seed);
+      ("rates", J.List (List.map (num ~digits:3) rates));
+      ( "rows",
+        J.List
+          (List.map
+             (fun (name, _, rate, m) ->
+               J.Obj
+                 [ ("tool", J.Str name);
+                   ("fault_rate", num ~digits:3 rate);
+                   ("status", J.Str (R.status_to_string m.R.status));
+                   ("status_detail", J.Str (R.status_detail m.R.status));
+                   ("slowdown", num m.R.slowdown);
+                   ("records", int m.R.records);
+                   ("total_exceptions", int m.R.total_exceptions) ])
+             rows) ) ]
+    ~gates:
+      [ ("deterministic", deterministic);
+        ("binfpe_hangs", binfpe_hangs);
+        ("detector_survives", detector_survives) ]
+    ~lines:
+      (List.map
+         (fun (name, _, rate, m) ->
+           Printf.sprintf
+             "%-8s rate %.3f: %-9s slowdown %9.2fx, %6d records, %2d \
+              exception site(s)%s"
+             name rate
+             (R.status_to_string m.R.status)
+             m.R.slowdown m.R.records m.R.total_exceptions
+             (match R.status_detail m.R.status with
+             | "" -> ""
+             | d -> "  [" ^ d ^ "]"))
+         rows)
 
 (* --- Static pruning ------------------------------------------------------ *)
 
@@ -438,7 +474,7 @@ let resilience_bench () =
    byte-level detector log — must be identical, pruned checks were
    provable no-ops — and (b) the modelled slowdown — must never grow,
    and must strictly shrink in aggregate. Also count the statically
-   provably-clean sites across every kernel. Lands in BENCH_static.json. *)
+   provably-clean sites across every kernel. *)
 let static_bench () =
   let programs = Catalog.evaluated in
   let base_cfg = Gpu_fpx.Detector.default_config in
@@ -464,66 +500,63 @@ let static_bench () =
         (w.Fpx_workloads.Workload.name, m0, m1))
       programs
   in
-  let logs_identical =
-    List.for_all (fun (_, m0, m1) -> m0.R.log = m1.R.log) rows
-  in
-  let never_slower =
-    List.for_all (fun (_, m0, m1) -> m1.R.slowdown <= m0.R.slowdown +. 1e-9) rows
-  in
   let g0 = R.geomean (List.map (fun (_, m0, _) -> m0.R.slowdown) rows) in
   let g1 = R.geomean (List.map (fun (_, _, m1) -> m1.R.slowdown) rows) in
-  let sites_pruned_somewhere = !total_clean > 0 in
-  let strictly_reduced = g1 < g0 in
-  let pass =
-    logs_identical && never_slower && sites_pruned_somewhere
-    && strictly_reduced
-  in
-  let row_json (name, m0, m1) =
-    Printf.sprintf
-      "{\"program\":%s,\"slowdown\":%.4f,\"slowdown_pruned\":%.4f,\"log_identical\":%b}"
-      (Fpx_obs.Json.quote name) m0.R.slowdown m1.R.slowdown
-      (m0.R.log = m1.R.log)
-  in
-  let json =
-    Printf.sprintf
-      "{\"programs\":%d,\"static_sites\":%d,\"static_provably_clean\":%d,\"geomean_slowdown\":%.4f,\"geomean_slowdown_pruned\":%.4f,\"logs_identical\":%b,\"never_slower\":%b,\"strictly_reduced\":%b,\"pass\":%b,\"rows\":[%s]}\n"
-      (List.length programs) !total_sites !total_clean g0 g1 logs_identical
-      never_slower strictly_reduced pass
-      (String.concat "," (List.map row_json rows))
-  in
-  let oc = open_out "BENCH_static.json" in
-  output_string oc json;
-  close_out oc;
-  print_string (Fpx_harness.Ascii.section "Static instrumentation pruning");
-  Printf.printf
-    "  %d instrumentable sites across the catalog, %d provably clean \
-     (%.1f%%)\n"
-    !total_sites !total_clean
-    (100.0 *. float_of_int !total_clean /. float_of_int (max 1 !total_sites));
-  Printf.printf
-    "  geomean modelled slowdown %.4fx -> %.4fx under --static-prune\n" g0 g1;
   let moved =
     List.filter (fun (_, m0, m1) -> m1.R.slowdown < m0.R.slowdown -. 1e-9) rows
   in
-  Printf.printf "  %d program(s) got strictly cheaper; the biggest wins:\n"
-    (List.length moved);
-  List.iteri
-    (fun i (name, m0, m1) ->
-      if i < 5 then
-        Printf.printf "    %-24s %.2fx -> %.2fx\n" name m0.R.slowdown
-          m1.R.slowdown)
-    (List.sort
-       (fun (_, a0, a1) (_, b0, b1) ->
-         compare
-           (b0.R.slowdown -. b1.R.slowdown)
-           (a0.R.slowdown -. a1.R.slowdown))
-       moved);
-  Printf.printf
-    "  logs identical %b, never slower %b, pruned > 0 %b, strictly \
-     reduced %b -> %s (BENCH_static.json written)\n"
-    logs_identical never_slower sites_pruned_somewhere strictly_reduced
-    (if pass then "PASS" else "FAIL");
-  if not pass then exit 1
+  let biggest =
+    List.filteri
+      (fun i _ -> i < 5)
+      (List.sort
+         (fun (_, a0, a1) (_, b0, b1) ->
+           compare
+             (b0.R.slowdown -. b1.R.slowdown)
+             (a0.R.slowdown -. a1.R.slowdown))
+         moved)
+  in
+  emit ~target:"static" ~title:"Static instrumentation pruning"
+    [ ("programs", int (List.length programs));
+      ("static_sites", int !total_sites);
+      ("static_provably_clean", int !total_clean);
+      ("geomean_slowdown", num g0);
+      ("geomean_slowdown_pruned", num g1);
+      ( "rows",
+        J.List
+          (List.map
+             (fun (name, m0, m1) ->
+               J.Obj
+                 [ ("program", J.Str name);
+                   ("slowdown", num m0.R.slowdown);
+                   ("slowdown_pruned", num m1.R.slowdown);
+                   ("log_identical", J.Bool (m0.R.log = m1.R.log)) ])
+             rows) ) ]
+    ~gates:
+      [ ("logs_identical",
+         List.for_all (fun (_, m0, m1) -> m0.R.log = m1.R.log) rows);
+        ("never_slower",
+         List.for_all
+           (fun (_, m0, m1) -> m1.R.slowdown <= m0.R.slowdown +. 1e-9)
+           rows);
+        ("pruned_gt_0", !total_clean > 0);
+        ("strictly_reduced", g1 < g0) ]
+    ~lines:
+      ([ Printf.sprintf
+           "%d instrumentable sites across the catalog, %d provably clean \
+            (%.1f%%)"
+           !total_sites !total_clean
+           (100.0 *. float_of_int !total_clean
+           /. float_of_int (max 1 !total_sites));
+         Printf.sprintf
+           "geomean modelled slowdown %.4fx -> %.4fx under --static-prune" g0
+           g1;
+         Printf.sprintf "%d program(s) got strictly cheaper; the biggest wins:"
+           (List.length moved) ]
+      @ List.map
+          (fun (name, m0, m1) ->
+            Printf.sprintf "  %-24s %.2fx -> %.2fx" name m0.R.slowdown
+              m1.R.slowdown)
+          biggest)
 
 (* --- Domain-parallel sweep ------------------------------------------------ *)
 
@@ -533,10 +566,11 @@ let static_bench () =
    and under --static-prune), and on a machine with >= 4 cores the
    4-domain sweep must be >= 1.5x faster than sequential. On smaller
    machines the speedup gate is recorded but not enforced — there is
-   nothing to win with one core. Lands in BENCH_parallel.json. *)
+   nothing to win with one core. An untimed warm-up sweep runs first so
+   jobs=1 does not pay one-time set-up (lazy initialisation, heap
+   growth) that the later runs reuse. *)
 let parallel_bench () =
   let module Sweep = Fpx_harness.Sweep in
-  let module Sched = Fpx_sched.Sched in
   let programs = Catalog.evaluated in
   let detector = R.Detector Gpu_fpx.Detector.default_config in
   let pruned =
@@ -544,92 +578,65 @@ let parallel_bench () =
       { Gpu_fpx.Detector.default_config with Gpu_fpx.Detector.static_prune = true }
   in
   let fault = F.spec ~sites:F.all_sites ~rate:0.02 ~seed:20230805 () in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
-  in
   let sweep ?fault ~tool jobs =
-    timed (fun () -> Sweep.report_json (Sweep.run ~jobs ?fault ~tool programs))
+    Sweep.report_json (Sweep.run ~jobs ?fault ~tool programs)
   in
   let job_counts = [ 1; 2; 4 ] in
+  ignore (sweep ~tool:detector 1 : string);
   let plain =
-    List.map (fun j -> (j, sweep ~tool:detector j)) job_counts
+    List.map
+      (fun j -> (j, measure (fun () -> sweep ~tool:detector j)))
+      job_counts
   in
   let bytes_of j = fst (List.assoc j plain) in
-  let wall_of j = snd (List.assoc j plain) in
-  let identical_plain =
-    List.for_all (fun j -> bytes_of j = bytes_of 1) job_counts
-  in
-  let fault1, _ = sweep ~fault ~tool:detector 1 in
-  let fault4, _ = sweep ~fault ~tool:detector 4 in
-  let identical_fault = fault1 = fault4 in
-  let prune1, _ = sweep ~tool:pruned 1 in
-  let prune4, _ = sweep ~tool:pruned 4 in
-  let identical_prune = prune1 = prune4 in
-  let cores = Sched.recommended_jobs () in
-  let speedup4 = wall_of 1 /. max 1e-9 (wall_of 4) in
+  let sample_of j = snd (List.assoc j plain) in
+  let cores = Fpx_sched.Sched.recommended_jobs () in
+  let speedup4 = (sample_of 1).wall_s /. max 1e-9 (sample_of 4).wall_s in
   let gate_applies = cores >= 4 in
-  let speedup_ok = (not gate_applies) || speedup4 >= 1.5 in
-  let pass = identical_plain && identical_fault && identical_prune && speedup_ok in
-  let json =
-    Printf.sprintf
-      "{\"programs\":%d,\"cores\":%d,\"runs\":[%s],\"speedup_jobs4\":%.4f,\"speedup_gate_applied\":%b,\"identical_plain\":%b,\"identical_fault\":%b,\"identical_prune\":%b,\"pass\":%b}\n"
-      (List.length programs) cores
-      (String.concat ","
-         (List.map
-            (fun j ->
-              Printf.sprintf "{\"jobs\":%d,\"wall_s\":%.4f}" j (wall_of j))
-            job_counts))
-      speedup4 gate_applies identical_plain identical_fault identical_prune
-      pass
-  in
-  let oc = open_out "BENCH_parallel.json" in
-  output_string oc json;
-  close_out oc;
-  print_string (Fpx_harness.Ascii.section "Domain-parallel catalog sweep");
-  List.iter
-    (fun j -> Printf.printf "  --jobs %d: %.3fs wall\n" j (wall_of j))
-    job_counts;
-  Printf.printf
-    "  %d core(s) available; speedup at --jobs 4: %.2fx%s\n" cores speedup4
-    (if gate_applies then "" else "  (gate skipped: < 4 cores)");
-  Printf.printf
-    "  report bytes identical across jobs: plain %b, fault-seeded %b, \
-     static-prune %b -> %s (BENCH_parallel.json written)\n"
-    identical_plain identical_fault identical_prune
-    (if pass then "PASS" else "FAIL");
-  if not pass then exit 1
+  emit ~target:"parallel" ~title:"Domain-parallel catalog sweep"
+    [ ("programs", int (List.length programs));
+      ("cores", int cores);
+      ( "runs",
+        J.List
+          (List.map
+             (fun j -> J.Obj (("jobs", int j) :: sample_fields (sample_of j)))
+             job_counts) );
+      ("speedup_jobs4", num speedup4);
+      ("speedup_gate_applied", J.Bool gate_applies) ]
+    ~gates:
+      [ ("identical_plain",
+         List.for_all (fun j -> bytes_of j = bytes_of 1) job_counts);
+        ("identical_fault",
+         sweep ~fault ~tool:detector 1 = sweep ~fault ~tool:detector 4);
+        ("identical_prune", sweep ~tool:pruned 1 = sweep ~tool:pruned 4);
+        ("speedup_ok", (not gate_applies) || speedup4 >= 1.5) ]
+    ~lines:
+      (List.map
+         (fun j -> Printf.sprintf "--jobs %d: %s" j (pp_sample (sample_of j)))
+         job_counts
+      @ [ Printf.sprintf "%d core(s) available; speedup at --jobs 4: %.2fx%s"
+            cores speedup4
+            (if gate_applies then "" else "  (gate skipped: < 4 cores)") ])
 
 (* --- Differential fuzzing -------------------------------------------------- *)
 
-(* Throughput and health of the fuzz pipeline on the pinned CI seed:
-   execs/sec at --jobs 1 and 4 (each case is ~6 tool runs), the
-   campaign summary byte-identical across job counts, and zero organic
+(* Health of the fuzz pipeline on the pinned CI seed: the campaign
+   summary byte-identical at --jobs 1 and 4, and zero organic
    discrepancies — the cross-tool oracles all agree on every generated
-   kernel. A shrinker drill on an injected defect keeps the
-   minimization path honest. Lands in BENCH_fuzz.json. *)
+   kernel; the sequential run is timed (each case is ~6 tool runs). A
+   shrinker drill on an injected defect keeps the minimization path
+   honest. *)
 let fuzz_bench () =
   let module C = Fpx_fuzz.Campaign in
   let module O = Fpx_fuzz.Oracle in
   let seed = 42 and runs = 200 in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
-  in
-  let campaign jobs =
-    timed (fun () -> C.run { (C.default ~seed ~runs) with C.jobs })
-  in
-  let s1, wall1 = campaign 1 in
-  let s4, wall4 = campaign 4 in
-  let identical = C.summary_json s1 = C.summary_json s4 in
-  let clean = s1.C.found = [] in
-  let eps j w = float_of_int j /. max 1e-9 w in
+  let campaign jobs = C.run { (C.default ~seed ~runs) with C.jobs } in
+  let s1, t1 = measure (fun () -> campaign 1) in
+  let s4 = campaign 4 in
   (* the minimization drill: inject a defect, shrink, and demand the
      repro collapses to the floor the defect permits (one FP site) *)
-  let drill, wall_drill =
-    timed (fun () ->
+  let drill, t_drill =
+    measure (fun () ->
         let s =
           C.run
             { (C.default ~seed:7 ~runs:8) with
@@ -639,28 +646,25 @@ let fuzz_bench () =
         List.for_all (fun (f : C.found) -> f.C.min_instrs <= 2) s.C.found
         && s.C.found <> [])
   in
-  let pass = identical && clean && drill in
-  let json =
-    Printf.sprintf
-      "{\"seed\":%d,\"runs\":%d,\"klang_cases\":%d,\"wall_s_jobs1\":%.4f,\"wall_s_jobs4\":%.4f,\"execs_per_s_jobs1\":%.2f,\"execs_per_s_jobs4\":%.2f,\"summary_jobs_invariant\":%b,\"organic_discrepancies\":%d,\"shrinker_drill_pass\":%b,\"wall_s_drill\":%.4f,\"pass\":%b}\n"
-      seed runs s1.C.klang_cases wall1 wall4
-      (eps runs wall1) (eps runs wall4) identical
-      (List.length s1.C.found) drill wall_drill pass
-  in
-  let oc = open_out "BENCH_fuzz.json" in
-  output_string oc json;
-  close_out oc;
-  print_string (Fpx_harness.Ascii.section "Differential fuzzing");
-  Printf.printf
-    "  seed %d, %d cases (%d via klang): %.1f execs/s at --jobs 1, %.1f at \
-     --jobs 4\n"
-    seed runs s1.C.klang_cases (eps runs wall1) (eps runs wall4);
-  Printf.printf
-    "  summary jobs-invariant %b, organic discrepancies %d, shrinker drill \
-     %b -> %s (BENCH_fuzz.json written)\n"
-    identical (List.length s1.C.found) drill
-    (if pass then "PASS" else "FAIL");
-  if not pass then exit 1
+  let found = List.length s1.C.found in
+  emit ~target:"fuzz" ~title:"Differential fuzzing"
+    [ ("seed", int seed);
+      ("runs", int runs);
+      ("klang_cases", int s1.C.klang_cases);
+      ("jobs1", sample_json ~ops:runs t1);
+      ("organic_discrepancies", int found);
+      ("drill", sample_json t_drill) ]
+    ~gates:
+      [ ("summary_jobs_invariant", C.summary_json s1 = C.summary_json s4);
+        ("organic_clean", found = 0);
+        ("shrinker_drill_pass", drill) ]
+    ~lines:
+      [ Printf.sprintf
+          "seed %d, %d cases (%d via klang), --jobs 1: %s (%.1f execs/s)"
+          seed runs s1.C.klang_cases (pp_sample t1)
+          (float_of_int runs /. max 1e-9 t1.wall_s);
+        Printf.sprintf "organic discrepancies %d; shrinker drill %s" found
+          (pp_sample t_drill) ]
 
 (* --- Architectural bit-flip SDC campaign ---------------------------------- *)
 
@@ -670,21 +674,15 @@ let fuzz_bench () =
    in exactly one outcome class, the summary byte-identical at --jobs 1
    vs 4 and across a mid-campaign kill + --resume, plus the headline
    number — what fraction of output-corrupting flips the detector
-   catches. Lands in BENCH_sdc.json. *)
+   catches. Injection throughput is bench/e2e's campaign-sdc. *)
 let sdc_bench () =
   let module C = Fpx_campaign.Campaign in
   let seed = 42 and total = 1000 in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
-  in
-  (* minimization off: this target measures classification throughput
-     and determinism; the corpus pipeline has its own CI exercise *)
+  (* minimization off: this target checks classification and
+     determinism; the corpus pipeline has its own CI exercise *)
   let cfg jobs = C.config ~jobs ~minimize:false ~seed ~total () in
-  let s1, wall1 = timed (fun () -> C.run (cfg 1)) in
-  let s4, wall4 = timed (fun () -> C.run (cfg 4)) in
-  let identical = C.summary_json s1 = C.summary_json s4 in
+  let s1 = C.run (cfg 1) in
+  let s4 = C.run (cfg 4) in
   let root =
     Filename.concat (Filename.get_temp_dir_name ()) "fpx-sdc-bench"
   in
@@ -694,264 +692,30 @@ let sdc_bench () =
   let resumed =
     C.run { (cfg 2) with C.store = Some root; C.resume = true }
   in
-  let resume_identical = C.summary_json s1 = C.summary_json resumed in
-  let partitioned =
-    s1.C.completed = total
-    && List.fold_left (fun acc (_, n) -> acc + n) 0 (C.by_outcome s1) = total
-  in
-  let ips w = float_of_int total /. max 1e-9 w in
   let counts =
-    String.concat ","
-      (List.map
-         (fun (o, n) ->
-           Printf.sprintf "\"%s\":%d" (C.outcome_to_string o) n)
-         (C.by_outcome s1))
+    List.map (fun (o, n) -> (C.outcome_to_string o, n)) (C.by_outcome s1)
   in
   let catch = C.catch_rate s1 in
-  let pass =
-    identical && resume_identical && partitioned && halted.C.halted
-    && halted.C.completed = 400
-  in
-  let json =
-    Printf.sprintf
-      "{\"seed\":%d,\"total\":%d,\"by_outcome\":{%s},\"catch_rate\":%s,\"wall_s_jobs1\":%.2f,\"wall_s_jobs4\":%.2f,\"inj_per_s_jobs1\":%.2f,\"inj_per_s_jobs4\":%.2f,\"summary_jobs_invariant\":%b,\"kill_resume_invariant\":%b,\"outcomes_partition_plan\":%b,\"pass\":%b}\n"
-      seed total counts
-      (match catch with
-      | None -> "null"
-      | Some r -> Printf.sprintf "%.4f" r)
-      wall1 wall4 (ips wall1) (ips wall4) identical resume_identical
-      partitioned pass
-  in
-  let oc = open_out "BENCH_sdc.json" in
-  output_string oc json;
-  close_out oc;
-  print_string (Fpx_harness.Ascii.section "Architectural SDC campaign");
-  Printf.printf
-    "  seed %d, %d injections: %.1f inj/s at --jobs 1, %.1f at --jobs 4\n"
-    seed total (ips wall1) (ips wall4);
-  Printf.printf "  outcomes {%s}\n" counts;
-  Printf.printf
-    "  detector catch rate %s, jobs-invariant %b, kill+resume invariant %b \
-     -> %s (BENCH_sdc.json written)\n"
-    (match catch with
-    | None -> "n/a"
-    | Some r -> Printf.sprintf "%.4f" r)
-    identical resume_identical
-    (if pass then "PASS" else "FAIL");
-  if not pass then exit 1
-
-(* --- Persistent service ---------------------------------------------------- *)
-
-(* Serve-path benchmark: a real daemon on a Unix socket, driven through
-   the real client. Measures fresh-vs-cached latency (p50/p99), cached
-   request throughput, verifies the cache hit ratio is exactly 1.0 on
-   repeats with byte-identical responses, and drills admission control
-   on a deliberately starved second server: every flooded request must
-   come back `degraded`, none may hang. Lands in BENCH_serve.json. *)
-let serve_bench () =
-  let module Server = Fpx_serve.Server in
-  let module Client = Fpx_serve.Client in
-  let module J = Fpx_obs.Json in
-  let sock_path tag =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fpx-bench-%s-%d.sock" tag (Unix.getpid ()))
-  in
-  let start ~config tag =
-    let t = Server.create ~config () in
-    let path = sock_path tag in
-    if Sys.file_exists path then Sys.remove path;
-    let th = Thread.create (fun () -> Server.serve ~unix_socket:path t) () in
-    let rec wait n =
-      if n > 200 then failwith "serve_bench: daemon did not come up";
-      if not (Sys.file_exists path) then begin
-        Thread.delay 0.02;
-        wait (n + 1)
-      end
-    in
-    wait 0;
-    (t, path, th)
-  in
-  let stop t th =
-    Server.stop t;
-    Thread.join th;
-    Server.shutdown t
-  in
-  let req_of p =
-    J.to_string (J.Obj [ ("op", J.Str "submit"); ("program", J.Str p) ])
-  in
-  let one path req =
-    let c = Client.connect_unix path in
-    let t0 = Unix.gettimeofday () in
-    let resp = Client.request c req in
-    let dt = Unix.gettimeofday () -. t0 in
-    Client.close c;
-    (resp, dt)
-  in
-  let stats_field path f =
-    let resp, _ =
-      one path (J.to_string (J.Obj [ ("op", J.Str "stats") ]))
-    in
-    match J.member "payload" (J.parse resp) with
-    | Some payload -> Option.value ~default:(-1) (J.int_field f payload)
-    | None -> -1
-  in
-  let percentile xs p =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    a.(min (Array.length a - 1) (int_of_float (p *. float_of_int (Array.length a))))
-  in
-  let programs = [ "Triad"; "GEMM"; "hotspot"; "backprop"; "Stencil2D" ] in
-  let t, path, th =
-    start
-      ~config:
-        { Server.default_config with Server.jobs = 2; cache_capacity = 64 }
-      "main"
-  in
-  (* fresh round: every program computes *)
-  let fresh = List.map (fun p -> one path (req_of p)) programs in
-  let fresh_lat = List.map snd fresh in
-  let hits0 = stats_field path "cache_hits" in
-  let misses0 = stats_field path "cache_misses" in
-  (* cached rounds: round-robin repeats, all must hit *)
-  let rounds = 40 in
-  let t0 = Unix.gettimeofday () in
-  let cached =
-    List.concat_map
-      (fun _ ->
-        List.map
-          (fun p ->
-            let r, dt = one path (req_of p) in
-            (p, r, dt))
-          programs)
-      (List.init rounds Fun.id)
-  in
-  let cached_wall = Unix.gettimeofday () -. t0 in
-  let hits1 = stats_field path "cache_hits" in
-  let misses1 = stats_field path "cache_misses" in
-  let n_cached = rounds * List.length programs in
-  let hit_ratio =
-    float_of_int (hits1 - hits0)
-    /. float_of_int (max 1 (hits1 - hits0 + (misses1 - misses0)))
-  in
-  let fresh_by_prog = List.combine programs (List.map fst fresh) in
-  let byte_identical =
-    List.for_all (fun (p, r, _) -> r = List.assoc p fresh_by_prog) cached
-  in
-  let req_per_sec = float_of_int n_cached /. max 1e-9 cached_wall in
-  let lat = List.map (fun (_, _, dt) -> dt) cached in
-  let p50 = percentile lat 0.50 and p99 = percentile lat 0.99 in
-  stop t th;
-  (* overload drill: 1 worker, zero queue; a burn occupies the worker
-     while novel submissions flood in — all must shed, none may hang *)
-  let t2, path2, th2 =
-    start
-      ~config:{ Server.default_config with Server.jobs = 1; queue = 0 }
-      "load"
-  in
-  let burner =
-    Thread.create
-      (fun () ->
-        ignore
-          (one path2
-             (J.to_string
-                (J.Obj [ ("op", J.Str "burn"); ("ms", J.Num 600.) ]))))
-      ()
-  in
-  Thread.delay 0.1;
-  let flood = List.init 6 (fun _ -> fst (one path2 (req_of "GEMM"))) in
-  let degraded =
-    List.length
-      (List.filter
-         (fun r -> J.str_field "status" (J.parse r) = Some "degraded")
-         flood)
-  in
-  let all_returned = List.length flood = 6 in
-  Thread.join burner;
-  (* recovery: once the worker frees up, the same submission succeeds *)
-  let recovered =
-    let rec try_again n =
-      if n > 50 then false
-      else
-        let r, _ = one path2 (req_of "GEMM") in
-        match J.str_field "status" (J.parse r) with
-        | Some "ok" -> true
-        | _ ->
-          Thread.delay 0.1;
-          try_again (n + 1)
-    in
-    try_again 0
-  in
-  stop t2 th2;
-  let pass =
-    hit_ratio = 1.0 && byte_identical && degraded > 0 && all_returned
-    && recovered
-  in
-  let json =
-    Printf.sprintf
-      "{\"programs\":%d,\"cached_requests\":%d,\"req_per_sec\":%.1f,\"latency_p50_ms\":%.3f,\"latency_p99_ms\":%.3f,\"fresh_mean_ms\":%.3f,\"cache_hit_ratio\":%.4f,\"byte_identical\":%b,\"overload_degraded\":%d,\"overload_all_returned\":%b,\"overload_recovered\":%b,\"pass\":%b}\n"
-      (List.length programs) n_cached req_per_sec (p50 *. 1e3) (p99 *. 1e3)
-      (1e3 *. List.fold_left ( +. ) 0. fresh_lat
-       /. float_of_int (List.length fresh_lat))
-      hit_ratio byte_identical degraded all_returned recovered pass
-  in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc json;
-  close_out oc;
-  print_string (Fpx_harness.Ascii.section "Persistent analysis service");
-  Printf.printf
-    "  %d cached req: %.0f req/s, p50 %.2fms, p99 %.2fms (fresh mean %.2fms)\n"
-    n_cached req_per_sec (p50 *. 1e3) (p99 *. 1e3)
-    (1e3 *. List.fold_left ( +. ) 0. fresh_lat
-     /. float_of_int (List.length fresh_lat));
-  Printf.printf
-    "  hit ratio %.2f, cached==fresh bytes %b; overload: %d/6 degraded, \
-     all returned %b, recovered %b -> %s (BENCH_serve.json written)\n"
-    hit_ratio byte_identical degraded all_returned recovered
-    (if pass then "PASS" else "FAIL");
-  if not pass then exit 1
-
-(* --- Raw throughput -------------------------------------------------------- *)
-
-(* Simulated-instructions-per-second over the full evaluated catalog,
-   sequential, uninstrumented and under the detector. Byte-identity
-   across --jobs is gated by the [parallel] target. Lands in
-   BENCH_throughput.json. *)
-let throughput_bench () =
-  let module Sweep = Fpx_harness.Sweep in
-  let programs = Catalog.evaluated in
-  let detector = R.Detector Gpu_fpx.Detector.default_config in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
-  in
-  let instrs ms =
-    List.fold_left (fun a (m : R.measurement) -> a + m.R.dyn_instrs) 0 ms
-  in
-  let seq_none, seq_none_wall = timed (fun () -> Sweep.run ~tool:R.No_tool programs) in
-  let seq_det, seq_det_wall = timed (fun () -> Sweep.run ~tool:detector programs) in
-  let n_instrs = instrs seq_none in
-  let ips_none = float_of_int n_instrs /. max 1e-9 seq_none_wall in
-  let ips_det = float_of_int (instrs seq_det) /. max 1e-9 seq_det_wall in
-  let pass = n_instrs > 0 in
-  let json =
-    Printf.sprintf
-      "{\"programs\":%d,\"dyn_instrs\":%d,\"instrs_per_sec_no_tool\":%.0f,\"instrs_per_sec_detector\":%.0f,\"wall_s_no_tool\":%.4f,\"wall_s_detector\":%.4f,\"pass\":%b}\n"
-      (List.length programs) n_instrs ips_none ips_det seq_none_wall
-      seq_det_wall pass
-  in
-  let oc = open_out "BENCH_throughput.json" in
-  output_string oc json;
-  close_out oc;
-  print_string (Fpx_harness.Ascii.section "Simulator throughput");
-  Printf.printf
-    "  %d programs, %d simulated instrs\n  no-tool %.2fM instrs/s \
-     (%.3fs), detector %.2fM instrs/s (%.3fs) -> %s (BENCH_throughput.json \
-     written)\n"
-    (List.length programs) n_instrs (ips_none /. 1e6) seq_none_wall
-    (ips_det /. 1e6) seq_det_wall
-    (if pass then "PASS" else "FAIL");
-  if not pass then exit 1
+  emit ~target:"sdc" ~title:"Architectural SDC campaign"
+    [ ("seed", int seed);
+      ("total", int total);
+      ("by_outcome", J.Obj (List.map (fun (o, n) -> (o, int n)) counts));
+      ("catch_rate", match catch with None -> J.Null | Some r -> num r) ]
+    ~gates:
+      [ ("summary_jobs_invariant", C.summary_json s1 = C.summary_json s4);
+        ("kill_resume_invariant", C.summary_json s1 = C.summary_json resumed);
+        ("outcomes_partition_plan",
+         s1.C.completed = total
+         && List.fold_left (fun acc (_, n) -> acc + n) 0 counts = total);
+        ("halted_at_400", halted.C.halted && halted.C.completed = 400) ]
+    ~lines:
+      [ Printf.sprintf "seed %d, %d injections: {%s}" seed total
+          (String.concat ", "
+             (List.map (fun (o, n) -> Printf.sprintf "%s %d" o n) counts));
+        Printf.sprintf "detector catch rate %s"
+          (match catch with
+          | None -> "n/a"
+          | Some r -> Printf.sprintf "%.4f" r) ]
 
 (* --- Execution-core microbenchmark ---------------------------------------- *)
 
@@ -960,7 +724,7 @@ let throughput_bench () =
    timed region beyond the final store) isolate the per-instruction
    interpretation cost the decode layer exists to remove; the gate is
    self-relative — the decoded engine must beat the reference
-   interpreter on every class. Lands in BENCH_exec.json. *)
+   interpreter on every class. *)
 let exec_bench () =
   let module Isa = Fpx_sass.Isa in
   let module Instr = Fpx_sass.Instr in
@@ -998,6 +762,8 @@ let exec_bench () =
         Instr.make Isa.IADD [ Op.reg 12; Op.reg 12; Op.imm_i 3l ];
         Instr.make (Isa.ISETP { Isa.op = Isa.Lt; or_unordered = false }) [ Op.pred 0; Op.reg 12; Op.reg 13 ] ])
   in
+  (* (dynamic instructions, sample) over [reps] launches after one
+     warm-up launch (decode + allocate once) *)
   let time_engine
       (run :
         ?hooks:Gpu.Exec.hooks -> ?max_dyn_instrs:int ->
@@ -1008,51 +774,43 @@ let exec_bench () =
     let params = [ Gpu.Param.Ptr out ] in
     let launch () = run ~device:dev ~grid:4 ~block:128 ~params prog in
     ignore (launch ());
-    (* warm: decode + allocate once *)
-    let t0 = Unix.gettimeofday () in
     let reps = 5 in
-    let dyn = ref 0 in
-    for _ = 1 to reps do
-      let st = launch () in
-      dyn := !dyn + st.Gpu.Stats.dyn_instrs
-    done;
-    let wall = Unix.gettimeofday () -. t0 in
-    float_of_int !dyn /. max 1e-9 wall
+    measure (fun () ->
+        List.fold_left
+          (fun dyn _ -> dyn + (launch ()).Gpu.Stats.dyn_instrs)
+          0 (List.init reps Fun.id))
   in
-  let classes = [ ("ffma", ffma); ("dadd", dadd); ("mufu", mufu);
-                  ("mixed", mixed) ] in
+  let ips (dyn, s) = float_of_int dyn /. max 1e-9 s.wall_s in
   let rows =
     List.map
       (fun (name, prog) ->
-        let ips_ref = time_engine Fpx_oracle.Exec_ref.run prog in
-        let ips_dec = time_engine Gpu.Exec.run prog in
-        (name, ips_ref, ips_dec, ips_dec /. ips_ref))
-      classes
+        let r = time_engine Fpx_oracle.Exec_ref.run prog in
+        let d = time_engine Gpu.Exec.run prog in
+        (name, r, d, ips d /. ips r))
+      [ ("ffma", ffma); ("dadd", dadd); ("mufu", mufu); ("mixed", mixed) ]
   in
-  let pass = List.for_all (fun (_, _, _, s) -> s >= 1.0) rows in
-  let json =
-    Printf.sprintf "{%s,\"pass\":%b}\n"
-      (String.concat ","
-         (List.map
-            (fun (name, r, d, s) ->
-              Printf.sprintf
-                "\"%s\":{\"instrs_per_sec_reference\":%.0f,\"instrs_per_sec_decoded\":%.0f,\"speedup\":%.2f}"
-                name r d s)
-            rows))
-      pass
+  let engine_json ((_, s) as t) =
+    J.Obj (sample_fields s @ [ ("instrs_per_s", num ~digits:0 (ips t)) ])
   in
-  let oc = open_out "BENCH_exec.json" in
-  output_string oc json;
-  close_out oc;
-  print_string (Fpx_harness.Ascii.section "Execution-core microbenchmark");
-  List.iter
-    (fun (name, r, d, s) ->
-      Printf.printf "  %-6s reference %6.2fM instrs/s, decoded %6.2fM instrs/s (%.2fx)\n"
-        name (r /. 1e6) (d /. 1e6) s)
-    rows;
-  Printf.printf "  decoded >= reference on every class: %b -> %s (BENCH_exec.json written)\n"
-    pass (if pass then "PASS" else "FAIL");
-  if not pass then exit 1
+  emit ~target:"exec" ~title:"Execution-core microbenchmark"
+    (List.map
+       (fun (name, r, d, speedup) ->
+         ( name,
+           J.Obj
+             [ ("reference", engine_json r);
+               ("decoded", engine_json d);
+               ("speedup", num ~digits:2 speedup) ] ))
+       rows)
+    ~gates:
+      [ ("decoded_ge_reference",
+         List.for_all (fun (_, _, _, speedup) -> speedup >= 1.0) rows) ]
+    ~lines:
+      (List.map
+         (fun (name, r, d, speedup) ->
+           Printf.sprintf
+             "%-6s reference %6.2fM instrs/s, decoded %6.2fM instrs/s (%.2fx)"
+             name (ips r /. 1e6) (ips d /. 1e6) speedup)
+         rows)
 
 (* --- Multi-tenant isolation bench ----------------------------------------- *)
 
@@ -1062,8 +820,7 @@ let exec_bench () =
    contention and findings to throttled channel drains, so its
    exception report differs from solo. Under compute+memory
    partitioning the victim's report must come back byte-identical to
-   running alone, and the whole co-run must replay byte-identically.
-   Lands in BENCH_tenancy.json. *)
+   running alone, and the whole co-run must replay byte-identically. *)
 let tenancy_bench () =
   let module Mt = Fpx_tenancy.Mt in
   let module Tenant = Fpx_tenancy.Tenant in
@@ -1091,53 +848,51 @@ let tenancy_bench () =
   in
   let sv = victim_of shared and fv = victim_of fenced in
   let solo_report = Mt.report_text solo in
-  (* gate (b): unpartitioned interference is measurable and corrupts
-     the victim's findings *)
-  let interference =
-    sv.Mt.contention_cycles > 0
-    && sv.Mt.records_stranded > 0
-    && Mt.report_text sv <> solo_report
-  in
-  (* gate (a): compute+memory partitioning restores the solo report *)
-  let isolated =
-    Mt.report_text fv = solo_report
-    && fv.Mt.contention_cycles = 0
-    && fv.Mt.drains_delayed = 0
-    && fv.Mt.records_stranded = 0
-  in
-  (* gate (c): the co-run is deterministic — replays byte-identically *)
-  let deterministic =
-    Mt.result_json (run Bw.No_partition) = Mt.result_json shared
-    && Mt.result_json (run Bw.Compute_memory) = Mt.result_json fenced
-  in
-  let pass = interference && isolated && deterministic in
-  let json =
-    Printf.sprintf
-      "{\"solo\":{\"cycles\":%d,\"records_seen\":%d},\"no_partition\":{\"cycles\":%d,\"contention_cycles\":%d,\"records_seen\":%d,\"drains_delayed\":%d,\"records_stranded\":%d},\"compute_memory\":{\"cycles\":%d,\"contention_cycles\":%d,\"records_seen\":%d},\"interference_measurable\":%b,\"victim_report_identical\":%b,\"deterministic\":%b,\"pass\":%b}\n"
-      solo.Mt.total_cycles solo.Mt.records_seen sv.Mt.total_cycles
-      sv.Mt.contention_cycles sv.Mt.records_seen sv.Mt.drains_delayed
-      sv.Mt.records_stranded fv.Mt.total_cycles fv.Mt.contention_cycles
-      fv.Mt.records_seen interference isolated deterministic pass
-  in
-  let oc = open_out "BENCH_tenancy.json" in
-  output_string oc json;
-  close_out oc;
-  print_string (Fpx_harness.Ascii.section "Multi-tenant isolation");
-  Printf.printf
-    "  victim solo:        %9d cycles, %d records seen\n\
-    \  shared (none):      %9d cycles (+%d contention), %d seen, %d \
-     drains delayed, %d stranded\n\
-    \  shared (comp+mem):  %9d cycles (+%d contention), %d seen\n"
-    solo.Mt.total_cycles solo.Mt.records_seen sv.Mt.total_cycles
-    sv.Mt.contention_cycles sv.Mt.records_seen sv.Mt.drains_delayed
-    sv.Mt.records_stranded fv.Mt.total_cycles fv.Mt.contention_cycles
-    fv.Mt.records_seen;
-  Printf.printf
-    "  interference measurable %b, partitioned report identical %b, \
-     deterministic %b -> %s (BENCH_tenancy.json written)\n"
-    interference isolated deterministic
-    (if pass then "PASS" else "FAIL");
-  if not pass then exit 1
+  emit ~target:"tenancy" ~title:"Multi-tenant isolation"
+    [ ( "solo",
+        J.Obj
+          [ ("cycles", int solo.Mt.total_cycles);
+            ("records_seen", int solo.Mt.records_seen) ] );
+      ( "no_partition",
+        J.Obj
+          [ ("cycles", int sv.Mt.total_cycles);
+            ("contention_cycles", int sv.Mt.contention_cycles);
+            ("records_seen", int sv.Mt.records_seen);
+            ("drains_delayed", int sv.Mt.drains_delayed);
+            ("records_stranded", int sv.Mt.records_stranded) ] );
+      ( "compute_memory",
+        J.Obj
+          [ ("cycles", int fv.Mt.total_cycles);
+            ("contention_cycles", int fv.Mt.contention_cycles);
+            ("records_seen", int fv.Mt.records_seen) ] ) ]
+    ~gates:
+      [ (* unpartitioned interference is measurable and corrupts the
+           victim's findings *)
+        ("interference_measurable",
+         sv.Mt.contention_cycles > 0
+         && sv.Mt.records_stranded > 0
+         && Mt.report_text sv <> solo_report);
+        (* compute+memory partitioning restores the solo report *)
+        ("victim_report_identical",
+         Mt.report_text fv = solo_report
+         && fv.Mt.contention_cycles = 0
+         && fv.Mt.drains_delayed = 0
+         && fv.Mt.records_stranded = 0);
+        (* the co-run replays byte-identically *)
+        ("deterministic",
+         Mt.result_json (run Bw.No_partition) = Mt.result_json shared
+         && Mt.result_json (run Bw.Compute_memory) = Mt.result_json fenced) ]
+    ~lines:
+      [ Printf.sprintf "victim solo:        %9d cycles, %d records seen"
+          solo.Mt.total_cycles solo.Mt.records_seen;
+        Printf.sprintf
+          "shared (none):      %9d cycles (+%d contention), %d seen, %d \
+           drains delayed, %d stranded"
+          sv.Mt.total_cycles sv.Mt.contention_cycles sv.Mt.records_seen
+          sv.Mt.drains_delayed sv.Mt.records_stranded;
+        Printf.sprintf
+          "shared (comp+mem):  %9d cycles (+%d contention), %d seen"
+          fv.Mt.total_cycles fv.Mt.contention_cycles fv.Mt.records_seen ]
 
 (* --- Artefact printing --------------------------------------------------- *)
 
@@ -1162,8 +917,6 @@ let artefact = function
   | "resilience" -> resilience_bench ()
   | "static" -> static_bench ()
   | "parallel" -> parallel_bench ()
-  | "serve" -> serve_bench ()
-  | "throughput" -> throughput_bench ()
   | "exec" -> exec_bench ()
   | "tenancy" -> tenancy_bench ()
   | "fuzz" -> fuzz_bench ()
@@ -1182,8 +935,8 @@ let artefact = function
 let all_targets =
   [ "table1"; "table2"; "table3"; "table4"; "figure4"; "figure5"; "table5";
     "figure6"; "table6"; "table7"; "machines"; "ablation"; "summary"; "obs";
-    "obs2"; "resilience"; "static"; "parallel"; "serve"; "throughput";
-    "exec"; "tenancy"; "fuzz"; "sdc"; "bechamel"; "micro" ]
+    "obs2"; "resilience"; "static"; "parallel"; "exec"; "tenancy"; "fuzz";
+    "sdc"; "bechamel"; "micro" ]
 
 let () =
   match Array.to_list Sys.argv with

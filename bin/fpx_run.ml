@@ -195,7 +195,7 @@ let print_measurement (m : R.measurement) =
     (fun (fmt, exce, n) ->
       Printf.printf "  %s %s: %d location(s)\n"
         (Fpx_sass.Isa.fp_format_to_string fmt)
-        (Gpu_fpx.Exce.to_string exce)
+        (Fpx_tool.Exce.to_string exce)
         n)
     m.R.counts;
   if m.R.counts = [] then Printf.printf "  no exceptions detected\n";

@@ -16,7 +16,7 @@ type finding = {
   pc : int;
   loc : string;
   fmt : Fpx_sass.Isa.fp_format;
-  exce : Gpu_fpx.Exce.t;
+  exce : Fpx_tool.Exce.t;
 }
 
 type t
@@ -33,7 +33,7 @@ val findings : t -> finding list
 (** Host-deduplicated unique findings (the report the real tool prints
     at exit). *)
 
-val count : t -> fmt:Fpx_sass.Isa.fp_format -> exce:Gpu_fpx.Exce.t -> int
+val count : t -> fmt:Fpx_sass.Isa.fp_format -> exce:Fpx_tool.Exce.t -> int
 val records_received : t -> int
 (** Total (pre-dedup) records the host processed — the transfer-volume
     number that explains the slowdown gap. *)

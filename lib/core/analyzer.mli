@@ -30,14 +30,14 @@ type report = {
       (** Value class of each register operand (dest first) before the
           instruction executed. *)
   after : Fpx_num.Kind.t list;  (** Same, after execution. *)
-  compile_time : Exce.t option;
+  compile_time : Fpx_tool.Exce.t option;
       (** Exceptional immediate operand found at JIT time. *)
 }
 
 val render : report -> string list
 (** Listing-style ["#GPU-FPX-ANA ..."] lines. *)
 
-val compile_e_type : Fpx_sass.Instr.t -> Exce.t option
+val compile_e_type : Fpx_sass.Instr.t -> Fpx_tool.Exce.t option
 (** Listing 2's JIT-time check: the class of the first NaN or INF
     immediate (IMM_DOUBLE, FP32 immediate or [GENERIC] token) among an
     instruction's operands. *)

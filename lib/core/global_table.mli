@@ -6,7 +6,7 @@
 type t
 
 val create : unit -> t
-(** All {!Exce.table_slots} slots empty. *)
+(** All {!Fpx_tool.Exce.table_slots} slots empty. *)
 
 val test_and_set : t -> int -> bool
 (** [true] iff the slot was previously empty (caller should push the

@@ -4,7 +4,7 @@ module Runner = Fpx_harness.Runner
 module Sweep = Fpx_harness.Sweep
 module D = Gpu_fpx.Detector
 module B = Fpx_binfpe.Binfpe
-module Exce = Gpu_fpx.Exce
+module Exce = Fpx_tool.Exce
 
 type clazz =
   | Static_unsound

@@ -1,7 +1,7 @@
 module W = Fpx_workloads.Workload
 module Catalog = Fpx_workloads.Catalog
 module Isa = Fpx_sass.Isa
-module Exce = Gpu_fpx.Exce
+module Exce = Fpx_tool.Exce
 module Detector = Gpu_fpx.Detector
 module Sampling = Gpu_fpx.Sampling
 

@@ -1,6 +1,6 @@
 module W = Fpx_workloads.Workload
 module Isa = Fpx_sass.Isa
-module Exce = Gpu_fpx.Exce
+module Exce = Fpx_tool.Exce
 module Fault = Fpx_fault.Fault
 
 type tool_config =

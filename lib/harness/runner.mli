@@ -43,7 +43,7 @@ type measurement = {
   status : status;
   records : int;  (** device→host records transferred *)
   dyn_instrs : int;
-  counts : (Fpx_sass.Isa.fp_format * Gpu_fpx.Exce.t * int) list;
+  counts : (Fpx_sass.Isa.fp_format * Fpx_tool.Exce.t * int) list;
       (** unique exception sites per (format, kind); only non-zero
           entries *)
   total_exceptions : int;
@@ -63,7 +63,7 @@ type measurement = {
 }
 
 val count :
-  measurement -> fmt:Fpx_sass.Isa.fp_format -> exce:Gpu_fpx.Exce.t -> int
+  measurement -> fmt:Fpx_sass.Isa.fp_format -> exce:Fpx_tool.Exce.t -> int
 
 val run :
   ?cost:Fpx_gpu.Cost.t ->

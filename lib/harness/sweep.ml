@@ -64,7 +64,7 @@ let census ms =
             let loc = Gpu_fpx.Loc_table.intern locs f.Gpu_fpx.Detector.entry in
             ignore
               (Gpu_fpx.Global_table.test_and_set shard
-                 (Gpu_fpx.Exce.encode ~loc ~fmt:f.Gpu_fpx.Detector.fmt
+                 (Fpx_tool.Exce.encode ~loc ~fmt:f.Gpu_fpx.Detector.fmt
                     f.Gpu_fpx.Detector.exce)
                 : bool))
           (Gpu_fpx.Detector.findings d);

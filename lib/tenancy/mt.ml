@@ -15,7 +15,7 @@ open Fpx_gpu
 module Runner = Fpx_harness.Runner
 module W = Fpx_workloads.Workload
 module Isa = Fpx_sass.Isa
-module Exce = Gpu_fpx.Exce
+module Exce = Fpx_tool.Exce
 
 type outcome = {
   tenant : Tenant.t;

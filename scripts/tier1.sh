@@ -52,6 +52,13 @@ run "one interpreter" \
 run "one fan-out" \
   sh -c '! grep -rnE "\?pool|~pool|pool_mapi" lib bin'
 
+# One bench writer: in bench/main.ml only the emit helper opens a file
+# or renders JSON; every gate target writes BENCH_<target>.json through it.
+run "one bench writer" \
+  awk '/^let /{inside = /^let emit /}
+       /open_out|Json\.to_string|J\.to_string|\{\\"/{n++; if (!inside) bad = 1}
+       END{exit bad || n == 0}' bench/main.ml
+
 run "dune runtest" dune runtest
 
 # Smoke the architectural bit-flip campaign end to end: a pinned-seed

@@ -125,7 +125,7 @@ let test_compile_time_immediate () =
            store "out" (v "i") (f32 0.0 *: f32 infinity) ])
   in
   Alcotest.(check bool) "immediate flagged" true
-    (List.exists (fun (r : A.report) -> r.A.compile_time = Some Gpu_fpx.Exce.Inf) rs)
+    (List.exists (fun (r : A.report) -> r.A.compile_time = Some Fpx_tool.Exce.Inf) rs)
 
 let test_render_format () =
   let rs = shared_reg_reports () in

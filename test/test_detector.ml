@@ -8,7 +8,7 @@ module Isa = Fpx_sass.Isa
 module Gpu = Fpx_gpu
 module Nvbit = Fpx_nvbit
 module D = Gpu_fpx.Detector
-module E = Gpu_fpx.Exce
+module E = Fpx_tool.Exce
 
 (* deterministic property tests: fixed QCheck seed *)
 let qcheck_case t =

@@ -144,10 +144,10 @@ let test_inject_cost () =
   let prog =
     Fpx_sass.Program.make ~name:"c" [ Fpx_sass.Instr.make Fpx_sass.Isa.NOP [] ]
   in
-  let b = Fpx_nvbit.Inject.create dev prog in
-  Fpx_nvbit.Inject.insert_before b ~pc:0 ~n_values:3 (fun _ _ -> ());
-  Alcotest.(check int) "sites" 1 (Fpx_nvbit.Inject.sites b);
-  let hooks = Fpx_nvbit.Inject.build b in
+  let b = Fpx_tool.Inject.create dev prog in
+  Fpx_tool.Inject.insert_before b ~pc:0 ~n_values:3 (fun _ _ -> ());
+  Alcotest.(check int) "sites" 1 (Fpx_tool.Inject.sites b);
+  let hooks = Fpx_tool.Inject.build b in
   match hooks.Gpu.Exec.before.(0) with
   | [ inj ] ->
     let cost = dev.Gpu.Device.cost in
@@ -284,6 +284,15 @@ let test_to_json_golden () =
   Alcotest.(check string) "matches golden file" expected
     (String.trim (R.to_json m))
 
+(* The one deterministic throughput count: the uninstrumented sweep
+   over the evaluated catalog simulates exactly this many dynamic
+   instructions, so drift in the workloads, the compiler or the
+   execution core's instruction accounting shows up here. *)
+let test_catalog_dyn_instrs () =
+  let ms = Fpx_harness.Sweep.run ~jobs:1 ~tool:R.No_tool Catalog.evaluated in
+  Alcotest.(check int) "dynamic instructions" 774_374
+    (List.fold_left (fun a (m : R.measurement) -> a + m.R.dyn_instrs) 0 ms)
+
 let test_to_json_escaping () =
   (* a long multi-line report log must not leak unescaped quotes or raw
      control characters into the JSON string values *)
@@ -322,5 +331,7 @@ let suite =
         test_json_escape_roundtrip;
       Alcotest.test_case "to_json golden file" `Quick test_to_json_golden;
       Alcotest.test_case "to_json escaping" `Quick test_to_json_escaping;
+      Alcotest.test_case "catalog sweep dyn instrs pinned" `Quick
+        test_catalog_dyn_instrs;
       Alcotest.test_case "headline claim (subset)" `Slow test_headline_claims ] )
 

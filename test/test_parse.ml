@@ -158,7 +158,7 @@ let test_runnable_file () =
   Fpx_nvbit.Runtime.launch rt ~grid:f.Parse.grid ~block:f.Parse.block ~params
     f.Parse.prog;
   Alcotest.(check int) "div0 found" 1
-    (Gpu_fpx.Detector.count det ~fmt:Isa.FP32 ~exce:Gpu_fpx.Exce.Div0)
+    (Gpu_fpx.Detector.count det ~fmt:Isa.FP32 ~exce:Fpx_tool.Exce.Div0)
 
 let test_runnable_fp64_file () =
   (* mirrors examples/sass/fp64_chain.sass: an FP64 chain through the
@@ -186,11 +186,11 @@ let test_runnable_fp64_file () =
     ~params:[ Fpx_gpu.Param.Ptr out ] f.Parse.prog;
   let count = Gpu_fpx.Detector.count det in
   Alcotest.(check int) "2 FP64 SUB" 2
-    (count ~fmt:Isa.FP64 ~exce:Gpu_fpx.Exce.Sub);
+    (count ~fmt:Isa.FP64 ~exce:Fpx_tool.Exce.Sub);
   Alcotest.(check int) "1 FP64 INF" 1
-    (count ~fmt:Isa.FP64 ~exce:Gpu_fpx.Exce.Inf);
+    (count ~fmt:Isa.FP64 ~exce:Fpx_tool.Exce.Inf);
   Alcotest.(check int) "1 FP64 NaN" 1
-    (count ~fmt:Isa.FP64 ~exce:Gpu_fpx.Exce.Nan);
+    (count ~fmt:Isa.FP64 ~exce:Fpx_tool.Exce.Nan);
   (* and the NaN really escaped to memory *)
   let v =
     Fpx_gpu.Memory.read_f64_array dev.Fpx_gpu.Device.memory ~addr:out ~len:1

@@ -401,6 +401,21 @@ let test_handle_errors () =
 
 (* --- Admission control ------------------------------------------------ *)
 
+let start_socket_server ?config tag =
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "fpx-serve-test-%s-%d.sock" tag (Unix.getpid ()))
+  in
+  if Sys.file_exists path then Sys.remove path;
+  let t = Server.create ?config () in
+  let server_thread =
+    Thread.create (fun () -> Server.serve ~unix_socket:path t) ()
+  in
+  Alcotest.(check bool) "socket appears" true
+    (poll (fun () -> Sys.file_exists path));
+  (t, path, server_thread)
+
 let in_flight_of t =
   let r = J.parse (Server.handle t {|{"op":"stats"}|}) in
   match J.member "payload" r with
@@ -435,7 +450,33 @@ let test_overload_sheds_and_recovers () =
       Alcotest.(check bool) "recovered" true
         (poll (fun () ->
              J.str_field "status" (J.parse (Server.handle t (submit_req "Triad")))
-             = Some "ok")))
+             = Some "ok")));
+  (* the same drill over the wire: while a burn holds the only worker,
+     six novel submissions from socket clients all get an answer and at
+     least one is shed *)
+  let t, path, server_thread = start_socket_server ~config "overload" in
+  let status req =
+    let c = Client.connect_unix path in
+    Fun.protect
+      ~finally:(fun () -> Client.close c)
+      (fun () -> J.str_field "status" (J.parse (Client.request c req)))
+  in
+  let burner =
+    Thread.create (fun () -> status {|{"op":"burn","ms":600}|}) ()
+  in
+  Alcotest.(check bool) "wire burn occupies the worker" true
+    (poll (fun () -> in_flight_of t >= 1));
+  let flood = List.init 6 (fun _ -> status (submit_req "GEMM")) in
+  Alcotest.(check int) "all six answered" 6
+    (List.length (List.filter Option.is_some flood));
+  Alcotest.(check bool) "wire flood shed" true
+    (List.mem (Some "degraded") flood);
+  Thread.join burner;
+  Alcotest.(check bool) "recovered over the wire" true
+    (poll (fun () -> status (submit_req "GEMM") = Some "ok"));
+  Server.stop t;
+  Thread.join server_thread;
+  Server.shutdown t
 
 let test_shed_never_loses_cached () =
   (* a cache hit must be served even when the pool is saturated *)
@@ -456,21 +497,6 @@ let test_shed_never_loses_cached () =
       Thread.join burner)
 
 (* --- Socket round trip ------------------------------------------------ *)
-
-let start_socket_server tag =
-  let path =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fpx-serve-test-%s-%d.sock" tag (Unix.getpid ()))
-  in
-  if Sys.file_exists path then Sys.remove path;
-  let t = Server.create () in
-  let server_thread =
-    Thread.create (fun () -> Server.serve ~unix_socket:path t) ()
-  in
-  Alcotest.(check bool) "socket appears" true
-    (poll (fun () -> Sys.file_exists path));
-  (t, path, server_thread)
 
 (* Raw bytes over a fresh connection, [parts] written with a pause
    between them; then the write side is closed and the reply read to
@@ -506,9 +532,25 @@ let test_socket_end_to_end () =
   Alcotest.(check string) "ping over the wire"
     {|{"status":"ok","payload":"pong"}|}
     (Client.request c {|{"op":"ping"}|});
-  let r1 = Client.request c (submit_req "Triad") in
-  let r2 = Client.request c (submit_req "Triad") in
-  Alcotest.(check string) "wire responses byte-identical" r1 r2;
+  let stat field =
+    match J.member "payload" (J.parse (Client.request c {|{"op":"stats"}|})) with
+    | Some payload -> Option.value ~default:(-1) (J.int_field field payload)
+    | None -> -1
+  in
+  (* a fresh round computes every program; a repeat round must be all
+     cache hits, each byte-identical to its fresh response *)
+  let programs = [ "Triad"; "GEMM"; "hotspot"; "backprop"; "Stencil2D" ] in
+  let round () = List.map (fun p -> Client.request c (submit_req p)) programs in
+  let fresh = round () in
+  let hits0 = stat "cache_hits" and misses0 = stat "cache_misses" in
+  let repeat = round () in
+  Alcotest.(check int) "repeat round all hits" 5 (stat "cache_hits" - hits0);
+  Alcotest.(check int) "repeat round no misses" 0
+    (stat "cache_misses" - misses0);
+  List.iter2
+    (fun p (f, r) ->
+      Alcotest.(check string) (p ^ ": wire responses byte-identical") f r)
+    programs (List.combine fresh repeat);
   Client.close c;
   (* HTTP on the same socket *)
   let body = raw_exchange path [ "GET /metrics HTTP/1.0\r\n\r\n" ] in
@@ -519,7 +561,7 @@ let test_socket_end_to_end () =
     go 0
   in
   Alcotest.(check bool) "prometheus body" true
-    (contains body "fpx_serve_cache_hits_total 1");
+    (contains body "fpx_serve_cache_hits_total 5");
   (* shutdown op stops the accept loop *)
   let c2 = Client.connect_unix path in
   Alcotest.(check (option string)) "shutdown acknowledged" (Some "ok")

@@ -445,7 +445,7 @@ let test_generic_tokens () =
         Parse.program
           (Printf.sprintf "FSEL R0, %s, RZ, PT ;\nF2F.F32.F64 R1, %s ;" tok tok)
       in
-      let kind = if Float.is_nan v then Gpu_fpx.Exce.Nan else Gpu_fpx.Exce.Inf in
+      let kind = if Float.is_nan v then Fpx_tool.Exce.Nan else Fpx_tool.Exce.Inf in
       let a = Absint.analyze prog in
       List.iter
         (fun pc ->
