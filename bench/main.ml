@@ -38,15 +38,19 @@ let measure f =
   let c1 = Sys.time () and w1 = Unix.gettimeofday () in
   (v, { wall_s = w1 -. w0; cpu_s = c1 -. c0; alloc_words = a1 -. a0 })
 
-(* [reps] measured runs of [f], each quantity reduced by [pick] (a
-   best-of or a mean); the value is the first run's. *)
+(* Samples of one region, each quantity reduced by [pick] (a best-of
+   or a mean). *)
+let reduce ~pick samples =
+  let by q = pick (List.map q samples) in
+  { wall_s = by (fun s -> s.wall_s);
+    cpu_s = by (fun s -> s.cpu_s);
+    alloc_words = by (fun s -> s.alloc_words) }
+
+(* [reps] measured runs of [f], reduced by [pick]; the value is the
+   first run's. *)
 let measure_reps ~reps ~pick f =
   let runs = List.init reps (fun _ -> measure f) in
-  let by q = pick (List.map (fun (_, s) -> q s) runs) in
-  ( fst (List.hd runs),
-    { wall_s = by (fun s -> s.wall_s);
-      cpu_s = by (fun s -> s.cpu_s);
-      alloc_words = by (fun s -> s.alloc_words) } )
+  (fst (List.hd runs), reduce ~pick (List.map snd runs))
 
 let best = List.fold_left min infinity
 let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
@@ -308,11 +312,11 @@ let obs_bench () =
 (* Two halves. (a) The span guards woven through Sched/Runner/Runtime
    must be free when no recorder is installed: the instrumented engine
    path (Sweep.run, every guard live) is timed against a bare List.map
-   over the same runs, best-of-reps, and the wall delta is gated at
-   < 2%. (b) With a recorder installed, sweeps at jobs=1 and jobs=4 feed
-   Domprof: the per-phase breakdowns, the dominant-overhead verdict,
-   the Chrome trace and the flamegraph all land next to the JSON so
-   every CI run archives a scheduler profile. *)
+   over the same runs, interleaved rep by rep, best-of-reps, and the
+   wall delta is gated at < 2%. (b) With a recorder installed, sweeps
+   at jobs=1 and jobs=4 feed Domprof: the per-phase breakdowns, the
+   dominant-overhead verdict, the Chrome trace and the flamegraph all
+   land next to the JSON so every CI run archives a scheduler profile. *)
 let obs2_bench () =
   let module Sweep = Fpx_harness.Sweep in
   let module Span = Fpx_obs.Span in
@@ -320,18 +324,34 @@ let obs2_bench () =
   let program_names = [ "GEMM"; "nbody"; "GRAMSCHM"; "hotspot"; "Triad" ] in
   let programs = List.map Catalog.find program_names in
   let detector = R.Detector Gpu_fpx.Detector.default_config in
-  let reps = 7 in
+  let reps = 15 in
   assert (not (Span.enabled ()));
-  let (), plain =
-    measure_reps ~reps ~pick:best (fun () ->
-        ignore
-          (List.map (fun w -> R.run ~tool:detector w) programs
-            : R.measurement list))
+  let bare () =
+    snd
+      (measure (fun () ->
+           ignore
+             (List.map (fun w -> R.run ~tool:detector w) programs
+               : R.measurement list)))
   in
-  let (), guarded =
-    measure_reps ~reps ~pick:best (fun () ->
-        ignore (Sweep.run ~jobs:1 ~tool:detector programs : R.measurement list))
+  let guard () =
+    snd
+      (measure (fun () ->
+           ignore
+             (Sweep.run ~jobs:1 ~tool:detector programs : R.measurement list)))
   in
+  (* The halves run interleaved, alternating which goes first, so the
+     warm-up and the host's drift between reps land on both alike. *)
+  let pairs =
+    List.init reps (fun i ->
+        if i mod 2 = 0 then
+          let p = bare () in
+          (p, guard ())
+        else
+          let g = guard () in
+          (bare (), g))
+  in
+  let plain = reduce ~pick:best (List.map fst pairs) in
+  let guarded = reduce ~pick:best (List.map snd pairs) in
   let disabled_delta =
     (guarded.wall_s -. plain.wall_s) /. max 1e-9 plain.wall_s
   in

@@ -15,10 +15,6 @@ module E = Fpx_harness.Experiments
 module Sweep = Fpx_harness.Sweep
 module Fault = Fpx_fault.Fault
 
-(* Populate the tool registry before any help text or tool lookup is
-   built from it. *)
-let () = Fpx_harness.Toolreg.ensure ()
-
 let find_program name =
   match Fpx_workloads.Catalog.find name with
   | w -> Ok w
@@ -105,14 +101,15 @@ let jobs_arg =
 
 let resolve_jobs n = if n <= 0 then Fpx_sched.Sched.recommended_jobs () else n
 
-(* --- Registry-driven tool selection ---------------------------------- *)
+(* --- Tool selection: every name comes from Toolreg.table ------------- *)
 
-let registry_doc () =
+let tools_doc =
   String.concat "; "
     (List.map
-       (fun (e : Fpx_tool.entry) ->
-         Printf.sprintf "$(b,%s): %s" e.Fpx_tool.tool_id e.Fpx_tool.doc)
-       (Fpx_tool.registered ()))
+       (fun (name, doc, _) -> Printf.sprintf "$(b,%s): %s" name doc)
+       Fpx_harness.Toolreg.table)
+
+let tool_names = String.concat ", " Fpx_harness.Toolreg.names
 
 (* --- Fault injection flags ------------------------------------------- *)
 
@@ -219,6 +216,14 @@ let read_file_text path =
     Printf.eprintf "fpx_run: cannot read file: %s\n" msg;
     exit 124
 
+(* A standalone .sass file; a parse error is a bad input file. *)
+let read_sass_file path =
+  match Fpx_sass.Parse.file (read_file_text path) with
+  | f -> f
+  | exception Fpx_sass.Parse.Parse_error { line; message } ->
+    Printf.eprintf "%s:%d: %s\n" path line message;
+    exit 124
+
 let write_file path s =
   Fpx_fuzz.Corpus.mkdir_p (Filename.dirname path);
   match open_out path with
@@ -230,8 +235,14 @@ let write_file path s =
     Printf.eprintf "fpx_run: cannot write output file: %s\n" msg;
     exit 1
 
-(* Export the sink's trace/metrics when the caller asked for them; a
-   .prom suffix on --metrics-out selects Prometheus text format. *)
+(* A .prom suffix on --metrics-out selects Prometheus text format. *)
+let write_metrics path m =
+  write_file path
+    (if Filename.check_suffix path ".prom" then
+       Fpx_obs.Metrics.to_prometheus_text m
+     else Fpx_obs.Metrics.to_json m)
+
+(* Export the sink's trace/metrics when the caller asked for them. *)
 let export_obs ?trace_out ?metrics_out obs =
   match Fpx_obs.Sink.active obs with
   | None -> ()
@@ -250,14 +261,7 @@ let export_obs ?trace_out ?metrics_out obs =
             (Fpx_obs.Trace.recorded tr)
             d)
       trace_out;
-    Option.iter
-      (fun p ->
-        let m = a.Fpx_obs.Sink.metrics in
-        write_file p
-          (if Filename.check_suffix p ".prom" then
-             Fpx_obs.Metrics.to_prometheus_text m
-           else Fpx_obs.Metrics.to_json m))
-      metrics_out
+    Option.iter (fun p -> write_metrics p a.Fpx_obs.Sink.metrics) metrics_out
 
 let run_tool ?(json = false) ?trace_out ?metrics_out ?fault tool w fm amp
     repaired =
@@ -476,51 +480,14 @@ let run_sass_cmd =
       & info [ "analyze" ] ~doc:"Use the analyzer instead of the detector.")
   in
   let run path analyze =
-    let text =
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
+    let tool =
+      if analyze then R.Analyzer else R.Detector Gpu_fpx.Detector.default_config
     in
-    let f =
-      try Fpx_sass.Parse.file text
-      with Fpx_sass.Parse.Parse_error { line; message } ->
-        Printf.eprintf "%s:%d: %s\n" path line message;
-        exit 1
-    in
-    let dev = Fpx_gpu.Device.create () in
-    let rt = Fpx_nvbit.Runtime.create dev in
-    let det = Gpu_fpx.Detector.create dev in
-    let ana = Gpu_fpx.Analyzer.create dev in
-    if analyze then Fpx_nvbit.Runtime.attach rt (Gpu_fpx.Analyzer.tool ana)
-    else Fpx_nvbit.Runtime.attach rt (Gpu_fpx.Detector.tool det);
-    let params =
-      List.map
-        (function
-          | Fpx_sass.Parse.Ptr_bytes n ->
-            Fpx_gpu.Param.Ptr
-              (Fpx_gpu.Memory.alloc_zeroed dev.Fpx_gpu.Device.memory ~bytes:n)
-          | Fpx_sass.Parse.F32 x -> Fpx_gpu.Param.F32 (Fpx_num.Fp32.of_float x)
-          | Fpx_sass.Parse.F64 x -> Fpx_gpu.Param.F64 x
-          | Fpx_sass.Parse.I32 x -> Fpx_gpu.Param.I32 x)
-        f.Fpx_sass.Parse.params
-    in
-    Fpx_nvbit.Runtime.launch rt ~grid:f.Fpx_sass.Parse.grid
-      ~block:f.Fpx_sass.Parse.block ~params f.Fpx_sass.Parse.prog;
-    if analyze then begin
-      List.iter print_endline (Gpu_fpx.Analyzer.log_lines ana);
-      print_endline "\n#GPU-FPX-ANA FLOW SUMMARY:";
-      print_string (Gpu_fpx.Flow.summarise (Gpu_fpx.Analyzer.reports ana))
-    end
-    else begin
-      List.iter print_endline (Gpu_fpx.Detector.log_lines det);
-      Printf.printf "\nunique exception records: %d\n"
-        (Gpu_fpx.Detector.total det)
-    end
+    let c = Fpx_fuzz.Repro.of_file (read_sass_file path) in
+    run_tool tool (Fpx_fuzz.Repro.workload c) false false false
   in
   Cmd.v
-    (Cmd.info "run-sass"
+    (Cmd.info "run-sass" ~exits:run_exits
        ~doc:"Instrument and run a standalone textual SASS kernel file.")
     Term.(const run $ path_arg $ analyze_flag)
 
@@ -536,20 +503,8 @@ let lint_cmd =
   in
   let run target fm amp =
     let progs =
-      if Sys.file_exists target && not (Sys.is_directory target) then begin
-        let text =
-          let ic = open_in target in
-          let n = in_channel_length ic in
-          let s = really_input_string ic n in
-          close_in ic;
-          s
-        in
-        match Fpx_sass.Parse.file text with
-        | f -> [ f.Fpx_sass.Parse.prog ]
-        | exception Fpx_sass.Parse.Parse_error { line; message } ->
-          Printf.eprintf "%s:%d: %s\n" target line message;
-          exit 1
-      end
+      if Sys.file_exists target && not (Sys.is_directory target) then
+        [ (read_sass_file target).Fpx_sass.Parse.prog ]
       else
         match find_program target with
         | Ok w ->
@@ -627,7 +582,7 @@ let sweep_cmd =
           ~doc:
             (Printf.sprintf
                "Tool (or $(b,+)-joined stack of tools) to sweep with. \
-                Registered tools: %s." (registry_doc ())))
+                Tools: %s." tools_doc))
   in
   let static_prune =
     Arg.(
@@ -672,14 +627,7 @@ let sweep_cmd =
       | Some path -> write_file path json
       | None -> print_string json);
       Option.iter
-        (fun path ->
-          match Sweep.merged_metrics ms with
-          | Some m ->
-            write_file path
-              (if Filename.check_suffix path ".prom" then
-                 Fpx_obs.Metrics.to_prometheus_text m
-               else Fpx_obs.Metrics.to_json m)
-          | None -> ())
+        (fun path -> Option.iter (write_metrics path) (Sweep.merged_metrics ms))
         metrics_out;
       if census then begin
         let c = Sweep.census ms in
@@ -709,8 +657,8 @@ let stack_cmd =
           ~doc:
             (Printf.sprintf
                "Tools to compose into one stack (every member sees every \
-                instrumented launch). Registered tools: %s."
-               (registry_doc ())))
+                instrumented launch). Tools: %s."
+               tools_doc))
   in
   let run w tools fm amp repaired json trace_out metrics_out fseed frate
       fkinds =
@@ -735,15 +683,14 @@ let stack_cmd =
 let tools_cmd =
   let run () =
     List.iter
-      (fun (e : Fpx_tool.entry) ->
-        Printf.printf "%-16s %s\n" e.Fpx_tool.tool_id e.Fpx_tool.doc)
-      (Fpx_tool.registered ())
+      (fun (name, doc, _) -> Printf.printf "%-16s %s\n" name doc)
+      Fpx_harness.Toolreg.table
   in
   Cmd.v
     (Cmd.info "tools"
        ~doc:
-         "List the registered tools (the registry also drives the \
-          $(b,sweep)/$(b,stack) help text).")
+         "List the tools every $(b,--tool)/$(b,--tools) option, \
+          $(b,submit) and $(b,mt run) tenant spec accepts by name.")
     Term.(const run $ const ())
 
 (* --- Differential fuzzing -------------------------------------------- *)
@@ -827,12 +774,7 @@ let fuzz_cmd =
         let sink = Fpx_obs.Sink.create () in
         Fpx_fuzz.Campaign.record_metrics s sink;
         match Fpx_obs.Sink.active sink with
-        | Some a ->
-          let m = a.Fpx_obs.Sink.metrics in
-          write_file path
-            (if Filename.check_suffix path ".prom" then
-               Fpx_obs.Metrics.to_prometheus_text m
-             else Fpx_obs.Metrics.to_json m)
+        | Some a -> write_metrics path a.Fpx_obs.Sink.metrics
         | None -> ())
       metrics_out;
     Printf.eprintf "fuzz: %d cases in %.2fs (%.1f execs/sec), %d discrepancy(ies)\n"
@@ -870,9 +812,8 @@ let diagnose_cmd =
       & info [ "tool" ] ~docv:"TOOL"
           ~doc:
             (Printf.sprintf
-               "Tool (or $(b,+)-joined stack) to sweep with. Registered \
-                tools: %s."
-               (registry_doc ())))
+               "Tool (or $(b,+)-joined stack) to sweep with. Tools: %s."
+               tools_doc))
   in
   let programs_arg =
     Arg.(
@@ -965,10 +906,7 @@ let diagnose_cmd =
         (fun p ->
           let m = Fpx_obs.Metrics.create () in
           Fpx_obs.Domprof.record_metrics recorder target m;
-          write_file p
-            (if Filename.check_suffix p ".prom" then
-               Fpx_obs.Metrics.to_prometheus_text m
-             else Fpx_obs.Metrics.to_json m))
+          write_metrics p m)
         metrics_out
   in
   Cmd.v
@@ -1009,20 +947,7 @@ let replay_cmd =
                                            artifact header.")
   in
   let run path id seed defect fseed frate fkinds =
-    let text =
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    in
-    let f =
-      try Fpx_sass.Parse.file text
-      with Fpx_sass.Parse.Parse_error { line; message } ->
-        Printf.eprintf "%s:%d: %s\n" path line message;
-        exit 124
-    in
-    let c = Fpx_fuzz.Repro.of_file ~id ~seed f in
+    let c = Fpx_fuzz.Repro.of_file ~id ~seed (read_sass_file path) in
     let ds =
       Fpx_fuzz.Oracle.check
         ?fault:(fault_spec_of fseed frate fkinds)
@@ -1180,12 +1105,7 @@ let campaign_run_cmd =
           let sink = Fpx_obs.Sink.create () in
           C.record_metrics s sink;
           match Fpx_obs.Sink.active sink with
-          | Some a ->
-            let m = a.Fpx_obs.Sink.metrics in
-            write_file path
-              (if Filename.check_suffix path ".prom" then
-                 Fpx_obs.Metrics.to_prometheus_text m
-               else Fpx_obs.Metrics.to_json m)
+          | Some a -> write_metrics path a.Fpx_obs.Sink.metrics
           | None -> ())
         metrics_out;
       Printf.eprintf
@@ -1416,12 +1336,7 @@ let serve_cmd =
       (match tcp with Some p -> Printf.sprintf " tcp:%d" p | None -> "")
       config.Serve.jobs config.Serve.queue;
     Serve.serve ~unix_socket:socket ?tcp_port:tcp t;
-    Option.iter
-      (fun p ->
-        if Filename.check_suffix p ".prom" then
-          write_file p (Serve.metrics_text t)
-        else write_file p (Fpx_obs.Metrics.to_json (Serve.metrics t)))
-      metrics_out;
+    Option.iter (fun p -> write_metrics p (Serve.metrics t)) metrics_out;
     Serve.shutdown t
   in
   Cmd.v
@@ -1451,8 +1366,10 @@ let submit_cmd =
       value & opt string "detect"
       & info [ "tool" ] ~docv:"TOOL"
           ~doc:
-            "detect, analyze, binfpe, a `+`-joined stack, lint, or \
-             replay (sass files only).")
+            (Printf.sprintf
+               "%s, a $(b,+)-joined stack of them, lint, or replay (sass \
+                files only)."
+               tool_names))
   in
   let op =
     Arg.(
@@ -1594,11 +1511,13 @@ let tenant_specs_arg =
     non_empty & pos_all string []
     & info [] ~docv:"TENANT"
         ~doc:
-          "Tenant spec `id=program[:tool[:share[:priority]]]`. TOOL is \
-           detect, detect-backoff, binfpe, analyze or native; SHARE in \
-           (0,1] is the tenant's slot and bandwidth allocation under \
-           partitioned modes; PRIORITY >= 1 is consecutive launch turns \
-           per round-robin round.")
+          (Printf.sprintf
+             "Tenant spec `id=program[:tool[:share[:priority]]]`. TOOL is \
+              %s, or a $(b,+)-joined stack of them (default detect); SHARE \
+              in (0,1] is the tenant's slot and bandwidth allocation under \
+              partitioned modes; PRIORITY >= 1 is consecutive launch turns \
+              per round-robin round."
+             tool_names))
 
 let partition_arg =
   Arg.(
@@ -1676,9 +1595,7 @@ let mt_run_cmd =
       (fun p ->
         let m = Fpx_obs.Metrics.create () in
         Mt.export_metrics r m;
-        if Filename.check_suffix p ".prom" then
-          write_file p (Fpx_obs.Metrics.to_prometheus_text m)
-        else write_file p (Fpx_obs.Metrics.to_json m))
+        write_metrics p m)
       metrics_out;
     if check then begin
       let violations =

@@ -160,7 +160,6 @@ type Fpx_tool.extra += Binfpe of t
 module Tool = struct
   type nonrec t = t
 
-  let id = "binfpe"
   let name _ = "BinFPE"
   let should_instrument _ ~kernel:_ ~invocation:_ = true
   let instrument = instrument

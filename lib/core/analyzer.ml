@@ -331,7 +331,6 @@ type Fpx_tool.extra += Analyzer of t
 module Tool = struct
   type nonrec t = t
 
-  let id = "analyze"
   let name _ = "GPU-FPX analyzer"
 
   let should_instrument t ~kernel ~invocation =

@@ -452,7 +452,6 @@ type Fpx_tool.extra += Detector of t
 module Tool = struct
   type nonrec t = t
 
-  let id = "detect"
   let name _ = "GPU-FPX detector"
   let should_instrument = should_instrument
   let instrument = instrument

@@ -1,53 +1,34 @@
-(* The harness knows every concrete tool, so it owns populating the
-   registry. Registration is explicit (not a module-initialisation side
-   effect): the OCaml linker drops unreferenced modules from library
-   archives, so an [ensure] call from each entry point is the only
-   reliable way to get the entries installed. *)
+(* The one name -> tool table. The CLI, the serve daemon and tenant
+   specs all resolve tool names here; Runner.instance_of_config is the
+   only place that turns a config into a running tool. *)
 
-let default_stack dev =
-  Fpx_tool.stack
-    [ Gpu_fpx.Detector.tool (Gpu_fpx.Detector.create dev);
-      Gpu_fpx.Analyzer.tool (Gpu_fpx.Analyzer.create dev) ]
+let table =
+  [ ("detect", "GPU-FPX detector: per-site exception counts with GT dedup",
+     Runner.Detector Gpu_fpx.Detector.default_config);
+    ("detect-backoff",
+     "GPU-FPX detector, raising -k when a launch floods the channel",
+     Runner.Detector
+       { Gpu_fpx.Detector.default_config with adaptive_backoff = true });
+    ("analyze", "GPU-FPX analyzer: exception flow (appear/propagate/die)",
+     Runner.Analyzer);
+    ("binfpe", "BinFPE baseline: per-lane checks, no global-table dedup",
+     Runner.Binfpe);
+    ("native", "no tool: the uninstrumented program", Runner.No_tool) ]
 
-let entries =
-  [ { Fpx_tool.tool_id = "detect";
-      doc = "GPU-FPX detector: per-site exception counts with GT dedup";
-      make = (fun dev -> Gpu_fpx.Detector.tool (Gpu_fpx.Detector.create dev))
-    };
-    { Fpx_tool.tool_id = "analyze";
-      doc = "GPU-FPX analyzer: exception flow (appear/propagate/die)";
-      make = (fun dev -> Gpu_fpx.Analyzer.tool (Gpu_fpx.Analyzer.create dev))
-    };
-    { Fpx_tool.tool_id = "binfpe";
-      doc = "BinFPE baseline: per-lane checks, no global-table dedup";
-      make = (fun dev -> Fpx_binfpe.Binfpe.tool (Fpx_binfpe.Binfpe.create dev))
-    };
-    { Fpx_tool.tool_id = "detect+analyze";
-      doc = "composed stack: detector and analyzer share one launch";
-      make = default_stack
-    } ]
+let names = List.map (fun (name, _, _) -> name) table
 
-let done_ = ref false
-
-let ensure () =
-  if not !done_ then begin
-    done_ := true;
-    List.iter Fpx_tool.register entries
-  end
+let ensure () = ()
 
 let tool_config_of_name ?(static_prune = false) name =
-  let base = function
-    | "detect" ->
-      Ok (Runner.Detector { Gpu_fpx.Detector.default_config with static_prune })
-    | "analyze" -> Ok Runner.Analyzer
-    | "binfpe" -> Ok Runner.Binfpe
-    | id ->
+  let base id =
+    match List.find_opt (fun (n, _, _) -> n = id) table with
+    | Some (_, _, Runner.Detector c) ->
+      Ok (Runner.Detector { c with Gpu_fpx.Detector.static_prune })
+    | Some (_, _, config) -> Ok config
+    | None ->
       Error
         (Printf.sprintf "unknown tool %S (known: %s)" id
-           (String.concat ", "
-              (List.map
-                 (fun (e : Fpx_tool.entry) -> e.Fpx_tool.tool_id)
-                 (Fpx_tool.registered ()))))
+           (String.concat ", " names))
   in
   match String.split_on_char '+' name with
   | [ one ] -> base one

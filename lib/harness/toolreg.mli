@@ -1,21 +1,22 @@
-(** Populates the {!Fpx_tool} registry with every tool the harness
-    links: the detector, the analyzer, the BinFPE baseline and a
-    composed detector+analyzer stack.
+(** The tool table: every tool name the CLI, the serve daemon and tenant
+    specs accept, resolved to the {!Runner.tool_config} that
+    {!Runner.run} builds the tool from. *)
 
-    Call {!ensure} once from each entry point before consulting
-    {!Fpx_tool.registered} or {!Fpx_tool.lookup}. Registration is
-    deliberately not a module-initialisation side effect — the linker
-    drops unreferenced modules from library archives, which would make
-    the registry's contents depend on what else the binary happens to
-    reference. *)
+val table : (string * string * Runner.tool_config) list
+(** [(name, doc, config)] rows, in listing order: [detect],
+    [detect-backoff], [analyze], [binfpe], [native]. *)
 
-val ensure : unit -> unit
-(** Idempotent; later calls are free. *)
+val names : string list
+(** The names of {!table}, in order. *)
 
 val tool_config_of_name :
   ?static_prune:bool -> string -> (Runner.tool_config, string) result
-(** Resolve a tool name as the CLI and the serve daemon accept it: a
-    registered id ([detect], [analyze], [binfpe]) or a ["+"]-joined
-    composition of them, run as one stack. [static_prune] (default
-    false) only affects detector members. [Error] names the first
-    unknown id and lists the registered ones. *)
+(** Resolve a {!table} name or a ["+"]-joined composition of them, run as
+    one [Runner.Stack]. [static_prune] (default false) only affects
+    detector members. [Error] names the first unknown name and lists the
+    known ones. *)
+
+val ensure : unit -> unit
+(** A no-op, kept only because the frozen end-to-end benchmark
+    ([bench/e2e/fpxbench.ml]) still calls it; remove it with the next
+    benchmark change. *)

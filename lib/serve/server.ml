@@ -40,8 +40,6 @@ type t = {
 }
 
 let create ?(config = default_config) () =
-  (* tool registry must be populated before any Runner.run *)
-  Fpx_harness.Toolreg.ensure ();
   let cfg =
     { config with jobs = max 1 config.jobs; queue = max 0 config.queue }
   in

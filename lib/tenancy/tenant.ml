@@ -17,18 +17,6 @@ let make ?(tool = Runner.Detector Gpu_fpx.Detector.default_config)
   if priority < 1 then invalid_arg "Tenant.make: priority must be >= 1";
   { id; program; tool; slot_share; mem_share; priority }
 
-let tool_of_string = function
-  | "detect" | "detector" ->
-    Some (Runner.Detector Gpu_fpx.Detector.default_config)
-  | "detect-backoff" ->
-    Some
-      (Runner.Detector
-         { Gpu_fpx.Detector.default_config with adaptive_backoff = true })
-  | "binfpe" -> Some Runner.Binfpe
-  | "analyze" | "analyzer" -> Some Runner.Analyzer
-  | "native" | "none" -> Some Runner.No_tool
-  | _ -> None
-
 (* CLI form: id=program[:tool[:share[:priority]]] — [share] is a
    fraction applied to both the warp-slot and bandwidth allocations. *)
 let parse spec =
@@ -45,9 +33,11 @@ let parse spec =
     | program :: opts -> (
       let tool, opts =
         match opts with
-        | o :: rest' when tool_of_string o <> None ->
-          (Option.get (tool_of_string o), rest')
-        | _ -> (Runner.Detector Gpu_fpx.Detector.default_config, opts)
+        | o :: rest' -> (
+          match Fpx_harness.Toolreg.tool_config_of_name o with
+          | Ok tool -> (Some tool, rest')
+          | Error _ -> (None, opts))
+        | [] -> (None, opts)
       in
       let share, opts =
         match opts with
@@ -69,7 +59,7 @@ let parse spec =
       | [] ->
         let slot_share = Option.value share ~default:0.5 in
         Ok
-          (make ~tool ~slot_share ~mem_share:slot_share ~priority ~program id)
+          (make ?tool ~slot_share ~mem_share:slot_share ~priority ~program id)
       | junk ->
         Error
           (Printf.sprintf "tenant spec %S: unrecognised suffix %S" spec

@@ -26,10 +26,8 @@ val make :
     priority 1. Raises [Invalid_argument] on an empty id, non-positive
     shares, or priority < 1. *)
 
-val tool_of_string : string -> Fpx_harness.Runner.tool_config option
-(** ["detect"], ["detect-backoff"] (adaptive backoff on), ["binfpe"],
-    ["analyze"], ["native"]. *)
-
 val parse : string -> (t, string) result
-(** Parse the CLI form [id=program[:tool[:share[:priority]]]] — [share]
-    in (0, 1] applies to both the slot and bandwidth allocations. *)
+(** Parse the CLI form [id=program[:tool[:share[:priority]]]] — [tool]
+    is any name {!Fpx_harness.Toolreg.tool_config_of_name} resolves
+    (default [detect]); [share] in (0, 1] applies to both the slot and
+    bandwidth allocations. *)

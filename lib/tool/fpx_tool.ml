@@ -30,7 +30,6 @@ let cells_of count_fn =
 module type S = sig
   type t
 
-  val id : string
   val name : t -> string
   val should_instrument : t -> kernel:string -> invocation:int -> bool
   val instrument : t -> Fpx_sass.Program.t -> Inject.t -> unit
@@ -41,7 +40,6 @@ end
 
 type instance = Instance : (module S with type t = 'a) * 'a -> instance
 
-let id (Instance ((module T), _)) = T.id
 let name (Instance ((module T), t)) = T.name t
 
 let should_instrument (Instance ((module T), t)) ~kernel ~invocation =
@@ -80,7 +78,6 @@ let merge_reports reports =
 module Stack_tool = struct
   type t = instance list
 
-  let id = "stack"
   let name ts = "stack(" ^ String.concat "+" (List.map name ts) ^ ")"
 
   (* Instrumentation is all-or-nothing per launch (one JIT-ed binary per
@@ -106,21 +103,3 @@ module Stack_tool = struct
 end
 
 let stack members = Instance ((module Stack_tool), members)
-
-(* --- Registry --------------------------------------------------------- *)
-
-type entry = {
-  tool_id : string;
-  doc : string;
-  make : Fpx_gpu.Device.t -> instance;
-}
-
-let registry : (string, entry) Hashtbl.t = Hashtbl.create 8
-
-let register e = Hashtbl.replace registry e.tool_id e
-let lookup tool_id = Hashtbl.find_opt registry tool_id
-
-let registered () =
-  List.sort
-    (fun a b -> compare a.tool_id b.tool_id)
-    (Hashtbl.fold (fun _ e acc -> e :: acc) registry [])

@@ -4,7 +4,7 @@
     baseline, or any composition of them — is a value of {!S} driven by
     the NVBit-style runtime through one fixed lifecycle:
 
-    - {e init}: the tool's [create] function (see {!entry.make});
+    - {e init}: the tool's [create] function;
     - {e on-launch}: {!S.should_instrument} + {!S.on_launch_begin};
     - {e before-instr} / {e after-instr}: the callbacks the tool plants
       with {!Inject.insert_before} / {!Inject.insert_after} inside
@@ -50,9 +50,6 @@ val cells_of :
 module type S = sig
   type t
 
-  val id : string
-  (** Stable registry/CLI identifier, e.g. ["detect"]. *)
-
   val name : t -> string
   (** Display name, e.g. ["GPU-FPX detector"]. *)
 
@@ -78,7 +75,6 @@ type instance = Instance : (module S with type t = 'a) * 'a -> instance
 (** A tool packed with its state — what {!Fpx_nvbit.Runtime.attach}
     accepts. *)
 
-val id : instance -> string
 val name : instance -> string
 val should_instrument : instance -> kernel:string -> invocation:int -> bool
 val instrument : instance -> Fpx_sass.Program.t -> Inject.t -> unit
@@ -96,23 +92,3 @@ val stack : instance list -> instance
     drains after every launch. Instrumentation is all-or-nothing per
     launch, so the stack instruments whenever {e any} member's sampling
     policy would. *)
-
-(** {2 Registry}
-
-    The CLI and the harness discover tools here instead of hard-coding
-    the three built-ins. *)
-
-type entry = {
-  tool_id : string;  (** e.g. ["binfpe"]. *)
-  doc : string;  (** One-line description for [--help]. *)
-  make : Fpx_gpu.Device.t -> instance;
-      (** Build the tool with its default configuration. *)
-}
-
-val register : entry -> unit
-(** Idempotent per [tool_id] (last registration wins). *)
-
-val lookup : string -> entry option
-
-val registered : unit -> entry list
-(** All entries, sorted by [tool_id]. *)

@@ -59,7 +59,18 @@ run "one bench writer" \
        /open_out|Json\.to_string|J\.to_string|\{\\"/{n++; if (!inside) bad = 1}
        END{exit bad || n == 0}' bench/main.ml
 
+# One tool table: every tool name resolves through Toolreg.table. No
+# mutable registry and no second name -> tool mapping may come back.
+run "one tool table" \
+  sh -c '! grep -rnE "Fpx_tool\.(register|lookup|registered|entry)|tool_of_string" lib bin'
+
 run "dune runtest" dune runtest
+
+# A standalone .sass kernel that traps ends in the documented crash exit
+# (3), not an uncaught exception.
+run "run-sass trap smoke" \
+  sh -c 'dune exec bin/fpx_run.exe -- run-sass examples/sass/oob_load.sass \
+           >/dev/null; test $? -eq 3'
 
 # Smoke the architectural bit-flip campaign end to end: a pinned-seed
 # plan through the real CLI, with the kill (--halt-after) + --resume

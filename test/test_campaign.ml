@@ -9,8 +9,6 @@ module Mutate = Fpx_sass.Mutate
 module Program = Fpx_sass.Program
 module R = Fpx_harness.Runner
 
-let () = Fpx_harness.Toolreg.ensure ()
-
 (* --- Prng.pick on an empty array (the campaign's drawing sites) ------ *)
 
 let test_pick_empty_raises () =

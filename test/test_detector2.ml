@@ -146,10 +146,6 @@ let test_tool_names () =
     (Fpx_tool.name (A.tool (A.create dev)));
   Alcotest.(check string) "binfpe name" "BinFPE"
     (Fpx_tool.name (Fpx_binfpe.Binfpe.tool (Fpx_binfpe.Binfpe.create dev)));
-  Alcotest.(check string) "stack id" "stack"
-    (Fpx_tool.id
-       (Fpx_tool.stack
-          [ D.tool (D.create dev); A.tool (A.create dev) ]));
   Alcotest.(check string) "stack name" "stack(GPU-FPX detector+GPU-FPX analyzer)"
     (Fpx_tool.name
        (Fpx_tool.stack

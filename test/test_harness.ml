@@ -302,6 +302,23 @@ let test_to_json_escaping () =
   Alcotest.(check bool) "no raw newline" true
     (not (String.contains j '\n'))
 
+(* A standalone .sass kernel that traps (an out-of-bounds load) ends in a
+   Faulted measurement on the standard runner path, never an uncaught
+   exception: the path `fpx_run run-sass` and serve .sass submits take. *)
+let test_trapping_sass_faults () =
+  let f =
+    Fpx_sass.Parse.file
+      ".kernel trap_oob\n.launch 1 32\n  MOV R2, 0x7fffff00 ;\n\
+      \  LDG.E.32 R4, R2 ;\n  EXIT ;\n"
+  in
+  let w = Fpx_fuzz.Repro.workload (Fpx_fuzz.Repro.of_file f) in
+  match (R.run ~tool:detector w).R.status with
+  | R.Faulted msg ->
+    Alcotest.(check string) "trap message"
+      "global access out of bounds: 4 bytes at 0x7fffff00 in kernel trap_oob"
+      msg
+  | s -> Alcotest.fail ("expected faulted, got " ^ R.status_to_string s)
+
 let suite =
   ( "harness",
     [ Alcotest.test_case "geomean" `Quick test_geomean;
@@ -331,6 +348,8 @@ let suite =
         test_json_escape_roundtrip;
       Alcotest.test_case "to_json golden file" `Quick test_to_json_golden;
       Alcotest.test_case "to_json escaping" `Quick test_to_json_escaping;
+      Alcotest.test_case "trapping .sass run faults" `Quick
+        test_trapping_sass_faults;
       Alcotest.test_case "catalog sweep dyn instrs pinned" `Quick
         test_catalog_dyn_instrs;
       Alcotest.test_case "headline claim (subset)" `Slow test_headline_claims ] )

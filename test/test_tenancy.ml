@@ -108,16 +108,44 @@ let test_tenant_parse () =
   bad "a=p:detect:1.5";
   bad "a=p:detect:0.5:0"
 
-let test_tool_of_string () =
-  Alcotest.(check bool) "native" true
-    (Tenant.tool_of_string "native" = Some R.No_tool);
-  Alcotest.(check bool) "binfpe" true
-    (Tenant.tool_of_string "binfpe" = Some R.Binfpe);
-  (match Tenant.tool_of_string "detect-backoff" with
-  | Some (R.Detector c) ->
-    Alcotest.(check bool) "backoff on" true c.Gpu_fpx.Detector.adaptive_backoff
-  | _ -> Alcotest.fail "detect-backoff");
-  Alcotest.(check bool) "unknown" true (Tenant.tool_of_string "x" = None)
+(* Every tool name resolves through the one Toolreg table, to the same
+   config from the CLI resolver, a tenant spec and a serve submission. *)
+let test_tool_names () =
+  let module Toolreg = Fpx_harness.Toolreg in
+  let module J = Fpx_obs.Json in
+  let t = Fpx_serve.Server.create () in
+  Fun.protect ~finally:(fun () -> Fpx_serve.Server.shutdown t) @@ fun () ->
+  let submit name =
+    J.parse
+      (Fpx_serve.Server.handle t
+         (J.to_string
+            (J.Obj
+               [ ("op", J.Str "submit"); ("tool", J.Str name);
+                 ("program", J.Str "Triad") ])))
+  in
+  let resolves name config =
+    Alcotest.(check bool) (name ^ ": tool_config_of_name") true
+      (Toolreg.tool_config_of_name name = Ok config);
+    Alcotest.(check bool) (name ^ ": tenant spec") true
+      (match Tenant.parse ("t=Triad:" ^ name) with
+      | Ok tn -> tn.Tenant.tool = config
+      | Error _ -> false);
+    let r = submit name in
+    Alcotest.(check (option string)) (name ^ ": submit") (Some "ok")
+      (J.str_field "status" r);
+    Alcotest.(check (option string)) (name ^ ": submitted tool")
+      (Some (R.tool_config_to_string config))
+      (Option.bind (J.member "payload" r) (J.str_field "tool"))
+  in
+  List.iter (fun (name, _, config) -> resolves name config) Toolreg.table;
+  resolves "detect+analyze"
+    (R.Stack [ R.Detector Gpu_fpx.Detector.default_config; R.Analyzer ]);
+  Alcotest.(check bool) "magic: tool_config_of_name" true
+    (Result.is_error (Toolreg.tool_config_of_name "magic"));
+  Alcotest.(check bool) "magic: tenant spec" true
+    (Result.is_error (Tenant.parse "t=Triad:magic"));
+  Alcotest.(check (option string)) "magic: submit" (Some "error")
+    (J.str_field "status" (submit "magic"))
 
 (* --- Quotas ------------------------------------------------------------ *)
 
@@ -298,7 +326,7 @@ let suite =
         test_meter_partitioned;
       Alcotest.test_case "partition strings" `Quick test_partition_strings;
       Alcotest.test_case "tenant spec parsing" `Quick test_tenant_parse;
-      Alcotest.test_case "tool names" `Quick test_tool_of_string;
+      Alcotest.test_case "tool names" `Quick test_tool_names;
       Alcotest.test_case "quota admission" `Quick test_quota;
       Alcotest.test_case "quota default override" `Quick
         test_quota_default_override;
