@@ -250,15 +250,15 @@ let export_obs ?trace_out ?metrics_out obs =
     Option.iter
       (fun p ->
         let tr = a.Fpx_obs.Sink.trace in
-        write_file p (Fpx_obs.Trace.to_chrome_json tr);
-        let d = Fpx_obs.Trace.dropped tr in
+        write_file p (Fpx_obs.Span.to_chrome_json tr);
+        let d = Fpx_obs.Span.dropped tr in
         if d > 0 then
           Printf.eprintf
             "fpx_run: warning: trace ring wrapped — %s holds the last %d of \
              %d events (%d dropped; raise the ring capacity to keep them)\n"
             p
-            (Fpx_obs.Trace.length tr)
-            (Fpx_obs.Trace.recorded tr)
+            (Fpx_obs.Span.recorded tr - d)
+            (Fpx_obs.Span.recorded tr)
             d)
       trace_out;
     Option.iter (fun p -> write_metrics p a.Fpx_obs.Sink.metrics) metrics_out

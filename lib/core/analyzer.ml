@@ -273,7 +273,7 @@ let instrument t prog b =
                       Fpx_obs.Profile.add_exce a.Fpx_obs.Sink.profile
                         ~kernel:prog.Program.name ~pc:i.Instr.pc
                         ~label:(Instr.sass_string i) ~n:1 ();
-                      Fpx_obs.Trace.instant a.Fpx_obs.Sink.trace
+                      Fpx_obs.Span.instant a.Fpx_obs.Sink.trace
                         ~tid:api.Exec.warp_index
                         ~name:(state_to_string state) ~cat:"exception"
                         ~ts:
@@ -281,8 +281,8 @@ let instrument t prog b =
                              ~launch_cycles:
                                (Stats.total_cycles ctx.Exec.stats))
                         ~args:
-                          [ ("kernel", Fpx_obs.Trace.S prog.Program.mangled);
-                            ("loc", Fpx_obs.Trace.S (Instr.loc_string i)) ]
+                          [ ("kernel", Fpx_obs.Span.S prog.Program.mangled);
+                            ("loc", Fpx_obs.Span.S (Instr.loc_string i)) ]
                         ());
                     Channel.push t.channel ~stats:ctx.Exec.stats
                       {
@@ -303,12 +303,12 @@ let on_drain t stats =
   (match t.obs with
   | None -> ()
   | Some a ->
-    Fpx_obs.Trace.instant a.Fpx_obs.Sink.trace ~name:"channel_flush"
+    Fpx_obs.Span.instant a.Fpx_obs.Sink.trace ~name:"channel_flush"
       ~cat:"channel"
       ~ts:(Fpx_obs.Sink.now a ~launch_cycles:(Stats.total_cycles stats))
       ~args:
-        [ ("tool", Fpx_obs.Trace.S "analyzer");
-          ("records", Fpx_obs.Trace.I (List.length rs)) ]
+        [ ("tool", Fpx_obs.Span.S "analyzer");
+          ("records", Fpx_obs.Span.I (List.length rs)) ]
       ());
   t.reports_rev <- List.rev_append rs t.reports_rev
 

@@ -193,16 +193,16 @@ let push_record t (ctx : Exec.ctx) (api : Exec.warp_api) ~kernel ~loc ~fmt e
      match t.obs with
      | None -> ()
      | Some a ->
-       Fpx_obs.Trace.instant a.Fpx_obs.Sink.trace ~tid:api.Exec.warp_index
+       Fpx_obs.Span.instant a.Fpx_obs.Sink.trace ~tid:api.Exec.warp_index
          ~name:"exception" ~cat:"exception"
          ~ts:
            (Fpx_obs.Sink.now a
               ~launch_cycles:(Stats.total_cycles ctx.Exec.stats))
          ~args:
-           [ ("kernel", Fpx_obs.Trace.S kernel);
-             ("loc", Fpx_obs.Trace.S loc);
-             ("format", Fpx_obs.Trace.S (Isa.fp_format_to_string fmt));
-             ("kind", Fpx_obs.Trace.S (Exce.to_string e)) ]
+           [ ("kernel", Fpx_obs.Span.S kernel);
+             ("loc", Fpx_obs.Span.S loc);
+             ("format", Fpx_obs.Span.S (Isa.fp_format_to_string fmt));
+             ("kind", Fpx_obs.Span.S (Exce.to_string e)) ]
          ());
   delivered
 
@@ -349,12 +349,12 @@ let on_launch_end t stats ~kernel:_ =
   (match t.obs with
   | None -> ()
   | Some a ->
-    Fpx_obs.Trace.instant a.Fpx_obs.Sink.trace ~name:"channel_flush"
+    Fpx_obs.Span.instant a.Fpx_obs.Sink.trace ~name:"channel_flush"
       ~cat:"channel"
       ~ts:(Fpx_obs.Sink.now a ~launch_cycles:(Stats.total_cycles stats))
       ~args:
-        [ ("tool", Fpx_obs.Trace.S "detector");
-          ("records", Fpx_obs.Trace.I (List.length idxs)) ]
+        [ ("tool", Fpx_obs.Span.S "detector");
+          ("records", Fpx_obs.Span.I (List.length idxs)) ]
       ();
     Fpx_obs.Metrics.set
       (Fpx_obs.Metrics.gauge a.Fpx_obs.Sink.metrics

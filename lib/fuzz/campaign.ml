@@ -33,7 +33,7 @@ type summary = {
 let check_case (cfg : config) id =
   Fpx_obs.Span.with_ ~cat:"fuzz"
     ~args:
-      (if Fpx_obs.Span.enabled () then [ ("id", Fpx_obs.Trace.I id) ] else [])
+      (if Fpx_obs.Span.enabled () then [ ("id", Fpx_obs.Span.I id) ] else [])
     "fuzz.case"
   @@ fun () ->
   let c = Sassgen.case ~seed:cfg.seed ~id in
@@ -61,9 +61,9 @@ let run (cfg : config) =
   Fpx_obs.Span.with_ ~cat:"fuzz"
     ~args:
       (if Fpx_obs.Span.enabled () then
-         [ ("seed", Fpx_obs.Trace.I cfg.seed);
-           ("runs", Fpx_obs.Trace.I cfg.runs);
-           ("jobs", Fpx_obs.Trace.I cfg.jobs) ]
+         [ ("seed", Fpx_obs.Span.I cfg.seed);
+           ("runs", Fpx_obs.Span.I cfg.runs);
+           ("jobs", Fpx_obs.Span.I cfg.jobs) ]
        else [])
     "fuzz.campaign"
   @@ fun () ->

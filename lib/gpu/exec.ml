@@ -686,15 +686,15 @@ let run_decoded ?hooks ?(max_dyn_instrs = 50_000_000) ~device ~grid ~block
               Option.iter Fpx_obs.Metrics.incr divergent_steps;
             if !dv <> diverged.(w) then begin
               diverged.(w) <- !dv;
-              Fpx_obs.Trace.instant a.Fpx_obs.Sink.trace ~tid:warp_index
+              Fpx_obs.Span.instant a.Fpx_obs.Sink.trace ~tid:warp_index
                 ~name:(if !dv then "warp_diverge" else "warp_reconverge")
                 ~cat:"simt"
                 ~ts:
                   (Fpx_obs.Sink.now a
                      ~launch_cycles:(Stats.total_cycles stats))
                 ~args:
-                  [ ("kernel", Fpx_obs.Trace.S prog.Program.name);
-                    ("pc", Fpx_obs.Trace.I m) ]
+                  [ ("kernel", Fpx_obs.Span.S prog.Program.name);
+                    ("pc", Fpx_obs.Span.I m) ]
                 ()
             end);
           match e.Decode.uop with

@@ -97,7 +97,7 @@ let run_body ?cost ?(obs = Fpx_obs.Sink.null) ?fault ?bw ?on_launch ~mode
   let abort =
     Fpx_obs.Span.with_ ~cat:"run"
       ~args:
-        (if Fpx_obs.Span.enabled () then [ ("program", Fpx_obs.Trace.S w.W.name) ]
+        (if Fpx_obs.Span.enabled () then [ ("program", Fpx_obs.Span.S w.W.name) ]
          else [])
       "run.body"
       (fun () ->
@@ -167,7 +167,7 @@ let run_body ?cost ?(obs = Fpx_obs.Sink.null) ?fault ?bw ?on_launch ~mode
      looks complete unless a counter says otherwise. *)
   (match Fpx_obs.Sink.active obs with
   | Some a ->
-    let d = Fpx_obs.Trace.dropped a.Fpx_obs.Sink.trace in
+    let d = Fpx_obs.Span.dropped a.Fpx_obs.Sink.trace in
     if d > 0 then
       Fpx_obs.Metrics.add_named a.Fpx_obs.Sink.metrics
         ~help:"Trace events overwritten by ring wrap-around"

@@ -10,8 +10,8 @@ let run ?(jobs = 1) ?cost ?(observe = false) ?fault ?mode ~tool programs =
   Fpx_obs.Span.with_ ~cat:"sweep"
     ~args:
       (if Fpx_obs.Span.enabled () then
-         [ ("jobs", Fpx_obs.Trace.I jobs);
-           ("programs", Fpx_obs.Trace.I (List.length programs)) ]
+         [ ("jobs", Fpx_obs.Span.I jobs);
+           ("programs", Fpx_obs.Span.I (List.length programs)) ]
        else [])
     "sweep.run"
     (fun () ->

@@ -67,7 +67,7 @@ let instrumented_hooks t tool prog =
     let h =
       Fpx_obs.Span.with_ ~cat:"jit"
         ~args:
-          (if Fpx_obs.Span.enabled () then [ ("kernel", Fpx_obs.Trace.S key) ]
+          (if Fpx_obs.Span.enabled () then [ ("kernel", Fpx_obs.Span.S key) ]
            else [])
         "jit.instrument"
         (fun () ->
@@ -84,11 +84,11 @@ let instrumented_hooks t tool prog =
       | Some _, Some a when Fault.fire a Fault.Jit_fail ->
         (match Fpx_obs.Sink.active t.dev.Device.obs with
         | Some ob ->
-          Fpx_obs.Trace.instant ob.Fpx_obs.Sink.trace ~name:"jit_fail"
+          Fpx_obs.Span.instant ob.Fpx_obs.Sink.trace ~name:"jit_fail"
             ~cat:"fault" ~ts:ob.Fpx_obs.Sink.cycle_base
             ~args:
-              [ ("kernel", Fpx_obs.Trace.S key);
-                ("tool", Fpx_obs.Trace.S (Fpx_tool.name tool)) ]
+              [ ("kernel", Fpx_obs.Span.S key);
+                ("tool", Fpx_obs.Span.S (Fpx_tool.name tool)) ]
             ()
         | None -> ());
         None
@@ -97,14 +97,14 @@ let instrumented_hooks t tool prog =
     Hashtbl.add t.jit_cache key h;
     (match Fpx_obs.Sink.active t.dev.Device.obs, h with
     | Some a, Some _ ->
-      Fpx_obs.Trace.instant a.Fpx_obs.Sink.trace ~name:"jit_instrument"
+      Fpx_obs.Span.instant a.Fpx_obs.Sink.trace ~name:"jit_instrument"
         ~cat:"jit"
         ~ts:a.Fpx_obs.Sink.cycle_base
         ~args:
-          [ ("kernel", Fpx_obs.Trace.S key);
-            ("tool", Fpx_obs.Trace.S (Fpx_tool.name tool));
+          [ ("kernel", Fpx_obs.Span.S key);
+            ("tool", Fpx_obs.Span.S (Fpx_tool.name tool));
             ( "static_instrs",
-              Fpx_obs.Trace.I (Fpx_sass.Program.length prog) ) ]
+              Fpx_obs.Span.I (Fpx_sass.Program.length prog) ) ]
         ()
     | _, _ -> ());
     h
@@ -188,14 +188,14 @@ let launch t ?(grid = 1) ?(block = 32) ~params prog =
   | Some a ->
     let dur = Stats.total_cycles stats in
     let ts0 = a.Fpx_obs.Sink.cycle_base in
-    Fpx_obs.Trace.complete a.Fpx_obs.Sink.trace ~name:kernel ~cat:"kernel"
+    Fpx_obs.Span.complete a.Fpx_obs.Sink.trace ~name:kernel ~cat:"kernel"
       ~ts:ts0 ~dur
       ~args:
-        [ ("grid", Fpx_obs.Trace.I grid);
-          ("block", Fpx_obs.Trace.I block);
-          ("invocation", Fpx_obs.Trace.I invocation);
-          ("dyn_instrs", Fpx_obs.Trace.I stats.Stats.dyn_instrs);
-          ("records", Fpx_obs.Trace.I stats.Stats.records_pushed) ]
+        [ ("grid", Fpx_obs.Span.I grid);
+          ("block", Fpx_obs.Span.I block);
+          ("invocation", Fpx_obs.Span.I invocation);
+          ("dyn_instrs", Fpx_obs.Span.I stats.Stats.dyn_instrs);
+          ("records", Fpx_obs.Span.I stats.Stats.records_pushed) ]
       ();
     a.Fpx_obs.Sink.cycle_base <- ts0 + dur;
     let m = a.Fpx_obs.Sink.metrics in

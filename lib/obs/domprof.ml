@@ -62,45 +62,9 @@ let percentile q = function
     let n = Array.length a in
     a.(min (n - 1) (int_of_float (q *. float_of_int n)))
 
-(* Self time = duration minus the durations of direct children (same
-   track, depth + 1, nested inside the interval). Quadratic per track,
-   fine at sweep scale; self times are clamped at 0 so a ring-dropped
-   parent or child can only under-attribute, never go negative. *)
-let self_times spans =
-  let by_track = Hashtbl.create 8 in
-  List.iter
-    (fun (sp : Span.span) ->
-      let l =
-        match Hashtbl.find_opt by_track sp.Span.track with
-        | Some l -> l
-        | None ->
-          let l = ref [] in
-          Hashtbl.add by_track sp.Span.track l;
-          l
-      in
-      l := sp :: !l)
-    spans;
-  let eps = 1e-9 in
-  List.map
-    (fun (sp : Span.span) ->
-      let siblings = !(Hashtbl.find by_track sp.Span.track) in
-      let child_sum =
-        List.fold_left
-          (fun acc (c : Span.span) ->
-            if
-              c.Span.depth = sp.Span.depth + 1
-              && c.Span.t0 >= sp.Span.t0 -. eps
-              && c.Span.t0 +. c.Span.dur <= sp.Span.t0 +. sp.Span.dur +. eps
-            then acc +. c.Span.dur
-            else acc)
-          0.0 siblings
-      in
-      (sp, max 0.0 (sp.Span.dur -. child_sum)))
-    spans
-
 let of_spans ~jobs ~wall_s t =
-  let spans = Span.spans t in
-  let selfs = self_times spans in
+  let selfs = Span.self_times t in
+  let spans = List.map fst selfs in
   let phase_tbl = Hashtbl.create 16 in
   List.iter
     (fun ((sp : Span.span), self) ->
@@ -141,7 +105,7 @@ let of_spans ~jobs ~wall_s t =
         List.fold_left
           (fun acc (k, v) ->
             match (k, v) with
-            | "queue_remaining", Trace.I n -> Some (float_of_int n)
+            | "queue_remaining", Span.I n -> Some (float_of_int n)
             | _ -> acc)
           None sp.Span.args)
       task_spans

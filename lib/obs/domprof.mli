@@ -47,9 +47,6 @@ val of_spans : jobs:int -> wall_s:float -> Span.t -> breakdown
 (** Aggregate a joined recorder. [wall_s] is the caller-measured wall
     time of the region the recorder covered. *)
 
-val phase_total : breakdown -> string -> float
-(** Total self seconds of one phase key (0 if absent). *)
-
 (** {1 Diagnosis} *)
 
 type contribution = {
@@ -79,7 +76,6 @@ val diagnose : base:breakdown -> target:breakdown -> diagnosis
 
 (** {1 Rendering} *)
 
-val breakdown_json : breakdown -> string
 val diagnosis_json : diagnosis -> string
 (** One JSON object, newline-terminated. *)
 

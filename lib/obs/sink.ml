@@ -1,6 +1,6 @@
 type active = {
   metrics : Metrics.t;
-  trace : Trace.t;
+  trace : Span.t;
   profile : Profile.t;
   mutable cycle_base : int;
 }
@@ -13,7 +13,7 @@ let create ?trace_capacity () =
   Active
     {
       metrics = Metrics.create ();
-      trace = Trace.create ?capacity:trace_capacity ();
+      trace = Span.cycles ?capacity:trace_capacity ();
       profile = Profile.create ();
       cycle_base = 0;
     }
@@ -28,6 +28,6 @@ let summary = function
     Some
       (Printf.sprintf
          "obs: %d trace events (%d dropped), %d metrics, %d profiled sites"
-         (Trace.recorded a.trace) (Trace.dropped a.trace)
+         (Span.recorded a.trace) (Span.dropped a.trace)
          (Metrics.cardinal a.metrics)
          (Profile.cardinal a.profile))

@@ -8,7 +8,7 @@
 
 type active = {
   metrics : Metrics.t;
-  trace : Trace.t;
+  trace : Span.t;  (** A {!Span.cycles} recorder. *)
   profile : Profile.t;
   mutable cycle_base : int;
       (** Simulated-cycle offset of the current launch: the runtime

@@ -5,11 +5,9 @@ let recommended_jobs () = Domain.recommended_domain_count ()
 let span_task i remaining =
   if Fpx_obs.Span.enabled () then
     Fpx_obs.Span.begin_ ~cat:"sched"
-      ~args:[ ("i", Fpx_obs.Trace.I i);
-              ("queue_remaining", Fpx_obs.Trace.I remaining) ]
+      ~args:[ ("i", Fpx_obs.Span.I i);
+              ("queue_remaining", Fpx_obs.Span.I remaining) ]
       "sched.task"
-
-let span_end () = if Fpx_obs.Span.enabled () then Fpx_obs.Span.end_ ()
 
 module Pool = struct
   type 'a outcome = ('a, exn * Printexc.raw_backtrace) result
@@ -146,13 +144,13 @@ let map ~jobs f xs =
     let out = Array.make n None in
     let compute i =
       span_task i (n - 1 - i);
-      Fun.protect ~finally:span_end (fun () ->
+      Fun.protect ~finally:Fpx_obs.Span.end_ (fun () ->
           out.(i) <- Some (Pool.capture (fun () -> f arr.(i))))
     in
     Fpx_obs.Span.with_ ~cat:"sched"
       ~args:
         (if Fpx_obs.Span.enabled () then
-           [ ("jobs", Fpx_obs.Trace.I jobs); ("n", Fpx_obs.Trace.I n) ]
+           [ ("jobs", Fpx_obs.Span.I jobs); ("n", Fpx_obs.Span.I n) ]
          else [])
       "sched.map"
       (fun () ->
@@ -174,7 +172,7 @@ let map ~jobs f xs =
                   if Fpx_obs.Span.enabled () then
                     Fpx_obs.Span.begin_ ~cat:"sched" "sched.claim";
                   let i = Atomic.fetch_and_add next 1 in
-                  span_end ();
+                  Fpx_obs.Span.end_ ();
                   if i >= n then continue := false else compute i
                 done)
           in

@@ -33,8 +33,9 @@ let read_exact fd n ~eof_ok =
 let read_header fd = Option.map Bytes.to_string (read_exact fd 4 ~eof_ok:true)
 
 let read_payload fd header =
-  let n = Int32.to_int (String.get_int32_be header 0) in
-  if n < 0 || n > max_frame then raise (Frame_too_large n);
+  (* the prefix is unsigned: 0x80000000 is 2 GiB, not a negative size *)
+  let n = Int32.to_int (String.get_int32_be header 0) land 0xffff_ffff in
+  if n > max_frame then raise (Frame_too_large n);
   match read_exact fd n ~eof_ok:false with
   | Some payload -> Bytes.to_string payload
   | None -> assert false

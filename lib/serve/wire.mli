@@ -1,6 +1,6 @@
 (** Frame codec for the serve socket protocol.
 
-    Every request and response is one frame: a 4-byte big-endian
+    Every request and response is one frame: a 4-byte big-endian unsigned
     payload length followed by that many bytes of UTF-8 JSON. The
     length cap keeps a malformed or hostile peer from ballooning the
     daemon's memory. *)

@@ -162,7 +162,7 @@ let run ?(partition = Bandwidth.No_partition) ?(cost = Cost.default)
             Fpx_obs.Span.with_ ~cat:"mt"
               ~args:
                 (if Fpx_obs.Span.enabled () then
-                   [ ("tenant", Fpx_obs.Trace.S ts.(i).Tenant.id) ]
+                   [ ("tenant", Fpx_obs.Span.S ts.(i).Tenant.id) ]
                  else [])
               "mt.turn"
               (fun () -> Effect.Deep.continue k ());

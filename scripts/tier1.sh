@@ -64,6 +64,13 @@ run "one bench writer" \
 run "one tool table" \
   sh -c '! grep -rnE "Fpx_tool\.(register|lookup|registered|entry)|tool_of_string" lib bin'
 
+# One event recorder: Fpx_obs.Span records both the wall-clock and the
+# simulated-cycle timelines. No second recorder or span-to-trace copy
+# may come back.
+run "one event recorder" \
+  sh -c '! test -e lib/obs/trace.ml &&
+         ! grep -rnE "Fpx_obs\.Trace|Obs\.Trace|to_trace" lib bin bench/main.ml test'
+
 run "dune runtest" dune runtest
 
 # A standalone .sass kernel that traps ends in the documented crash exit

@@ -4,7 +4,7 @@
 
 module Obs = Fpx_obs
 module M = Fpx_obs.Metrics
-module T = Fpx_obs.Trace
+module Span = Fpx_obs.Span
 module R = Fpx_harness.Runner
 module Catalog = Fpx_workloads.Catalog
 
@@ -82,31 +82,31 @@ let test_metrics_histogram_and_render () =
   Alcotest.(check bool) "labelled sample passes through" true
     (contains ~sub:"fpx_e_total{kind=\"NaN\"} 3" prom)
 
-(* --- Trace ring ----------------------------------------------------------- *)
+(* --- The simulated-cycle recorder ------------------------------------ *)
 
 let test_trace_ring_drops_oldest () =
-  let t = T.create ~capacity:4 () in
+  let t = Span.cycles ~capacity:4 () in
   for i = 1 to 10 do
-    T.instant t ~name:(Printf.sprintf "e%d" i) ~cat:"test" ~ts:i ()
+    Span.instant t ~name:(Printf.sprintf "e%d" i) ~cat:"test" ~ts:i ()
   done;
-  Alcotest.(check int) "recorded" 10 (T.recorded t);
-  Alcotest.(check int) "retained" 4 (T.length t);
-  Alcotest.(check int) "dropped" 6 (T.dropped t);
-  let json = T.to_chrome_json t in
+  Alcotest.(check int) "recorded" 10 (Span.recorded t);
+  Alcotest.(check int) "retained" 4 (List.length (Span.spans t));
+  Alcotest.(check int) "dropped" 6 (Span.dropped t);
+  let json = Span.to_chrome_json t in
   Alcotest.(check bool) "oldest gone" false (contains ~sub:"\"e6\"" json);
   Alcotest.(check bool) "newest kept" true (contains ~sub:"\"e10\"" json);
   Alcotest.(check bool) "drop count exported" true
     (contains ~sub:"\"dropped_events\":6" json)
 
 let test_trace_chrome_shape () =
-  let t = T.create ~capacity:16 () in
-  T.complete t ~name:"kernel" ~cat:"kernel" ~ts:0 ~dur:100
-    ~args:[ ("grid", T.I 4); ("ok", T.B true) ]
+  let t = Span.cycles ~capacity:16 () in
+  Span.complete t ~name:"kernel" ~cat:"kernel" ~ts:0 ~dur:100
+    ~args:[ ("grid", Span.I 4); ("ok", Span.B true) ]
     ();
-  T.instant t ~tid:3 ~name:"exception" ~cat:"exception" ~ts:42
-    ~args:[ ("kind", T.S "NaN"); ("x", T.F 0.5) ]
+  Span.instant t ~tid:3 ~name:"exception" ~cat:"exception" ~ts:42
+    ~args:[ ("kind", Span.S "NaN"); ("x", Span.F 0.5) ]
     ();
-  let json = T.to_chrome_json t in
+  let json = Span.to_chrome_json t in
   Alcotest.(check bool) "wrapper" true
     (contains ~sub:"{\"traceEvents\":[" json);
   Alcotest.(check bool) "span" true (contains ~sub:"\"ph\":\"X\"" json);
@@ -116,21 +116,31 @@ let test_trace_chrome_shape () =
   Alcotest.(check bool) "string arg" true
     (contains ~sub:"\"kind\":\"NaN\"" json);
   Alcotest.(check bool) "clock note" true
-    (contains ~sub:"simulated-cycles" json)
+    (contains ~sub:"simulated-cycles" json);
+  Alcotest.(check bool) "no lane metadata on the cycle clock" false
+    (contains ~sub:"\"ph\":\"M\"" json)
 
-let test_trace_meta_and_pid () =
-  let t = T.create ~capacity:8 () in
-  T.meta t ~tid:0 ~name:"process_name" ~value:"fpx-spans" ();
-  T.meta t ~tid:3 ~name:"thread_name" ~value:"domain-7" ();
-  T.complete t ~pid:2 ~tid:3 ~name:"work" ~cat:"span" ~ts:5 ~dur:10 ();
-  let json = T.to_chrome_json ~clock:"wall-clock-us" t in
+let test_trace_meta () =
+  let t = Span.create ~capacity:8 ~clock:(fun () -> 0.0) () in
+  Span.with_installed t (fun () -> Span.with_ "work" ignore);
+  let json = Span.to_chrome_json t in
+  let label =
+    match Span.track_infos t with
+    | [ i ] -> i.Span.label
+    | _ -> Alcotest.fail "expected one track"
+  in
   Alcotest.(check bool) "metadata events" true
     (contains ~sub:"\"ph\":\"M\"" json);
+  Alcotest.(check bool) "process name value in args" true
+    (contains ~sub:"{\"name\":\"fpx-spans\"}" json);
   Alcotest.(check bool) "thread name value in args" true
-    (contains ~sub:"{\"name\":\"domain-7\"}" json);
-  Alcotest.(check bool) "pid carried" true (contains ~sub:"\"pid\":2" json);
-  Alcotest.(check bool) "clock label overridden" true
-    (contains ~sub:"\"clock\":\"wall-clock-us\"" json)
+    (contains ~sub:(Printf.sprintf "{\"name\":%S}" label) json);
+  Alcotest.(check bool) "wall clock label" true
+    (contains ~sub:"\"clock\":\"wall-clock-us\"" json);
+  Alcotest.check_raises "cycle events need a cycle recorder"
+    (Invalid_argument
+       "Fpx_obs.Span: cycle-stamped event on a wall-clock recorder")
+    (fun () -> Span.instant t ~name:"x" ~cat:"x" ~ts:0 ())
 
 (* --- Sink ----------------------------------------------------------------- *)
 
@@ -181,7 +191,7 @@ let test_detector_run_populates_sink () =
   match Obs.Sink.active obs with
   | None -> Alcotest.fail "sink must stay active"
   | Some a ->
-    let json = T.to_chrome_json a.Obs.Sink.trace in
+    let json = Span.to_chrome_json a.Obs.Sink.trace in
     Alcotest.(check bool) "has a kernel span" true
       (count_sub ~sub:"\"cat\":\"kernel\"" json >= 1);
     Alcotest.(check bool) "has an exception instant" true
@@ -198,6 +208,25 @@ let test_detector_run_populates_sink () =
     Alcotest.(check bool) "profile saw exceptions" true
       (Obs.Profile.top_by_exces a.Obs.Sink.profile <> [])
 
+(* Under [dune runtest] the cwd is the build sandbox where a copy of
+   golden/ lives; a manual run from the project root sees test/golden. *)
+let golden_trace_path =
+  let local = Filename.concat "golden" "gramschm_detect_trace.json" in
+  if Sys.file_exists local then local
+  else Filename.concat "test" local
+
+let test_detect_trace_golden () =
+  (* the simulated-cycle timeline of [fpx_run detect GRAMSCHM
+     --trace-out], byte for byte *)
+  let obs = Obs.Sink.create () in
+  ignore (R.run ~obs ~tool:detector (Catalog.find "GRAMSCHM") : R.measurement);
+  match Obs.Sink.active obs with
+  | None -> Alcotest.fail "sink must stay active"
+  | Some a ->
+    let expected = In_channel.with_open_bin golden_trace_path In_channel.input_all in
+    Alcotest.(check string) "matches golden trace" expected
+      (Span.to_chrome_json a.Obs.Sink.trace)
+
 let test_trace_dropped_counter_surfaced () =
   (* a tiny ring forces wrap-around; the run must surface the drop count
      as a metric so truncation is never silent *)
@@ -206,7 +235,7 @@ let test_trace_dropped_counter_surfaced () =
   match Obs.Sink.active obs with
   | None -> Alcotest.fail "sink must stay active"
   | Some a ->
-    let d = T.dropped a.Obs.Sink.trace in
+    let d = Span.dropped a.Obs.Sink.trace in
     Alcotest.(check bool) "ring wrapped" true (d > 0);
     Alcotest.(check (option int)) "counter matches ring" (Some d)
       (M.counter_value a.Obs.Sink.metrics "fpx_trace_events_dropped_total");
@@ -215,7 +244,7 @@ let test_trace_dropped_counter_surfaced () =
     ignore (R.run ~obs:obs2 ~tool:detector (Catalog.find "Triad") : R.measurement);
     (match Obs.Sink.active obs2 with
     | Some a2 ->
-      Alcotest.(check int) "no drops" 0 (T.dropped a2.Obs.Sink.trace);
+      Alcotest.(check int) "no drops" 0 (Span.dropped a2.Obs.Sink.trace);
       Alcotest.(check (option int)) "no counter" None
         (M.counter_value a2.Obs.Sink.metrics "fpx_trace_events_dropped_total")
     | None -> Alcotest.fail "sink must stay active")
@@ -247,7 +276,8 @@ let suite =
       Alcotest.test_case "trace ring drops oldest" `Quick
         test_trace_ring_drops_oldest;
       Alcotest.test_case "chrome trace shape" `Quick test_trace_chrome_shape;
-      Alcotest.test_case "trace meta + pid" `Quick test_trace_meta_and_pid;
+      Alcotest.test_case "trace meta" `Quick test_trace_meta;
+      Alcotest.test_case "detect trace golden" `Quick test_detect_trace_golden;
       Alcotest.test_case "trace dropped counter surfaced" `Quick
         test_trace_dropped_counter_surfaced;
       Alcotest.test_case "sink null" `Quick test_sink_null;

@@ -504,6 +504,9 @@ let test_shed_never_loses_cached () =
 let raw_exchange path parts =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX path);
+  (* a server that neither answers nor closes fails the read, not the
+     whole run *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
   List.iteri
     (fun i s ->
       if i > 0 then Thread.delay 0.1;
@@ -597,6 +600,45 @@ let test_socket_split_first_bytes () =
   Thread.join server_thread;
   Server.shutdown t
 
+let frame_of s =
+  let b = Bytes.create (4 + String.length s) in
+  Bytes.set_int32_be b 0 (Int32.of_int (String.length s));
+  Bytes.blit_string s 0 b 4 (String.length s);
+  Bytes.to_string b
+
+(* Hostile length prefixes end in an error reply or a close, never a
+   hang, and leave the daemon serving: a prefix cut after 2 bytes, the
+   largest positive int32, and 0x80000000 — reported as the unsigned
+   2 GiB it announces, not as a negative size. *)
+let test_socket_hostile_prefixes () =
+  let t, path, server_thread = start_socket_server "prefix" in
+  let pong = {|{"status":"ok","payload":"pong"}|} in
+  let payload reply = String.sub reply 4 (String.length reply - 4) in
+  List.iter
+    (fun (what, prefix, want) ->
+      let reply = raw_exchange path [ prefix ] in
+      (match want with
+      | None -> Alcotest.(check string) (what ^ ": closed") "" reply
+      | Some msg ->
+        let v = J.parse (payload reply) in
+        Alcotest.(check (option string)) (what ^ ": error reply")
+          (Some "error") (J.str_field "status" v);
+        Alcotest.(check (option string)) (what ^ ": unsigned length")
+          (Some msg) (J.str_field "error" v));
+      Alcotest.(check string) (what ^ ": next connection served") pong
+        (payload (raw_exchange path [ frame_of {|{"op":"ping"}|} ])))
+    [ ("truncated prefix", "\x00\x00", None);
+      ("0x7fffffff", "\x7f\xff\xff\xff",
+       Some "frame too large (2147483647 bytes)");
+      ("0x80000000", "\x80\x00\x00\x00",
+       Some "frame too large (2147483648 bytes)") ];
+  let c = Client.connect_unix path in
+  Alcotest.(check (option string)) "shutdown acknowledged" (Some "ok")
+    (J.str_field "status" (J.parse (Client.request c {|{"op":"shutdown"}|})));
+  Client.close c;
+  Thread.join server_thread;
+  Server.shutdown t
+
 (* Hostile JSON on the wire gets an error reply, quickly, and the same
    connection keeps being served: one frame at the wire cap nesting
    8 Mi arrays deep, then a non-hex \u escape. *)
@@ -658,4 +700,6 @@ let suite =
       Alcotest.test_case "socket: first 4 bytes split across writes" `Quick
         test_socket_split_first_bytes;
       Alcotest.test_case "socket: hostile json answered, next served" `Quick
-        test_socket_hostile_json ] )
+        test_socket_hostile_json;
+      Alcotest.test_case "socket: hostile length prefixes" `Quick
+        test_socket_hostile_prefixes ] )

@@ -6,7 +6,6 @@
 
 module Span = Fpx_obs.Span
 module Domprof = Fpx_obs.Domprof
-module T = Fpx_obs.Trace
 module R = Fpx_harness.Runner
 module Sweep = Fpx_harness.Sweep
 module Catalog = Fpx_workloads.Catalog
@@ -68,7 +67,6 @@ let test_unbalanced_end () =
   Alcotest.(check int) "recorded" 1 (Span.recorded r)
 
 let test_disabled_is_noop () =
-  Span.uninstall ();
   Alcotest.(check bool) "disabled" false (Span.enabled ());
   (* none of these may raise or record anywhere *)
   Span.begin_ "x";
@@ -185,12 +183,30 @@ let test_collapsed_export_self_time () =
   Alcotest.(check bool) "child line carries its own time" true
     (contains ~sub:(label ^ ";parent;child 4000000\n") folded)
 
+(* Byte pins for both exports of one fake-clock recording with nesting
+   and a ring drop: [leaf] completes first, so a capacity of 3 drops it
+   and [a] keeps its whole duration as self time. *)
+let test_export_pins () =
+  let r = Span.create ~capacity:3 ~clock:(fake_clock ()) () in
+  Span.with_installed r (fun () ->
+      Span.begin_ ~cat:"run" ~args:[ ("n", Span.I 2) ] "root";
+      Span.with_ "a" (fun () -> Span.with_ ~cat:"exec" "leaf" ignore);
+      Span.with_ ~args:[ ("k", Span.S "x\"y") ] "b" ignore;
+      Span.end_ ());
+  Alcotest.(check int) "one span dropped" 1 (Span.dropped r);
+  Alcotest.(check string) "collapsed"
+    "domain-0;root 3000000\ndomain-0;root;a 3000000\ndomain-0;root;b 1000000\n"
+    (Span.to_collapsed r);
+  Alcotest.(check string) "chrome"
+    "{\"traceEvents\":[{\"name\":\"process_name\",\"cat\":\"__metadata\",\"pid\":0,\"tid\":0,\"ts\":0,\"ph\":\"M\",\"args\":{\"name\":\"fpx-spans\"}},{\"name\":\"thread_name\",\"cat\":\"__metadata\",\"pid\":0,\"tid\":0,\"ts\":0,\"ph\":\"M\",\"args\":{\"name\":\"domain-0\"}},{\"name\":\"root\",\"cat\":\"run\",\"pid\":0,\"tid\":0,\"ts\":1000000,\"ph\":\"X\",\"dur\":7000000,\"args\":{\"n\":2}},{\"name\":\"a\",\"cat\":\"span\",\"pid\":0,\"tid\":0,\"ts\":2000000,\"ph\":\"X\",\"dur\":3000000},{\"name\":\"b\",\"cat\":\"span\",\"pid\":0,\"tid\":0,\"ts\":6000000,\"ph\":\"X\",\"dur\":1000000,\"args\":{\"k\":\"x\\\"y\"}},{\"name\":\"spans_dropped\",\"cat\":\"span\",\"pid\":0,\"tid\":0,\"ts\":0,\"ph\":\"i\",\"s\":\"g\",\"args\":{\"count\":1}}],\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":\"wall-clock-us\",\"dropped_events\":1}}"
+    (Span.to_chrome_json r)
+
 (* --- Domprof ----------------------------------------------------------- *)
 
 let test_phase_classification () =
   let sp ?(cat = "sched") name =
     { Span.track = 0; name; cat; depth = 0; path = name; t0 = 0.0; dur = 1.0;
-      args = [] }
+      instant = false; args = [] }
   in
   List.iter
     (fun (cat, name, want) ->
@@ -320,6 +336,7 @@ let suite =
       Alcotest.test_case "chrome export shape" `Quick test_chrome_export_shape;
       Alcotest.test_case "collapsed export self time" `Quick
         test_collapsed_export_self_time;
+      Alcotest.test_case "export byte pins" `Quick test_export_pins;
       Alcotest.test_case "phase classification" `Quick
         test_phase_classification;
       qcheck_case prop_phase_times_bounded_by_wall;
