@@ -42,31 +42,13 @@ let create (device : Device.t) =
     received = 0;
   }
 
-(* BinFPE's instrumentation set: FP arithmetic only. *)
-type plan = P32 of int * bool | P64 of int * int * bool
+(* BinFPE's instrumentation set: FP arithmetic only. FP16 is not
+   supported (BinFPE predates the extension) and the control-flow
+   opcodes of Table 1's right column are missed, as the GPU-FPX paper
+   reports. *)
+let covers op = Isa.is_fp32_compute op || Isa.is_fp64_compute op
 
-let plan (i : Instr.t) =
-  match Instr.dest_reg_num i with
-  | None -> None
-  | Some d -> (
-    match i.Instr.op with
-    | Isa.FADD | Isa.FADD32I | Isa.FMUL | Isa.FMUL32I | Isa.FFMA
-    | Isa.FFMA32I ->
-      Some (P32 (d, false))
-    | Isa.MUFU (Isa.Rcp | Isa.Rsq) -> Some (P32 (d, true))
-    | Isa.MUFU (Isa.Sqrt | Isa.Ex2 | Isa.Lg2 | Isa.Sin | Isa.Cos) ->
-      Some (P32 (d, false))
-    | Isa.MUFU (Isa.Rcp64h | Isa.Rsq64h) -> Some (P64 (d - 1, d, true))
-    | Isa.DADD | Isa.DMUL | Isa.DFMA -> Some (P64 (d, d + 1, false))
-    (* FP16 is not supported by BinFPE (it predates the extension). *)
-    | Isa.HADD2 | Isa.HMUL2 | Isa.HFMA2 -> None
-    (* Control-flow opcodes: missed, as the GPU-FPX paper reports. *)
-    | Isa.FSEL | Isa.FSET _ | Isa.FSETP _ | Isa.FMNMX | Isa.DSETP _
-    | Isa.PSETP _ | Isa.FCHK | Isa.SEL | Isa.F2F _ | Isa.I2F _ | Isa.F2I _ | Isa.MOV | Isa.MOV32I
-    | Isa.IADD | Isa.IMAD | Isa.ISETP _ | Isa.SHL | Isa.SHR | Isa.LOP_AND
-    | Isa.LOP_OR | Isa.LOP_XOR | Isa.LDG _ | Isa.STG _ | Isa.LDS _ | Isa.STS _
-    | Isa.ATOM_ADD _ | Isa.S2R _ | Isa.BRA | Isa.BAR | Isa.EXIT | Isa.NOP ->
-      None)
+let plan (i : Instr.t) = if covers i.Instr.op then Site.plan i else None
 
 let instrument t prog b =
   Array.iter
@@ -77,33 +59,29 @@ let instrument t prog b =
         let r_kernel = prog.Program.mangled
         and r_pc = i.Instr.pc
         and r_loc = Instr.loc_string i in
-        let n_values = match p with P32 _ -> 1 | P64 _ -> 2 in
-        Fpx_tool.Inject.insert_after b ~pc:i.Instr.pc ~n_values
-          (fun ctx api ->
+        let r_fmt = Site.fmt p and r_rcp = Site.is_div0 p in
+        let lo, hi =
+          match p with
+          | Site.Check_64 (lo, hi) | Site.Div0_64 (lo, hi) -> (lo, Some hi)
+          | Site.Check_32 d | Site.Div0_32 d | Site.Check_16 d -> (d, None)
+        in
+        Fpx_tool.Inject.insert_after b ~pc:i.Instr.pc
+          ~n_values:(Site.n_values p) (fun ctx api ->
             List.iter
               (fun lane ->
                 let record =
-                  match p with
-                  | P32 (d, rcp) ->
-                    {
-                      r_kernel;
-                      r_pc;
-                      r_loc;
-                      r_fmt = Isa.FP32;
-                      r_rcp = rcp;
-                      r_lo = api.Exec.read_reg ~lane d;
-                      r_hi = 0l;
-                    }
-                  | P64 (lo, hi, rcp) ->
-                    {
-                      r_kernel;
-                      r_pc;
-                      r_loc;
-                      r_fmt = Isa.FP64;
-                      r_rcp = rcp;
-                      r_lo = api.Exec.read_reg ~lane lo;
-                      r_hi = api.Exec.read_reg ~lane hi;
-                    }
+                  {
+                    r_kernel;
+                    r_pc;
+                    r_loc;
+                    r_fmt;
+                    r_rcp;
+                    r_lo = api.Exec.read_reg ~lane lo;
+                    r_hi =
+                      (match hi with
+                      | Some hi -> api.Exec.read_reg ~lane hi
+                      | None -> 0l);
+                  }
                 in
                 Channel.push t.channel ~stats:ctx.Exec.stats record)
               api.Exec.executing_lanes))

@@ -19,6 +19,11 @@ type finding = {
   exce : Fpx_tool.Exce.t;
 }
 
+val covers : Fpx_sass.Isa.opcode -> bool
+(** The opcodes BinFPE instruments: FP32 and FP64 arithmetic
+    ({!Fpx_sass.Isa.is_fp32_compute} or {!Fpx_sass.Isa.is_fp64_compute}).
+    Each gets the {!Fpx_sass.Site.plan} check GPU-FPX injects there. *)
+
 type t
 
 val create : Fpx_gpu.Device.t -> t

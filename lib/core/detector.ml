@@ -104,51 +104,12 @@ let create ?(config = default_config) device =
     line_buf = Buffer.create 160;
   }
 
-(* Algorithm 1: choose the specialised injection for one instruction. *)
-type check =
-  | Check_32 of int  (** check_32_nan_inf_sub(Rdest) *)
-  | Check_16 of int  (** check_16x2_nan_inf_sub(Rdest) — FP16 extension *)
-  | Check_64 of int * int  (** check_64_nan_inf_sub(Rlo, Rhi) *)
-  | Div0_32 of int  (** check_32_div0(Rdest) *)
-  | Div0_64 of int * int  (** check_64_div0(Rdest-1, Rdest) *)
-
-let plan (i : Instr.t) =
-  match Instr.dest_reg_num i with
-  | None -> None
-  | Some d -> (
-    match i.Instr.op with
-    | Isa.MUFU (Isa.Rcp | Isa.Rsq) -> Some (Div0_32 d)
-    | Isa.MUFU (Isa.Rcp64h | Isa.Rsq64h) -> Some (Div0_64 (d - 1, d))
-    | Isa.MUFU (Isa.Sqrt | Isa.Ex2 | Isa.Lg2 | Isa.Sin | Isa.Cos) ->
-      Some (Check_32 d)
-    | Isa.DADD | Isa.DMUL | Isa.DFMA -> Some (Check_64 (d, d + 1))
-    | Isa.FADD | Isa.FADD32I | Isa.FMUL | Isa.FMUL32I | Isa.FFMA
-    | Isa.FFMA32I | Isa.FSEL | Isa.FMNMX | Isa.FSET _ ->
-      Some (Check_32 d)
-    | Isa.HADD2 | Isa.HMUL2 | Isa.HFMA2 -> Some (Check_16 d)
-    (* FP16 extension: a narrowing cast is where loss-scaled values
-       overflow half range (65504), so check its destination too. The
-       high half of the destination word is zero, which classifies as
-       no exception, so the packed check applies as-is. *)
-    | Isa.F2F (Isa.FP16, Isa.FP32) -> Some (Check_16 d)
-    | Isa.FSETP _ | Isa.DSETP _ | Isa.PSETP _ | Isa.FCHK | Isa.SEL | Isa.F2F _ | Isa.I2F _
-    | Isa.F2I _ | Isa.MOV | Isa.MOV32I | Isa.IADD | Isa.IMAD | Isa.ISETP _
-    | Isa.SHL | Isa.SHR | Isa.LOP_AND | Isa.LOP_OR | Isa.LOP_XOR | Isa.LDG _
-    | Isa.STG _ | Isa.LDS _ | Isa.STS _ | Isa.ATOM_ADD _ | Isa.S2R _
-    | Isa.BRA | Isa.BAR | Isa.EXIT | Isa.NOP ->
-      None)
-
-let fmt_of_check = function
-  | Check_32 _ | Div0_32 _ -> Isa.FP32
-  | Check_16 _ -> Isa.FP16
-  | Check_64 _ | Div0_64 _ -> Isa.FP64
-
 (* CheckExce from Algorithm 2: value class → exception kind, with the
    MUFU.RCP-specific DIV0 classification. *)
 let exce_of_lane (api : Exec.warp_api) check ~lane =
   match check with
-  | Check_32 d -> Exce.of_kind (Fp32.classify (api.Exec.read_reg ~lane d))
-  | Check_16 d ->
+  | Site.Check_32 d -> Exce.of_kind (Fp32.classify (api.Exec.read_reg ~lane d))
+  | Site.Check_16 d ->
     (* both packed halves carry results; report the worse one *)
     let lo, hi = Fpx_num.Fp16.unpack2 (api.Exec.read_reg ~lane d) in
     let pick a b =
@@ -162,16 +123,16 @@ let exce_of_lane (api : Exec.warp_api) check ~lane =
     pick
       (Exce.of_kind (Fpx_num.Fp16.classify lo))
       (Exce.of_kind (Fpx_num.Fp16.classify hi))
-  | Check_64 (lo, hi) ->
+  | Site.Check_64 (lo, hi) ->
     Exce.of_kind
       (Fp64.classify
          (Fp64.of_words ~lo:(api.Exec.read_reg ~lane lo)
             ~hi:(api.Exec.read_reg ~lane hi)))
-  | Div0_32 d -> (
+  | Site.Div0_32 d -> (
     match Fp32.classify (api.Exec.read_reg ~lane d) with
     | Kind.Nan | Kind.Inf -> Some Exce.Div0
     | Kind.Subnormal | Kind.Zero | Kind.Normal -> None)
-  | Div0_64 (lo, hi) -> (
+  | Site.Div0_64 (lo, hi) -> (
     match
       Fp64.classify
         (Fp64.of_words ~lo:(api.Exec.read_reg ~lane lo)
@@ -217,7 +178,7 @@ let probe_and_push t ctx api ~kernel ~loc ~fmt e idx =
 
 let callback t check ~loc_idx ~kernel ~pc ~loc (ctx : Exec.ctx)
     (api : Exec.warp_api) =
-  let fmt = fmt_of_check check in
+  let fmt = Site.fmt check in
   let gt_mode = t.config.use_gt && t.gt_ok in
   let leader = gt_mode && t.config.warp_leader in
   let row =
@@ -268,10 +229,6 @@ let callback t check ~loc_idx ~kernel ~pc ~loc (ctx : Exec.ctx)
     Fpx_obs.Profile.add_exce a.Fpx_obs.Sink.profile ~kernel ~pc ~n:!n_exce ()
   | _ -> ()
 
-let n_values_of_check = function
-  | Check_32 _ | Div0_32 _ | Check_16 _ -> 1
-  | Check_64 _ | Div0_64 _ -> 2
-
 let instrument t prog b =
   (* Static pruning: the abstract interpreter proves some planned sites
      can never produce the classes their check fires on; dropping those
@@ -283,7 +240,7 @@ let instrument t prog b =
   end;
   Array.iter
     (fun (i : Instr.t) ->
-      match plan i with
+      match Site.plan i with
       | None -> ()
       | Some check ->
         let loc_idx =
@@ -296,7 +253,7 @@ let instrument t prog b =
             }
         in
         Fpx_tool.Inject.insert_after b ~pc:i.Instr.pc
-          ~n_values:(n_values_of_check check)
+          ~n_values:(Site.n_values check)
           (callback t check ~loc_idx ~kernel:prog.Program.name
              ~pc:i.Instr.pc ~loc:(Instr.loc_string i)))
     prog.Program.instrs;

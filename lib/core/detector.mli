@@ -1,8 +1,9 @@
 (** The GPU-FPX {e detector} (paper §3.1).
 
-    On-device parallel exception checking: Algorithm 1 picks one of four
-    specialised injection functions per FP instruction (FP32 check, FP64
-    register-pair check, and the two MUFU.RCP division-by-zero checks);
+    On-device parallel exception checking: Algorithm 1
+    ({!Fpx_sass.Site.plan}) picks one of four specialised injection
+    functions per FP instruction (FP32 check, FP64 register-pair check,
+    and the two MUFU.RCP division-by-zero checks);
     Algorithm 2 dedups records warp-side through the global table GT and
     pushes only novel ⟨E_exce, E_loc, E_fp⟩ records over the channel,
     giving early notification on the host as the kernel runs. *)

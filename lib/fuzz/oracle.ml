@@ -59,13 +59,6 @@ let find_detector extras =
 let find_binfpe extras =
   List.find_map (function B.Binfpe t -> Some t | _ -> None) extras
 
-(* The arithmetic set both tools instrument (BinFPE's plan). *)
-let binfpe_covered = function
-  | Isa.FADD | Isa.FADD32I | Isa.FMUL | Isa.FMUL32I | Isa.FFMA
-  | Isa.FFMA32I | Isa.MUFU _ | Isa.DADD | Isa.DMUL | Isa.DFMA ->
-    true
-  | _ -> false
-
 let site_str (pc, fmt, e) =
   Printf.sprintf "%04x/%s/%s" (pc * 16) (Isa.fp_format_to_string fmt)
     (Exce.to_string e)
@@ -128,7 +121,7 @@ let check ?fault ?defect (c : Repro.t) =
         List.sort_uniq compare
           (List.filter
              (fun (pc, _, _) ->
-               binfpe_covered (Program.instr c.Repro.prog pc).Fpx_sass.Instr.op)
+               B.covers (Program.instr c.Repro.prog pc).Fpx_sass.Instr.op)
              (det_sites m1))
       in
       let db = List.sort_uniq compare (bin_sites mb) in

@@ -7,8 +7,8 @@
     per-warp execution with an active mask, warp-uniform instruction
     identity, per-lane register values.
 
-    Programs are compiled once by {!Decode} into flat micro-op arrays
-    and executed over unboxed per-warp state (a flat [int] register
+    Programs are compiled once by {!Fpx_sass.Decode} into flat micro-op
+    arrays and executed over unboxed per-warp state (a flat [int] register
     file, predicate bitsets); {!run} decodes on the fly, callers with a
     cache (the NVBit runtime) pre-decode and use {!run_decoded}. This is
     the library's only interpreter; the original tree-walking core is
@@ -21,7 +21,7 @@
 
 exception Trap of string
 (** Simulator fault: watchdog timeout, malformed operand, bad address.
-    The same exception as {!Decode.Trap}. *)
+    The same exception as {!Fpx_sass.Decode.Trap}. *)
 
 type ctx = { device : Device.t; stats : Stats.t }
 
@@ -77,7 +77,7 @@ val run_decoded :
   grid:int ->
   block:int ->
   params:Param.t list ->
-  Decode.t ->
+  Fpx_sass.Decode.t ->
   Stats.t
 (** Same contract as {!run}, over a pre-decoded program — the path the
     NVBit runtime takes with its per-kernel decode cache. *)

@@ -106,7 +106,10 @@ let run_body ?cost ?(obs = Fpx_obs.Sink.null) ?fault ?bw ?on_launch ~mode
           None
         with
         | Fpx_nvbit.Runtime.Hang_abort msg -> Some (`Hang msg)
-        | Fpx_gpu.Exec.Trap msg -> Some (`Trap msg))
+        | Fpx_gpu.Exec.Trap msg -> Some (`Trap msg)
+        (* A malformed kernel (a missing operand, a predicate past P7)
+           raises Invalid_argument where it is read: a fault too. *)
+        | Invalid_argument _ as e -> Some (`Trap (Printexc.to_string e)))
   in
   Fpx_obs.Span.with_ ~cat:"run" "run.report" @@ fun () ->
   let stats = Fpx_nvbit.Runtime.totals rt in

@@ -27,7 +27,9 @@ type status =
           reported). *)
   | Faulted of string
       (** A simulator trap aborted the run; the payload is the trap
-          message. *)
+          message. A malformed kernel's [Invalid_argument] (a missing
+          operand, a predicate past P7) faults the same way, with the
+          exception's printed form as the payload. *)
 
 val status_to_string : status -> string
 (** ["completed" | "degraded" | "hung" | "faulted"]. *)

@@ -8,7 +8,7 @@ type t = {
   mutable tool : Fpx_tool.instance option;
   counts : (string, int) Hashtbl.t;
   jit_cache : (string, Exec.hooks option) Hashtbl.t;
-  decode_cache : (string, Decode.t) Hashtbl.t;
+  decode_cache : (string, Fpx_sass.Decode.t) Hashtbl.t;
   total : Stats.t;
   mutable on_launch : (kernel:string -> Stats.t -> unit) option;
 }
@@ -47,11 +47,11 @@ let totals t = t.total
 let decoded t prog =
   let key = prog.Fpx_sass.Program.name in
   match Hashtbl.find_opt t.decode_cache key with
-  | Some d when d.Decode.prog == prog -> d
+  | Some d when d.Fpx_sass.Decode.prog == prog -> d
   | _ ->
     let d =
       Fpx_obs.Span.with_ ~cat:"jit" "jit.decode" (fun () ->
-          Decode.program prog)
+          Fpx_sass.Decode.program prog)
     in
     Hashtbl.replace t.decode_cache key d;
     d

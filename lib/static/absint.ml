@@ -2,6 +2,7 @@ open Fpx_sass
 module Fp32 = Fpx_num.Fp32
 module Fp64 = Fpx_num.Fp64
 module A = Absval
+module D = Decode
 
 type fact = {
   reachable : bool;
@@ -80,30 +81,27 @@ let join_env_into ~widen dst src =
     src.preds;
   !changed
 
-(* --- operand reads ---------------------------------------------------- *)
+(* --- operand reads ------------------------------------------------------
 
-let reg32 env n =
-  if n = Operand.rz then A.of_const32 0l
-  else if n < Array.length env.regs then env.regs.(n)
-  else A.top
+   Operands arrive as {!Decode}'s descriptors, so RZ, immediates,
+   GENERIC tokens and the program-level FTZ are already resolved and
+   every register index is inside the file. A poisoned source reads as
+   ⊤ and a poisoned predicate as unknown: the concrete core traps
+   there, so nothing it reads flows on. *)
 
-let rd32 ~ftz env (o : Operand.t) =
-  let raw =
-    match o.Operand.base with
-    | Operand.Reg n -> reg32 env n
-    | Operand.Imm_f32 b -> A.of_const32 b
-    | Operand.Imm_i v -> A.of_const32 v
-    | Operand.Imm_f64 v -> A.of_const32 (Fp32.of_float v)
-    | Operand.Generic s -> (
-      match Operand.generic_value s with
-      | Some v -> A.of_const32 (Fp32.of_float v)
-      | None -> A.top)
-    | Operand.Cbank _ -> A.top
-    | Operand.Pred _ | Operand.Label _ -> A.top
-  in
-  let v = if ftz then A.ftz32 raw else raw in
-  let v = if o.Operand.abs then A.abs_mod A.W32 v else v in
-  if o.Operand.neg then A.neg_mod A.W32 v else v
+let flush ftz v = if ftz then A.ftz32 v else v
+
+let mods w ~neg ~abs v =
+  let v = if abs then A.abs_mod w v else v in
+  if neg then A.neg_mod w v else v
+
+let rd32 env : D.f32src -> A.t = function
+  | D.F32_reg r -> env.regs.(r)
+  | D.F32_reg_m { r; neg; abs; ftz } ->
+    mods A.W32 ~neg ~abs (flush ftz env.regs.(r))
+  | D.F32_imm b -> A.of_const32 (Int32.of_int b)
+  | D.F32_cb _ | D.F32_poison _ -> A.top
+  | D.F32_cb_m { neg; abs; ftz; _ } -> mods A.W32 ~neg ~abs (flush ftz A.top)
 
 let pair_read env n =
   if n = Operand.rz then A.of_const64 0.
@@ -112,58 +110,62 @@ let pair_read env n =
     match env.pairs.(n) with
     | Some v -> v
     | None -> (
-      match ((reg32 env n).A.const32, (reg32 env (n + 1)).A.const32) with
+      match (env.regs.(n).A.const32, env.regs.(n + 1).A.const32) with
       | Some lo, Some hi -> A.of_const64 (Fp64.of_words ~lo ~hi)
       | _ -> top64)
 
-let rd64 env (o : Operand.t) =
-  let raw =
-    match o.Operand.base with
-    | Operand.Reg n -> pair_read env n
-    | Operand.Imm_f64 v -> A.of_const64 v
-    | Operand.Imm_f32 b -> A.of_const64 (Fp32.to_float b)
-    | Operand.Generic s -> (
-      match Operand.generic_value s with
-      | Some v -> A.of_const64 v
-      | None -> top64)
-    | Operand.Cbank _ -> top64
-    | Operand.Imm_i _ | Operand.Pred _ | Operand.Label _ -> top64
-  in
-  let v = if o.Operand.abs then A.abs_mod A.W64 raw else raw in
-  if o.Operand.neg then A.neg_mod A.W64 v else v
+let rd64 env : D.f64src -> A.t = function
+  | D.F64_reg r -> pair_read env r
+  | D.F64_reg_m { r; neg; abs } -> mods A.W64 ~neg ~abs (pair_read env r)
+  | D.F64_imm v -> A.of_const64 v
+  | D.F64_cb { neg; abs; _ } -> mods A.W64 ~neg ~abs top64
+  | D.F64_poison _ -> top64
 
-(* Raw word read (MOV, I2F, MUFU.*64H input): no modifiers, no flush —
-   mirrors [Exec]'s integer source reads. *)
-let rdi env (o : Operand.t) =
-  match o.Operand.base with
-  | Operand.Reg n -> reg32 env n
-  | Operand.Imm_i v -> A.of_const32 v
-  | Operand.Imm_f32 b -> A.of_const32 b
-  | Operand.Cbank _ | Operand.Imm_f64 _ | Operand.Generic _ | Operand.Pred _
-  | Operand.Label _ -> A.top
+(* Raw word read (MOV, I2F, MUFU.*64H input): no modifiers, no flush. *)
+let rdi env : D.i32src -> A.t = function
+  | D.I32_reg r -> env.regs.(r)
+  | D.I32_imm v -> A.of_const32 (Int32.of_int v)
+  | D.I32_cb _ | D.I32_poison _ -> A.top
 
 let p_not p = ((p land 1) lsl 1) lor ((p lsr 1) land 1)
 
-let rd_pred env (o : Operand.t) =
-  match o.Operand.base with
-  | Operand.Pred p ->
-    let v = if p = Operand.pt then 2 else env.preds.(p) in
-    if o.Operand.pred_not then p_not v else v
-  | _ -> 3
+(* A packed predicate: [p lor (negated lsl 3)]. *)
+let pred env packed =
+  let p = packed land 7 in
+  let v = if p = Operand.pt then 2 else env.preds.(p) in
+  if packed land 8 <> 0 then p_not v else v
 
-let guard_val env = function None -> 2 | Some g -> rd_pred env g
+let rd_pred env = function D.P_src p -> pred env p | D.P_poison _ -> 3
 
-(* --- writes ----------------------------------------------------------- *)
+let guard_val env = function
+  | D.G_none -> 2
+  | D.G_p p -> pred env p
+  | D.G_poison _ -> 3
 
-let wr32 env d v =
-  if d <> Operand.rz && d < Array.length env.regs then begin
-    env.regs.(d) <- v;
-    env.pairs.(d) <- None;
-    if d > 0 then env.pairs.(d - 1) <- None
-  end
+(* --- writes -------------------------------------------------------------
 
-let wr_pair env d v =
-  if d <> Operand.rz && d + 1 < Array.length env.regs then begin
+   RZ and poisoned destinations are not written: {!Decode} turned them
+   into [D_sink] / [D_poison]. *)
+
+let set32 env d v =
+  env.regs.(d) <- v;
+  env.pairs.(d) <- None;
+  if d > 0 then env.pairs.(d - 1) <- None
+
+let wr32 env (d : D.dst) v =
+  match d with D.D_reg d -> set32 env d v | D.D_sink | D.D_poison _ -> ()
+
+(* Both words of a pair destination, each a 32-bit write. *)
+let wr_words env (d : D.dst) v =
+  match d with
+  | D.D_reg d ->
+    set32 env d v;
+    if d + 1 < Array.length env.regs then set32 env (d + 1) v
+  | D.D_sink | D.D_poison _ -> ()
+
+let wr_pair env (d : D.dst) v =
+  match d with
+  | D.D_reg d when d + 1 < Array.length env.regs ->
     (match v.A.const64 with
     | Some f ->
       let lo, hi = Fp64.to_words f in
@@ -175,12 +177,12 @@ let wr_pair env d v =
     env.pairs.(d) <- Some v;
     if d > 0 then env.pairs.(d - 1) <- None;
     env.pairs.(d + 1) <- None
-  end
+  | D.D_reg _ | D.D_sink | D.D_poison _ -> ()
 
-let wr_pred env (i : Instr.t) v =
-  match (Instr.get_operand i 0).Operand.base with
-  | Operand.Pred p -> if p <> Operand.pt then env.preds.(p) <- v
-  | _ -> ()
+let wr_pred env (pd : D.pdst) v =
+  match pd with
+  | D.PD_reg p when p <> Operand.pt -> env.preds.(p) <- v
+  | D.PD_reg _ | D.PD_poison _ -> ()
 
 (* --- abstract comparisons and predicate logic ------------------------- *)
 
@@ -230,193 +232,171 @@ let f2i_fold v =
    Mutates [env]; returns the FP source abstract values (the linter's
    cause material). *)
 
-let exec_abs ~ftz env (i : Instr.t) =
-  let opnd k = Instr.get_operand i k in
-  let f32 k = rd32 ~ftz env (opnd k) in
-  let f32r k = rd32 ~ftz:false env (opnd k) in
-  let f64 k = rd64 env (opnd k) in
-  let int k = rdi env (opnd k) in
-  let d () = match Instr.dest_reg_num i with Some d -> d | None -> Operand.rz in
-  match i.Instr.op with
-  | Isa.FADD | Isa.FADD32I ->
-    let a = f32 1 and b = f32 2 in
-    wr32 env (d ()) (A.add A.W32 ~ftz a b);
+let f2i_const = function
+  | Some v -> (
+    match f2i_fold v with Some v -> A.of_const32 v | None -> A.top)
+  | None -> A.top
+
+let exec_abs ~ftz env (u : D.uop) =
+  let f32 = rd32 env and f64 = rd64 env and int = rdi env in
+  match u with
+  | D.U_fadd { d; a; b } ->
+    let a = f32 a and b = f32 b in
+    wr32 env d (A.add A.W32 ~ftz a b);
     [ a; b ]
-  | Isa.FMUL | Isa.FMUL32I ->
-    let a = f32 1 and b = f32 2 in
-    wr32 env (d ()) (A.mul A.W32 ~ftz a b);
+  | D.U_fmul { d; a; b } ->
+    let a = f32 a and b = f32 b in
+    wr32 env d (A.mul A.W32 ~ftz a b);
     [ a; b ]
-  | Isa.FFMA | Isa.FFMA32I ->
-    let a = f32 1 and b = f32 2 and c = f32 3 in
-    wr32 env (d ()) (A.fma A.W32 ~ftz a b c);
+  | D.U_ffma { d; a; b; c } ->
+    let a = f32 a and b = f32 b and c = f32 c in
+    wr32 env d (A.fma A.W32 ~ftz a b c);
     [ a; b; c ]
-  | Isa.MUFU ((Isa.Rcp64h | Isa.Rsq64h) as m) ->
-    let x = int 1 in
+  | D.U_mufu_64h { d; m; a } ->
+    let x = int a in
     let dv, pv = A.mufu64h m x in
-    let dd = d () in
-    wr32 env dd dv;
-    if dd > 0 && dd - 1 < Array.length env.pairs then
-      env.pairs.(dd - 1) <- Some pv;
+    wr32 env d dv;
+    (match d with
+    | D.D_reg d when d > 0 -> env.pairs.(d - 1) <- Some pv
+    | D.D_reg _ | D.D_sink | D.D_poison _ -> ());
     [ x ]
-  | Isa.MUFU m ->
-    let x = f32 1 in
-    wr32 env (d ()) (A.mufu m x);
+  | D.U_mufu_f32 { d; m; a } ->
+    let x = f32 a in
+    wr32 env d (A.mufu m x);
     [ x ]
-  | Isa.HADD2 | Isa.HMUL2 | Isa.HFMA2 ->
-    wr32 env (d ()) A.top;
+  | D.U_hadd2 { d; _ } | D.U_hmul2 { d; _ } | D.U_hfma2 { d; _ }
+  | D.U_f16_of_f32 { d; _ } | D.U_f32_of_f16 { d; _ } ->
+    wr32 env d A.top;
     []
-  | Isa.DADD ->
-    let a = f64 1 and b = f64 2 in
-    wr_pair env (d ()) (A.add A.W64 ~ftz:false a b);
+  | D.U_dadd { d; a; b } ->
+    let a = f64 a and b = f64 b in
+    wr_pair env d (A.add A.W64 ~ftz:false a b);
     [ a; b ]
-  | Isa.DMUL ->
-    let a = f64 1 and b = f64 2 in
-    wr_pair env (d ()) (A.mul A.W64 ~ftz:false a b);
+  | D.U_dmul { d; a; b } ->
+    let a = f64 a and b = f64 b in
+    wr_pair env d (A.mul A.W64 ~ftz:false a b);
     [ a; b ]
-  | Isa.DFMA ->
-    let a = f64 1 and b = f64 2 and c = f64 3 in
-    wr_pair env (d ()) (A.fma A.W64 ~ftz:false a b c);
+  | D.U_dfma { d; a; b; c } ->
+    let a = f64 a and b = f64 b and c = f64 c in
+    wr_pair env d (A.fma A.W64 ~ftz:false a b c);
     [ a; b; c ]
-  | Isa.FSEL | Isa.SEL ->
-    let a = f32r 1 and b = f32r 2 in
+  | D.U_fsel { d; a; b; p } ->
+    (* FSEL/SEL sources are decoded FTZ-free *)
+    let a = f32 a and b = f32 b in
     let v =
-      match rd_pred env (opnd 3) with
-      | 2 -> a
-      | 1 -> b
-      | _ -> A.select a b
+      match rd_pred env p with 2 -> a | 1 -> b | _ -> A.select a b
     in
-    wr32 env (d ()) v;
+    wr32 env d v;
     [ a; b ]
-  | Isa.FSET c ->
-    let a = f32 1 and b = f32 2 in
+  | D.U_fset { d; c; a; b } ->
+    let a = f32 a and b = f32 b in
     let v =
       match acmp32 c a b with
       | 2 -> A.of_const32 Fp32.one
       | 1 -> A.of_const32 Fp32.zero
       | _ -> A.fset_result
     in
-    wr32 env (d ()) v;
+    wr32 env d v;
     [ a; b ]
-  | Isa.FSETP c ->
-    let a = f32 1 and b = f32 2 in
-    wr_pred env i (acmp32 c a b);
+  | D.U_fsetp { pd; c; a; b } ->
+    let a = f32 a and b = f32 b in
+    wr_pred env pd (acmp32 c a b);
     [ a; b ]
-  | Isa.FMNMX ->
-    let a = f32 1 and b = f32 2 in
+  | D.U_fmnmx { d; a; b; p } ->
+    let a = f32 a and b = f32 b in
     let is_min =
-      match rd_pred env (opnd 3) with 2 -> Some true | 1 -> Some false
-                                    | _ -> None
+      match rd_pred env p with 2 -> Some true | 1 -> Some false | _ -> None
     in
-    wr32 env (d ()) (A.minmax_nv ~ftz ?is_min a b);
+    wr32 env d (A.minmax_nv ~ftz ?is_min a b);
     [ a; b ]
-  | Isa.DSETP c ->
-    let a = f64 1 and b = f64 2 in
-    wr_pred env i (acmp64 c a b);
+  | D.U_dsetp { pd; c; a; b } ->
+    let a = f64 a and b = f64 b in
+    wr_pred env pd (acmp64 c a b);
     [ a; b ]
-  | Isa.PSETP b ->
-    let p1 = rd_pred env (opnd 1) and p2 = rd_pred env (opnd 2) in
-    wr_pred env i (plift2 (Isa.eval_pbool b) p1 p2);
+  | D.U_psetp { pd; op; p1; p2 } ->
+    wr_pred env pd
+      (plift2 (Isa.eval_pbool op) (rd_pred env p1) (rd_pred env p2));
     []
-  | Isa.FCHK ->
-    wr_pred env i 3;
+  | D.U_fchk { pd; _ } ->
+    wr_pred env pd 3;
     []
-  | Isa.F2F (Isa.FP32, Isa.FP64) ->
-    let x = f64 1 in
-    wr32 env (d ()) (A.f2f_narrow ~ftz x);
+  | D.U_f32_of_f64 { d; a } ->
+    let x = f64 a in
+    wr32 env d (A.f2f_narrow ~ftz x);
     [ x ]
-  | Isa.F2F (Isa.FP64, Isa.FP32) ->
-    let x = f32 1 in
-    wr_pair env (d ()) (A.f2f_widen x);
+  | D.U_f64_of_f32 { d; a } ->
+    let x = f32 a in
+    wr_pair env d (A.f2f_widen x);
     [ x ]
-  | Isa.F2F (Isa.FP32, Isa.FP32) ->
-    let x = f32 1 in
-    wr32 env (d ()) (if ftz then A.ftz32 x else x);
+  | D.U_f32_of_f32 { d; a } ->
+    let x = f32 a in
+    wr32 env d (flush ftz x);
     [ x ]
-  | Isa.F2F (Isa.FP64, Isa.FP64) ->
-    let x = f64 1 in
-    wr_pair env (d ()) x;
+  | D.U_f64_of_f64 { d; a } ->
+    let x = f64 a in
+    wr_pair env d x;
     [ x ]
-  | Isa.F2F (Isa.FP16, _) ->
-    wr32 env (d ()) A.top;
+  | D.U_i2f32 { d; a } ->
+    wr32 env d (A.i2f_result A.W32 (int a));
     []
-  | Isa.F2F _ ->
-    wr32 env (d ()) A.top;
+  | D.U_i2f64 { d; a } ->
+    wr_pair env d (A.i2f_result A.W64 (int a));
     []
-  | Isa.I2F Isa.FP32 ->
-    wr32 env (d ()) (A.i2f_result A.W32 (int 1));
+  | D.U_f2i32 { d; a } ->
+    wr32 env d
+      (f2i_const (Option.map Fp32.to_float (f32 a).A.const32));
     []
-  | Isa.I2F Isa.FP64 ->
-    wr_pair env (d ()) (A.i2f_result A.W64 (int 1));
+  | D.U_f2i64 { d; a } ->
+    wr32 env d (f2i_const (f64 a).A.const64);
     []
-  | Isa.I2F Isa.FP16 ->
-    wr32 env (d ()) A.top;
+  | D.U_mov { d; a } ->
+    wr32 env d (int a);
     []
-  | Isa.F2I Isa.FP32 ->
-    let x = f32 1 in
-    wr32 env (d ())
-      (match x.A.const32 with
-      | Some b -> (
-        match f2i_fold (Fp32.to_float b) with
-        | Some v -> A.of_const32 v
-        | None -> A.top)
-      | None -> A.top);
+  | D.U_iadd { d; a; b } ->
+    wr32 env d (ifold2 Int32.add (int a) (int b));
     []
-  | Isa.F2I (Isa.FP64 | Isa.FP16) ->
-    let x = f64 1 in
-    wr32 env (d ())
-      (match x.A.const64 with
-      | Some v -> (
-        match f2i_fold v with Some v -> A.of_const32 v | None -> A.top)
-      | None -> A.top);
+  | D.U_imad { d; a; b; c } ->
+    wr32 env d (ifold2 Int32.add (ifold2 Int32.mul (int a) (int b)) (int c));
     []
-  | Isa.MOV | Isa.MOV32I ->
-    wr32 env (d ()) (int 1);
-    []
-  | Isa.IADD ->
-    wr32 env (d ()) (ifold2 Int32.add (int 1) (int 2));
-    []
-  | Isa.IMAD ->
-    let p = ifold2 Int32.mul (int 1) (int 2) in
-    wr32 env (d ()) (ifold2 Int32.add p (int 3));
-    []
-  | Isa.ISETP c ->
-    let a = int 1 and b = int 2 in
-    wr_pred env i
-      (match (a.A.const32, b.A.const32) with
+  | D.U_isetp { pd; c; a; b } ->
+    wr_pred env pd
+      (match ((int a).A.const32, (int b).A.const32) with
       | Some x, Some y ->
         if Isa.eval_cmp c (Some (Int32.compare x y)) then 2 else 1
       | _ -> 3);
     []
-  | Isa.SHL ->
-    wr32 env (d ())
+  | D.U_shl { d; a; b } ->
+    wr32 env d
       (ifold2
          (fun x y -> Int32.shift_left x (Int32.to_int y land 31))
-         (int 1) (int 2));
+         (int a) (int b));
     []
-  | Isa.SHR ->
-    wr32 env (d ())
+  | D.U_shr { d; a; b } ->
+    wr32 env d
       (ifold2
          (fun x y -> Int32.shift_right_logical x (Int32.to_int y land 31))
-         (int 1) (int 2));
+         (int a) (int b));
     []
-  | Isa.LOP_AND ->
-    wr32 env (d ()) (ifold2 Int32.logand (int 1) (int 2));
+  | D.U_and { d; a; b } ->
+    wr32 env d (ifold2 Int32.logand (int a) (int b));
     []
-  | Isa.LOP_OR ->
-    wr32 env (d ()) (ifold2 Int32.logor (int 1) (int 2));
+  | D.U_or { d; a; b } ->
+    wr32 env d (ifold2 Int32.logor (int a) (int b));
     []
-  | Isa.LOP_XOR ->
-    wr32 env (d ()) (ifold2 Int32.logxor (int 1) (int 2));
+  | D.U_xor { d; a; b } ->
+    wr32 env d (ifold2 Int32.logxor (int a) (int b));
     []
-  | Isa.LDG Isa.W32 | Isa.LDS Isa.W32 | Isa.ATOM_ADD _ | Isa.S2R _ ->
-    wr32 env (d ()) A.top;
+  | D.U_ldg32 { d; _ } | D.U_lds32 { d; _ } | D.U_atom_add { d; _ }
+  | D.U_s2r { d; _ } ->
+    wr32 env d A.top;
     []
-  | Isa.LDG Isa.W64 | Isa.LDS Isa.W64 ->
-    let dd = d () in
-    wr32 env dd A.top;
-    wr32 env (dd + 1) A.top;
+  | D.U_ldg64 { d; _ } | D.U_lds64 { d; _ } ->
+    wr_words env d A.top;
     []
-  | Isa.STG _ | Isa.STS _ | Isa.BRA | Isa.BAR | Isa.EXIT | Isa.NOP -> []
+  (* U_trap: the concrete core traps here, so nothing is written. *)
+  | D.U_stg32 _ | D.U_stg64 _ | D.U_sts32 _ | D.U_sts64 _ | D.U_bra _
+  | D.U_bra_poison _ | D.U_bar | D.U_exit | D.U_nop | D.U_trap _ ->
+    []
 
 (* --- the fixpoint ------------------------------------------------------ *)
 
@@ -425,43 +405,46 @@ let src_cls_of srcs =
 
 (* Step one instruction with guard handling. [record] sees the stepped
    (executing-lane) environment before the weak-update join. *)
-let transfer ~ftz ?record env (i : Instr.t) =
-  let note srcs =
-    match record with
-    | None -> ()
-    | Some f ->
-      let dest32 =
-        match Instr.dest_reg_num i with
-        | Some d -> reg32 env d
-        | None -> A.bot
-      in
-      let dest64 =
-        match (i.Instr.op, Instr.dest_reg_num i) with
-        | Isa.MUFU (Isa.Rcp64h | Isa.Rsq64h), Some d when d > 0 ->
-          pair_read env (d - 1)
-        | (Isa.DADD | Isa.DMUL | Isa.DFMA), Some d -> pair_read env d
-        | _ -> A.bot
-      in
-      f ~dest32 ~dest64 ~src_cls:(src_cls_of srcs)
+let transfer ~ftz ?record env (e : D.entry) =
+  let step () =
+    let srcs = exec_abs ~ftz env e.D.uop in
+    Option.iter (fun f -> f env srcs) record
   in
-  match guard_val env i.Instr.guard with
+  match guard_val env e.D.guard with
   | g when g land 2 = 0 -> ()  (* guard definitely false: no lane executes *)
-  | 2 ->
-    let srcs = exec_abs ~ftz env i in
-    note srcs
+  | 2 -> step ()
   | _ ->
     let saved = copy_env env in
-    let srcs = exec_abs ~ftz env i in
-    note srcs;
+    step ();
     ignore (join_env_into ~widen:false env saved : bool)
 
-let branch_target (i : Instr.t) =
-  match (Instr.get_operand i 0).Operand.base with
-  | Operand.Label pc -> pc
-  | _ -> -1
+(* Join one executing-lane visit into a site's facts: the written
+   register's FP32 view and, for an FP64 Algorithm-1 check, the pair
+   that check reads. *)
+let record_fact old env (i : Instr.t) (e : D.entry) srcs =
+  let dest32 =
+    match D.dst e.D.uop with
+    | Some (D.D_reg d) -> env.regs.(d)
+    | Some D.D_sink -> A.of_const32 0l
+    | Some (D.D_poison _) -> A.top
+    | None -> A.bot
+  in
+  let dest64 =
+    match Site.plan i with
+    | Some (Site.Check_64 (lo, _) | Site.Div0_64 (lo, _)) when lo >= 0 ->
+      pair_read env lo
+    | Some _ | None -> A.bot
+  in
+  {
+    reachable = true;
+    dest32 = A.join old.dest32 dest32;
+    dest64 = A.join old.dest64 dest64;
+    src_cls = old.src_cls lor src_cls_of srcs;
+  }
 
 let analyze (prog : Program.t) =
   let cfg = Cfg.build prog in
+  let dec = D.program prog in
   let ftz = prog.Program.ftz in
   let n = Program.length prog in
   let nb = Array.length cfg.Cfg.blocks in
@@ -471,23 +454,21 @@ let analyze (prog : Program.t) =
   in_envs.(entry) <- Some (init_env prog);
   let step_block ?record env (blk : Cfg.block) =
     for pc = blk.Cfg.first to blk.Cfg.last do
-      let i = Program.instr prog pc in
-      let record =
-        match record with None -> None | Some f -> Some (f pc)
-      in
-      transfer ~ftz ?record env i
+      let record = Option.map (fun f -> f pc) record in
+      transfer ~ftz ?record env dec.D.entries.(pc)
     done
   in
   (* Which successors can actually be reached, given the abstract value
      of the terminator's guard? *)
   let feasible_succs env (blk : Cfg.block) =
-    let last = Program.instr prog blk.Cfg.last in
-    match last.Instr.op with
-    | Isa.BRA ->
-      let gv = guard_val env last.Instr.guard in
+    let last = dec.D.entries.(blk.Cfg.last) in
+    match last.D.uop with
+    | D.U_bra _ | D.U_bra_poison _ ->
+      let gv = guard_val env last.D.guard in
       let tgt =
-        let t = branch_target last in
-        if t >= 0 && t < n then Some cfg.Cfg.block_of_pc.(t) else None
+        match last.D.uop with
+        | D.U_bra t when t >= 0 && t < n -> Some cfg.Cfg.block_of_pc.(t)
+        | _ -> None
       in
       let fall =
         if blk.Cfg.last + 1 < n then Some cfg.Cfg.block_of_pc.(blk.Cfg.last + 1)
@@ -539,15 +520,10 @@ let analyze (prog : Program.t) =
       | None -> ()
       | Some in_env ->
         let env = copy_env in_env in
-        let record pc ~dest32 ~dest64 ~src_cls =
-          let old = facts.(pc) in
+        let record pc env srcs =
           facts.(pc) <-
-            {
-              reachable = true;
-              dest32 = A.join old.dest32 dest32;
-              dest64 = A.join old.dest64 dest64;
-              src_cls = old.src_cls lor src_cls;
-            }
+            record_fact facts.(pc) env (Program.instr prog pc)
+              dec.D.entries.(pc) srcs
         in
         step_block ~record env blk)
     cfg.Cfg.blocks;

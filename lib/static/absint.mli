@@ -8,8 +8,14 @@
       zero-initialises register files), predicates at false;
     - loads, kernel parameters ([c\[0x0\]\[..\]]) and special registers
       are unknown ({!Absval.top});
-    - transfer functions follow [lib/gpu/exec.ml]'s semantics, including
-      input/output FTZ flushing when the program was compiled fast-math;
+    - it runs on {!Fpx_sass.Decode}'s micro-ops, the same operand
+      decoding the executor runs, so RZ, immediates, GENERIC tokens,
+      source modifiers and input FTZ under fast-math read alike; the
+      transfer functions follow the executor's semantics, output FTZ
+      included;
+    - a malformed operand (a {!Fpx_sass.Decode} poison descriptor) reads
+      as ⊤, or as an unknown predicate, and a poisoned destination is
+      not written: the concrete core traps there;
     - predication is handled soundly: a guarded write under an unknown
       predicate joins the written value with the incoming one (weak
       update), a guard that is definitely false skips the instruction,
@@ -27,8 +33,9 @@ type fact = {
       (** FP32 view of the destination register after the write (⊥ when
           unreachable or no register destination). *)
   dest64 : Absval.t;
-      (** FP64 view of the destination pair, for DADD/DMUL/DFMA
-          ([d], [d+1]) and MUFU.*64H ([d-1], [d]); ⊥ otherwise. *)
+      (** FP64 view of the register pair an FP64 {!Fpx_sass.Site.plan}
+          check reads (DADD/DMUL/DFMA: [d], [d+1]; MUFU.*64H: [d-1],
+          [d]); ⊥ otherwise. *)
   src_cls : Absval.cls;
       (** Join of the classes of the FP source operands — the linter's
           raw material for "divisor may be Zero" style causes. *)

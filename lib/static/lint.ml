@@ -144,55 +144,38 @@ let cause_of (i : Instr.t) ~src_cls ~fired =
     Printf.sprintf "operands in %s can drive the result into %s"
       (A.cls_to_string src_cls) dest_s
 
-let dest_regs_of (i : Instr.t) =
-  match Instr.dest_reg_num i with
-  | None -> []
-  | Some d -> (
-    match i.Instr.op with
-    | Isa.MUFU (Isa.Rcp64h | Isa.Rsq64h) -> if d > 0 then [ d - 1; d ] else [ d ]
-    | _ -> if writes_pair i then [ d; d + 1 ] else [ d ])
-
 let lint prog =
   let p = Prune.analyze prog in
   let findings = ref [] in
   Array.iter
     (fun (i : Instr.t) ->
       let pc = i.Instr.pc in
-      match Prune.firing_mask p pc with
-      | None -> ()
-      | Some mask ->
-        if Prune.verdict p pc = Prune.May_except then begin
-          let f = Absint.fact p.Prune.analysis pc in
-          let dv = Prune.dest_val p pc in
-          let fired =
-            (* never-clean FP16 sites carry no tracked dest classes *)
-            if A.is_bot dv && f.Absint.reachable then mask
-            else dv.A.cls land mask
-          in
-          let div0 =
-            match i.Instr.op with
-            | Isa.MUFU (Isa.Rcp | Isa.Rsq | Isa.Rcp64h | Isa.Rsq64h) -> true
-            | _ -> false
-          in
-          let fate, sink_pc =
-            taint_from prog ~origin_pc:pc ~dest_regs:(dest_regs_of i)
-          in
-          findings :=
-            {
-              pc;
-              loc = Instr.loc_string i;
-              sass = Instr.sass_string i;
-              fmt =
-                Option.value ~default:Isa.FP32
-                  (Isa.fp_format_of_opcode i.Instr.op);
-              div0;
-              kinds = fired;
-              cause = cause_of i ~src_cls:f.Absint.src_cls ~fired;
-              fate;
-              sink_pc;
-            }
-            :: !findings
-        end)
+      match (Site.plan i, Prune.firing_mask p pc) with
+      | Some check, Some mask when Prune.verdict p pc = Prune.May_except ->
+        let f = Absint.fact p.Prune.analysis pc in
+        let dv = Prune.dest_val p pc in
+        let fired =
+          (* never-clean FP16 sites carry no tracked dest classes *)
+          if A.is_bot dv && f.Absint.reachable then mask
+          else dv.A.cls land mask
+        in
+        let fate, sink_pc =
+          taint_from prog ~origin_pc:pc ~dest_regs:(Site.regs check)
+        in
+        findings :=
+          {
+            pc;
+            loc = Instr.loc_string i;
+            sass = Instr.sass_string i;
+            fmt = Site.fmt check;
+            div0 = Site.is_div0 check;
+            kinds = fired;
+            cause = cause_of i ~src_cls:f.Absint.src_cls ~fired;
+            fate;
+            sink_pc;
+          }
+          :: !findings
+      | _ -> ())
     prog.Program.instrs;
   {
     kernel = prog.Program.name;

@@ -19,6 +19,7 @@ type finding = {
   loc : string;  (** Source location ({!Fpx_sass.Instr.loc_string}). *)
   sass : string;
   fmt : Fpx_sass.Isa.fp_format;
+      (** The format of the site's check ({!Fpx_sass.Site.fmt}). *)
   div0 : bool;  (** The site's check is a DIV0 check (MUFU.RCP/RSQ). *)
   kinds : Absval.cls;
       (** The firing classes the destination may actually take. *)

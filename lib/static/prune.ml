@@ -5,47 +5,30 @@ type verdict = Provably_clean | May_except
 
 type t = { analysis : Absint.t; verdicts : verdict array }
 
-(* Mirror of the detector's Algorithm-1 plan: which destination classes
-   make the injected check report, and which value view it reads.
-   [`Never_clean] marks the packed-FP16 checks (the 32-bit domain does
-   not track half-precision ranges). *)
-let site_kind (i : Instr.t) =
-  match Instr.dest_reg_num i with
-  | None -> None
-  | Some _ -> (
-    match i.Instr.op with
-    | Isa.MUFU (Isa.Rcp | Isa.Rsq) -> Some (`Fire (A.m_div0, `D32))
-    | Isa.MUFU (Isa.Rcp64h | Isa.Rsq64h) -> Some (`Fire (A.m_div0, `D64))
-    | Isa.MUFU (Isa.Sqrt | Isa.Ex2 | Isa.Lg2 | Isa.Sin | Isa.Cos) ->
-      Some (`Fire (A.m_exce, `D32))
-    | Isa.DADD | Isa.DMUL | Isa.DFMA -> Some (`Fire (A.m_exce, `D64))
-    | Isa.FADD | Isa.FADD32I | Isa.FMUL | Isa.FMUL32I | Isa.FFMA
-    | Isa.FFMA32I | Isa.FSEL | Isa.FMNMX | Isa.FSET _ ->
-      Some (`Fire (A.m_exce, `D32))
-    | Isa.HADD2 | Isa.HMUL2 | Isa.HFMA2 | Isa.F2F (Isa.FP16, Isa.FP32) ->
-      Some `Never_clean
-    | _ -> None)
+(* What a site's Algorithm-1 check ({!Site.plan}) reports on: the
+   destination classes that make it fire, and the value view it reads
+   (the pair for FP64 checks). *)
+let mask c = if Site.is_div0 c then A.m_div0 else A.m_exce
 
-let dest_of (f : Absint.fact) = function `D32 -> f.Absint.dest32
-                                       | `D64 -> f.Absint.dest64
+let view (f : Absint.fact) c =
+  if Site.fmt c = Isa.FP64 then f.Absint.dest64 else f.Absint.dest32
 
 let analyze prog =
   let analysis = Absint.analyze prog in
-  let n = Program.length prog in
   let verdicts =
-    Array.init n (fun pc ->
-        let i = Program.instr prog pc in
-        match site_kind i with
+    Array.map
+      (fun (i : Instr.t) ->
+        match Site.plan i with
         | None -> May_except
-        | Some kind ->
-          let f = Absint.fact analysis pc in
-          if not f.Absint.reachable then Provably_clean
-          else (
-            match kind with
-            | `Never_clean -> May_except
-            | `Fire (mask, view) ->
-              if A.may mask (dest_of f view).A.cls then May_except
-              else Provably_clean))
+        | Some c ->
+          let f = Absint.fact analysis i.Instr.pc in
+          (* the 32-bit domain does not track packed-FP16 halves *)
+          let may_fire =
+            Site.fmt c = Isa.FP16 || A.may (mask c) (view f c).A.cls
+          in
+          if f.Absint.reachable && may_fire then May_except
+          else Provably_clean)
+      prog.Program.instrs
   in
   { analysis; verdicts }
 
@@ -53,24 +36,20 @@ let verdict t pc = t.verdicts.(pc)
 let is_clean t pc =
   pc >= 0 && pc < Array.length t.verdicts && t.verdicts.(pc) = Provably_clean
 
+let plan t pc = Site.plan (Program.instr t.analysis.Absint.prog pc)
+
 let count t p =
   let n = ref 0 in
   Array.iteri
-    (fun pc (i : Instr.t) ->
-      if site_kind i <> None && p pc then incr n)
-    t.analysis.Absint.prog.Program.instrs;
+    (fun pc _ -> if plan t pc <> None && p pc then incr n)
+    t.verdicts;
   !n
 
 let n_sites t = count t (fun _ -> true)
 let n_clean t = count t (fun pc -> t.verdicts.(pc) = Provably_clean)
 
-let firing_mask t pc =
-  match site_kind (Program.instr t.analysis.Absint.prog pc) with
-  | None -> None
-  | Some `Never_clean -> Some A.m_exce
-  | Some (`Fire (mask, _)) -> Some mask
+let firing_mask t pc = Option.map mask (plan t pc)
 
 let dest_val t pc =
-  match site_kind (Program.instr t.analysis.Absint.prog pc) with
-  | Some (`Fire (_, view)) -> dest_of (Absint.fact t.analysis pc) view
-  | Some `Never_clean | None -> (Absint.fact t.analysis pc).Absint.dest32
+  let f = Absint.fact t.analysis pc in
+  match plan t pc with Some c -> view f c | None -> f.Absint.dest32

@@ -1,9 +1,10 @@
 (** Instrumentation-site pruning from the static analysis.
 
     For every instruction the detector would instrument (its Algorithm-1
-    plan), decide whether the injected check can {e provably never
-    fire}: the abstract destination value excludes every class the
-    check reports on, or no lane can ever execute the site. Such sites
+    check, {!Fpx_sass.Site.plan}), decide whether the injected check can
+    {e provably never fire}: the abstract destination value excludes
+    every class the check reports on, or no lane can ever execute the
+    site. Such sites
     are [Provably_clean] and may be skipped without changing any
     exception report. Everything else — including every packed-FP16
     site, whose halves the 32-bit domain does not track — stays

@@ -71,6 +71,18 @@ run "one event recorder" \
   sh -c '! test -e lib/obs/trace.ml &&
          ! grep -rnE "Fpx_obs\.Trace|Obs\.Trace|to_trace" lib bin bench/main.ml test'
 
+# One operand decoder: the abstract interpreter reads operands through
+# Fpx_sass.Decode's micro-ops, never through raw Operand constructors.
+run "one operand decoder" \
+  sh -c '! grep -nE "Operand\.(Imm_f32|Imm_f64|Imm_i|Generic|Cbank)" lib/static/absint.ml'
+
+# One site table: the MUFU.*64H pair rule is spelled out only by the
+# decoder and by Fpx_sass.Site (Algorithm 1); the detector, BinFPE,
+# Prune, Lint and Absint derive it from Site.plan.
+run "one site table" \
+  sh -c 'test "$(grep -rlE "Rcp64h \| Isa\.Rsq64h" lib | sort | tr "\n" " ")" = \
+              "lib/sass/decode.ml lib/sass/site.ml "'
+
 run "dune runtest" dune runtest
 
 # A standalone .sass kernel that traps ends in the documented crash exit
@@ -78,6 +90,11 @@ run "dune runtest" dune runtest
 run "run-sass trap smoke" \
   sh -c 'dune exec bin/fpx_run.exe -- run-sass examples/sass/oob_load.sass \
            >/dev/null; test $? -eq 3'
+
+# A malformed kernel (a missing source operand) faults the same way.
+run "run-sass malformed smoke" \
+  sh -c 'dune exec bin/fpx_run.exe -- run-sass \
+           examples/sass/missing_operand.sass >/dev/null; test $? -eq 3'
 
 # Smoke the architectural bit-flip campaign end to end: a pinned-seed
 # plan through the real CLI, with the kill (--halt-after) + --resume

@@ -6,7 +6,7 @@
     [bench/main.exe exec] times the decoded engine against it.
 
     It shares the decoded engine's hook ABI ({!Fpx_gpu.Exec.hooks}) and
-    raises the same {!Fpx_gpu.Decode.Trap}. *)
+    raises the same {!Fpx_sass.Decode.Trap}. *)
 
 val run :
   ?hooks:Fpx_gpu.Exec.hooks ->

@@ -302,22 +302,29 @@ let test_to_json_escaping () =
   Alcotest.(check bool) "no raw newline" true
     (not (String.contains j '\n'))
 
-(* A standalone .sass kernel that traps (an out-of-bounds load) ends in a
-   Faulted measurement on the standard runner path, never an uncaught
-   exception: the path `fpx_run run-sass` and serve .sass submits take. *)
+(* A standalone .sass kernel that traps ends in a Faulted measurement on
+   the standard runner path, never an uncaught exception: the path
+   `fpx_run run-sass` and serve .sass submits take. Besides an
+   out-of-bounds load, that covers malformed kernels — a missing source
+   operand, a predicate past P7 — whose reads raise Invalid_argument.
+   The replay oracle files each one as a crash. *)
 let test_trapping_sass_faults () =
-  let f =
-    Fpx_sass.Parse.file
-      ".kernel trap_oob\n.launch 1 32\n  MOV R2, 0x7fffff00 ;\n\
-      \  LDG.E.32 R4, R2 ;\n  EXIT ;\n"
-  in
-  let w = Fpx_fuzz.Repro.workload (Fpx_fuzz.Repro.of_file f) in
-  match (R.run ~tool:detector w).R.status with
-  | R.Faulted msg ->
-    Alcotest.(check string) "trap message"
-      "global access out of bounds: 4 bytes at 0x7fffff00 in kernel trap_oob"
-      msg
-  | s -> Alcotest.fail ("expected faulted, got " ^ R.status_to_string s)
+  List.iter
+    (fun (text, expected) ->
+      let c = Fpx_fuzz.Repro.of_file (Fpx_sass.Parse.file text) in
+      (match (R.run ~tool:detector (Fpx_fuzz.Repro.workload c)).R.status with
+      | R.Faulted msg -> Alcotest.(check string) "trap message" expected msg
+      | s -> Alcotest.fail ("expected faulted, got " ^ R.status_to_string s));
+      Alcotest.(check bool) "replay files a crash" true
+        (Fpx_fuzz.Oracle.primary (Fpx_fuzz.Oracle.check c)
+        = Some Fpx_fuzz.Oracle.Crash))
+    [ ( ".kernel trap_oob\n.launch 1 32\n  MOV R2, 0x7fffff00 ;\n\
+        \  LDG.E.32 R4, R2 ;\n  EXIT ;\n",
+        "global access out of bounds: 4 bytes at 0x7fffff00 in kernel \
+         trap_oob" );
+      ("FADD R0, R1 ;\nEXIT ;\n", {|Invalid_argument("index out of bounds")|});
+      ( "FSETP.GT.AND P9, R1, R2 ;\nEXIT ;\n",
+        {|Invalid_argument("index out of bounds")|} ) ]
 
 let suite =
   ( "harness",

@@ -373,6 +373,38 @@ let test_handle_sass_and_lint () =
           (J.member "discrepancies" payload = Some (J.List []))
       | None -> Alcotest.fail "replay payload shape"))
 
+(* A kernel missing a source operand is a well-formed request: submit
+   answers ok with a faulted run, lint with a report, replay with a
+   crash discrepancy — never an "internal:" error. *)
+let test_handle_malformed_sass () =
+  with_server (fun t ->
+      let req tool =
+        J.to_string
+          (J.Obj
+             [ ("op", J.Str "submit"); ("tool", J.Str tool);
+               ("sass", J.Str "FADD R0, R1 ;\nEXIT ;\n") ])
+      in
+      let payload tool =
+        let r = J.parse (Server.handle t (req tool)) in
+        Alcotest.(check (option string)) (tool ^ ": ok") (Some "ok")
+          (J.str_field "status" r);
+        match J.member "payload" r with
+        | Some p -> p
+        | None -> Alcotest.fail (tool ^ ": no payload")
+      in
+      Alcotest.(check (option string)) "detect run faulted" (Some "faulted")
+        (J.str_field "status" (payload "detect"));
+      (match payload "lint" with
+      | J.List [ report ] ->
+        Alcotest.(check (option int)) "lint sees the FADD site" (Some 1)
+          (J.int_field "n_sites" report)
+      | _ -> Alcotest.fail "lint payload shape");
+      match J.member "discrepancies" (payload "replay") with
+      | Some (J.List (d :: _)) ->
+        Alcotest.(check (option string)) "replay files a crash"
+          (Some "crash") (J.str_field "clazz" d)
+      | _ -> Alcotest.fail "replay payload shape")
+
 let test_handle_errors () =
   with_server (fun t ->
       let status req =
@@ -702,4 +734,6 @@ let suite =
       Alcotest.test_case "socket: hostile json answered, next served" `Quick
         test_socket_hostile_json;
       Alcotest.test_case "socket: hostile length prefixes" `Quick
-        test_socket_hostile_prefixes ] )
+        test_socket_hostile_prefixes;
+      Alcotest.test_case "handle: malformed sass" `Quick
+        test_handle_malformed_sass ] )

@@ -361,7 +361,53 @@ let test_lint_lines () =
   Alcotest.(check bool) "names the kernel" true (has "standalone_trsv");
   Alcotest.(check bool) "reports DIV0" true (has "DIV0");
   Alcotest.(check bool) "uses the flow vocabulary" true
-    (has (Flow.fate_to_string Flow.Surviving))
+    (has (Flow.fate_to_string Flow.Surviving));
+  (* malformed kernels get a report too: a missing source reads as ⊤, a
+     predicate past P7 is not written *)
+  List.iter
+    (fun (src, header) ->
+      match Lint.to_lines (Lint.lint (Parse.program src)) with
+      | first :: _ -> Alcotest.(check string) src header first
+      | [] -> Alcotest.fail (src ^ ": empty report"))
+    [ ( "FADD R0, R1 ;\nEXIT ;",
+        "kernel [parsed_kernel]: 1 instrumentable sites, 0 provably clean, \
+         1 flagged" );
+      ( "FSETP.GT.AND P9, R1, R2 ;\nEXIT ;",
+        "kernel [parsed_kernel]: 0 instrumentable sites, 0 provably clean, \
+         0 flagged" ) ];
+  (* a finding's format is its check's, as the detector reports it: the
+     narrowing F2F.F16.F32 gets the packed FP16 check *)
+  match Lint.lint (Parse.program "F2F.F16.F32 R0, R1 ;\nEXIT ;") with
+  | { Lint.findings = [ f ]; _ } ->
+    Alcotest.(check string) "F2F.F16.F32 is an FP16 site" "FP16"
+      (Isa.fp_format_to_string f.Lint.fmt)
+  | _ -> Alcotest.fail "F2F.F16.F32: expected one finding"
+
+(* Every kernel of the 151 catalog programs, compiled precise and
+   fast-math, linted and rendered: one MD5 over the whole text. The
+   header lines carry n_sites/n_clean, so this also pins every Prune
+   verdict count. A refactor of the analysis must keep the digest; only
+   an intended report change may move it. *)
+let test_lint_catalog_pin () =
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun (w : Fpx_workloads.Workload.t) ->
+          List.iter
+            (fun k ->
+              let prog = Fpx_klang.Compile.compile ~mode k in
+              List.iter
+                (fun l ->
+                  Buffer.add_string buf l;
+                  Buffer.add_char buf '\n')
+                (Lint.to_lines (Lint.lint prog)))
+            w.Fpx_workloads.Workload.kernels)
+        Fpx_workloads.Catalog.evaluated)
+    [ Fpx_klang.Mode.precise; Fpx_klang.Mode.fast_math ];
+  Alcotest.(check string)
+    "catalog lint digest" "94e114ef52d14c85e8f0d51dd0ec1e27"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 (* --- Flow.chains edge cases ------------------------------------------- *)
 
@@ -428,12 +474,13 @@ let test_chains_guarded_then_reappears () =
 
 (* --- GENERIC tokens ------------------------------------------------------ *)
 
-(* Every token Parse turns into a Generic operand means one value to the
-   decoder, the abstract interpreter and the analyzer's JIT-time check,
-   and survives the float_token / generic_value round trip. FSEL reads
-   it as FP32, F2F.F32.F64 as FP64. *)
+(* Every token Parse turns into a Generic operand means one value to
+   Decode (whose micro-ops both the executor and the abstract
+   interpreter run) and to the analyzer's JIT-time check, and survives
+   the float_token / generic_value round trip. FSEL reads it as FP32,
+   F2F.F32.F64 as FP64. *)
 let test_generic_tokens () =
-  let module D = Fpx_gpu.Decode in
+  let module D = Fpx_sass.Decode in
   let bits = Int64.bits_of_float in
   List.iter
     (fun tok ->
@@ -509,4 +556,6 @@ let suite =
       Alcotest.test_case "flow chains: interleaved kernels" `Quick
         test_chains_interleaved;
       Alcotest.test_case "flow chains: guarded then reappears" `Quick
-        test_chains_guarded_then_reappears ] )
+        test_chains_guarded_then_reappears;
+      Alcotest.test_case "lint: catalog byte pin" `Quick
+        test_lint_catalog_pin ] )
