@@ -455,7 +455,10 @@ let disasm_cmd =
     List.iter
       (fun k ->
         let prog = Fpx_klang.Compile.compile ~mode k in
-        if dot then print_string (Fpx_static.Cfg.to_dot (Fpx_static.Cfg.build prog))
+        if dot then
+          print_string
+            (Fpx_static.Cfg.to_dot
+               (Fpx_static.Cfg.build (Fpx_sass.Decode.program prog)))
         else print_string (Fpx_sass.Program.disassemble prog))
       w.W.kernels
   in

@@ -104,22 +104,22 @@ let create ?(max_reports_per_site = 2) ?(sampling = Sampling.always)
     obs = Fpx_obs.Sink.active device.Device.obs;
   }
 
-(* Register-operand capture plan: how to classify each register operand
-   of an instruction. *)
+(* Register-operand capture plan: the register footprint, destination
+   first. A 32-bit register of an FP64 op (MUFU.*64H) is a high word; of
+   an FP16 op, two packed halves. *)
 type reg_width = Single | Pair | Hi_word | Packed_half
 
-let reg_plan (i : Instr.t) =
-  let width =
-    match i.Instr.op with
-    | Isa.DADD | Isa.DMUL | Isa.DFMA | Isa.DSETP _ -> Pair
-    | Isa.MUFU m when Isa.mufu_is_64h m -> Hi_word
-    | Isa.HADD2 | Isa.HMUL2 | Isa.HFMA2 -> Packed_half
-    | _ -> Single
-  in
-  List.filter_map
-    (fun (o : Operand.t) ->
-      match Operand.reg_num o with Some n -> Some (n, width) | None -> None)
-    (Array.to_list i.Instr.operands)
+let reg_plan (i : Instr.t) u =
+  let fmt = Isa.fp_format_of_opcode i.Instr.op in
+  List.map
+    (fun (n, w) ->
+      ( n,
+        match (w, fmt) with
+        | Isa.W64, _ -> Pair
+        | Isa.W32, Some Isa.FP64 -> Hi_word
+        | Isa.W32, Some Isa.FP16 -> Packed_half
+        | Isa.W32, (Some Isa.FP32 | None) -> Single ))
+    (Decode.writes u @ Decode.reads u)
 
 let classify_reg (api : Exec.warp_api) ~lane (n, width) =
   match width with
@@ -158,12 +158,12 @@ let compile_e_type (i : Instr.t) =
 
 let has_ev kinds = List.exists Kind.is_exceptional kinds
 
-let classify_state (i : Instr.t) ~before ~after =
+let classify_state (i : Instr.t) u ~before ~after =
   let dest_ev =
     match after with [] -> false | d :: _ -> Kind.is_exceptional d
   in
   let src_ev = match before with [] -> false | _ :: srcs -> has_ev srcs in
-  if Instr.shares_dest_and_src_reg i then Some Shared_register
+  if Decode.shares_reg u then Some Shared_register
   else if Isa.is_control_flow i.Instr.op then
     if has_ev before || has_ev after then Some Comparison else None
   else if dest_ev && src_ev then Some Propagation
@@ -178,51 +178,44 @@ let classify_state (i : Instr.t) ~before ~after =
    executes. Value-type information does not exist at the SASS level, so
    (like the real tool would) we only track stores in kernels that
    contain FP arithmetic, and only flag NaN/INF bit patterns. *)
-let instrument_store t prog b (i : Instr.t) =
-  match i.Instr.op, (Instr.get_operand i 1).Operand.base with
-  | Isa.STG w, Operand.Reg src ->
-    let kernel = prog.Program.mangled in
-    let loc = Instr.loc_string i in
-    let pc = i.Instr.pc in
-    Fpx_tool.Inject.insert_before b ~pc
-      ~n_values:(match w with Isa.W64 -> 2 | Isa.W32 -> 1)
-      (fun _ctx api ->
-        List.iter
-          (fun lane ->
-            let kind =
-              match w with
-              | Isa.W32 -> Fp32.classify (api.Exec.read_reg ~lane src)
-              | Isa.W64 ->
-                Fp64.classify
-                  (Fp64.of_words
-                     ~lo:(api.Exec.read_reg ~lane src)
-                     ~hi:(api.Exec.read_reg ~lane (src + 1)))
-            in
-            match kind with
-            | Kind.Nan | Kind.Inf ->
-              let key = (kernel, pc, kind) in
-              if not (Hashtbl.mem t.escape_seen key) then begin
-                Hashtbl.add t.escape_seen key ();
-                t.escapes_rev <-
-                  { store_kernel = kernel; store_loc = loc; kind }
-                  :: t.escapes_rev
-              end
-            | Kind.Subnormal | Kind.Zero | Kind.Normal -> ())
-          api.Exec.executing_lanes)
-  | _ -> ()
+let instrument_store t prog b (i : Instr.t) reg =
+  let kernel = prog.Program.mangled in
+  let loc = Instr.loc_string i in
+  let pc = i.Instr.pc in
+  Fpx_tool.Inject.insert_before b ~pc
+    ~n_values:(if snd reg = Pair then 2 else 1)
+    (fun _ctx api ->
+      List.iter
+        (fun lane ->
+          match classify_reg api ~lane reg with
+          | Kind.Nan | Kind.Inf as kind ->
+            let key = (kernel, pc, kind) in
+            if not (Hashtbl.mem t.escape_seen key) then begin
+              Hashtbl.add t.escape_seen key ();
+              t.escapes_rev <-
+                { store_kernel = kernel; store_loc = loc; kind }
+                :: t.escapes_rev
+            end
+          | Kind.Subnormal | Kind.Zero | Kind.Normal -> ())
+        api.Exec.executing_lanes)
 
 let instrument t prog b =
+  let dec = Decode.program prog in
+  let uop (i : Instr.t) = dec.Decode.entries.(i.Instr.pc).Decode.uop in
   if t.track_stores && Program.fp_instr_count prog > 0 then
     Array.iter
       (fun (i : Instr.t) ->
-        match i.Instr.op with
-        | Isa.STG _ -> instrument_store t prog b i
+        let u = uop i in
+        match (u, reg_plan i u) with
+        | Decode.(U_stg32 _ | U_stg64 _), [ reg ] ->
+          instrument_store t prog b i reg
         | _ -> ())
       prog.Program.instrs;
   Array.iter
     (fun (i : Instr.t) ->
       if Isa.is_fp_instrumentable i.Instr.op then begin
-        let regs = reg_plan i in
+        let u = uop i in
+        let regs = reg_plan i u in
         let n_regs = List.length regs in
         let cte = compile_e_type i in
         let pending = ref None in
@@ -251,7 +244,7 @@ let instrument t prog b =
                 has_ev before || has_ev after || Option.is_some cte
               in
               if interesting then
-                match classify_state i ~before ~after with
+                match classify_state i u ~before ~after with
                 | None -> ()
                 | Some state ->
                   let key = (prog.Program.name, i.Instr.pc, state) in

@@ -27,8 +27,9 @@ type report = {
   loc : string;
   sass : string;
   before : Fpx_num.Kind.t list;
-      (** Value class of each register operand (dest first) before the
-          instruction executed. *)
+      (** Value class of each register written, then each read
+          ({!Fpx_sass.Decode.writes} @ {!Fpx_sass.Decode.reads}), before
+          the instruction executed. *)
   after : Fpx_num.Kind.t list;  (** Same, after execution. *)
   compile_time : Fpx_tool.Exce.t option;
       (** Exceptional immediate operand found at JIT time. *)

@@ -2,6 +2,7 @@ module Isa = Fpx_sass.Isa
 module Instr = Fpx_sass.Instr
 module Operand = Fpx_sass.Operand
 module Program = Fpx_sass.Program
+module Decode = Fpx_sass.Decode
 module Parse = Fpx_sass.Parse
 module W = Fpx_workloads.Workload
 module Gpu = Fpx_gpu
@@ -24,6 +25,11 @@ let origin_to_string = function
 
 let instr_count c = Program.length c.prog
 
+(* The operands that weigh nothing besides labels: RZ, PT and the zero
+   immediates ([=] also takes -0.0). *)
+let simplest =
+  Operand.[ Reg rz; Pred pt; Imm_f32 0l; Imm_f64 0.0; Imm_i 0l ]
+
 (* Secondary lexicographic measure for the shrinker: anything the
    operand/constant/launch simplification passes touch must strictly
    decrease it while keeping the instruction count. *)
@@ -35,14 +41,8 @@ let operand_weight (o : Operand.t) =
   m
   +
   match o.base with
-  | Operand.Reg r -> if r = Operand.rz then 0 else 1
-  | Operand.Pred p -> if p = Operand.pt then 0 else 1
-  | Operand.Imm_f32 b -> if b = 0l then 0 else 1
-  | Operand.Imm_f64 v -> if v = 0.0 then 0 else 1
-  | Operand.Imm_i v -> if v = 0l then 0 else 1
-  | Operand.Generic _ -> 1
-  | Operand.Cbank _ -> 1
   | Operand.Label _ -> 0
+  | b -> if List.mem b simplest then 0 else 1
 
 let param_weight = function
   | Parse.Ptr_bytes n -> n / 64
@@ -114,20 +114,6 @@ let workload c =
 
 (* --- escape-oracle applicability -------------------------------------- *)
 
-(* [i] writes register [r] (including the hi word of pair writes). *)
-let writes_reg (i : Instr.t) r =
-  match Instr.dest_reg_num i with
-  | None -> false
-  | Some d ->
-    let hi =
-      if Isa.writes_fp64_pair i.Instr.op then d + 1
-      else
-        match i.Instr.op with
-        | Isa.LDG Isa.W64 | Isa.LDS Isa.W64 -> d + 1
-        | _ -> d
-    in
-    r >= d && r <= hi
-
 let escape_oracle_applies c =
   let instrs = c.prog.Program.instrs in
   let no_generic =
@@ -147,22 +133,21 @@ let escape_oracle_applies c =
      loads, raw selects, conversions or integer arithmetic could place a
      NaN/INF bit pattern in memory with no detector record, and the
      oracle would cry wolf *)
+  let entries = (Decode.program c.prog).Decode.entries in
   let stored_words =
     Array.fold_left
-      (fun acc (i : Instr.t) ->
-        match i.Instr.op with
-        | Isa.STG w | Isa.STS w when Instr.num_operands i > 1 -> (
-          match (Instr.get_operand i 1).Operand.base with
-          | Operand.Reg r when r <> Operand.rz ->
-            if w = Isa.W64 then r :: (r + 1) :: acc else r :: acc
-          | _ -> acc)
+      (fun acc (e : Decode.entry) ->
+        match e.Decode.uop with
+        | Decode.(U_stg32 _ | U_stg64 _ | U_sts32 _ | U_sts64 _) as u ->
+          Decode.(words (reads u)) @ acc
         | _ -> acc)
-      [] instrs
+      [] entries
   in
   let word_clean r =
-    Array.for_all
-      (fun (i : Instr.t) ->
-        (not (writes_reg i r)) || Isa.is_fp_instrumentable i.Instr.op)
-      instrs
+    Array.for_all2
+      (fun (i : Instr.t) (e : Decode.entry) ->
+        (not (List.mem r Decode.(words (writes e.uop))))
+        || Isa.is_fp_instrumentable i.Instr.op)
+      instrs entries
   in
   no_generic && List.for_all word_clean stored_words

@@ -3,6 +3,7 @@ module Op = Fpx_sass.Operand
 module Instr = Fpx_sass.Instr
 module Program = Fpx_sass.Program
 module Parse = Fpx_sass.Parse
+module Decode = Fpx_sass.Decode
 
 (* Rebuild the case around an edited instruction list, keeping name and
    metadata. None when the edit left a branch label out of range. *)
@@ -31,20 +32,17 @@ let deletions (c : Repro.t) =
       rebuild c rest)
   |> List.filter_map Fun.id
 
-(* Source positions the executor reads as an FP64 register pair: RZ is
-   not a valid base there (its pair partner R256 does not exist), so
-   those operands simplify to an FP64 immediate instead. *)
-let pair_source (i : Instr.t) j =
-  match i.Instr.op with
-  | Isa.DADD | Isa.DMUL | Isa.DSETP _ -> j = 1 || j = 2
-  | Isa.DFMA -> j >= 1 && j <= 3
-  | Isa.F2F (_, Isa.FP64) | Isa.F2I Isa.FP64 -> j = 1
-  | Isa.STG Isa.W64 | Isa.STS Isa.W64 -> j = 1
-  | _ -> false
-
-(* One-step operand/guard edits on instruction [k]; each strictly drops
-   {!Repro.complexity} while keeping the instruction count. *)
-let instr_edits (i : Instr.t) =
+(* One-step operand/guard edits on an instruction whose micro-op is
+   [u]; each strictly drops {!Repro.complexity} while keeping the
+   instruction count. A register the executor reads as an FP64 pair
+   cannot become RZ (its pair partner R256 does not exist), so it
+   simplifies to an FP64 immediate instead. *)
+let instr_edits (i : Instr.t) u =
+  let pairs =
+    List.filter_map
+      (fun (r, w) -> if w = Isa.W64 then Some r else None)
+      (Decode.reads u)
+  in
   let edits = ref [] in
   let push i' = edits := i' :: !edits in
   (match i.Instr.guard with
@@ -66,7 +64,7 @@ let instr_edits (i : Instr.t) =
         let bare b = { Op.base = b; neg = false; abs = false; pred_not = false } in
         match o.Op.base with
         | Op.Reg r when r <> Op.rz ->
-          if pair_source i j then set (bare (Op.Imm_f64 0.0))
+          if List.mem r pairs then set (bare (Op.Imm_f64 0.0))
           else set (bare (Op.Reg Op.rz))
         | Op.Pred p when p <> Op.pt -> set (bare (Op.Pred Op.pt))
         | Op.Imm_f64 v when v <> 0.0 -> set (bare (Op.Imm_f64 0.0))
@@ -84,6 +82,7 @@ let instr_edits (i : Instr.t) =
 
 let simplifications (c : Repro.t) =
   let instrs = Array.to_list c.Repro.prog.Program.instrs in
+  let entries = (Decode.program c.Repro.prog).Decode.entries in
   List.concat
     (List.mapi
        (fun k i ->
@@ -91,7 +90,7 @@ let simplifications (c : Repro.t) =
            (fun i' ->
              rebuild c
                (List.mapi (fun j x -> if j = k then i' else x) instrs))
-           (instr_edits i))
+           (instr_edits i entries.(k).Decode.uop))
        instrs)
 
 let param_edits (c : Repro.t) =

@@ -337,20 +337,80 @@ let uop_of ~nslots ~ftz (i : Instr.t) =
 let dst = function
   | U_fadd { d; _ } | U_fmul { d; _ } | U_ffma { d; _ } | U_mufu_f32 { d; _ }
   | U_mufu_64h { d; _ } | U_hadd2 { d; _ } | U_hmul2 { d; _ }
-  | U_hfma2 { d; _ } | U_dadd { d; _ } | U_dmul { d; _ } | U_dfma { d; _ }
-  | U_fsel { d; _ } | U_fset { d; _ } | U_fmnmx { d; _ }
-  | U_f32_of_f64 { d; _ } | U_f64_of_f32 { d; _ } | U_f32_of_f32 { d; _ }
-  | U_f64_of_f64 { d; _ } | U_f16_of_f32 { d; _ } | U_f32_of_f16 { d; _ }
-  | U_i2f32 { d; _ } | U_i2f64 { d; _ } | U_f2i32 { d; _ } | U_f2i64 { d; _ }
-  | U_mov { d; _ } | U_iadd { d; _ } | U_imad { d; _ } | U_shl { d; _ }
-  | U_shr { d; _ } | U_and { d; _ } | U_or { d; _ } | U_xor { d; _ }
-  | U_ldg32 { d; _ } | U_ldg64 { d; _ } | U_lds32 { d; _ } | U_lds64 { d; _ }
+  | U_hfma2 { d; _ } | U_fsel { d; _ } | U_fset { d; _ } | U_fmnmx { d; _ }
+  | U_f32_of_f64 { d; _ } | U_f32_of_f32 { d; _ } | U_f16_of_f32 { d; _ }
+  | U_f32_of_f16 { d; _ } | U_i2f32 { d; _ } | U_f2i32 { d; _ }
+  | U_f2i64 { d; _ } | U_mov { d; _ } | U_iadd { d; _ } | U_imad { d; _ }
+  | U_shl { d; _ } | U_shr { d; _ } | U_and { d; _ } | U_or { d; _ }
+  | U_xor { d; _ } | U_ldg32 { d; _ } | U_lds32 { d; _ }
   | U_atom_add { d; _ } | U_s2r { d; _ } ->
-    Some d
+    Some (d, Isa.W32)
+  | U_dadd { d; _ } | U_dmul { d; _ } | U_dfma { d; _ } | U_f64_of_f32 { d; _ }
+  | U_f64_of_f64 { d; _ } | U_i2f64 { d; _ } | U_ldg64 { d; _ }
+  | U_lds64 { d; _ } ->
+    Some (d, Isa.W64)
   | U_fsetp _ | U_dsetp _ | U_psetp _ | U_fchk _ | U_isetp _ | U_stg32 _
   | U_stg64 _ | U_sts32 _ | U_sts64 _ | U_bra _ | U_bra_poison _ | U_bar
   | U_exit | U_nop | U_trap _ ->
     None
+
+(* --- register footprint --------------------------------------------- *)
+
+(* An RZ pair base reads as zero, like the 32-bit RZ sources decoded to
+   immediates. *)
+let pair r = if r = Operand.rz then [] else [ (r, Isa.W64) ]
+
+let f32_regs = function
+  | F32_reg r | F32_reg_m { r; _ } -> [ (r, Isa.W32) ]
+  | F32_imm _ | F32_cb _ | F32_cb_m _ | F32_poison _ -> []
+
+let f64_regs = function
+  | F64_reg r | F64_reg_m { r; _ } -> pair r
+  | F64_imm _ | F64_cb _ | F64_poison _ -> []
+
+let i32_regs = function
+  | I32_reg r -> [ (r, Isa.W32) ]
+  | I32_imm _ | I32_cb _ | I32_poison _ -> []
+
+let v64_regs = function V64_pair r -> pair r | V64_val s -> f64_regs s
+
+let reads = function
+  | U_fadd { a; b; _ } | U_fmul { a; b; _ } | U_fsel { a; b; _ }
+  | U_fset { a; b; _ } | U_fsetp { a; b; _ } | U_fmnmx { a; b; _ }
+  | U_fchk { a; b; _ } ->
+    f32_regs a @ f32_regs b
+  | U_ffma { a; b; c; _ } -> f32_regs a @ f32_regs b @ f32_regs c
+  | U_mufu_f32 { a; _ } | U_f64_of_f32 { a; _ } | U_f32_of_f32 { a; _ }
+  | U_f16_of_f32 { a; _ } | U_f2i32 { a; _ } ->
+    f32_regs a
+  | U_dadd { a; b; _ } | U_dmul { a; b; _ } | U_dsetp { a; b; _ } ->
+    f64_regs a @ f64_regs b
+  | U_dfma { a; b; c; _ } -> f64_regs a @ f64_regs b @ f64_regs c
+  | U_f32_of_f64 { a; _ } | U_f64_of_f64 { a; _ } | U_f2i64 { a; _ } ->
+    f64_regs a
+  | U_mufu_64h { a; _ } | U_f32_of_f16 { a; _ } | U_i2f32 { a; _ }
+  | U_i2f64 { a; _ } | U_mov { a; _ } ->
+    i32_regs a
+  | U_hadd2 { a; b; _ } | U_hmul2 { a; b; _ } | U_iadd { a; b; _ }
+  | U_isetp { a; b; _ } | U_shl { a; b; _ } | U_shr { a; b; _ }
+  | U_and { a; b; _ } | U_or { a; b; _ } | U_xor { a; b; _ } ->
+    i32_regs a @ i32_regs b
+  | U_hfma2 { a; b; c; _ } | U_imad { a; b; c; _ } ->
+    i32_regs a @ i32_regs b @ i32_regs c
+  | U_stg32 { v; _ } | U_sts32 { v; _ } | U_atom_add { v; _ } -> i32_regs v
+  | U_stg64 { v; _ } | U_sts64 { v; _ } -> v64_regs v
+  | U_psetp _ | U_ldg32 _ | U_ldg64 _ | U_lds32 _ | U_lds64 _ | U_s2r _
+  | U_bra _ | U_bra_poison _ | U_bar | U_exit | U_nop | U_trap _ ->
+    []
+
+let writes u = match dst u with Some (D_reg d, w) -> [ (d, w) ] | _ -> []
+
+let words =
+  List.concat_map (fun (r, w) -> if w = Isa.W64 then [ r; r + 1 ] else [ r ])
+
+let shares_reg u =
+  let rd = words (reads u) in
+  List.exists (fun r -> List.mem r rd) (words (writes u))
 
 let program (prog : Program.t) =
   let nslots = prog.Program.n_regs + 2 in

@@ -153,9 +153,31 @@ type t = {
           coordinates [reg mod nslots] are unchanged). *)
 }
 
-val dst : uop -> dst option
-(** The register destination of a micro-op; [None] for predicate
-    writes, stores, control flow and [U_trap]. *)
+val dst : uop -> (dst * Isa.width) option
+(** The register destination of a micro-op and its width ([W64] for a
+    pair); [None] for predicate writes, stores, control flow and
+    [U_trap]. *)
+
+(** {1 Register footprint}
+
+    Which registers a micro-op reads and writes, at what width: the one
+    place this is decided. [(r, W64)] is the pair [(r, r+1)]. *)
+
+val reads : uop -> (int * Isa.width) list
+(** The registers read as values, in operand order. Load, store and
+    atomic addresses are excluded (an FP value never flows through an
+    address untrapped), and so are RZ, immediates and poisoned operands. *)
+
+val writes : uop -> (int * Isa.width) list
+(** The register destination of {!dst}; nothing for a predicate write, a
+    store, control flow, RZ, a poisoned destination or [U_trap]. *)
+
+val words : (int * Isa.width) list -> int list
+(** The 32-bit registers a footprint covers. *)
+
+val shares_reg : uop -> bool
+(** A word of {!writes} is a word of {!reads} (["FADD R6, R1, R6"], or
+    overlapping FP64 pairs): the analyzer's SHARED REGISTER state. *)
 
 val program : Program.t -> t
 (** Compile; never raises. Malformed operands become poison

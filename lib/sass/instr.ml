@@ -15,32 +15,8 @@ let num_operands t = Array.length t.operands
 
 let get_operand t i = t.operands.(i)
 
-let dest t = if num_operands t > 0 then Some t.operands.(0) else None
-
-let sources t =
-  if num_operands t <= 1 then []
-  else Array.to_list (Array.sub t.operands 1 (num_operands t - 1))
-
-let dest_reg_num t = Option.bind (dest t) Operand.reg_num
-
-let source_reg_nums t = List.filter_map Operand.reg_num (sources t)
-
-(* An FP64 destination occupies registers d and d+1, so a source pair
-   (s, s+1) aliases it whenever the register ranges overlap. *)
-let shares_dest_and_src_reg t =
-  match dest_reg_num t with
-  | None -> false
-  | Some d ->
-    let pair = Isa.writes_fp64_pair t.op in
-    let d_hi = if pair then d + 1 else d in
-    let src_width =
-      if Isa.is_fp64_compute t.op then 2 else 1
-    in
-    List.exists
-      (fun s ->
-        let s_hi = s + src_width - 1 in
-        s <> Operand.rz && d <= s_hi && s <= d_hi)
-      (source_reg_nums t)
+let dest_reg_num t =
+  if num_operands t > 0 then Operand.reg_num t.operands.(0) else None
 
 let sass_string t =
   let ops =

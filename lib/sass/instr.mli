@@ -22,18 +22,12 @@ val make :
 
 val num_operands : t -> int
 val get_operand : t -> int -> Operand.t
-val dest : t -> Operand.t option
-val sources : t -> Operand.t list
 
 val dest_reg_num : t -> int option
-(** Destination register number when operand 0 is a register. *)
-
-val source_reg_nums : t -> int list
-
-val shares_dest_and_src_reg : t -> bool
-(** True when the destination register also appears as a source —
-    the ["FADD R6, R1, R6"] case the analyzer must check {e before}
-    execution (paper §3.2.1), accounting for FP64 pair aliasing. *)
+(** Operand 0 as a register; for a store, its address. This is the raw
+    operand, not the register footprint: which registers an instruction
+    reads and writes, and at what width, is {!Decode.reads} /
+    {!Decode.writes}. *)
 
 val sass_string : t -> string
 (** SASS rendering, e.g. ["FFMA R1, R88, R104, R1 ;"]. *)

@@ -240,15 +240,6 @@ let fp_format_of_opcode op =
     | DSETP _ -> Some FP64
     | _ -> None
 
-let writes_fp64_pair = function
-  | DADD | DMUL | DFMA -> true
-  | F2F (FP64, _) | I2F FP64 -> true
-  | _ -> false
-
-let writes_predicate = function
-  | FSETP _ | DSETP _ | ISETP _ | PSETP _ | FCHK -> true
-  | _ -> false
-
 let base_cost = function
   | FADD | FADD32I | FMUL | FMUL32I | FFMA | FFMA32I -> 4
   | HADD2 | HMUL2 | HFMA2 -> 4

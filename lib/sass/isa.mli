@@ -14,7 +14,6 @@ val fp_format_to_string : fp_format -> string
     the high word of an FP64 register pair. *)
 type mufu_op = Rcp | Rsq | Sqrt | Ex2 | Lg2 | Sin | Cos | Rcp64h | Rsq64h
 
-val mufu_op_to_string : mufu_op -> string
 val mufu_is_64h : mufu_op -> bool
 
 val eval_mufu : mufu_op -> int32 -> int32
@@ -31,7 +30,6 @@ and cmp_op = Lt | Le | Gt | Ge | Eq | Ne
 
 val cmp : cmp_op -> cmp
 val cmp_u : cmp_op -> cmp
-val cmp_to_string : cmp -> string
 val eval_cmp : cmp -> int option -> bool
 (** Evaluate against {!Fpx_num.Fp32.compare_ieee}-style output
     ([None] = unordered). *)
@@ -39,8 +37,6 @@ val eval_cmp : cmp -> int option -> bool
 type width = W32 | W64
 
 type sreg = Tid_x | Ntid_x | Ctaid_x | Nctaid_x | Lane_id
-
-val sreg_to_string : sreg -> string
 
 (** Predicate combination for PSETP. *)
 type pbool = Pand | Por | Pxor
@@ -137,11 +133,6 @@ val is_fp_instrumentable : opcode -> bool
 
 val fp_format_of_opcode : opcode -> fp_format option
 (** Operating format of an instrumentable opcode. *)
-
-val writes_fp64_pair : opcode -> bool
-(** Destination is an FP64 register pair (DADD/DMUL/DFMA). *)
-
-val writes_predicate : opcode -> bool
 
 val base_cost : opcode -> int
 (** Issue-to-result cost in model cycles (used by the performance

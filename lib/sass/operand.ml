@@ -27,7 +27,6 @@ let generic s = plain (Generic s)
 let cbank ~bank ~offset = plain (Cbank { bank; offset })
 let label pc = plain (Label pc)
 
-let is_reg t = match t.base with Reg _ -> true | _ -> false
 let reg_num t = match t.base with Reg n -> Some n | _ -> None
 
 (* Lossless but compact: integers print bare, other values use the

@@ -39,7 +39,6 @@ val generic : string -> t
 val cbank : bank:int -> offset:int -> t
 val label : int -> t
 
-val is_reg : t -> bool
 val reg_num : t -> int option
 val to_string : t -> string
 

@@ -275,9 +275,27 @@ let program ?name text =
           kernel_name := strip (String.sub s sp (String.length s - sp))
         | _ -> () (* other directives handled by [file] *)
       end
-      else instrs := instruction_at ~line s :: !instrs)
+      else instrs := (line, instruction_at ~line s) :: !instrs)
     lines;
-  Program.make ~name:!kernel_name (List.rev !instrs)
+  (* The bound Program.make checks, after it appends a missing EXIT. *)
+  let n =
+    List.length !instrs
+    + match !instrs with (_, { Instr.op = Isa.EXIT; _ }) :: _ -> 0 | _ -> 1
+  in
+  let instrs = List.rev !instrs in
+  List.iter
+    (fun (line, (i : Instr.t)) ->
+      Array.iter
+        (function
+          | { Operand.base = Operand.Label pc; _ } as o
+            when pc < 0 || pc >= n ->
+            fail ~line
+              "branch target %s is outside the kernel (%d instructions)"
+              (Operand.to_string o) n
+          | _ -> ())
+        i.Instr.operands)
+    instrs;
+  Program.make ~name:!kernel_name (List.map snd instrs)
 
 type param_spec = Ptr_bytes of int | F32 of float | F64 of float | I32 of int32
 

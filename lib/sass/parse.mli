@@ -28,7 +28,8 @@ val instruction : string -> Instr.t
 val program : ?name:string -> string -> Program.t
 (** Parse a listing: an optional [.kernel <name>] line followed by
     instruction lines. Blank lines and [//]-comments are skipped.
-    @raise Parse_error on malformed input. *)
+    @raise Parse_error on malformed input, including a branch target
+    outside the kernel (reported on the branch's line). *)
 
 type param_spec =
   | Ptr_bytes of int  (** allocate this many zeroed bytes *)

@@ -6,6 +6,15 @@ type t = {
   ftz : bool;
 }
 
+(* The register-file sizing rule, not the register footprint
+   (Decode.reads/writes): an exact footprint would shrink [n_regs] on
+   some kernels, moving [nslots] and with it Reg_flip coordinates and
+   decode range traps. *)
+let writes_fp64_pair = function
+  | Isa.DADD | Isa.DMUL | Isa.DFMA -> true
+  | Isa.F2F (Isa.FP64, _) | Isa.I2F Isa.FP64 -> true
+  | _ -> false
+
 let regs_used (i : Instr.t) =
   let of_operand (o : Operand.t) =
     match Operand.reg_num o with
@@ -14,7 +23,7 @@ let regs_used (i : Instr.t) =
   in
   let base = List.concat_map of_operand (Array.to_list i.operands) in
   (* FP64 pairs occupy one extra register. *)
-  if Isa.writes_fp64_pair i.op || Isa.is_fp64_compute i.op then
+  if writes_fp64_pair i.op || Isa.is_fp64_compute i.op then
     List.concat_map (fun r -> [ r; r + 1 ]) base
   else base
 

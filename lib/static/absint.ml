@@ -11,7 +11,7 @@ type fact = {
   src_cls : A.cls;
 }
 
-type t = { prog : Program.t; cfg : Cfg.t; facts : fact array }
+type t = { dec : D.t; cfg : Cfg.t; facts : fact array }
 
 let fact t pc = t.facts.(pc)
 
@@ -424,9 +424,9 @@ let transfer ~ftz ?record env (e : D.entry) =
 let record_fact old env (i : Instr.t) (e : D.entry) srcs =
   let dest32 =
     match D.dst e.D.uop with
-    | Some (D.D_reg d) -> env.regs.(d)
-    | Some D.D_sink -> A.of_const32 0l
-    | Some (D.D_poison _) -> A.top
+    | Some (D.D_reg d, _) -> env.regs.(d)
+    | Some (D.D_sink, _) -> A.of_const32 0l
+    | Some (D.D_poison _, _) -> A.top
     | None -> A.bot
   in
   let dest64 =
@@ -443,8 +443,8 @@ let record_fact old env (i : Instr.t) (e : D.entry) srcs =
   }
 
 let analyze (prog : Program.t) =
-  let cfg = Cfg.build prog in
   let dec = D.program prog in
+  let cfg = Cfg.build dec in
   let ftz = prog.Program.ftz in
   let n = Program.length prog in
   let nb = Array.length cfg.Cfg.blocks in
@@ -461,25 +461,9 @@ let analyze (prog : Program.t) =
   (* Which successors can actually be reached, given the abstract value
      of the terminator's guard? *)
   let feasible_succs env (blk : Cfg.block) =
-    let last = dec.D.entries.(blk.Cfg.last) in
-    match last.D.uop with
-    | D.U_bra _ | D.U_bra_poison _ ->
-      let gv = guard_val env last.D.guard in
-      let tgt =
-        match last.D.uop with
-        | D.U_bra t when t >= 0 && t < n -> Some cfg.Cfg.block_of_pc.(t)
-        | _ -> None
-      in
-      let fall =
-        if blk.Cfg.last + 1 < n then Some cfg.Cfg.block_of_pc.(blk.Cfg.last + 1)
-        else None
-      in
-      List.filter
-        (fun s ->
-          (Some s = tgt && gv land 2 <> 0)
-          || (Some s = fall && gv land 1 <> 0))
-        blk.Cfg.succs
-    | _ -> blk.Cfg.succs
+    let gv = guard_val env dec.D.entries.(blk.Cfg.last).D.guard in
+    Cfg.succs_when cfg blk ~may_true:(gv land 2 <> 0)
+      ~may_false:(gv land 1 <> 0)
   in
   let worklist = Queue.create () in
   Queue.add entry worklist;
@@ -527,4 +511,4 @@ let analyze (prog : Program.t) =
         in
         step_block ~record env blk)
     cfg.Cfg.blocks;
-  { prog; cfg; facts }
+  { dec; cfg; facts }

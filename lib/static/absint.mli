@@ -42,7 +42,7 @@ type fact = {
 }
 
 type t = private {
-  prog : Fpx_sass.Program.t;
+  dec : Fpx_sass.Decode.t;  (** The micro-ops the analysis ran on. *)
   cfg : Cfg.t;
   facts : fact array;  (** Indexed by pc. *)
 }

@@ -27,12 +27,10 @@ type cls = int
 
 val m_zero : cls
 val m_sub : cls
-val m_normal : cls
 val m_inf : cls
 val m_nan : cls
 val m_none : cls
 val m_all : cls
-val m_finite : cls
 
 val m_exce : cls
 (** NaN ∪ Inf ∪ Subnormal — the classes a [check_*_nan_inf_sub]

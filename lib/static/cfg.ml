@@ -9,39 +9,45 @@ type block = {
 }
 
 type t = {
-  prog : Program.t;
+  dec : Decode.t;
   blocks : block array;
   block_of_pc : int array;
 }
 
-(* Does a guarded branch take / fall through? PT guards are compile-time
-   constants; anything else can go either way across the warp. *)
-let guard_may_be ~value (g : Operand.t option) =
-  match g with
-  | None -> value
-  | Some { base = Operand.Pred p; pred_not; _ } when p = Operand.pt ->
-    if pred_not then not value else value
-  | Some _ -> true
+(* Successors of the block ending at [last]; only a branch's guard
+   matters. *)
+let succs_from dec block_of_pc last ~may_true ~may_false =
+  let n = Array.length dec.Decode.entries in
+  let next = if last + 1 < n then [ block_of_pc.(last + 1) ] else [] in
+  let fall = if may_false then next else [] in
+  match dec.Decode.entries.(last).Decode.uop with
+  | Decode.U_exit -> []
+  | Decode.U_bra t ->
+    let taken = if may_true then [ block_of_pc.(t) ] else [] in
+    taken @ List.filter (fun s -> not (List.mem s taken)) fall
+  (* a poisoned branch traps when taken: no taken edge *)
+  | Decode.U_bra_poison _ -> fall
+  | _ -> next
 
-let branch_target (i : Instr.t) =
-  match (Instr.get_operand i 0).Operand.base with
-  | Operand.Label pc -> pc
-  | _ -> invalid_arg "Cfg: BRA without a label operand"
+let succs_when t blk ~may_true ~may_false =
+  succs_from t.dec t.block_of_pc blk.last ~may_true ~may_false
 
-let build (prog : Program.t) =
-  let n = Program.length prog in
+let build (dec : Decode.t) =
+  let entries = dec.Decode.entries in
+  let n = Array.length entries in
   if n = 0 then invalid_arg "Cfg.build: empty program";
   let leader = Array.make n false in
   leader.(0) <- true;
-  Array.iter
-    (fun (i : Instr.t) ->
-      match i.Instr.op with
-      | Isa.BRA ->
-        leader.(branch_target i) <- true;
-        if i.Instr.pc + 1 < n then leader.(i.Instr.pc + 1) <- true
-      | Isa.EXIT -> if i.Instr.pc + 1 < n then leader.(i.Instr.pc + 1) <- true
+  Array.iteri
+    (fun pc (e : Decode.entry) ->
+      match e.Decode.uop with
+      | Decode.U_bra t ->
+        leader.(t) <- true;
+        if pc + 1 < n then leader.(pc + 1) <- true
+      | Decode.(U_bra_poison _ | U_exit) ->
+        if pc + 1 < n then leader.(pc + 1) <- true
       | _ -> ())
-    prog.Program.instrs;
+    entries;
   let block_of_pc = Array.make n 0 in
   let firsts = ref [] in
   for pc = n - 1 downto 0 do
@@ -57,23 +63,15 @@ let build (prog : Program.t) =
       done)
     firsts;
   let succs_of b =
-    let last = last_of b in
-    let i = prog.Program.instrs.(last) in
-    match i.Instr.op with
-    | Isa.EXIT -> []
-    | Isa.BRA ->
-      let taken =
-        if guard_may_be ~value:true i.Instr.guard then
-          [ block_of_pc.(branch_target i) ]
-        else []
-      in
-      let fall =
-        if guard_may_be ~value:false i.Instr.guard && last + 1 < n then
-          [ block_of_pc.(last + 1) ]
-        else []
-      in
-      taken @ List.filter (fun s -> not (List.mem s taken)) fall
-    | _ -> if last + 1 < n then [ block_of_pc.(last + 1) ] else []
+    (* PT guards are compile-time constants; anything else can go either
+       way across the warp *)
+    let may_true, may_false =
+      match entries.(last_of b).Decode.guard with
+      | Decode.G_none -> (true, false)
+      | Decode.G_p p when p land 7 = Operand.pt -> (p land 8 = 0, p land 8 <> 0)
+      | Decode.G_p _ | Decode.G_poison _ -> (true, true)
+    in
+    succs_from dec block_of_pc (last_of b) ~may_true ~may_false
   in
   let succs = Array.init nb succs_of in
   let preds = Array.make nb [] in
@@ -90,7 +88,7 @@ let build (prog : Program.t) =
           preds = preds.(b);
         })
   in
-  { prog; blocks; block_of_pc }
+  { dec; blocks; block_of_pc }
 
 let entry t = t.blocks.(t.block_of_pc.(0))
 
@@ -130,13 +128,14 @@ let dot_escape s =
 
 let to_dot t =
   let b = Buffer.create 1024 in
-  Printf.bprintf b "digraph \"%s\" {\n" (dot_escape t.prog.Program.name);
+  let prog = t.dec.Decode.prog in
+  Printf.bprintf b "digraph \"%s\" {\n" (dot_escape prog.Program.name);
   Buffer.add_string b "  node [shape=record, fontname=monospace];\n";
   Array.iter
     (fun blk ->
       let lines = ref [] in
       for pc = blk.last downto blk.first do
-        let i = t.prog.Program.instrs.(pc) in
+        let i = prog.Program.instrs.(pc) in
         lines :=
           Printf.sprintf "/*%04x*/ %s" (pc * 16)
             (dot_escape (Instr.sass_string i))
@@ -147,13 +146,16 @@ let to_dot t =
     t.blocks;
   Array.iter
     (fun blk ->
-      let last = t.prog.Program.instrs.(blk.last) in
-      List.iteri
-        (fun k s ->
+      let last = t.dec.Decode.entries.(blk.last) in
+      List.iter
+        (fun s ->
           let label =
-            match last.Instr.op with
-            | Isa.BRA when last.Instr.guard <> None ->
-              if k = 0 then " [label=\"taken\"]" else " [label=\"fall\"]"
+            match (last.Decode.uop, last.Decode.guard) with
+            | (Decode.U_bra _ | Decode.U_bra_poison _), Decode.G_none -> ""
+            | Decode.U_bra t', _ when s = t.block_of_pc.(t') ->
+              " [label=\"taken\"]"
+            | (Decode.U_bra _ | Decode.U_bra_poison _), _ ->
+              " [label=\"fall\"]"
             | _ -> ""
           in
           Printf.bprintf b "  b%d -> b%d%s;\n" blk.id s label)

@@ -29,56 +29,23 @@ type report = {
 
 (* --- forward taint from one site's destination ------------------------ *)
 
-let reads_pair (i : Instr.t) k =
-  match (i.Instr.op, k) with
-  | (Isa.DADD | Isa.DMUL | Isa.DFMA | Isa.DSETP _), (1 | 2 | 3) -> true
-  | Isa.F2F (_, Isa.FP64), 1 -> true
-  | Isa.F2I Isa.FP64, 1 -> true
-  | (Isa.STG Isa.W64 | Isa.STS Isa.W64), 1 -> true
+let is_guard_use = function
+  | Decode.(U_fsetp _ | U_dsetp _ | U_fset _ | U_fchk _ | U_fmnmx _) -> true
   | _ -> false
 
-let operand_regs (i : Instr.t) k =
-  match (Instr.get_operand i k).Operand.base with
-  | Operand.Reg n when n <> Operand.rz ->
-    if reads_pair i k then [ n; n + 1 ] else [ n ]
-  | _ -> []
-  | exception _ -> []
-
-(* Source operand indices actually read as values (addresses excluded —
-   an exceptional FP value never flows through an address untrapped). *)
-let use_indices (i : Instr.t) =
-  let n = Array.length i.Instr.operands in
-  let from k = List.init (max 0 (n - k)) (fun j -> j + k) in
-  match i.Instr.op with
-  | Isa.STG _ | Isa.STS _ -> [ 1 ]
-  | Isa.ATOM_ADD _ -> [ 2 ]
-  | Isa.LDG _ | Isa.LDS _ -> []
-  | Isa.BRA | Isa.BAR | Isa.EXIT | Isa.NOP | Isa.S2R _ -> []
-  | _ -> from 1
-
-let writes_pair (i : Instr.t) =
-  match i.Instr.op with
-  | Isa.DADD | Isa.DMUL | Isa.DFMA | Isa.F2F (Isa.FP64, _)
-  | Isa.I2F Isa.FP64 | Isa.LDG Isa.W64 | Isa.LDS Isa.W64 -> true
-  | _ -> false
-
-let is_guard_use (i : Instr.t) =
-  match i.Instr.op with
-  | Isa.FSETP _ | Isa.DSETP _ | Isa.FSET _ | Isa.FCHK | Isa.FMNMX -> true
-  | _ -> false
-
-let is_escape (i : Instr.t) =
-  match i.Instr.op with
-  | Isa.STG _ | Isa.STS _ | Isa.ATOM_ADD _ -> true
+let is_escape = function
+  | Decode.(U_stg32 _ | U_stg64 _ | U_sts32 _ | U_sts64 _ | U_atom_add _) ->
+    true
   | _ -> false
 
 (* Path-insensitive may-taint: seed the origin's destination registers,
    sweep the whole program until stable, note the first escape and the
    first guard use. Deliberately coarse — it answers "where could this
    value show up", the question the dynamic flow chains answer
-   precisely. *)
-let taint_from prog ~origin_pc ~dest_regs =
-  let nregs = prog.Program.n_regs + 2 in
+   precisely. Uses are {!Decode.reads}, so an address never carries the
+   taint. *)
+let taint_from (dec : Decode.t) ~origin_pc ~dest_regs =
+  let nregs = dec.Decode.nslots in
   let tainted = Array.make nregs false in
   List.iter (fun r -> if r < nregs then tainted.(r) <- true) dest_regs;
   let escape = ref None and guard = ref None in
@@ -87,31 +54,24 @@ let taint_from prog ~origin_pc ~dest_regs =
   while !changed && !passes < 8 do
     changed := false;
     incr passes;
-    Array.iter
-      (fun (i : Instr.t) ->
-        if i.Instr.pc > origin_pc || !passes > 1 then begin
-          let used =
-            List.exists
-              (fun k -> List.exists (fun r -> tainted.(r)) (operand_regs i k))
-              (use_indices i)
-          in
-          if used then begin
-            if is_escape i && !escape = None then escape := Some i.Instr.pc;
-            if is_guard_use i && !guard = None then guard := Some i.Instr.pc;
-            match Instr.dest_reg_num i with
-            | Some d when d <> Operand.rz && d < nregs ->
-              if not tainted.(d) then begin
-                tainted.(d) <- true;
+    Array.iteri
+      (fun pc (e : Decode.entry) ->
+        let u = e.Decode.uop in
+        if
+          (pc > origin_pc || !passes > 1)
+          && List.exists (fun r -> tainted.(r)) (Decode.words (Decode.reads u))
+        then begin
+          if is_escape u && !escape = None then escape := Some pc;
+          if is_guard_use u && !guard = None then guard := Some pc;
+          List.iter
+            (fun r ->
+              if not tainted.(r) then begin
+                tainted.(r) <- true;
                 changed := true
-              end;
-              if writes_pair i && d + 1 < nregs && not tainted.(d + 1) then begin
-                tainted.(d + 1) <- true;
-                changed := true
-              end
-            | _ -> ()
-          end
+              end)
+            (Decode.words (Decode.writes u))
         end)
-      prog.Program.instrs
+      dec.Decode.entries
   done;
   match (!escape, !guard) with
   | Some pc, _ -> (Surviving, Some pc)
@@ -160,7 +120,8 @@ let lint prog =
           else dv.A.cls land mask
         in
         let fate, sink_pc =
-          taint_from prog ~origin_pc:pc ~dest_regs:(Site.regs check)
+          taint_from p.Prune.analysis.Absint.dec ~origin_pc:pc
+            ~dest_regs:(Site.regs check)
         in
         findings :=
           {

@@ -36,7 +36,8 @@ let verdict t pc = t.verdicts.(pc)
 let is_clean t pc =
   pc >= 0 && pc < Array.length t.verdicts && t.verdicts.(pc) = Provably_clean
 
-let plan t pc = Site.plan (Program.instr t.analysis.Absint.prog pc)
+let plan t pc =
+  Site.plan (Program.instr t.analysis.Absint.dec.Decode.prog pc)
 
 let count t p =
   let n = ref 0 in

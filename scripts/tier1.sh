@@ -83,6 +83,17 @@ run "one site table" \
   sh -c 'test "$(grep -rlE "Rcp64h \| Isa\.Rsq64h" lib | sort | tr "\n" " ")" = \
               "lib/sass/decode.ml lib/sass/site.ml "'
 
+# One register footprint: which registers an instruction reads and
+# writes, and at what width, is Fpx_sass.Decode.reads/writes. Lint, Cfg,
+# the analyzer and the escape oracle read no raw register or label
+# operand, and the deleted per-opcode helpers stay gone (Program keeps
+# its register-file sizing rule).
+run "one register footprint" \
+  sh -c '! grep -nE "Operand\.(reg_num|Reg [a-z]|Label [a-z]|Pred [a-z])|dest_reg_num" \
+           lib/static/lint.ml lib/static/cfg.ml lib/core/analyzer.ml lib/fuzz/repro.ml &&
+         ! grep -rnE "source_reg_nums|shares_dest_and_src_reg|writes_fp64_pair" \
+           lib bin --exclude=program.ml'
+
 run "dune runtest" dune runtest
 
 # A standalone .sass kernel that traps ends in the documented crash exit

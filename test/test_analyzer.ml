@@ -107,6 +107,27 @@ let test_shared_register () =
   Alcotest.(check bool) "shared-register reported" true
     (List.mem A.Shared_register (states rs))
 
+(* RZ reads as +0 and is decoded to an immediate, so it is not one of
+   the captured registers: FADD R0, RZ, R1 captures R0 and R1 only. *)
+let test_rz_operand_not_captured () =
+  let prog =
+    Fpx_sass.Parse.program "MOV32I R1, 0x7f800000 ;\nFADD R0, RZ, R1 ;\nEXIT ;"
+  in
+  let dev = Gpu.Device.create () in
+  let rt = Nvbit.Runtime.create dev in
+  let a = A.create dev in
+  Nvbit.Runtime.attach rt (A.tool a);
+  Nvbit.Runtime.launch rt ~grid:1 ~block:32 ~params:[] prog;
+  match A.reports a with
+  | [ r ] ->
+    Alcotest.(check string) "propagation" "PROPAGATION"
+      (A.state_to_string r.A.state);
+    Alcotest.(check (list string)) "before: R0, R1" [ "ZERO"; "INF" ]
+      (List.map Kind.to_string r.A.before);
+    Alcotest.(check (list string)) "after: R0, R1" [ "INF"; "INF" ]
+      (List.map Kind.to_string r.A.after)
+  | rs -> Alcotest.failf "expected one report, got %d" (List.length rs)
+
 let test_clean_kernel_no_reports () =
   let rs =
     analyze
@@ -198,6 +219,23 @@ let test_table2_structural () =
   Alcotest.(check int) "five states" 5 (List.length A.table2);
   Alcotest.(check int) "all_states matches" 5 (List.length A.all_states)
 
+(* The analyze sweep report over the whole catalog, precise and
+   fast-math: one MD5 each (the same bytes `fpx_run sweep --tool
+   analyze` prints). A change to the capture plan, the state
+   classification or the escape tracking that moves a digest changed a
+   report. *)
+let test_catalog_pin () =
+  List.iter
+    (fun (mode, digest) ->
+      let ms =
+        Fpx_harness.Sweep.run ~jobs:1 ~mode ~tool:Fpx_harness.Runner.Analyzer
+          Fpx_workloads.Catalog.evaluated
+      in
+      Alcotest.(check string) "analyze sweep digest" digest
+        (Digest.to_hex (Digest.string (Fpx_harness.Sweep.report_json ms))))
+    [ (Fpx_klang.Mode.precise, "cc72c7cdc983db0be861f411fcae795f");
+      (Fpx_klang.Mode.fast_math, "79dde1d8df989ad90a935ecc5b09a662") ]
+
 let suite =
   ( "analyzer",
     [ Alcotest.test_case "appearance" `Quick test_appearance;
@@ -213,4 +251,7 @@ let suite =
       Alcotest.test_case "max reports per site" `Quick
         test_max_reports_per_site;
       Alcotest.test_case "state counts sum" `Quick test_state_counts_sum;
-      Alcotest.test_case "table 2 structural" `Quick test_table2_structural ] )
+      Alcotest.test_case "table 2 structural" `Quick test_table2_structural;
+      Alcotest.test_case "catalog byte pin" `Quick test_catalog_pin;
+      Alcotest.test_case "RZ operand not captured" `Quick
+        test_rz_operand_not_captured ] )

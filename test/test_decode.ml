@@ -255,11 +255,68 @@ let test_poison_armed () =
   Alcotest.(check bool) "reference traps" true (r.trap <> None);
   Alcotest.check outcome "armed poison" r d
 
+(* --- register footprint ------------------------------------------------ *)
+
+let uop_of text =
+  (Decode.program (Parse.program text)).Decode.entries.(0).Decode.uop
+
+let footprint =
+  Alcotest.(
+    list
+      (pair int
+         (testable
+            (fun ppf w ->
+              Format.pp_print_string ppf
+                (match w with Isa.W32 -> "W32" | Isa.W64 -> "W64"))
+            ( = ))))
+
+(* (instruction, reads, writes); a W64 entry is a register pair *)
+let footprint_rows =
+  Isa.
+    [ ("DADD R4, R6, R8 ;", [ (6, W64); (8, W64) ], [ (4, W64) ]);
+      ("DSETP.GT.AND P0, R2, R4 ;", [ (2, W64); (4, W64) ], []);
+      ("F2F.F64.F32 R2, R5 ;", [ (5, W32) ], [ (2, W64) ]);
+      ("F2F.F32.F64 R5, R2 ;", [ (2, W64) ], [ (5, W32) ]);
+      ("I2F.F64 R2, R5 ;", [ (5, W32) ], [ (2, W64) ]);
+      ("LDG.E.64 R4, R2 ;", [], [ (4, W64) ]);
+      ("STG.E.64 R12, R8 ;", [ (8, W64) ], []);
+      ("STG.E.32 R41, R5 ;", [ (5, W32) ], []);
+      ("MUFU.RCP64H R5, R3 ;", [ (3, W32) ], [ (5, W32) ]);
+      ("HFMA2 R1, R2, R3, R4 ;", [ (2, W32); (3, W32); (4, W32) ],
+       [ (1, W32) ]);
+      ("ATOM.ADD.F32 R1, R2, R3 ;", [ (3, W32) ], [ (1, W32) ]);
+      ("FSEL R1, R2, R3, P0 ;", [ (2, W32); (3, W32) ], [ (1, W32) ]);
+      ("BRA 0x0 ;", [], []);
+      ("FADD R0, RZ, R1 ;", [ (1, W32) ], [ (0, W32) ]);
+      ("FADD RZ, R1, R2 ;", [ (1, W32); (2, W32) ], []) ]
+
+let test_footprint () =
+  List.iter
+    (fun (text, reads, writes) ->
+      let u = uop_of text in
+      Alcotest.check footprint (text ^ " reads") reads (Decode.reads u);
+      Alcotest.check footprint (text ^ " writes") writes (Decode.writes u))
+    footprint_rows
+
+(* A store's address is not a write: R5 is only ever written by an
+   instrumented FADD, even though the first store addresses through it. *)
+let test_escape_oracle_addresses () =
+  let c =
+    Repro.of_file
+      (Parse.file
+         "FADD R5, R1, R2 ;\nFADD R7, R1, R2 ;\nSTG.E.32 R5, R7 ;\n\
+          STG.E.32 R8, R5 ;\nEXIT ;")
+  in
+  Alcotest.(check bool) "oracle applies" true (Repro.escape_oracle_applies c)
+
 let suite =
   ( "decode",
     [ qcheck_case prop_bare;
       qcheck_case prop_detector;
       qcheck_case prop_reg_flip;
       Alcotest.test_case "poison dormant = inert" `Quick test_poison_dormant;
-      Alcotest.test_case "poison armed = same trap" `Quick test_poison_armed ]
+      Alcotest.test_case "poison armed = same trap" `Quick test_poison_armed;
+      Alcotest.test_case "register footprint" `Quick test_footprint;
+      Alcotest.test_case "escape oracle ignores store addresses" `Quick
+        test_escape_oracle_addresses ]
     @ reg_flip_cases )

@@ -35,8 +35,8 @@ let test_single_instructions () =
 
 let test_operand_forms () =
   let i = Parse.instruction "FADD R6, -|R1|, c[0x0][0x160] ;" in
-  (match Instr.sources i with
-  | [ a; b ] ->
+  (match i.Instr.operands with
+  | [| _; a; b |] ->
     Alcotest.(check bool) "neg" true a.Op.neg;
     Alcotest.(check bool) "abs" true a.Op.abs;
     Alcotest.(check bool) "cbank" true
@@ -68,7 +68,20 @@ let test_parse_errors () =
   in
   Alcotest.(check bool) "bad mnemonic" true (expect "FROB R1, R2 ;");
   Alcotest.(check bool) "bad operand" true (expect "FADD R1, R2, @x ;");
-  Alcotest.(check bool) "bad mufu" true (expect "MUFU.TAN R1, R2 ;")
+  Alcotest.(check bool) "bad mufu" true (expect "MUFU.TAN R1, R2 ;");
+  (* a branch past the end is an error on the branch's line, against
+     the bound Program.make checks after appending a missing EXIT *)
+  let error_line text =
+    match Parse.program text with
+    | _ -> None
+    | exception Parse.Parse_error { line; _ } -> Some line
+  in
+  Alcotest.(check (option int)) "branch past the end" (Some 1)
+    (error_line "BRA 0x0900 ;\nEXIT ;");
+  Alcotest.(check (option int)) "branch one past EXIT" (Some 2)
+    (error_line "NOP ;\nBRA 0x30 ;\nEXIT ;");
+  Alcotest.(check (option int)) "branch to the appended EXIT" None
+    (error_line "NOP ;\nBRA 0x20 ;")
 
 (* Round-trip: disassemble → parse → disassemble must be a fixpoint,
    and the reparsed program must execute identically. *)

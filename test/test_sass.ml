@@ -87,8 +87,12 @@ let test_operand_render () =
 
 (* --- Instructions ------------------------------------------------------ *)
 
+(* The micro-op of a one-instruction program. *)
+let uop i =
+  (Decode.program (Program.make ~name:"t" [ i ])).Decode.entries.(0).Decode.uop
+
 let test_shared_register () =
-  let shares i = Instr.shares_dest_and_src_reg i in
+  let shares i = Decode.shares_reg (uop i) in
   (* FADD R6, R1, R6 — the paper's example *)
   Alcotest.(check bool) "fadd shares" true
     (shares (Instr.make Isa.FADD [ Op.reg 6; Op.reg 1; Op.reg 6 ]));
@@ -108,8 +112,9 @@ let test_instr_accessors () =
   let i = Instr.make Isa.FFMA [ Op.reg 1; Op.reg 88; Op.reg 104; Op.reg 1 ] in
   Alcotest.(check int) "num operands" 4 (Instr.num_operands i);
   Alcotest.(check (option int)) "dest reg" (Some 1) (Instr.dest_reg_num i);
-  Alcotest.(check (list int)) "source regs" [ 88; 104; 1 ]
-    (Instr.source_reg_nums i);
+  Alcotest.(check (list (pair int bool)))
+    "source regs" [ (88, false); (104, false); (1, false) ]
+    (List.map (fun (r, w) -> (r, w = Isa.W64)) (Decode.reads (uop i)));
   Alcotest.(check string) "sass render" "FFMA R1, R88, R104, R1 ;"
     (Instr.sass_string i);
   Alcotest.(check string) "unknown loc" "/unknown_path:0" (Instr.loc_string i)

@@ -405,6 +405,28 @@ let test_handle_malformed_sass () =
           (Some "crash") (J.str_field "clazz" d)
       | _ -> Alcotest.fail "replay payload shape")
 
+(* A branch past the end of the kernel is a parse error for every tool
+   that takes a "sass" source, not an "internal:" error. *)
+let test_handle_branch_past_end () =
+  with_server (fun t ->
+      List.iter
+        (fun tool ->
+          let r =
+            J.parse
+              (Server.handle t
+                 (J.to_string
+                    (J.Obj
+                       [ ("op", J.Str "submit"); ("tool", J.Str tool);
+                         ("sass", J.Str "BRA 0x0900 ;\nEXIT ;\n") ])))
+          in
+          Alcotest.(check (option string)) (tool ^ ": error") (Some "error")
+            (J.str_field "status" r);
+          let msg = Option.value ~default:"" (J.str_field "error" r) in
+          let prefix = "sass parse error at line 1: " in
+          Alcotest.(check string) (tool ^ ": parse error on line 1") prefix
+            (String.sub msg 0 (min (String.length msg) (String.length prefix))))
+        [ "detect"; "lint"; "replay" ])
+
 let test_handle_errors () =
   with_server (fun t ->
       let status req =
@@ -735,5 +757,7 @@ let suite =
         test_socket_hostile_json;
       Alcotest.test_case "socket: hostile length prefixes" `Quick
         test_socket_hostile_prefixes;
+      Alcotest.test_case "handle: branch past the end" `Quick
+        test_handle_branch_past_end;
       Alcotest.test_case "handle: malformed sass" `Quick
         test_handle_malformed_sass ] )

@@ -61,6 +61,8 @@ let parse_example name =
   let f = Parse.file (read_file (example_path name)) in
   f.Parse.prog
 
+let cfg prog = Cfg.build (Fpx_sass.Decode.program prog)
+
 let test_golden_disasm () =
   List.iter
     (fun (sass, golden) ->
@@ -72,7 +74,7 @@ let test_golden_dot () =
   List.iter
     (fun (sass, golden) ->
       let prog = parse_example sass in
-      check_golden golden (Cfg.to_dot (Cfg.build prog)))
+      check_golden golden (Cfg.to_dot (cfg prog)))
     [ ("zero_pivot.sass", "zero_pivot.cfg.dot");
       ("fp64_chain.sass", "fp64_chain.cfg.dot") ]
 
@@ -96,7 +98,7 @@ let branchy =
       Instr.make Isa.EXIT [] ]
 
 let test_cfg_blocks () =
-  let g = Cfg.build branchy in
+  let g = cfg branchy in
   Alcotest.(check int) "4 blocks" 4 (Array.length g.Cfg.blocks);
   let b0 = g.Cfg.blocks.(0) in
   Alcotest.(check (pair int int)) "entry spans 0-1" (0, 1)
@@ -115,7 +117,7 @@ let test_cfg_blocks () =
   Alcotest.(check int) "entry is block 0" 0 (Cfg.entry g).Cfg.id
 
 let test_cfg_rpo () =
-  let g = Cfg.build branchy in
+  let g = cfg branchy in
   let rpo = Cfg.reverse_postorder g in
   Alcotest.(check int) "rpo covers all blocks" (Array.length g.Cfg.blocks)
     (List.length rpo);
@@ -132,13 +134,25 @@ let test_cfg_constant_guard_edges () =
         Instr.make Isa.FADD [ Op.reg 4; Op.reg 0; Op.reg 2 ];
         Instr.make Isa.EXIT [] ]
   in
-  let g = Cfg.build p in
+  let g = cfg p in
   let b0 = g.Cfg.blocks.(0) in
   Alcotest.(check int) "only the fall-through survives" 1
     (List.length b0.Cfg.succs);
   let fall = List.hd b0.Cfg.succs in
   Alcotest.(check int) "fall-through block starts at pc 1" 1
     g.Cfg.blocks.(fall).Cfg.first
+
+let test_cfg_poisoned_branch () =
+  (* BRA R3 traps when taken: no taken edge, and a fall-through only
+     when the guard may be false *)
+  let entry_succs src =
+    let g = cfg (Parse.program src) in
+    List.map (fun b -> g.Cfg.blocks.(b).Cfg.first) (Cfg.entry g).Cfg.succs
+  in
+  Alcotest.(check (list int)) "unguarded: no successors" []
+    (entry_succs "BRA R3 ;\nMUFU.RCP R0, R1 ;\nEXIT ;");
+  Alcotest.(check (list int)) "guarded: fall-through only" [ 1 ]
+    (entry_succs "@P0 BRA R3 ;\nMUFU.RCP R0, R1 ;\nEXIT ;")
 
 let test_cfg_unreachable_block () =
   (* an unguarded BRA jumps over pc 1; the skipped block is unreachable
@@ -374,6 +388,14 @@ let test_lint_lines () =
          1 flagged" );
       ( "FSETP.GT.AND P9, R1, R2 ;\nEXIT ;",
         "kernel [parsed_kernel]: 0 instrumentable sites, 0 provably clean, \
+         0 flagged" );
+      (* a BRA with no target, or a register target, traps when taken:
+         the code after an unguarded one is unreachable *)
+      ( "BRA ;\nEXIT ;",
+        "kernel [parsed_kernel]: 0 instrumentable sites, 0 provably clean, \
+         0 flagged" );
+      ( "BRA R3 ;\nMUFU.RCP R0, R1 ;\nEXIT ;",
+        "kernel [parsed_kernel]: 1 instrumentable sites, 1 provably clean, \
          0 flagged" ) ];
   (* a finding's format is its check's, as the detector reports it: the
      narrowing F2F.F16.F32 gets the packed FP16 check *)
@@ -533,6 +555,7 @@ let suite =
       Alcotest.test_case "cfg reverse postorder" `Quick test_cfg_rpo;
       Alcotest.test_case "cfg constant guard edges" `Quick
         test_cfg_constant_guard_edges;
+      Alcotest.test_case "cfg poisoned branch" `Quick test_cfg_poisoned_branch;
       Alcotest.test_case "cfg unreachable block" `Quick
         test_cfg_unreachable_block;
       qcheck_case prop_add_sound;
