@@ -148,6 +148,11 @@ let fault_spec_of seed rate kinds =
   match seed with
   | None -> None
   | Some seed ->
+    if not (rate >= 0.0 && rate <= 1.0) then begin
+      (* NaN fails both comparisons *)
+      Printf.eprintf "fpx_run: bad fault rate %g (want 0 <= rate <= 1)\n" rate;
+      exit 124
+    end;
     let sites =
       match kinds with
       | None -> Fault.all_sites

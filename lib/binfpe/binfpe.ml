@@ -1,8 +1,5 @@
 open Fpx_sass
 open Fpx_gpu
-module Fp32 = Fpx_num.Fp32
-module Fp64 = Fpx_num.Fp64
-module Kind = Fpx_num.Kind
 module Exce = Fpx_tool.Exce
 
 type finding = {
@@ -87,25 +84,13 @@ let instrument t prog b =
               api.Exec.executing_lanes))
     prog.Program.instrs
 
-(* Host-side classification of a received value. *)
-let classify_record r =
-  let kind =
-    match r.r_fmt with
-    | Isa.FP32 | Isa.FP16 -> Fp32.classify r.r_lo
-    | Isa.FP64 -> Fp64.classify (Fp64.of_words ~lo:r.r_lo ~hi:r.r_hi)
-  in
-  if r.r_rcp then
-    match kind with
-    | Kind.Nan | Kind.Inf -> Some Exce.Div0
-    | Kind.Subnormal | Kind.Zero | Kind.Normal -> None
-  else Exce.of_kind kind
-
 let on_launch_end t stats =
   let records = Channel.drain t.channel ~stats in
   t.received <- t.received + List.length records;
   List.iter
     (fun r ->
-      match classify_record r with
+      (* host-side classification of the received value *)
+      match Exce.classify ~fmt:r.r_fmt ~div0:r.r_rcp r.r_lo r.r_hi with
       | None -> ()
       | Some exce ->
         let key = (r.r_kernel, r.r_pc, r.r_fmt, exce) in

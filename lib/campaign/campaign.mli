@@ -31,9 +31,7 @@ type outcome =
       (** An instruction-encoding flip produced an undecodable
           instruction (renderer/parser round-trip failed). *)
 
-val all_outcomes : outcome list
 val outcome_to_string : outcome -> string
-val outcome_of_string : string -> outcome option
 
 type config = {
   seed : int;
@@ -89,7 +87,8 @@ type result = {
 }
 
 val result_to_line : result -> string
-(** One JSONL store line. *)
+(** One JSONL store line. Public with {!result_of_line} as the store's
+    line codec, so a store can be read and written outside a run. *)
 
 val result_of_line : string -> result option
 (** Parse a store line; [None] on torn or foreign lines.
@@ -125,7 +124,6 @@ val load : config -> summary
     path; no injections run. *)
 
 val by_outcome : summary -> (outcome * int) list
-val by_site : summary -> (string * (outcome * int) list) list
 
 val catch_rate : summary -> float option
 (** [Detected / (Detected + Sdc)] — the fraction of output-corrupting

@@ -17,6 +17,8 @@ type state =
 
 val state_to_string : state -> string
 val all_states : state list
+(** Every state once, in declaration order; public so a consumer of
+    {!state_counts} can walk the rows without naming each state. *)
 
 val table2 : (state * string) list
 (** Structural rendering of paper Table 2: state → condition. *)
@@ -41,7 +43,8 @@ val render : report -> string list
 val compile_e_type : Fpx_sass.Instr.t -> Fpx_tool.Exce.t option
 (** Listing 2's JIT-time check: the class of the first NaN or INF
     immediate (IMM_DOUBLE, FP32 immediate or [GENERIC] token) among an
-    instruction's operands. *)
+    instruction's operands. Public as the analyzer's static half: it
+    needs the instruction only, not a run. *)
 
 type escape = { store_kernel : string; store_loc : string; kind : Fpx_num.Kind.t }
 (** An exceptional value written back to global memory — the situation
@@ -75,4 +78,7 @@ val escapes : t -> escape list
 (** Unique (kernel, store site, kind) escape records. *)
 
 val state_counts : t -> (state * int) list
+(** Reports per state, in {!all_states} order: the summary of a run
+    without its log lines. *)
+
 val log_lines : t -> string list

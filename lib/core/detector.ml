@@ -1,8 +1,5 @@
 open Fpx_sass
 open Fpx_gpu
-module Fp32 = Fpx_num.Fp32
-module Fp64 = Fpx_num.Fp64
-module Kind = Fpx_num.Kind
 module Exce = Fpx_tool.Exce
 module Fault = Fpx_fault.Fault
 
@@ -45,9 +42,6 @@ type t = {
   exce_counters : Fpx_obs.Metrics.counter array array;
       (** Pre-resolved per (format, kind) so the hot path never builds a
           metric name; empty when [obs = None]. *)
-  mutable pruned_sites : int;
-      (** Injection sites skipped by the static analysis, across every
-          instrumented kernel. *)
   line_buf : Buffer.t;
       (** Reused for log-line assembly on the drain path. Per-instance —
           parallel sweeps run one detector per domain. *)
@@ -100,46 +94,18 @@ let create ?(config = default_config) device =
     adaptive_k = 0;
     obs;
     exce_counters;
-    pruned_sites = 0;
     line_buf = Buffer.create 160;
   }
 
-(* CheckExce from Algorithm 2: value class → exception kind, with the
-   MUFU.RCP-specific DIV0 classification. *)
+(* CheckExce from Algorithm 2, on the lane's checked register(s). *)
 let exce_of_lane (api : Exec.warp_api) check ~lane =
+  let fmt = Site.fmt check and div0 = Site.is_div0 check in
   match check with
-  | Site.Check_32 d -> Exce.of_kind (Fp32.classify (api.Exec.read_reg ~lane d))
-  | Site.Check_16 d ->
-    (* both packed halves carry results; report the worse one *)
-    let lo, hi = Fpx_num.Fp16.unpack2 (api.Exec.read_reg ~lane d) in
-    let pick a b =
-      match a, b with
-      | Some Exce.Nan, _ | _, Some Exce.Nan -> Some Exce.Nan
-      | Some Exce.Inf, _ | _, Some Exce.Inf -> Some Exce.Inf
-      | a, None -> a
-      | None, b -> b
-      | Some _, Some _ -> a
-    in
-    pick
-      (Exce.of_kind (Fpx_num.Fp16.classify lo))
-      (Exce.of_kind (Fpx_num.Fp16.classify hi))
-  | Site.Check_64 (lo, hi) ->
-    Exce.of_kind
-      (Fp64.classify
-         (Fp64.of_words ~lo:(api.Exec.read_reg ~lane lo)
-            ~hi:(api.Exec.read_reg ~lane hi)))
-  | Site.Div0_32 d -> (
-    match Fp32.classify (api.Exec.read_reg ~lane d) with
-    | Kind.Nan | Kind.Inf -> Some Exce.Div0
-    | Kind.Subnormal | Kind.Zero | Kind.Normal -> None)
-  | Site.Div0_64 (lo, hi) -> (
-    match
-      Fp64.classify
-        (Fp64.of_words ~lo:(api.Exec.read_reg ~lane lo)
-           ~hi:(api.Exec.read_reg ~lane hi))
-    with
-    | Kind.Nan | Kind.Inf -> Some Exce.Div0
-    | Kind.Subnormal | Kind.Zero | Kind.Normal -> None)
+  | Site.Check_32 d | Site.Check_16 d | Site.Div0_32 d ->
+    Exce.classify ~fmt ~div0 (api.Exec.read_reg ~lane d) 0l
+  | Site.Check_64 (lo, hi) | Site.Div0_64 (lo, hi) ->
+    Exce.classify ~fmt ~div0 (api.Exec.read_reg ~lane lo)
+      (api.Exec.read_reg ~lane hi)
 
 let exce_of_idx = [| Exce.Nan; Exce.Inf; Exce.Sub; Exce.Div0 |]
 
@@ -257,7 +223,6 @@ let instrument t prog b =
           (callback t check ~loc_idx ~kernel:prog.Program.name
              ~pc:i.Instr.pc ~loc:(Instr.loc_string i)))
     prog.Program.instrs;
-  t.pruned_sites <- t.pruned_sites + Fpx_tool.Inject.pruned b;
   (* The prune predicate must not outlive this tool's inserts: in a
      stacked attachment the next member shares the builder. *)
   if t.config.static_prune then Fpx_tool.Inject.set_prune b (fun _ -> false)
@@ -381,13 +346,8 @@ let log_lines t = List.rev t.log_rev
 
 let gt_cardinal t = Global_table.cardinal t.gt
 
-let gt_degraded t = not t.gt_ok
 let adaptive_k t = t.adaptive_k
 
-let pruned_sites t = t.pruned_sites
-
-let channel_dropped t = Channel.dropped t.channel
-let channel_corrupt_detected t = Channel.corrupt_detected t.channel
 let channel_drains_delayed t = Channel.drains_delayed t.channel
 let channel_stranded t = Channel.queued t.channel
 let records_seen t = Hashtbl.length t.seen_host
@@ -402,7 +362,6 @@ let degradation_reasons t =
   List.rev r
 
 let loc_table t = t.locs
-let global_table t = t.gt
 
 type Fpx_tool.extra += Detector of t
 

@@ -46,8 +46,8 @@ val create : ?config:config -> Fpx_gpu.Device.t -> t
 
 type Fpx_tool.extra += Detector of t
 (** The detector's {!Fpx_tool.report} extra: its own handle, giving
-    report consumers access to {!findings}, {!loc_table} and
-    {!global_table} for cross-shard aggregation. *)
+    report consumers access to {!findings} and {!loc_table} for
+    cross-shard aggregation. *)
 
 val tool : t -> Fpx_tool.instance
 (** Attach with {!Fpx_nvbit.Runtime.attach}. *)
@@ -64,31 +64,15 @@ val log_lines : t -> string list
 (** The ["#GPU-FPX LOC-EXCEP INFO: ..."] early-notification lines. *)
 
 val gt_cardinal : t -> int
+(** Set slots in the global table. Public as GT's own count of unique
+    records, which equals {!total} while GT dedup runs. *)
 
 val loc_table : t -> Loc_table.t
 (** The per-run location interning table (every instrumented site). *)
 
-val global_table : t -> Global_table.t
-(** The per-run GT (set bits = unique exception records seen). *)
-
-val gt_degraded : t -> bool
-(** [true] once an injected GT-allocation failure forced the no-dedup
-    fallback (the detector keeps running; a ["#GPU-FPX WARNING:"] line
-    records the event). *)
-
 val adaptive_k : t -> int
 (** Current escalated FREQ-REDN-FACTOR (0 = not escalated). Only moves
     when [config.adaptive_backoff] is on. *)
-
-val pruned_sites : t -> int
-(** Injection sites the static analysis pruned, across every kernel this
-    detector instrumented (0 unless [config.static_prune]). *)
-
-val channel_dropped : t -> int
-(** Records lost to injected channel faults (after retries). *)
-
-val channel_corrupt_detected : t -> int
-(** Records discarded at drain because their checksum failed. *)
 
 val channel_drains_delayed : t -> int
 (** Drains that could not consume everything pending because neighbour
@@ -101,8 +85,3 @@ val channel_stranded : t -> int
 
 val records_seen : t -> int
 (** Unique exception records received host-side. *)
-
-val degradation_reasons : t -> string list
-(** Human-readable degradations active on this detector, e.g.
-    ["gt-alloc-fallback"] or ["adaptive-backoff(16)"]; [[]] when the
-    detector is running at full fidelity. *)

@@ -25,11 +25,6 @@ let clear t =
   Bytes.fill t.slots 0 (Bytes.length t.slots) '\000';
   t.cardinal <- 0
 
-let iter_set t f =
-  for idx = 0 to Bytes.length t.slots - 1 do
-    if Bytes.get t.slots idx <> '\000' then f idx
-  done
-
 let merge a b =
   let t = create () in
   for idx = 0 to Bytes.length t.slots - 1 do

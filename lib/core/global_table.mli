@@ -21,7 +21,6 @@ val reset : t -> int -> unit
 
 val cardinal : t -> int
 val clear : t -> unit
-val iter_set : t -> (int -> unit) -> unit
 
 val merge : t -> t -> t
 (** Slot-wise union into a fresh table (set union of seen triplets, so

@@ -19,9 +19,6 @@
     mechanism by which FP64-only source code raises FP32-class
     exceptions (paper §4.1). *)
 
-val approx_bits : int
-(** Number of low mantissa bits zeroed in approximations. *)
-
 val rcp : Fp32.t -> Fp32.t
 val rsq : Fp32.t -> Fp32.t
 val sqrt : Fp32.t -> Fp32.t

@@ -1,12 +1,10 @@
-(** The shared generator library: one expression language, one set of
-    QCheck generators and one shrink story for both the property tests
-    in [test/] and the differential fuzzer's klang-level campaigns.
+(** The fuzzer's expression language: random klang-level kernels for
+    {!Sassgen}'s compiled cases, drawn from a splittable PRNG so a
+    campaign is deterministic per seed.
 
-    The [ex] language is first-class (rather than raw [Ast.expr]) so
-    QCheck prints readable counterexamples and the shrinker can reason
-    structurally. [to_dsl]/[to_dsl64] lower it to the kernel DSL;
-    [eval]/[eval64] are the bit-exact host oracles on the
-    exactly-rounded opcode subsets. *)
+    The [ex] language is first-class (rather than raw [Ast.expr]) so a
+    case's origin prints readably and a counterexample can shrink
+    structurally. *)
 
 type bop = Add | Sub | Mul | Div | Min | Max
 type uop = Neg | Abs | Sqrt | Rcp | Exp | Log
@@ -22,46 +20,11 @@ type ex =
 
 val ex_to_string : ex -> string
 
-val size_ex : ex -> int
-(** Node count — the shrinker's termination measure. *)
-
-(** {1 Constant pools} *)
-
 val const_pool : float list
 (** Exact small numbers plus values near the overflow, underflow and
-    division hazards, so generated expressions except often. *)
-
-val const_pool_normal : float list
-(** [const_pool] without subnormals, for fast-math SUB-freedom claims. *)
-
-val const_pool64 : float list
-
-(** {1 QCheck generators} *)
-
-val gen_ex : ?consts:float list -> ops_full:bool -> unit -> ex QCheck.Gen.t
-(** Sized expression trees (size capped at 12). [ops_full:false]
-    restricts to the exactly-rounded subset (no Div, no SFU ops). *)
-
-val gen_ex64 : ex QCheck.Gen.t
-(** The exact FP64 subset (no Div/Sqrt/Rcp/Exp/Log) over FP64 hazard
-    constants. *)
-
-val shrink_ex : ex QCheck.Shrink.t
-(** Structural shrinker: subterms first, then constants toward 0 —
-    shared by the qcheck arbitraries and mirrored by the SASS-level
-    delta debugger. *)
-
-val arb_full : ex QCheck.arbitrary
-val arb_exact : ex QCheck.arbitrary
-val arb_full_normal_consts : ex QCheck.arbitrary
-val arb_ex64 : ex QCheck.arbitrary
-
-val opcode_gen : Fpx_sass.Isa.opcode QCheck.Gen.t
-(** Every opcode the ISA layer knows, weighted uniformly. *)
-
-val arb_opcode : Fpx_sass.Isa.opcode QCheck.arbitrary
-
-(** {1 Splittable-PRNG generation (the fuzzer's path)} *)
+    division hazards, so generated expressions except often. Public so
+    the property tests' QCheck generators draw the same constants as
+    {!ex_of_prng}. *)
 
 val ex_of_prng :
   ?consts:float list ->
@@ -69,38 +32,11 @@ val ex_of_prng :
   size:int ->
   Fpx_fault.Fault.Prng.t ->
   ex
-(** The same weighted tree shape as {!gen_ex}, driven by a
-    {!Fpx_fault.Fault.Prng} stream so campaigns are deterministic per
-    seed with no QCheck state involved. *)
-
-(** {1 DSL lowering and host oracles} *)
-
-val to_dsl : ex -> Fpx_klang.Ast.expr
-val to_dsl64 : ex -> Fpx_klang.Ast.expr
-(** Raises [Invalid_argument] outside the exact FP64 subset. *)
-
-val eval : ex -> x:Fpx_num.Fp32.t -> y:Fpx_num.Fp32.t -> Fpx_num.Fp32.t
-(** Host-side Fp32 oracle; raises [Invalid_argument] on SFU ops. *)
-
-val eval64 : ex -> x:float -> y:float -> float
-(** Native-double oracle on the exact FP64 subset. *)
-
-(** {1 Fixed input grids (zero, subnormal, huge, negative)} *)
-
-val n_elems : int
-
-val a_in : float array
-val b_in : float array
-
-val desub : float array -> float array
-(** Replace subnormals with same-signed normals, for SUB-freedom
-    properties. *)
-
-val a64_in : float array
-val b64_in : float array
+(** Sized expression trees (size capped at 12) driven by a
+    {!Fpx_fault.Fault.Prng} stream, with no QCheck state involved.
+    [ops_full:false] restricts to the exactly-rounded subset (no Div,
+    no SFU ops). *)
 
 val build_kernel : ex -> Fpx_klang.Ast.kernel
-(** The property tests' FP32 harness kernel:
-    [out\[i\] = e(a\[i\], b\[i\])] for [i < n]. *)
-
-val build_kernel64 : ex -> Fpx_klang.Ast.kernel
+(** The FP32 harness kernel: [out\[i\] = e(a\[i\], b\[i\])] for
+    [i < n]. *)

@@ -16,8 +16,6 @@ type t = {
   params : Fpx_sass.Parse.param_spec list;
 }
 
-val origin_to_string : origin -> string
-
 val instr_count : t -> int
 
 val complexity : t -> int

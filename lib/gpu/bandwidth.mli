@@ -42,7 +42,6 @@ val create :
     [partition] defaults to {!No_partition}. *)
 
 val partition : t -> partition
-val n_tenants : t -> int
 
 val note_launch : t -> tenant:int -> records:int -> warps:int -> unit
 (** Record the pressure of [tenant]'s most recent launch: channel
@@ -52,7 +51,12 @@ val retire : t -> tenant:int -> unit
 (** [tenant]'s stream completed: it stops exerting pressure. *)
 
 val neighbour_records : t -> tenant:int -> int
+(** Channel records the other live tenants' latest launches pushed.
+    Public, with {!neighbour_warps}, as the pressure readings
+    {!effective_capacity} and {!drain_budget} are computed from. *)
+
 val neighbour_warps : t -> tenant:int -> int
+(** Warp slots the other live tenants' latest launches held. *)
 
 val effective_capacity : t -> tenant:int -> int
 (** Per-launch channel capacity left to [tenant] after neighbour

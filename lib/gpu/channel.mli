@@ -56,9 +56,13 @@ val dropped : 'a t -> int
 (** Records lost to injected push failures (after retries). *)
 
 val corrupt_detected : 'a t -> int
-(** Records whose checksum failed at drain time. *)
+(** Records whose checksum failed at drain time. Public, with
+    {!dropped}, {!drain_failures} and {!retries}, as the channel's
+    fault counters. *)
 
 val drain_failures : 'a t -> int
+(** Drains an injected drain fault made fail. *)
+
 val retries : 'a t -> int
 
 val drains_delayed : 'a t -> int

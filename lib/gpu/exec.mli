@@ -55,6 +55,8 @@ type hooks = {
 }
 
 val no_hooks : Fpx_sass.Program.t -> hooks
+(** Empty injection tables sized for the program: an uninstrumented
+    run. Public as the shape a caller fills to instrument by hand. *)
 
 val run :
   ?hooks:hooks ->

@@ -29,6 +29,9 @@ val store_i32 : t -> addr:int -> int32 -> unit
 val load_i64 : t -> addr:int -> int64
 val store_i64 : t -> addr:int -> int64 -> unit
 
+(** Typed scalar accessors, one load and one store per element type;
+    public so host code can read and seed single device values. *)
+
 val load_f32 : t -> addr:int -> Fpx_num.Fp32.t
 val store_f32 : t -> addr:int -> Fpx_num.Fp32.t -> unit
 val load_f64 : t -> addr:int -> float
@@ -42,5 +45,8 @@ val write_f32_array : t -> addr:int -> float array -> unit
 val read_f32_array : t -> addr:int -> len:int -> float array
 val write_f64_array : t -> addr:int -> float array -> unit
 val read_f64_array : t -> addr:int -> len:int -> float array
+(** Public, with the other array readers, so host code can copy a
+    kernel's results back. *)
+
 val write_i32_array : t -> addr:int -> int32 array -> unit
 val read_i32_array : t -> addr:int -> len:int -> int32 array

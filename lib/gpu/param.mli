@@ -10,9 +10,6 @@ type t =
   | F64 of float
   | Ptr of int  (** Device address returned by {!Memory.alloc}. *)
 
-val base_offset : int
-(** First parameter's byte offset in constant bank 0 (0x160). *)
-
 val size_bytes : t -> int
 (** 4 for I32/F32/Ptr, 8 for F64 (aligned to 8). *)
 
@@ -20,4 +17,5 @@ val offsets : t list -> int list
 (** Byte offset of each parameter under the ABI layout. *)
 
 val marshal : t list -> Bytes.t
-(** Parameter space image: [base_offset] zero bytes then the params. *)
+(** Parameter space image: 0x160 zero bytes (the first parameter's
+    offset in constant bank 0) then the params. *)

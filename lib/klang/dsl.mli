@@ -52,6 +52,8 @@ val ( >=: ) : expr -> expr -> expr
 val ( ==: ) : expr -> expr -> expr
 val ( <>: ) : expr -> expr -> expr
 val not_ : expr -> expr
+(** Logical negation, public with the other boolean combinators. *)
+
 val ( &&: ) : expr -> expr -> expr
 val ( ||: ) : expr -> expr -> expr
 val select : expr -> expr -> expr -> expr

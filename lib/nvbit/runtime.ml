@@ -31,10 +31,6 @@ let attach t tool =
   t.tool <- Some tool;
   Hashtbl.reset t.jit_cache
 
-let detach t =
-  t.tool <- None;
-  Hashtbl.reset t.jit_cache
-
 let invocations t ~kernel =
   Option.value (Hashtbl.find_opt t.counts kernel) ~default:0
 

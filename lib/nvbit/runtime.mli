@@ -26,8 +26,6 @@ val attach : t -> Fpx_tool.instance -> unit
 (** Attach a tool (resets the JIT cache). Tools are packed with
     [X.tool], e.g. [attach rt (Gpu_fpx.Detector.tool d)]. *)
 
-val detach : t -> unit
-
 val launch :
   t ->
   ?grid:int ->

@@ -14,7 +14,8 @@ val phase_of : Span.span -> string
 (** Classify a span by its [(cat, name)]:
     ["jit"], ["exec"], ["drain"], ["setup"], ["report"], ["body_other"],
     ["task_other"], ["steal"], ["spawn"], ["join"], ["queue_wait"],
-    ["merge"], ["fuzz"], or ["other"]. *)
+    ["merge"], ["fuzz"], or ["other"]. Public as the one phase table,
+    for callers that aggregate spans themselves. *)
 
 type phase_agg = {
   phase : string;

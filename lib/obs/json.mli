@@ -20,7 +20,8 @@ type t =
 exception Parse_error of string
 
 val max_depth : int
-(** Deepest container nesting {!parse} accepts. *)
+(** Deepest container nesting {!parse} accepts. Public so a producer
+    can stay within it. *)
 
 val parse : string -> t
 (** @raise Parse_error on malformed input, trailing garbage, a [\u]

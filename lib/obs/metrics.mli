@@ -52,6 +52,7 @@ val counter_value : t -> string -> int option
 (** Read a counter by name (reporting/tests; not the hot path). *)
 
 val gauge_read : t -> string -> float option
+(** Read a gauge by name, like {!counter_value}. *)
 
 val merge : t -> t -> t
 (** [merge a b] is a fresh registry combining both: counters sum,

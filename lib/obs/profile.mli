@@ -26,7 +26,9 @@ val sites : t -> site list
 val kernels : t -> string list
 
 val top_by_dyn : ?n:int -> t -> site list
-(** Sites sorted by descending dynamic count (default top 10). *)
+(** Sites sorted by descending dynamic count (default top 10). Public,
+    with {!top_by_exces}, as the query form of the table {!render}
+    prints. *)
 
 val top_by_exces : ?n:int -> t -> site list
 (** Sites with at least one exception, sorted descending (default top

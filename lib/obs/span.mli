@@ -155,7 +155,8 @@ val unbalanced : t -> int
 (** [end_] calls that found no open frame. *)
 
 val open_frames : t -> int
-(** Frames begun but never ended (not exported). *)
+(** Frames begun but never ended (not exported). Public so a caller can
+    check that its spans are balanced. *)
 
 (** {1 Export} *)
 

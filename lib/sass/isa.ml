@@ -216,16 +216,6 @@ let is_control_flow = function
   | BRA | BAR | EXIT | NOP ->
     false
 
-let is_mufu_rcp = function
-  | MUFU (Rcp | Rcp64h | Rsq | Rsq64h) -> true
-  | MUFU (Sqrt | Ex2 | Lg2 | Sin | Cos) -> false
-  | HADD2 | HMUL2 | HFMA2 -> false
-  | FADD | FADD32I | FMUL | FMUL32I | FFMA | FFMA32I | DADD | DMUL | DFMA
-  | FSEL | FSET _ | FSETP _ | FMNMX | DSETP _ | PSETP _ | FCHK | SEL | F2F _
-  | I2F _ | F2I _ | MOV | MOV32I | IADD | IMAD | ISETP _ | SHL | SHR
-  | LOP_AND | LOP_OR | LOP_XOR | LDG _ | STG _ | LDS _ | STS _ | ATOM_ADD _ | S2R _ | BRA | BAR | EXIT | NOP ->
-    false
-
 let is_fp_instrumentable op =
   is_fp32_compute op || is_fp64_compute op || is_fp16_compute op
   || is_control_flow op

@@ -118,15 +118,12 @@ val is_fp64_compute : opcode -> bool
 (** FP64 prefix — DADD/DMUL/DFMA plus MUFU.*64H. *)
 
 val is_fp16_compute : opcode -> bool
-(** Packed-half prefix — HADD2/HMUL2/HFMA2 (the FP16 extension). *)
+(** Packed-half prefix — HADD2/HMUL2/HFMA2 (the FP16 extension).
+    Public with its FP32 and FP64 siblings as the compute classes. *)
 
 val is_control_flow : opcode -> bool
 (** Table 1 right column: FSEL, FSET, FSETP, FMNMX, DSETP. These are the
     opcodes BinFPE misses. *)
-
-val is_mufu_rcp : opcode -> bool
-(** MUFU.RCP / MUFU.RCP64H / MUFU.RSQ / MUFU.RSQ64H — the opcodes whose
-    INF/NaN result signals a division-by-zero-class exception. *)
 
 val is_fp_instrumentable : opcode -> bool
 (** Any opcode GPU-FPX instruments: FP32/FP64 compute or control flow. *)

@@ -23,7 +23,6 @@ let pred_not n = { (pred n) with pred_not = true }
 let imm_f32 bits = plain (Imm_f32 bits)
 let imm_f64 v = plain (Imm_f64 v)
 let imm_i v = plain (Imm_i v)
-let generic s = plain (Generic s)
 let cbank ~bank ~offset = plain (Cbank { bank; offset })
 let label pc = plain (Label pc)
 

@@ -35,7 +35,6 @@ val pred_not : int -> t
 val imm_f32 : Fpx_num.Fp32.t -> t
 val imm_f64 : float -> t
 val imm_i : int32 -> t
-val generic : string -> t
 val cbank : bank:int -> offset:int -> t
 val label : int -> t
 
@@ -44,7 +43,8 @@ val to_string : t -> string
 
 val float_token : float -> string
 (** Render an FP immediate: ["+INF"], ["-INF"], ["+QNAN"], ["-QNAN"],
-    bare integers, or the shortest round-tripping [%g] literal. *)
+    bare integers, or the shortest round-tripping [%g] literal. Public
+    as the inverse of {!generic_value}. *)
 
 val generic_value : string -> float option
 (** The value of a [Generic] token (["+INF"], ["QNAN"], ["-SNAN"], a

@@ -84,7 +84,8 @@ val handle : t -> string -> string
 
 val metrics_text : t -> string
 (** Prometheus exposition text ({!Fpx_obs.Metrics.to_prometheus_text})
-    of the server registry. *)
+    of the server registry. Public so a program embedding the server
+    can expose it without the socket. *)
 
 val stopped : t -> bool
 (** Has a shutdown been requested (or [max_requests] exhausted)? *)

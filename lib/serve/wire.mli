@@ -6,7 +6,8 @@
     daemon's memory. *)
 
 val max_frame : int
-(** 16 MiB — larger frames are rejected, not read. *)
+(** 16 MiB — larger frames are rejected, not read. Public so a client
+    can keep its requests below it. *)
 
 exception Frame_too_large of int
 

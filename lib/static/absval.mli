@@ -40,6 +40,9 @@ val m_div0 : cls
 (** NaN ∪ Inf — the classes a [check_*_div0] injection fires on. *)
 
 val cls_of_kind : Fpx_num.Kind.t -> cls
+(** The class bit of a concrete value; public to relate a concrete
+    value to the lattice. *)
+
 val cls_to_string : cls -> string
 val may : cls -> cls -> bool
 (** [may m x] — does [x] intersect mask [m]? *)

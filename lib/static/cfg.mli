@@ -38,7 +38,8 @@ val entry : t -> block
 
 val reverse_postorder : t -> int list
 (** Block ids in reverse postorder of a DFS from the entry; blocks
-    unreachable from the entry follow, in pc order. *)
+    unreachable from the entry follow, in pc order. Public as the visit
+    order a forward dataflow pass over the graph wants. *)
 
 val to_dot : t -> string
 (** Graphviz rendering: one record-shaped node per block listing its

@@ -80,6 +80,15 @@ let run ?(partition = Bandwidth.No_partition) ?(cost = Cost.default)
   let ts = Array.of_list tenants in
   let n = Array.length ts in
   if n = 0 then invalid_arg "Mt.run: no tenants";
+  (* ids label metric series and reports: two tenants sharing one would
+     be summed together *)
+  Array.iteri
+    (fun i (t : Tenant.t) ->
+      for j = 0 to i - 1 do
+        if ts.(j).Tenant.id = t.Tenant.id then
+          invalid_arg ("Mt.run: duplicate tenant id " ^ t.Tenant.id)
+      done)
+    ts;
   (* resolve every workload before anything runs, so an unknown program
      fails fast instead of mid-co-run *)
   let ws =

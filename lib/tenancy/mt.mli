@@ -49,7 +49,8 @@ val run :
 (** Run every tenant's program to completion on one shared device
     model. [partition] defaults to
     {!Fpx_gpu.Bandwidth.partition.No_partition}. Raises
-    [Invalid_argument] on an empty tenant list or an unknown program. *)
+    [Invalid_argument] on an empty tenant list, two tenants with one id
+    or an unknown program. *)
 
 val solo : ?cost:Fpx_gpu.Cost.t -> ?mode:Fpx_klang.Mode.t -> Tenant.t -> outcome
 (** The tenant alone on the device — the baseline its shared outcomes
@@ -61,7 +62,6 @@ val report_text : outcome -> string
     per line. This is the byte-comparison basis for the isolation
     guarantee; runtime numbers are deliberately excluded. *)
 
-val outcome_json : outcome -> string
 val result_json : result -> string
 (** Deterministic JSON (includes a digest of each report). *)
 

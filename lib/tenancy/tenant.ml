@@ -25,6 +25,7 @@ let parse spec =
     Error
       (Printf.sprintf
          "tenant spec %S: expected id=program[:tool[:share[:priority]]]" spec)
+  | Some 0 -> Error (Printf.sprintf "tenant spec %S: empty id" spec)
   | Some eq -> (
     let id = String.sub spec 0 eq in
     let rest = String.sub spec (eq + 1) (String.length spec - eq - 1) in

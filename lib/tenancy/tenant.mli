@@ -30,4 +30,4 @@ val parse : string -> (t, string) result
 (** Parse the CLI form [id=program[:tool[:share[:priority]]]] — [tool]
     is any name {!Fpx_harness.Toolreg.tool_config_of_name} resolves
     (default [detect]); [share] in (0, 1] applies to both the slot and
-    bandwidth allocations. *)
+    bandwidth allocations. An empty id is an [Error]. *)

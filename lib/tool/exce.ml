@@ -19,6 +19,33 @@ let of_kind = function
   | Fpx_num.Kind.Subnormal -> Some Sub
   | Fpx_num.Kind.Zero | Fpx_num.Kind.Normal -> None
 
+(* The more severe of two classifications: NaN, then INF, then SUB. *)
+let worse a b =
+  match a, b with
+  | Some Nan, _ | _, Some Nan -> Some Nan
+  | Some Inf, _ | _, Some Inf -> Some Inf
+  | a, None -> a
+  | None, b -> b
+  | Some _, Some _ -> a
+
+let classify ~fmt ~div0 lo hi =
+  let e =
+    match fmt with
+    | Fpx_sass.Isa.FP32 -> of_kind (Fpx_num.Fp32.classify lo)
+    | Fpx_sass.Isa.FP64 ->
+      of_kind (Fpx_num.Fp64.classify (Fpx_num.Fp64.of_words ~lo ~hi))
+    | Fpx_sass.Isa.FP16 ->
+      let l, h = Fpx_num.Fp16.unpack2 lo in
+      worse
+        (of_kind (Fpx_num.Fp16.classify l))
+        (of_kind (Fpx_num.Fp16.classify h))
+  in
+  if not div0 then e
+  else
+    match e with
+    | Some (Nan | Inf) -> Some Div0
+    | Some (Sub | Div0) | None -> None
+
 let loc_bits = 16
 let max_loc = (1 lsl loc_bits) - 1
 let table_slots = 1 lsl (loc_bits + 4)

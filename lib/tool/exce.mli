@@ -11,13 +11,14 @@ val to_string : t -> string
 val equal : t -> t -> bool
 val all : t list
 
-val of_kind : Fpx_num.Kind.t -> t option
-(** NaN/INF/SUB for the three exceptional value classes, [None]
-    otherwise. DIV0 is never produced here: it is an opcode-contextual
-    judgement (MUFU.RCP result), not a value class. *)
-
-val loc_bits : int
-(** 16. *)
+val classify :
+  fmt:Fpx_sass.Isa.fp_format -> div0:bool -> int32 -> int32 -> t option
+(** CheckExce (Algorithm 2): the exception a checked value raises.
+    [classify ~fmt ~div0 lo hi] reads [lo] as an FP32 value, [lo]/[hi]
+    as the two words of an FP64 value, or [lo] as two packed FP16 values
+    (the worse half wins: NaN, then INF, then SUB); [hi] is ignored
+    outside FP64. With [div0] (a MUFU.RCP/RSQ result) a NaN or INF
+    reports [Div0] and anything else [None]. *)
 
 val max_loc : int
 (** 2^16 - 1. *)

@@ -29,7 +29,7 @@ type extra += No_extra
 type report = {
   counts : (Fpx_sass.Isa.fp_format * Exce.t * int) list;
       (** Unique exception sites per (format, kind); non-zero cells only,
-          in {!report_formats} × {!Exce.all} order. *)
+          in FP64, FP32 × {!Exce.all} order. *)
   log : string list;  (** Early-notification lines, in emission order. *)
   degradations : string list;
       (** Graceful-degradation events active on the tool. *)
@@ -37,9 +37,6 @@ type report = {
 }
 
 val empty_report : report
-
-val report_formats : Fpx_sass.Isa.fp_format list
-(** [[FP64; FP32]] — the formats summary tables report on. *)
 
 val cells_of :
   (fmt:Fpx_sass.Isa.fp_format -> exce:Exce.t -> int) ->
@@ -82,13 +79,10 @@ val on_launch_begin : instance -> Fpx_gpu.Stats.t -> unit
 val on_drain : instance -> Fpx_gpu.Stats.t -> kernel:string -> unit
 val report : instance -> report
 
-val merge_reports : report list -> report
-(** Member order is preserved: counts are summed per (format, kind)
-    cell (each member counts its own unique locations), logs,
-    degradations and extras concatenate. *)
-
 val stack : instance list -> instance
 (** Compose tools: every member instruments the same kernel binary and
     drains after every launch. Instrumentation is all-or-nothing per
     launch, so the stack instruments whenever {e any} member's sampling
-    policy would. *)
+    policy would. Its report keeps member order: counts are summed per
+    (format, kind) cell (each member counts its own unique locations),
+    logs, degradations and extras concatenate. *)

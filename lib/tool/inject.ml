@@ -6,7 +6,6 @@ type t = {
   after : Exec.injection list array;
   mutable sites : int;
   mutable prune : int -> bool;
-  mutable pruned : int;
 }
 
 let create (device : Device.t) prog =
@@ -17,13 +16,11 @@ let create (device : Device.t) prog =
     after = Array.make n [];
     sites = 0;
     prune = (fun _ -> false);
-    pruned = 0;
   }
 
 let sites t = t.sites
 
 let set_prune t p = t.prune <- p
-let pruned t = t.pruned
 
 let injection t ~n_values fn =
   {
@@ -39,16 +36,14 @@ let check_pc t pc arr =
 
 let insert_before t ~pc ~n_values fn =
   check_pc t pc t.before;
-  if t.prune pc then t.pruned <- t.pruned + 1
-  else begin
+  if not (t.prune pc) then begin
     t.before.(pc) <- t.before.(pc) @ [ injection t ~n_values fn ];
     t.sites <- t.sites + 1
   end
 
 let insert_after t ~pc ~n_values fn =
   check_pc t pc t.after;
-  if t.prune pc then t.pruned <- t.pruned + 1
-  else begin
+  if not (t.prune pc) then begin
     t.after.(pc) <- t.after.(pc) @ [ injection t ~n_values fn ];
     t.sites <- t.sites + 1
   end

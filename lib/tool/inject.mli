@@ -24,11 +24,8 @@ val sites : t -> int
 
 val set_prune : t -> (int -> bool) -> unit
 (** Install a site-pruning predicate: subsequent [insert_*] calls whose
-    [pc] satisfies it are dropped (counted in {!pruned}) instead of
-    registered. Tools hand the static analyzer's provably-clean
-    predicate here; the default never prunes. *)
-
-val pruned : t -> int
-(** Injection requests dropped by the prune predicate. *)
+    [pc] satisfies it are dropped instead of registered. Tools hand the
+    static analyzer's provably-clean predicate here; the default never
+    prunes. *)
 
 val build : t -> Fpx_gpu.Exec.hooks

@@ -5,12 +5,9 @@ val evaluated : Workload.t list
 (** The 151 programs of the evaluation, grouped by suite in Table 3
     order. *)
 
-val case_studies : Workload.t list
-(** §5.2's GMRES/cuSparse program (with its boosted repair) — studied in
-    the case studies but not part of the 151. *)
-
 val find : string -> Workload.t
-(** Look up any program (evaluated or case study) by name.
+(** Look up any program by name: the 151, or §5.2's GMRES/cuSparse
+    case study (with its boosted repair), which is not part of them.
     @raise Not_found if unknown. *)
 
 val by_suite : Workload.suite -> Workload.t list

@@ -117,6 +117,3 @@ val run_out_a :
   kernel ->
   Workload.ctx ->
   unit
-
-val elem_ty_of_kernel : kernel -> ty
-(** Element type of the kernel's first pointer parameter. *)

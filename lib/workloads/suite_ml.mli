@@ -2,8 +2,5 @@
     (uninitialised input tensor), cuML-HousePrice — plus the §5.2
     GMRES/cuSparse case-study program (not part of the 151). *)
 
-val cumf_iterations : int
-(** Kernel invocations per CG run (the Figure 6 sampling target). *)
-
 val gmres_original : Workload.t
 val all : Workload.t list

@@ -1,6 +1,4 @@
 (** polybenchGpu: 20 linear-algebra/stencil programs; GRAMSCHM and LU
     ship zero-column/zero-pivot inputs (§5.1). *)
 
-val gramschmidt : Workload.t
-val lu : Workload.t
 val all : Workload.t list

@@ -2,8 +2,4 @@
     exception carriers — cfd (13 subnormal flux sites) and myocyte (the
     paper's flagship stiff-ODE kernel). *)
 
-val myocyte_kernel : Fpx_klang.Ast.kernel
-(** The generated kernel_ecc_3 equation system (exposed for the
-    fast-math walkthroughs). *)
-
 val all : Workload.t list

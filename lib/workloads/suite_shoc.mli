@@ -1,5 +1,4 @@
 (** SHOC: 13 benchmarks; S3D carries the 129-subnormal / 7-INF
     chemistry signature of Table 4. *)
 
-val s3d_kernel : Fpx_klang.Ast.kernel
 val all : Workload.t list

@@ -68,10 +68,6 @@ let uninit ctx ~bytes = Fpx_gpu.Memory.alloc (memory ctx) ~bytes
 let launch ctx ?grid ?block prog params =
   Fpx_nvbit.Runtime.launch ctx.rt ?grid ?block ~params prog
 
-let read_f32 ctx ~addr ~len = Fpx_gpu.Memory.read_f32_array (memory ctx) ~addr ~len
-let read_f64 ctx ~addr ~len = Fpx_gpu.Memory.read_f64_array (memory ctx) ~addr ~len
-
-let ramp n = Array.init n (fun i -> float_of_int (i + 1))
 let const n x = Array.make n x
 
 let randf ~seed ?(lo = 0.0) ?(hi = 1.0) n =
@@ -84,8 +80,3 @@ let randf ~seed ?(lo = 0.0) ?(hi = 1.0) n =
       let x = x lxor (x lsl 5) land 0x3fffffff in
       state := x;
       lo +. ((hi -. lo) *. (float_of_int x /. 1073741824.0)))
-
-let with_zero_at idxs xs =
-  let ys = Array.copy xs in
-  List.iter (fun i -> ys.(i) <- 0.0) idxs;
-  ys

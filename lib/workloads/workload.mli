@@ -68,18 +68,9 @@ val launch :
   Fpx_gpu.Param.t list ->
   unit
 
-val read_f32 : ctx -> addr:int -> len:int -> float array
-val read_f64 : ctx -> addr:int -> len:int -> float array
-
 (** {1 Deterministic data generators (never the Random module)} *)
-
-val ramp : int -> float array
-(** [\[|1; 2; ...; n|\]]. *)
 
 val const : int -> float -> float array
 
 val randf : seed:int -> ?lo:float -> ?hi:float -> int -> float array
 (** xorshift-based uniform values, deterministic per seed. *)
-
-val with_zero_at : int list -> float array -> float array
-(** Copy with zeros planted at the given indices. *)

@@ -94,6 +94,11 @@ run "one register footprint" \
          ! grep -rnE "source_reg_nums|shares_dest_and_src_reg|writes_fp64_pair" \
            lib bin --exclude=program.ml'
 
+# No unreferenced exports: every lib/*/*.mli value is used outside its
+# own module, or is on scripts/exports.allow with the reason in its .mli
+# doc. The list must equal the allowlist, so it can only shrink.
+run "no unreferenced exports" scripts/exports.sh --check
+
 run "dune runtest" dune runtest
 
 # A standalone .sass kernel that traps ends in the documented crash exit
@@ -106,6 +111,15 @@ run "run-sass trap smoke" \
 run "run-sass malformed smoke" \
   sh -c 'dune exec bin/fpx_run.exe -- run-sass \
            examples/sass/missing_operand.sass >/dev/null; test $? -eq 3'
+
+# A fault rate that is NaN or outside [0, 1] is a bad CLI value (124),
+# not a silently fault-free (or always-faulting) run.
+run "fault-rate smoke" \
+  sh -c 'for r in nan -0.5 2; do
+           dune exec bin/fpx_run.exe -- detect GEMM --fault-seed 1 \
+             --fault-rate="$r" >/dev/null 2>&1
+           test $? -eq 124 || exit 1
+         done'
 
 # Smoke the architectural bit-flip campaign end to end: a pinned-seed
 # plan through the real CLI, with the kill (--halt-after) + --resume

@@ -331,6 +331,36 @@ let test_guarded_off_lanes_not_checked () =
   Alcotest.(check int) "guard inverted: overflow found" 1
     (run (mk ~guard:(Op.pred_not 0)))
 
+(* --- CheckExce (Algorithm 2): one classifier for the detector and BinFPE *)
+
+let test_classify_table () =
+  let show = function None -> "-" | Some e -> E.to_string e in
+  let case name want ~fmt ~div0 lo hi =
+    Alcotest.(check string) name (show want)
+      (show (E.classify ~fmt ~div0 lo hi))
+  in
+  (* (name, FP32 bits, FP64 (lo, hi) words, plain class, DIV0 class) *)
+  List.iter
+    (fun (name, b32, (lo64, hi64), plain, div0) ->
+      case ("fp32 " ^ name) plain ~fmt:Isa.FP32 ~div0:false b32 0l;
+      case ("fp32 div0 " ^ name) div0 ~fmt:Isa.FP32 ~div0:true b32 0l;
+      case ("fp64 " ^ name) plain ~fmt:Isa.FP64 ~div0:false lo64 hi64;
+      case ("fp64 div0 " ^ name) div0 ~fmt:Isa.FP64 ~div0:true lo64 hi64)
+    [ ("nan", 0x7fc00000l, (0l, 0x7ff80000l), Some E.Nan, Some E.Div0);
+      ("inf", 0xff800000l, (0l, 0xfff00000l), Some E.Inf, Some E.Div0);
+      ("subnormal", 0x00000001l, (1l, 0l), Some E.Sub, None);
+      ("zero", 0x80000000l, (0l, 0l), None, None);
+      ("normal", 0x3f800000l, (0l, 0x3ff00000l), None, None) ];
+  (* FP16 packs two values; the worse half decides *)
+  case "fp16 nan in the high half only" (Some E.Nan) ~fmt:Isa.FP16
+    ~div0:false 0x7e003c00l 0l;
+  case "fp16 inf over a subnormal" (Some E.Inf) ~fmt:Isa.FP16 ~div0:false
+    0x7c000001l 0l;
+  case "fp16 both normal" None ~fmt:Isa.FP16 ~div0:false 0x3c003c00l 0l;
+  (* the FP32 reading of the packed NaN/1.0 word is a normal number *)
+  case "fp32 reading of the fp16 word" None ~fmt:Isa.FP32 ~div0:false
+    0x7e003c00l 0l
+
 let suite =
   ( "detector",
     [ Alcotest.test_case "record encode/decode" `Quick test_encode_decode;
@@ -356,4 +386,6 @@ let suite =
       Alcotest.test_case "BinFPE transfer volume" `Quick
         test_binfpe_transfer_volume;
       Alcotest.test_case "guarded-off lanes not checked" `Quick
-        test_guarded_off_lanes_not_checked ] )
+        test_guarded_off_lanes_not_checked;
+      Alcotest.test_case "CheckExce classify table" `Quick
+        test_classify_table ] )

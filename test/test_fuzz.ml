@@ -1,8 +1,8 @@
 (* Differential fuzzing over random expression kernels.
 
-   The expression language, generators, host-side oracles and input
-   grids all live in {!Fpx_fuzz.Gen} — one generator and one shrink
-   story shared with the fuzz campaigns — so this file holds only the
+   The expression language lives in {!Fpx_fuzz.Gen}, shared with the
+   fuzz campaigns; its QCheck generators, host-side oracles and input
+   grids live in {!Gen_qcheck}. This file holds only the
    harness plumbing and the properties themselves: instrumentation must
    never perturb program results (bit-for-bit), the detector must be
    deterministic, the dedup and aggregation machinery (global table,
@@ -17,6 +17,7 @@ module Gpu = Fpx_gpu
 module Det = Gpu_fpx.Detector
 module Fp32 = Fpx_num.Fp32
 open Fpx_fuzz.Gen
+open Gen_qcheck
 
 let qcheck_case t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t

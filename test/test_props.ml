@@ -13,9 +13,7 @@ let qcheck_case t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t
 
 
-(* The full-ISA opcode arbitrary lives in Fpx_fuzz.Gen, shared with the
-   fuzzer's campaigns. *)
-let arb_opcode = Fpx_fuzz.Gen.arb_opcode
+let arb_opcode = Gen_qcheck.arb_opcode
 
 let prop_format_consistency =
   QCheck.Test.make ~count:500

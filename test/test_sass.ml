@@ -49,12 +49,19 @@ let test_instrumentable_set () =
     [ Isa.MOV; Isa.IADD; Isa.SEL; Isa.LDG Isa.W32; Isa.BRA; Isa.FCHK;
       Isa.PSETP Isa.Por; Isa.EXIT ]
 
+(* The DIV0 class is Algorithm 1's: Site.plan gives the MUFU reciprocal
+   family, and nothing else, a DIV0 check. *)
 let test_mufu_rcp_class () =
-  Alcotest.(check bool) "rcp" true (Isa.is_mufu_rcp (Isa.MUFU Isa.Rcp));
-  Alcotest.(check bool) "rcp64h" true (Isa.is_mufu_rcp (Isa.MUFU Isa.Rcp64h));
-  Alcotest.(check bool) "rsq" true (Isa.is_mufu_rcp (Isa.MUFU Isa.Rsq));
-  Alcotest.(check bool) "ex2 not" false (Isa.is_mufu_rcp (Isa.MUFU Isa.Ex2));
-  Alcotest.(check bool) "fadd not" false (Isa.is_mufu_rcp Isa.FADD)
+  let div0 sass =
+    match Site.plan (Parse.instruction sass) with
+    | Some c -> Site.is_div0 c
+    | None -> false
+  in
+  Alcotest.(check bool) "rcp" true (div0 "MUFU.RCP R1, R2 ;");
+  Alcotest.(check bool) "rcp64h" true (div0 "MUFU.RCP64H R1, R2 ;");
+  Alcotest.(check bool) "rsq" true (div0 "MUFU.RSQ R1, R2 ;");
+  Alcotest.(check bool) "ex2 not" false (div0 "MUFU.EX2 R1, R2 ;");
+  Alcotest.(check bool) "fadd not" false (div0 "FADD R1, R2, R3 ;")
 
 let test_eval_cmp () =
   let lt = Isa.cmp Isa.Lt and ltu = Isa.cmp_u Isa.Lt in

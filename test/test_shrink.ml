@@ -171,7 +171,7 @@ let test_campaign_finds_injected_defect () =
         (f.Fuzz.Campaign.min_instrs <= f.Fuzz.Campaign.orig_instrs))
     s.Fuzz.Campaign.found
 
-(* --- Gen's shrinker obeys the same contract over expressions ---------- *)
+(* --- the expression shrinker obeys the same contract ---------------- *)
 
 let prop_shrink_ex_decreases =
   (* same shape of argument as the SASS-level shrinker: every step
@@ -188,12 +188,13 @@ let prop_shrink_ex_decreases =
       nonzero_consts a + nonzero_consts b + nonzero_consts c
       + nonzero_consts d
   in
-  let m e = (Gen.size_ex e, nonzero_consts e) in
+  let m e = (Gen_qcheck.size_ex e, nonzero_consts e) in
   QCheck.Test.make ~count:200
     ~name:"shrink_ex strictly decreases (nodes, nonzero consts)"
-    Gen.arb_full (fun e ->
+    Gen_qcheck.arb_full (fun e ->
       let ok = ref true in
-      Gen.shrink_ex e (fun e' -> if not (lex_lt (m e') (m e)) then ok := false);
+      Gen_qcheck.shrink_ex e (fun e' ->
+          if not (lex_lt (m e') (m e)) then ok := false);
       !ok)
 
 let suite =

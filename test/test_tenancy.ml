@@ -106,7 +106,8 @@ let test_tenant_parse () =
   bad "no-equals";
   bad "a=p:unknown-tool";
   bad "a=p:detect:1.5";
-  bad "a=p:detect:0.5:0"
+  bad "a=p:detect:0.5:0";
+  bad "=GEMM"
 
 (* Every tool name resolves through the one Toolreg table, to the same
    config from the CLI resolver, a tenant spec and a serve submission. *)
@@ -259,6 +260,13 @@ let test_unknown_program_rejected () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+let test_duplicate_id_rejected () =
+  let t program = Tenant.make ~tool:R.No_tool ~program "a" in
+  Alcotest.(check bool) "invalid_arg" true
+    (match Mt.run [ t "GEMM"; t "Triad" ] with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 (* --- Serve: tenant labels quotas and metrics, not responses ----------- *)
 
 module Serve = Fpx_serve.Server
@@ -340,5 +348,7 @@ let suite =
         test_arbitration_order;
       Alcotest.test_case "unknown program rejected" `Quick
         test_unknown_program_rejected;
+      Alcotest.test_case "duplicate tenant id rejected" `Quick
+        test_duplicate_id_rejected;
       Alcotest.test_case "serve: tenant-neutral cache + labels" `Quick
         test_serve_tenant_neutral_cache ] )
