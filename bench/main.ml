@@ -436,7 +436,10 @@ let resilience_bench () =
   let binfpe_hangs =
     List.for_all
       (fun (name, _, _, m) ->
-        name <> "BinFPE" || (m.R.status = R.Hung && m.R.records > 0))
+        name <> "BinFPE"
+        || match m.R.status with
+           | R.Hung _ -> m.R.records > 0
+           | _ -> false)
       rows
   in
   let detector_survives =
@@ -448,7 +451,7 @@ let resilience_bench () =
            match m.R.status with
            | R.Completed -> rate = 0.0
            | R.Degraded _ -> rate > 0.0
-           | R.Hung | R.Faulted _ -> false))
+           | R.Hung _ | R.Faulted _ -> false))
       rows
   in
   emit ~target:"resilience" ~title:"Fault injection & resilience"

@@ -178,14 +178,15 @@ let run_exits =
   Cmd.Exit.info hang_exit
     ~doc:
       "the run hung: channel congestion pushed past the hang budget, or \
-       the launch watchdog aborted it under fault injection."
+       a watchdog aborted it (the executor's instruction budget, or the \
+       launch slowdown budget under fault injection)."
   :: Cmd.Exit.info fault_exit
        ~doc:"a simulator trap (fault) aborted the run."
   :: Cmd.Exit.defaults
 
 let exit_for_status (m : R.measurement) =
   match m.R.status with
-  | R.Hung -> exit hang_exit
+  | R.Hung _ -> exit hang_exit
   | R.Faulted _ -> exit fault_exit
   | R.Completed | R.Degraded _ -> ()
 
@@ -811,7 +812,7 @@ let fuzz_cmd =
       const run $ seed_arg $ runs_arg $ jobs_arg $ no_minimize $ corpus_arg
       $ defect_arg $ metrics_out $ fault_seed $ fault_rate $ fault_kinds)
 
-(* --- Self-diagnosis (ROADMAP item 1) --------------------------------- *)
+(* --- Self-diagnosis: why a --jobs N sweep regresses ------------------- *)
 
 let diagnose_cmd =
   let tool_name =

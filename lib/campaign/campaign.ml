@@ -10,6 +10,7 @@ module Repro = Fpx_fuzz.Repro
 module Shrink = Fpx_fuzz.Shrink
 module Corpus = Fpx_fuzz.Corpus
 module Json = Fpx_obs.Json
+module Runner = Fpx_harness.Runner
 
 type outcome = Masked | Sdc | Detected | Hang | Crash | Decode_fail
 
@@ -135,46 +136,33 @@ type profile = {
   kernels : (string * Program.t) array;
 }
 
-type raw =
-  | Finished of { digest : string; det_log : string list }
-  | Trapped of string
-  | Aborted of string
-
-(* The campaign's mini-runner: a private device + runtime + detector
-   per execution, exactly the stack [Fpx_harness.Runner] drives, but
-   keeping the device in hand so the memory digest and dynamic totals
-   are observable. *)
-let exec_raw ?spec (w : W.t) =
-  let fault =
-    match spec with Some s -> Fault.of_spec s | None -> Fault.none
+(* One detector run through the shared runner. The campaign's own
+   workload wrapper captures what a measurement does not carry: the
+   memory digest and dynamic totals at the moment the program finished,
+   [None] when the run aborted. *)
+let exec ?fault (w : W.t) =
+  let finished = ref None in
+  let run ctx =
+    w.W.run ctx;
+    finished :=
+      Some
+        ( Gpu.Memory.digest (W.device ctx).Gpu.Device.memory,
+          Fpx_nvbit.Runtime.totals ctx.W.rt )
   in
-  let dev = Gpu.Device.create ~fault () in
-  let rt = Fpx_nvbit.Runtime.create dev in
-  let det = Gpu_fpx.Detector.create dev in
-  Fpx_nvbit.Runtime.attach rt (Gpu_fpx.Detector.tool det);
-  let ctx = { W.rt; mode = Fpx_klang.Mode.precise } in
-  match w.W.run ctx with
-  | () ->
-    let totals = Fpx_nvbit.Runtime.totals rt in
-    ( Finished
-        {
-          digest = Gpu.Memory.digest dev.Gpu.Device.memory;
-          det_log = Gpu_fpx.Detector.log_lines det;
-        },
-      totals )
-  | exception Gpu.Exec.Trap msg -> (Trapped msg, Fpx_nvbit.Runtime.totals rt)
-  | exception Fpx_nvbit.Runtime.Hang_abort msg ->
-    (Aborted msg, Fpx_nvbit.Runtime.totals rt)
-  | exception e ->
-    (Trapped (Printexc.to_string e), Fpx_nvbit.Runtime.totals rt)
+  let m =
+    Runner.run ?fault
+      ~tool:(Runner.Detector Gpu_fpx.Detector.default_config)
+      { w with W.run }
+  in
+  (m, !finished)
 
 let profile_exn name =
   let w =
     try Fpx_workloads.Catalog.find name
     with Not_found -> failwith (Printf.sprintf "campaign: no workload %s" name)
   in
-  match exec_raw w with
-  | Finished { digest; det_log }, totals ->
+  match exec w with
+  | m, Some (digest, totals) ->
     let kernels =
       Array.of_list
         (List.map
@@ -193,14 +181,16 @@ let profile_exn name =
     {
       w;
       digest;
-      det_log;
+      det_log = m.Runner.log;
       dyn_instrs = max 1 totals.Gpu.Stats.dyn_instrs;
       shmem_words = totals.Gpu.Stats.shmem_hwm / 4;
       n_regs;
       kernels;
     }
-  | (Trapped msg | Aborted msg), _ ->
-    failwith (Printf.sprintf "campaign: golden run of %s failed: %s" name msg)
+  | m, None ->
+    failwith
+      (Printf.sprintf "campaign: golden run of %s failed: %s" name
+         (Runner.status_detail m.Runner.status))
 
 (* ------------------------------------------------------------------ *)
 (* The injection plan                                                  *)
@@ -247,35 +237,23 @@ let truncate_detail msg =
 (* ------------------------------------------------------------------ *)
 (* Minimization of interesting instruction-flip repros                 *)
 
+(* A small budget: this classifier runs once per shrink candidate, and
+   hang repros burn their whole budget every time. 5k steps is two
+   orders above any terminating 32-thread repro in the corpus. *)
+let standalone_budget = Fault.spec ~sites:[] ~rate:0.0 ~budget:5_000 ~seed:0 ()
+
 let standalone_class (c : Repro.t) =
-  let dev = Gpu.Device.create () in
-  let params =
-    List.map
-      (function
-        | Parse.Ptr_bytes n ->
-          Gpu.Param.Ptr
-            (Gpu.Memory.alloc_zeroed dev.Gpu.Device.memory ~bytes:(max 4 n))
-        | Parse.F32 v -> Gpu.Param.F32 (Fpx_num.Fp32.of_float v)
-        | Parse.F64 v -> Gpu.Param.F64 v
-        | Parse.I32 v -> Gpu.Param.I32 v)
-      c.Repro.params
+  let m =
+    Runner.run ~fault:standalone_budget ~tool:Runner.No_tool (Repro.workload c)
   in
-  (* A small budget: this classifier runs once per shrink candidate, and
-     hang repros burn their whole budget every time. 5k steps is two
-     orders above any terminating 32-thread repro in the corpus. *)
-  match
-    Gpu.Exec.run ~max_dyn_instrs:5_000 ~device:dev ~grid:c.Repro.grid
-      ~block:c.Repro.block ~params c.Repro.prog
-  with
-  | (_ : Gpu.Stats.t) -> `Clean
-  | exception Gpu.Exec.Trap msg ->
-    if String.starts_with ~prefix:"watchdog" msg then `Hang
-    else
-      `Trap
-        (match String.index_opt msg ':' with
-        | Some i -> String.sub msg 0 i
-        | None -> msg)
-  | exception _ -> `Trap "exn"
+  match m.Runner.status with
+  | Runner.Completed | Runner.Degraded _ -> `Clean
+  | Runner.Hung _ -> `Hang
+  | Runner.Faulted msg ->
+    `Trap
+      (match String.index_opt msg ':' with
+      | Some i -> String.sub msg 0 i
+      | None -> msg)
 
 (* A crash/hang found through an instruction flip is only worth a corpus
    entry if it reproduces standalone (fresh device, zeroed parameters):
@@ -319,19 +297,19 @@ let minimize_repro cfg (prof : profile) ~id ~outcome = function
 (* ------------------------------------------------------------------ *)
 (* One injection                                                       *)
 
-let classify (prof : profile) raw =
-  match raw with
-  | Trapped msg when String.starts_with ~prefix:"decode-fail" msg ->
-    (Decode_fail, false, truncate_detail msg)
-  | Trapped msg when String.starts_with ~prefix:"watchdog" msg ->
-    (Hang, false, truncate_detail msg)
-  | Aborted msg -> (Hang, false, truncate_detail msg)
-  | Trapped msg -> (Crash, false, truncate_detail msg)
-  | Finished { digest; det_log } ->
-    let detected = det_log <> prof.det_log in
+let classify (prof : profile) (m : Runner.measurement) = function
+  | Some (digest, _) ->
+    let detected = m.Runner.log <> prof.det_log in
     if String.equal digest prof.digest then (Masked, detected, "")
     else if detected then (Detected, true, "")
     else (Sdc, false, "")
+  | None -> (
+    let detail = truncate_detail (Runner.status_detail m.Runner.status) in
+    match m.Runner.status with
+    | Runner.Hung _ -> (Hang, false, detail)
+    | _ when String.starts_with ~prefix:"decode-fail" detail ->
+      (Decode_fail, false, detail)
+    | _ -> (Crash, false, detail))
 
 let run_one cfg (profiles : profile array) id =
   Fpx_obs.Span.with_ ~cat:"campaign" "campaign.injection" (fun () ->
@@ -340,8 +318,8 @@ let run_one cfg (profiles : profile array) id =
       let spec =
         Fault.spec ~sites:[] ~rate:0.0 ~arch ~budget ~seed:(cfg.seed + id) ()
       in
-      let raw, _totals = exec_raw ~spec prof.w in
-      let outcome, detected, detail = classify prof raw in
+      let m, finished = exec ~fault:spec prof.w in
+      let outcome, detected, detail = classify prof m finished in
       let artifact =
         match outcome with
         | Crash | Hang -> minimize_repro cfg prof ~id ~outcome arch

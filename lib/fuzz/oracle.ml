@@ -37,21 +37,15 @@ let primary = function [] -> None | d :: _ -> Some d.clazz
 let det_config = D.default_config
 let prune_config = { D.default_config with D.static_prune = true }
 
-let is_watchdog msg =
-  String.length msg >= 8 && String.sub msg 0 8 = "watchdog"
-
-(* Run one tool over the case, folding traps, aborts and post-hoc hang
-   judgements into oracle classes. *)
+(* Run one tool over the case, folding the runner's hang and fault
+   verdicts into oracle classes. *)
 let run ?fault ~tool c =
-  match Runner.run ?fault ~tool (Repro.workload c) with
-  | m -> (
-    match m.Runner.status with
-    | Runner.Hung -> Error (Hang, "run judged hung")
-    | Runner.Faulted msg -> Error (Crash, "trap: " ^ msg)
-    | Runner.Completed | Runner.Degraded _ -> Ok m)
-  | exception Fpx_gpu.Exec.Trap msg ->
-    if is_watchdog msg then Error (Hang, msg) else Error (Crash, msg)
-  | exception Fpx_nvbit.Runtime.Hang_abort msg -> Error (Hang, msg)
+  let m = Runner.run ?fault ~tool (Repro.workload c) in
+  match m.Runner.status with
+  | Runner.Hung "" -> Error (Hang, "run judged hung")
+  | Runner.Hung msg -> Error (Hang, msg)
+  | Runner.Faulted msg -> Error (Crash, "trap: " ^ msg)
+  | Runner.Completed | Runner.Degraded _ -> Ok m
 
 let find_detector extras =
   List.find_map (function D.Detector t -> Some t | _ -> None) extras

@@ -543,7 +543,7 @@ let run_decoded ?hooks ?(max_dyn_instrs = 50_000_000) ~device ~grid ~block
   let flt = Fault.active device.Device.fault in
   (* Watchdog-budget exhaustion fault: the launch starts with a slashed
      instruction budget, so a kernel that would complete instead traps on
-     the watchdog — the runner reports it as an aborted (degraded) run. *)
+     the watchdog — the runner reports it as a hung run. *)
   let effective_budget =
     match flt with
     | Some a when Fault.fire a Fault.Watchdog_exhaust ->

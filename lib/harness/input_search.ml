@@ -76,12 +76,15 @@ let search ?(iters = 60) ?(seed = 1) ~lo ~hi objective =
     trace = List.rev !trace;
   }
 
-let count_exceptions ?(mode = Fpx_klang.Mode.precise) kernel ~params_of ~grid
-    ~block input =
-  let prog = Fpx_klang.Compile.compile ~mode kernel in
-  let dev = Fpx_gpu.Device.create () in
-  let rt = Fpx_nvbit.Runtime.create dev in
-  let det = Gpu_fpx.Detector.create dev in
-  Fpx_nvbit.Runtime.attach rt (Gpu_fpx.Detector.tool det);
-  Fpx_nvbit.Runtime.launch rt ~grid ~block ~params:(params_of input dev) prog;
-  Gpu_fpx.Detector.total det
+let count_exceptions ?mode kernel ~params_of ~grid ~block input =
+  let module W = Fpx_workloads.Workload in
+  let w =
+    W.make ~name:kernel.Fpx_klang.Ast.kname ~suite:W.Cuda_samples
+      ~kernels:[ kernel ] (fun ctx ->
+        W.launch ctx ~grid ~block (W.compile ctx kernel)
+          (params_of input (W.device ctx)))
+  in
+  let m =
+    Runner.run ?mode ~tool:(Runner.Detector Gpu_fpx.Detector.default_config) w
+  in
+  m.Runner.total_exceptions

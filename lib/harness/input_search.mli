@@ -41,6 +41,8 @@ val count_exceptions :
   block:int ->
   float array ->
   int
-(** Objective builder: compile [kernel] once per call on a fresh device,
-    launch it with [params_of input device], and return the detector's
-    unique-record count. *)
+(** Objective builder: one {!Runner.run} per call under the default
+    detector — compile [kernel] on the run's fresh device, launch it with
+    [params_of input device], and return the detector's unique-record
+    count. A launch that traps or hangs counts the records drained before
+    the abort. *)

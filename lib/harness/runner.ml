@@ -25,20 +25,19 @@ let rec tool_config_to_string = function
 type status =
   | Completed
   | Degraded of string list
-  | Hung
+  | Hung of string
   | Faulted of string
 
 let status_to_string = function
   | Completed -> "completed"
   | Degraded _ -> "degraded"
-  | Hung -> "hung"
+  | Hung _ -> "hung"
   | Faulted _ -> "faulted"
 
 let status_detail = function
   | Completed -> ""
   | Degraded reasons -> String.concat "; " reasons
-  | Hung -> ""
-  | Faulted msg -> msg
+  | Hung msg | Faulted msg -> msg
 
 type measurement = {
   program : string;
@@ -93,7 +92,10 @@ let run_body ?cost ?(obs = Fpx_obs.Sink.null) ?fault ?bw ?on_launch ~mode
         (plan, dev, rt, inst))
   in
   (* An aborted launch still yields a partial report: whatever the tool
-     drained before the abort survives in its host-side tables. *)
+     drained before the abort survives in its host-side tables. This is
+     the one place a run's ending becomes a status: either watchdog (the
+     executor's instruction budget, the runtime's slowdown budget) is a
+     hang; anything else the body raises is a fault. *)
   let abort =
     Fpx_obs.Span.with_ ~cat:"run"
       ~args:
@@ -105,18 +107,19 @@ let run_body ?cost ?(obs = Fpx_obs.Sink.null) ?fault ?bw ?on_launch ~mode
           body { W.rt; mode };
           None
         with
-        | Fpx_nvbit.Runtime.Hang_abort msg -> Some (`Hang msg)
-        | Fpx_gpu.Exec.Trap msg -> Some (`Trap msg)
-        (* A malformed kernel (a missing operand, a predicate past P7)
-           raises Invalid_argument where it is read: a fault too. *)
-        | Invalid_argument _ as e -> Some (`Trap (Printexc.to_string e)))
+        | Fpx_nvbit.Runtime.Hang_abort msg -> Some (Hung msg)
+        | Fpx_gpu.Exec.Trap msg when String.starts_with ~prefix:"watchdog" msg
+          ->
+          Some (Hung msg)
+        | Fpx_gpu.Exec.Trap msg -> Some (Faulted msg)
+        | e -> Some (Faulted (Printexc.to_string e)))
   in
   Fpx_obs.Span.with_ ~cat:"run" "run.report" @@ fun () ->
   let stats = Fpx_nvbit.Runtime.totals rt in
   let slowdown = Fpx_gpu.Stats.slowdown stats in
   let hang =
     (slowdown > dev.Fpx_gpu.Device.cost.Fpx_gpu.Cost.hang_slowdown
-    || match abort with Some (`Hang _) -> true | _ -> false)
+    || match abort with Some (Hung _) -> true | _ -> false)
   in
   let rep =
     match inst with
@@ -139,10 +142,9 @@ let run_body ?cost ?(obs = Fpx_obs.Sink.null) ?fault ?bw ?on_launch ~mode
   in
   let status =
     match abort with
-    | Some (`Hang _) -> Hung
-    | Some (`Trap msg) -> Faulted msg
+    | Some s -> s
     | None ->
-      if hang then Hung
+      if hang then Hung ""
       else if degradations <> [] then Degraded degradations
       else Completed
   in

@@ -20,22 +20,28 @@ type status =
           own graceful-degradation responses) reduced fidelity; the
           reasons name what happened, e.g. ["channel-drop(3)"] or
           ["gt-alloc-fallback"]. *)
-  | Hung
-      (** Congestion pushed past the hang budget — judged post-hoc with
-          {!Fpx_fault.Fault.none}, or aborted mid-run by the launch
-          watchdog under an active fault plan (partial results are still
-          reported). *)
+  | Hung of string
+      (** The run hung. Either watchdog aborts it mid-run: the
+          executor's per-launch instruction budget
+          ([Exec.Trap "watchdog: ..."]) or, under an active fault plan,
+          the runtime's slowdown budget
+          ({!Fpx_nvbit.Runtime.Hang_abort}); the payload is the
+          watchdog's message and partial results are still reported. A
+          run that completed but whose congestion pushed past the hang
+          budget is judged hung post-hoc, with payload [""]. *)
   | Faulted of string
-      (** A simulator trap aborted the run; the payload is the trap
-          message. A malformed kernel's [Invalid_argument] (a missing
-          operand, a predicate past P7) faults the same way, with the
-          exception's printed form as the payload. *)
+      (** Anything else the run raised aborted it: a simulator trap (the
+          payload is the trap message) or any other exception, e.g. a
+          malformed kernel's [Invalid_argument] (a missing operand, a
+          predicate past P7), with the exception's printed form as the
+          payload. *)
 
 val status_to_string : status -> string
 (** ["completed" | "degraded" | "hung" | "faulted"]. *)
 
 val status_detail : status -> string
-(** Degradation reasons ["; "]-joined, the trap message, or [""]. *)
+(** Degradation reasons ["; "]-joined, the watchdog or trap message, or
+    [""]. *)
 
 type measurement = {
   program : string;
@@ -82,9 +88,9 @@ val run :
     cycle counts. [fault] (default: none) injects deterministic faults:
     a fresh {!Fpx_fault.Fault.plan} is built from the spec for each run,
     so two runs with equal specs produce byte-identical measurements.
-    With a fault plan active, a mid-run hang abort or simulator trap is
-    caught and reported through [status] with partial results instead of
-    propagating. [bw] binds the run's device (and so its tool channels)
+    A watchdog abort, a simulator trap or any other exception the
+    program raises is caught and reported through [status] with partial
+    results instead of propagating. [bw] binds the run's device (and so its tool channels)
     to a shared multi-tenant {!Fpx_gpu.Bandwidth} meter; [on_launch] is
     installed as the runtime's per-launch hook — the tenancy executor's
     yield point (see {!Fpx_nvbit.Runtime.set_on_launch}). *)

@@ -2,11 +2,11 @@
     sweep into a per-phase self-time breakdown, and diagnose a jobs=1
     vs jobs=N pair by naming the dominant overhead source.
 
-    This is the analysis behind [fpx_run diagnose] and ROADMAP item 1:
-    when the parallel engine regresses instead of scaling, the verdict
-    says whether the wall-clock excess comes from queue-wait, steal
-    contention, inflated task bodies (allocator/GC pressure), serial
-    merges, domain spawn/join, or JIT re-instrumentation. *)
+    This is the analysis behind [fpx_run diagnose], the [--jobs]
+    diagnosis: when the parallel engine regresses instead of scaling, the
+    verdict says whether the wall-clock excess comes from queue-wait,
+    steal contention, inflated task bodies (allocator/GC pressure),
+    serial merges, domain spawn/join, or JIT re-instrumentation. *)
 
 (** {1 Per-phase breakdown} *)
 

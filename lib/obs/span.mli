@@ -5,7 +5,7 @@
 
     - {!create} makes a {e wall-clock} recorder. {!begin_}/{!end_} read
       its clock to measure real elapsed time across the whole process —
-      the instrument ROADMAP item 1 needs to see where a parallel
+      the instrument the [--jobs] diagnosis needs to see where a parallel
       sweep's wall clock actually goes (scheduler bookkeeping? task
       bodies? JIT? merges?). Each domain that records lazily registers
       its own {e track} (a private begin/end stack plus a private ring

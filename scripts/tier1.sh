@@ -94,6 +94,15 @@ run "one register footprint" \
          ! grep -rnE "source_reg_nums|shares_dest_and_src_reg|writes_fp64_pair" \
            lib bin --exclude=program.ml'
 
+# One run path: only Runner builds a device and a runtime and drives a
+# launch outside the simulator and the runtime themselves. Campaigns,
+# repro shrinking and input search go through Runner.run, so a run's
+# ending (completed, hung, faulted) is decided in one place.
+run "one run path" \
+  sh -c 'test "$(grep -rlE "Device\.create|Runtime\.(create|attach)|Exec\.run" \
+                  lib --include=*.ml --exclude-dir=gpu --exclude-dir=nvbit)" = \
+              lib/harness/runner.ml'
+
 # No unreferenced exports: every lib/*/*.mli value is used outside its
 # own module, or is on scripts/exports.allow with the reason in its .mli
 # doc. The list must equal the allowlist, so it can only shrink.
@@ -120,6 +129,13 @@ run "fault-rate smoke" \
              --fault-rate="$r" >/dev/null 2>&1
            test $? -eq 124 || exit 1
          done'
+
+# An executor watchdog trap is a hang: exit 2, the same as the runtime's
+# slowdown watchdog, not the simulator-fault exit.
+run "watchdog hang smoke" \
+  sh -c 'dune exec bin/fpx_run.exe -- detect GEMM --fault-seed 1 \
+           --fault-kinds watchdog-exhaust --fault-rate 1 >/dev/null 2>&1
+         test $? -eq 2'
 
 # Smoke the architectural bit-flip campaign end to end: a pinned-seed
 # plan through the real CLI, with the kill (--halt-after) + --resume

@@ -126,10 +126,11 @@ let test_combined_fault_degradation () =
   (match m.R.status with
   | R.Degraded reasons ->
     Alcotest.(check bool) "degradation reasons listed" true (reasons <> [])
-  | R.Hung -> ()
-  | R.Faulted msg ->
-    Alcotest.(check bool) "watchdog-class fault" true
-      (String.length msg >= 9 && String.sub msg 0 9 = "watchdog:")
+  | R.Hung msg ->
+    Alcotest.(check bool) "post-hoc or watchdog hang" true
+      (msg = ""
+      || (String.length msg >= 9 && String.sub msg 0 9 = "watchdog:"))
+  | R.Faulted msg -> Alcotest.fail ("triple-fault plan faulted: " ^ msg)
   | R.Completed -> Alcotest.fail "60% triple-fault plan completed cleanly");
   (* partial report still renders *)
   Alcotest.(check bool) "report renders" true

@@ -199,7 +199,10 @@ let test_runner_gt_fallback () =
      still all there *)
   Alcotest.(check int) "findings intact" 9 m.R.total_exceptions
 
-let test_runner_watchdog_faulted () =
+(* The executor's budget watchdog ends the run as a hang (exit 2 in the
+   CLI), like the runtime's slowdown watchdog, with the trap message as
+   the status detail. *)
+let test_runner_watchdog_hung () =
   let fault =
     Fault.spec ~sites:[ Fault.Watchdog_exhaust ] ~rate:1.0 ~seed:5 ()
   in
@@ -207,12 +210,11 @@ let test_runner_watchdog_faulted () =
     R.run ~fault ~tool:(R.Detector Gpu_fpx.Detector.default_config)
       (Catalog.find "myocyte")
   in
-  Alcotest.(check string) "faulted" "faulted" (R.status_to_string m.R.status);
+  Alcotest.(check string) "hung" "hung" (R.status_to_string m.R.status);
+  Alcotest.(check bool) "hang flag" true m.R.hang;
+  let msg = R.status_detail m.R.status in
   Alcotest.(check bool) "watchdog message" true
-    (match m.R.status with
-    | R.Faulted msg ->
-      String.length msg >= 9 && String.sub msg 0 9 = "watchdog:"
-    | _ -> false)
+    (String.length msg >= 9 && String.sub msg 0 9 = "watchdog:")
 
 let suite =
   ( "fault",
@@ -241,4 +243,4 @@ let suite =
       Alcotest.test_case "runner: GT-alloc fallback" `Quick
         test_runner_gt_fallback;
       Alcotest.test_case "runner: watchdog fault" `Slow
-        test_runner_watchdog_faulted ] )
+        test_runner_watchdog_hung ] )

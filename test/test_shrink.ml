@@ -171,6 +171,23 @@ let test_campaign_finds_injected_defect () =
         (f.Fuzz.Campaign.min_instrs <= f.Fuzz.Campaign.orig_instrs))
     s.Fuzz.Campaign.found
 
+(* --- the oracle's hang class ------------------------------------------ *)
+
+let test_oracle_self_loop_hangs () =
+  (* a kernel that branches to itself exhausts the executor's watchdog
+     budget: the oracle must class it a hang, not a crash, so its repro
+     replays with the hang exit *)
+  let c =
+    Repro.of_file
+      (Fpx_sass.Parse.file ".kernel spin\n.launch 1 32\n  BRA 0x0 ;\n")
+  in
+  let fault =
+    Fpx_fault.Fault.spec ~sites:[] ~rate:0.0 ~budget:1_000 ~seed:0 ()
+  in
+  Alcotest.(check (option string))
+    "self-loop is a hang" (Some "hang")
+    (Option.map Oracle.clazz_to_string (Oracle.primary (Oracle.check ~fault c)))
+
 (* --- the expression shrinker obeys the same contract ---------------- *)
 
 let prop_shrink_ex_decreases =
@@ -214,4 +231,6 @@ let suite =
         test_campaign_jobs_invariant;
       Alcotest.test_case "campaign minimizes injected defects" `Quick
         test_campaign_finds_injected_defect;
+      Alcotest.test_case "oracle: self-loop is a hang" `Quick
+        test_oracle_self_loop_hangs;
       qcheck_case prop_shrink_ex_decreases ] )
