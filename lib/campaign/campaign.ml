@@ -239,12 +239,13 @@ let truncate_detail msg =
 
 (* A small budget: this classifier runs once per shrink candidate, and
    hang repros burn their whole budget every time. 5k steps is two
-   orders above any terminating 32-thread repro in the corpus. *)
-let standalone_budget = Fault.spec ~sites:[] ~rate:0.0 ~budget:5_000 ~seed:0 ()
+   orders above any terminating 32-thread repro in the corpus. The repro
+   carries it, so a replay of the saved artifact runs under it too. *)
+let standalone_budget = 5_000
 
 let standalone_class (c : Repro.t) =
   let m =
-    Runner.run ~fault:standalone_budget ~tool:Runner.No_tool (Repro.workload c)
+    Runner.run ?fault:(Repro.fault c) ~tool:Runner.No_tool (Repro.workload c)
   in
   match m.Runner.status with
   | Runner.Completed | Runner.Degraded _ -> `Clean
@@ -281,6 +282,7 @@ let minimize_repro cfg (prof : profile) ~id ~outcome = function
               grid = 1;
               block = 32;
               params = [ Parse.Ptr_bytes 4096 ];
+              budget = Some standalone_budget;
             }
           in
           match standalone_class c0 with

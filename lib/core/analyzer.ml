@@ -75,7 +75,6 @@ let render r =
 type escape = { store_kernel : string; store_loc : string; kind : Kind.t }
 
 type t = {
-  device : Device.t;
   max_per_site : int;
   sampling : Sampling.t;
   track_stores : bool;
@@ -90,7 +89,6 @@ type t = {
 let create ?(max_reports_per_site = 2) ?(sampling = Sampling.always)
     ?(track_stores = true) device =
   {
-    device;
     max_per_site = max_reports_per_site;
     sampling;
     track_stores;

@@ -23,7 +23,8 @@ let default_config =
 type finding = { entry : Loc_table.entry; fmt : Isa.fp_format; exce : Exce.t }
 
 type t = {
-  device : Device.t;
+  fault : Fault.plan;
+  cost : Cost.t;
   config : config;
   gt : Global_table.t;
   locs : Loc_table.t;
@@ -79,7 +80,8 @@ let create ?(config = default_config) device =
            all_fmts)
   in
   {
-    device;
+    fault = device.Device.fault;
+    cost = device.Device.cost;
     config;
     gt = Global_table.create ();
     locs = Loc_table.create ();
@@ -316,7 +318,7 @@ let on_launch_begin t pre =
   Channel.new_launch t.channel;
   if t.config.use_gt && t.gt_ok && not t.gt_alloc_charged then begin
     t.gt_alloc_charged <- true;
-    match Fault.active t.device.Device.fault with
+    match Fault.active t.fault with
     | Some a when Fault.fire a Fault.Gt_alloc_fail ->
       (* cudaMalloc for GT failed: degrade to no-dedup mode — the tool
          keeps detecting, every occurrence now crosses the channel (the
@@ -329,7 +331,7 @@ let on_launch_begin t pre =
     | _ ->
       pre.Stats.tool_cycles <-
         pre.Stats.tool_cycles
-        + t.device.Device.cost.Cost.gt_alloc_per_launch
+        + t.cost.Cost.gt_alloc_per_launch
   end
 
 let findings t = List.rev t.findings_rev

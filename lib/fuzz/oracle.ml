@@ -40,7 +40,7 @@ let prune_config = { D.default_config with D.static_prune = true }
 (* Run one tool over the case, folding the runner's hang and fault
    verdicts into oracle classes. *)
 let run ?fault ~tool c =
-  let m = Runner.run ?fault ~tool (Repro.workload c) in
+  let m = Runner.run ?fault:(Repro.fault ?fault c) ~tool (Repro.workload c) in
   match m.Runner.status with
   | Runner.Hung "" -> Error (Hang, "run judged hung")
   | Runner.Hung msg -> Error (Hang, msg)
@@ -141,6 +141,7 @@ let check ?fault ?defect (c : Repro.t) =
     (* scheduler determinism, sampled: a small sweep at jobs=1 vs 4 *)
     if c.Repro.id mod 8 = 0 then begin
       let ws = List.init 4 (fun _ -> Repro.workload c) in
+      let fault = Repro.fault ?fault c in
       match
         ( Sweep.run ?fault ~jobs:1 ~tool:(Runner.Detector det_config) ws,
           Sweep.run ?fault ~jobs:4 ~tool:(Runner.Detector det_config) ws )

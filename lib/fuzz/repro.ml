@@ -6,6 +6,7 @@ module Decode = Fpx_sass.Decode
 module Parse = Fpx_sass.Parse
 module W = Fpx_workloads.Workload
 module Gpu = Fpx_gpu
+module Fault = Fpx_fault.Fault
 
 type origin = Sass_gen | Klang_gen of string
 
@@ -17,6 +18,7 @@ type t = {
   grid : int;
   block : int;
   params : Parse.param_spec list;
+  budget : int option;
 }
 
 let origin_to_string = function
@@ -85,6 +87,9 @@ let render c =
     (Printf.sprintf "// fpx_fuzz case id=%d seed=%d origin=%s\n" c.id c.seed
        (origin_to_string c.origin));
   Buffer.add_string buf (Printf.sprintf ".launch %d %d\n" c.grid c.block);
+  Option.iter
+    (fun n -> Buffer.add_string buf (Printf.sprintf ".budget %d\n" n))
+    c.budget;
   List.iter
     (fun p -> Buffer.add_string buf (param_line p ^ "\n"))
     c.params;
@@ -93,7 +98,14 @@ let render c =
 
 let of_file ?(id = 0) ?(seed = 0) (f : Parse.file) =
   { id; seed; origin = Sass_gen; prog = f.Parse.prog; grid = f.Parse.grid;
-    block = f.Parse.block; params = f.Parse.params }
+    block = f.Parse.block; params = f.Parse.params; budget = f.Parse.budget }
+
+let fault ?fault c =
+  match c.budget with
+  | None -> fault
+  | Some _ as budget ->
+    let none = Fault.spec ~sites:[] ~rate:0.0 ~seed:0 () in
+    Some { (Option.value fault ~default:none) with Fault.budget }
 
 (* --- the synthetic catalog entry -------------------------------------- *)
 

@@ -14,6 +14,9 @@ type t = {
   grid : int;
   block : int;
   params : Fpx_sass.Parse.param_spec list;
+  budget : int option;
+      (** Watchdog step budget the case was classified under, if any: a
+          campaign hang repro replays under its campaign's budget. *)
 }
 
 val instr_count : t -> int
@@ -26,7 +29,8 @@ val complexity : t -> int
 
 val render : t -> string
 (** The standalone [.sass] artifact: header comments (id, seed, origin),
-    [.launch]/[.param] directives and the disassembled program.
+    [.launch]/[.param] directives, a [.budget] directive when the case
+    has a budget, and the disassembled program.
     [Fpx_sass.Parse.file] parses it back; render∘parse∘render is a
     fixpoint modulo the header comment (a parsed file cannot recover a
     klang case's source expression, so it reads back as [Sass_gen]). *)
@@ -34,6 +38,10 @@ val render : t -> string
 val of_file : ?id:int -> ?seed:int -> Fpx_sass.Parse.file -> t
 (** Wrap a parsed standalone file (origin [Sass_gen], id/seed 0 unless
     given) — the replay path. *)
+
+val fault : ?fault:Fpx_fault.Fault.spec -> t -> Fpx_fault.Fault.spec option
+(** The fault spec a run of the case uses: [fault] (default: none) with
+    the case's budget, when it has one, as the watchdog budget. *)
 
 val workload : t -> Fpx_workloads.Workload.t
 (** A synthetic catalog entry that allocates the parameters (pointer

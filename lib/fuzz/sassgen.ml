@@ -414,7 +414,8 @@ let generate_sass ~seed ~id p =
       Parse.I32 (Int32.of_int block);
     ]
   in
-  { Repro.id; seed; origin = Repro.Sass_gen; prog; grid; block; params }
+  { Repro.id; seed; origin = Repro.Sass_gen; prog; grid; block; params;
+    budget = None }
 
 let generate_klang ~seed ~id p =
   let size = 4 + Prng.int p 6 in
@@ -440,7 +441,7 @@ let generate_klang ~seed ~id p =
       ]
     in
     { Repro.id; seed; origin = Repro.Klang_gen (Gen.ex_to_string ex);
-      prog; grid; block; params }
+      prog; grid; block; params; budget = None }
 
 let is_klang_case id = id mod 4 = 3
 

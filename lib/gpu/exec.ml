@@ -583,23 +583,25 @@ let run_decoded ?hooks ?(max_dyn_instrs = 50_000_000) ~device ~grid ~block
            "fpx_warp_divergent_steps_total")
     | None -> None
   in
+  (* Blocks reuse one segment of shared memory (zeroed, though real shared
+     memory is not: clean programs stay clean) and one set of warp states. *)
+  let shared = Bytes.create shared_mem_bytes in
+  let warps =
+    Array.init warps_per_block (fun _ ->
+        { regs = Array.make (warp_size * nslots) 0;
+          preds = Array.make 8 0;
+          pcs = Array.make warp_size 0 })
+  in
   for blk = 0 to grid - 1 do
-    (* one shared-memory segment per block; real shared memory is
-       uninitialised, but zero-filled keeps clean programs clean *)
-    let shared = Bytes.make shared_mem_bytes '\000' in
-    let make_warp w =
-      let lanes_in_warp =
-        max 0 (min warp_size (block - (w * warp_size)))
-      in
-      {
-        regs = Array.make (warp_size * nslots) 0;
-        preds = Array.make 8 0;
-        pcs =
-          Array.init warp_size (fun lane ->
-              if lane < lanes_in_warp then 0 else done_pc);
-      }
-    in
-    let warps = Array.init warps_per_block make_warp in
+    Bytes.fill shared 0 shared_mem_bytes '\000';
+    Array.iteri
+      (fun w st ->
+        let live = max 0 (min warp_size (block - (w * warp_size))) in
+        Array.fill st.regs 0 (Array.length st.regs) 0;
+        Array.fill st.preds 0 8 0;
+        Array.fill st.pcs 0 live 0;
+        Array.fill st.pcs live (warp_size - live) done_pc)
+      warps;
     (* `Run: can make progress; `Bar: parked at a barrier; `Done *)
     let status = Array.make warps_per_block `Run in
     let diverged = Array.make warps_per_block false in

@@ -4,29 +4,55 @@ module Isa = Fpx_sass.Isa
 module Exce = Fpx_tool.Exce
 module Detector = Gpu_fpx.Detector
 module Sampling = Gpu_fpx.Sampling
+module Mode = Fpx_klang.Mode
+module Cost = Fpx_gpu.Cost
 
-type perf = {
-  binfpe : Runner.measurement list;
-  fpx_no_gt : Runner.measurement list;
-  fpx : Runner.measurement list;
+(* --- Run keys ------------------------------------------------------------ *)
+
+(* One run the evaluation needs. Keys compare structurally (the whole
+   tool config, warp_leader included), so artefacts that need the same
+   run share one measurement. A program is its suite and name: GEMM and
+   bfs each appear in two suites. *)
+type key = {
+  suite : W.suite;
+  program : string;
+  tool : Runner.tool_config;
+  mode : Mode.t;
+  cost : Cost.t;
+  repaired : bool;
 }
 
-let detector_config ?(use_gt = true) ?(k = 0) ?(static_prune = false) () =
-  {
-    Detector.use_gt;
-    warp_leader = true;
-    sampling = (if k = 0 then Sampling.always else Sampling.every k);
-    adaptive_backoff = false;
-    static_prune;
-  }
+let run ?(mode = Mode.precise) ?(cost = Cost.default) ?(repaired = false) tool
+    (w : W.t) =
+  { suite = w.W.suite; program = w.W.name; tool; mode; cost; repaired }
 
-let perf_sweep ?(jobs = 1) ?(programs = Catalog.evaluated) () =
-  let sweep tool = Sweep.run ~jobs ~tool programs in
-  {
-    binfpe = sweep Runner.Binfpe;
-    fpx_no_gt = sweep (Runner.Detector (detector_config ~use_gt:false ()));
-    fpx = sweep (Runner.Detector (detector_config ()));
-  }
+let fpx ?(config = Detector.default_config) ?mode ?cost ?repaired w =
+  run ?mode ?cost ?repaired (Runner.Detector config) w
+
+let binfpe w = run Runner.Binfpe w
+let no_gt w = fpx ~config:{ Detector.default_config with use_gt = false } w
+
+let sampled k = { Detector.default_config with sampling = Sampling.every k }
+
+(* The plan executor: the one place a run happens. Every distinct result
+   stays alive until the report renders, so tool state ([extras], which
+   nothing here reads) is dropped: it would multiply peak RSS by six. *)
+let measure k =
+  let same w = w.W.suite = k.suite && w.W.name = k.program in
+  let w = List.find same Catalog.evaluated in
+  let w = if k.repaired then { w with W.run = Option.get w.W.repair } else w in
+  let m = Runner.run ~cost:k.cost ~mode:k.mode ~tool:k.tool w in
+  { m with Runner.extras = [] }
+
+type artefact = {
+  name : string;
+  keys : key list;
+  render : (key -> Runner.measurement) -> string;
+}
+
+let static name text = { name; keys = []; render = (fun _ -> text ()) }
+
+let catalog f = List.map f Catalog.evaluated
 
 (* --- Structural tables ------------------------------------------------ *)
 
@@ -79,36 +105,31 @@ let count_cells (m : Runner.measurement) =
       List.map (fun exce -> Runner.count m ~fmt ~exce) Exce.all)
     [ Isa.FP64; Isa.FP32 ]
 
-let table4_header =
-  [ "Suite"; "Program"; "64:NAN"; "INF"; "SUB"; "DIV0"; "32:NAN"; "INF";
-    "SUB"; "DIV0" ]
+let kinds_header =
+  [ "64:NAN"; "INF"; "SUB"; "DIV0"; "32:NAN"; "INF"; "SUB"; "DIV0" ]
 
-let table4 () =
-  let ms =
-    List.filter_map
-      (fun w ->
-        if not w.W.meaningful then None
-        else
-          let m = Runner.run ~tool:(Runner.Detector (detector_config ())) w in
-          if m.Runner.total_exceptions > 0 then Some (w, m) else None)
-      Catalog.evaluated
-  in
-  let rows =
-    List.map
-      (fun ((w : W.t), m) ->
-        [ W.suite_to_string w.W.suite; w.W.name ]
-        @ List.concat_map (List.map string_of_int) (count_cells m))
-      ms
-  in
-  let txt =
+let table4 =
+  let programs = List.filter (fun w -> w.W.meaningful) Catalog.evaluated in
+  let render get =
+    let rows =
+      List.filter_map
+        (fun w ->
+          let m = get (fpx w) in
+          if m.Runner.total_exceptions = 0 then None
+          else
+            Some
+              ([ W.suite_to_string w.W.suite; w.W.name ]
+              @ List.concat_map (List.map string_of_int) (count_cells m)))
+        programs
+    in
     Ascii.section
       (Printf.sprintf
          "Table 4: exceptions detected by GPU-FPX (%d programs with \
           meaningful exceptions)"
-         (List.length ms))
-    ^ Ascii.table ~header:table4_header rows
+         (List.length rows))
+    ^ Ascii.table ~header:("Suite" :: "Program" :: kinds_header) rows
   in
-  (txt, List.map snd ms)
+  { name = "table4"; keys = List.map fpx programs; render }
 
 (* --- Figures 4 and 5 --------------------------------------------------- *)
 
@@ -119,156 +140,145 @@ let buckets =
     (">=1000x", fun s -> s >= 1000.0) ]
 
 let bucket_counts ms =
+  let count p = List.length (List.filter p ms) in
   List.map
-    (fun (_, p) ->
-      List.length
-        (List.filter
-           (fun (m : Runner.measurement) -> (not m.Runner.hang) && p m.Runner.slowdown)
-           ms))
+    (fun (_, p) -> count (fun m -> (not m.Runner.hang) && p m.Runner.slowdown))
     buckets
-  @ [ List.length (List.filter (fun (m : Runner.measurement) -> m.Runner.hang) ms) ]
+  @ [ count (fun m -> m.Runner.hang) ]
 
-let figure4 perf =
-  let labels = List.map fst buckets @ [ "hang" ] in
-  let series =
-    [ ("BinFPE", bucket_counts perf.binfpe);
-      ("GPU-FPX w/o GT", bucket_counts perf.fpx_no_gt);
-      ("GPU-FPX w/ GT", bucket_counts perf.fpx) ]
-  in
-  Ascii.section "Figure 4: slowdown distribution across the catalog"
-  ^ Ascii.histogram ~title:"programs per slowdown range"
-      ~labels
-      (List.map (fun (n, c) -> (n, c)) series)
+(* The three catalog sweeps behind Figures 4-5 and the headline claims. *)
+let perf_keys = catalog binfpe @ catalog no_gt @ catalog fpx
 
-let figure5 perf =
-  let pts =
-    List.map2
-      (fun (f : Runner.measurement) (b : Runner.measurement) ->
-        (f.Runner.slowdown, b.Runner.slowdown))
-      perf.fpx perf.binfpe
+let figure4 =
+  let render get =
+    let labels = List.map fst buckets @ [ "hang" ] in
+    let series =
+      [ ("BinFPE", bucket_counts (List.map get (catalog binfpe)));
+        ("GPU-FPX w/o GT", bucket_counts (List.map get (catalog no_gt)));
+        ("GPU-FPX w/ GT", bucket_counts (List.map get (catalog fpx))) ]
+    in
+    Ascii.section "Figure 4: slowdown distribution across the catalog"
+    ^ Ascii.histogram ~title:"programs per slowdown range" ~labels series
   in
-  let above =
-    List.length (List.filter (fun (x, y) -> y > x) pts)
+  { name = "figure4"; keys = perf_keys; render }
+
+let figure5 =
+  let render get =
+    let pts =
+      List.map2
+        (fun f b -> ((get f).Runner.slowdown, (get b).Runner.slowdown))
+        (catalog fpx) (catalog binfpe)
+    in
+    let count p = List.length (List.filter p pts) in
+    Ascii.section "Figure 5: per-program slowdown, BinFPE vs GPU-FPX"
+    ^ Ascii.scatter ~title:"each point = one program"
+        ~xlabel:"GPU-FPX slowdown" ~ylabel:"BinFPE slowdown" pts
+    ^ Printf.sprintf
+        "points above the diagonal (GPU-FPX faster): %d / %d\n\
+         programs where GPU-FPX is >=2 orders of magnitude faster: %d\n\
+         programs where GPU-FPX is >=3 orders of magnitude faster: %d\n"
+        (count (fun (x, y) -> y > x))
+        (List.length pts)
+        (count (fun (x, y) -> y >= 100.0 *. x))
+        (count (fun (x, y) -> y >= 1000.0 *. x))
   in
-  let two_oom =
-    List.length (List.filter (fun (x, y) -> y >= 100.0 *. x) pts)
-  in
-  let three_oom =
-    List.length (List.filter (fun (x, y) -> y >= 1000.0 *. x) pts)
-  in
-  Ascii.section "Figure 5: per-program slowdown, BinFPE vs GPU-FPX"
-  ^ Ascii.scatter ~title:"each point = one program"
-      ~xlabel:"GPU-FPX slowdown" ~ylabel:"BinFPE slowdown" pts
-  ^ Printf.sprintf
-      "points above the diagonal (GPU-FPX faster): %d / %d\n\
-       programs where GPU-FPX is >=2 orders of magnitude faster: %d\n\
-       programs where GPU-FPX is >=3 orders of magnitude faster: %d\n"
-      above (List.length pts) two_oom three_oom
+  { name = "figure5"; keys = catalog fpx @ catalog binfpe; render }
 
 (* --- Table 5 and Figure 6 (sampling) ----------------------------------- *)
 
 let severe_programs =
-  [ "myocyte"; "Sw4lite (64)"; "Laghos" ]
+  List.map Catalog.find [ "myocyte"; "Sw4lite (64)"; "Laghos" ]
 
-let table5 () =
+let table5 =
+  let samp w = fpx ~config:(sampled 64) w in
   let fmt_cell full k64 =
     if full = k64 then string_of_int full
     else Printf.sprintf "%d->%d" full k64
   in
-  let rows =
-    List.map
-      (fun name ->
-        let w = Catalog.find name in
-        let full = Runner.run ~tool:(Runner.Detector (detector_config ())) w in
-        let samp =
-          Runner.run ~tool:(Runner.Detector (detector_config ~k:64 ())) w
-        in
-        [ name ]
-        @ List.concat_map
-            (fun fmt ->
-              List.map
-                (fun exce ->
-                  fmt_cell (Runner.count full ~fmt ~exce)
-                    (Runner.count samp ~fmt ~exce))
-                Exce.all)
-            [ Isa.FP64; Isa.FP32 ])
-      severe_programs
+  let render get =
+    let rows =
+      List.map
+        (fun w ->
+          let full = get (fpx w) and samp = get (samp w) in
+          [ w.W.name ]
+          @ List.concat_map
+              (fun fmt ->
+                List.map
+                  (fun exce ->
+                    fmt_cell (Runner.count full ~fmt ~exce)
+                      (Runner.count samp ~fmt ~exce))
+                  Exce.all)
+              [ Isa.FP64; Isa.FP32 ])
+        severe_programs
+    in
+    Ascii.section
+      "Table 5: detection change from full instrumentation to 1-in-64 sampling"
+    ^ Ascii.table ~header:("Program" :: kinds_header) rows
   in
-  Ascii.section
-    "Table 5: detection change from full instrumentation to 1-in-64 sampling"
-  ^ Ascii.table
-      ~header:
-        [ "Program"; "64:NAN"; "INF"; "SUB"; "DIV0"; "32:NAN"; "INF"; "SUB";
-          "DIV0" ]
-      rows
+  { name = "table5";
+    keys = List.concat_map (fun w -> [ fpx w; samp w ]) severe_programs;
+    render }
 
 let sampling_factors = [ 0; 4; 16; 64; 256 ]
 
-let figure6 () =
-  let programs = Catalog.evaluated in
-  let rows =
-    List.map
-      (fun k ->
-        let ms =
-          List.map
-            (fun w ->
-              Runner.run ~tool:(Runner.Detector (detector_config ~k ())) w)
-            programs
-        in
-        let g = Runner.geomean (List.map (fun m -> m.Runner.slowdown) ms) in
-        let total =
-          List.fold_left (fun a m -> a + m.Runner.total_exceptions) 0 ms
-        in
-        (k, g, total))
-      sampling_factors
-  in
+let figure6 =
+  let at k = catalog (fpx ~config:(sampled k)) in
   let cumf = Catalog.find "CuMF-Movielens" in
-  let cumf_full = Runner.run ~tool:(Runner.Detector (detector_config ())) cumf in
-  let cumf_s =
-    Runner.run ~tool:(Runner.Detector (detector_config ~k:256 ())) cumf
+  let cumf_full = fpx cumf and cumf_s = fpx ~config:(sampled 256) cumf in
+  let render get =
+    let row k =
+      let ms = List.map get (at k) in
+      [ (if k = 0 then "1 (off)" else string_of_int k);
+        Printf.sprintf "%.2fx"
+          (Runner.geomean (List.map (fun m -> m.Runner.slowdown) ms));
+        string_of_int
+          (List.fold_left (fun a m -> a + m.Runner.total_exceptions) 0 ms) ]
+    in
+    let cumf_full = get cumf_full and cumf_s = get cumf_s in
+    Ascii.section "Figure 6: FREQ-REDN-FACTOR vs slowdown and detection"
+    ^ Ascii.table
+        ~header:[ "freq-redn-factor"; "geomean slowdown"; "total exceptions" ]
+        (List.map row sampling_factors)
+    ^ Printf.sprintf
+        "\nCuMF-Movielens anecdote: slowdown %.1fx at full instrumentation vs \
+         %.1fx at k=256 (%.0fx improvement), exceptions %d -> %d (none lost)\n"
+        cumf_full.Runner.slowdown cumf_s.Runner.slowdown
+        (cumf_full.Runner.slowdown /. cumf_s.Runner.slowdown)
+        cumf_full.Runner.total_exceptions cumf_s.Runner.total_exceptions
   in
-  Ascii.section "Figure 6: FREQ-REDN-FACTOR vs slowdown and detection"
-  ^ Ascii.table
-      ~header:[ "freq-redn-factor"; "geomean slowdown"; "total exceptions" ]
-      (List.map
-         (fun (k, g, total) ->
-           [ (if k = 0 then "1 (off)" else string_of_int k);
-             Printf.sprintf "%.2fx" g; string_of_int total ])
-         rows)
-  ^ Printf.sprintf
-      "\nCuMF-Movielens anecdote: slowdown %.1fx at full instrumentation vs \
-       %.1fx at k=256 (%.0fx improvement), exceptions %d -> %d (none lost)\n"
-      cumf_full.Runner.slowdown cumf_s.Runner.slowdown
-      (cumf_full.Runner.slowdown /. cumf_s.Runner.slowdown)
-      cumf_full.Runner.total_exceptions cumf_s.Runner.total_exceptions
+  { name = "figure6";
+    keys = List.concat_map at sampling_factors @ [ cumf_full; cumf_s ];
+    render }
 
 (* --- Table 6 (fast-math) ----------------------------------------------- *)
 
 let fastmath_programs =
-  [ "GRAMSCHM"; "LU"; "cfd"; "myocyte"; "S3D"; "stencil"; "wp"; "rayTracing" ]
+  List.map Catalog.find
+    [ "GRAMSCHM"; "LU"; "cfd"; "myocyte"; "S3D"; "stencil"; "wp"; "rayTracing" ]
 
-let table6 () =
-  let rows =
-    List.concat_map
-      (fun name ->
-        let w = Catalog.find name in
-        let row mode flag =
-          let m =
-            Runner.run ~mode ~tool:(Runner.Detector (detector_config ())) w
-          in
-          [ name; flag ]
-          @ List.concat_map (List.map string_of_int) (count_cells m)
-        in
-        [ row Fpx_klang.Mode.precise "no";
-          row Fpx_klang.Mode.fast_math "yes" ])
-      fastmath_programs
+let table6 =
+  let modes = [ (Mode.precise, "no"); (Mode.fast_math, "yes") ] in
+  let render get =
+    let rows =
+      List.concat_map
+        (fun w ->
+          List.map
+            (fun (mode, flag) ->
+              [ w.W.name; flag ]
+              @ List.concat_map (List.map string_of_int)
+                  (count_cells (get (fpx ~mode w))))
+            modes)
+        fastmath_programs
+    in
+    Ascii.section "Table 6: --use_fast_math effect on detected exceptions"
+    ^ Ascii.table ~header:("Program" :: "fastmath" :: kinds_header) rows
   in
-  Ascii.section "Table 6: --use_fast_math effect on detected exceptions"
-  ^ Ascii.table
-      ~header:
-        [ "Program"; "fastmath"; "64:NAN"; "INF"; "SUB"; "DIV0"; "32:NAN";
-          "INF"; "SUB"; "DIV0" ]
-      rows
+  { name = "table6";
+    keys =
+      List.concat_map
+        (fun w -> List.map (fun (mode, _) -> fpx ~mode w) modes)
+        fastmath_programs;
+    render }
 
 (* --- Table 7 (diagnosis) ----------------------------------------------- *)
 
@@ -284,204 +294,214 @@ let table7_programs =
     ("CuMF-Movielens", `Fixable);
     ("cuML-HousePrice", `Fixable);
     ("SRU-Example", `Fixable) ]
+  |> List.map (fun (name, klass) -> (Catalog.find name, klass))
 
-let table7 () =
-  let yn b = if b then "yes" else "no" in
-  let rows =
-    List.map
-      (fun (name, klass) ->
-        let w = Catalog.find name in
-        let m = Runner.run ~tool:Runner.Analyzer w in
-        (* diagnosable: the analyzer localised an appearance (or a
-           comparison involving the exception) somewhere. *)
-        let diagnosable =
-          match klass with
-          | `Needs_experts -> false
-          | `Fixable | `Benign -> m.Runner.analyzer_reports <> []
-        in
-        (* "matters" is computed, not hand-labelled: did a NaN/INF
-           actually escape to the program's memory? *)
-        let matters = m.Runner.escapes <> [] in
-        let fixed =
-          match Runner.run_repair ~tool:(Runner.Detector (detector_config ())) w with
-          | Some rm ->
-            let before =
-              Runner.run ~tool:(Runner.Detector (detector_config ())) w
-            in
-            let severe m =
-              List.fold_left
-                (fun a (_, e, n) ->
-                  match e with
-                  | Exce.Nan | Exce.Inf | Exce.Div0 -> a + n
-                  | Exce.Sub -> a)
-                0 m.Runner.counts
-            in
-            Some (severe rm < severe before)
-          | None -> None
-        in
-        [ name;
-          yn diagnosable;
-          (match klass with
-          | `Needs_experts -> "N.A."
-          | `Benign -> "no"
-          | `Fixable -> yn matters);
-          (match fixed, klass with
-          | Some b, `Fixable -> yn b
-          | _, `Benign -> "N.A."
-          | _ -> "N.A.") ])
-      table7_programs
+let table7 =
+  let has_repair w = w.W.repair <> None in
+  let keys_of (w, _) =
+    run Runner.Analyzer w
+    :: (if has_repair w then [ fpx ~repaired:true w; fpx w ] else [])
   in
-  Ascii.section "Table 7: diagnoses and repairs with the analyzer"
-  ^ Ascii.table ~header:[ "Program"; "Diagnose?"; "Matters?"; "Fixed?" ] rows
+  let yn b = if b then "yes" else "no" in
+  let render get =
+    let rows =
+      List.map
+        (fun (w, klass) ->
+          let m = get (run Runner.Analyzer w) in
+          (* diagnosable: the analyzer localised an appearance (or a
+             comparison involving the exception) somewhere. *)
+          let diagnosable =
+            match klass with
+            | `Needs_experts -> false
+            | `Fixable | `Benign -> m.Runner.analyzer_reports <> []
+          in
+          (* "matters" is computed, not hand-labelled: did a NaN/INF
+             actually escape to the program's memory? *)
+          let matters = m.Runner.escapes <> [] in
+          let fixed =
+            if has_repair w then
+              let severe m =
+                List.fold_left
+                  (fun a (_, e, n) ->
+                    match e with
+                    | Exce.Nan | Exce.Inf | Exce.Div0 -> a + n
+                    | Exce.Sub -> a)
+                  0 m.Runner.counts
+              in
+              Some
+                (severe (get (fpx ~repaired:true w)) < severe (get (fpx w)))
+            else None
+          in
+          [ w.W.name;
+            yn diagnosable;
+            (match klass with
+            | `Needs_experts -> "N.A."
+            | `Benign -> "no"
+            | `Fixable -> yn matters);
+            (match fixed, klass with Some b, `Fixable -> yn b | _ -> "N.A.") ])
+        table7_programs
+    in
+    Ascii.section "Table 7: diagnoses and repairs with the analyzer"
+    ^ Ascii.table ~header:[ "Program"; "Diagnose?"; "Matters?"; "Fixed?" ] rows
+  in
+  { name = "table7"; keys = List.concat_map keys_of table7_programs; render }
 
 (* --- Machine comparison -------------------------------------------------- *)
 
-let machines () =
+let machines =
   let progs = [ "GRAMSCHM"; "LU"; "myocyte"; "S3D"; "CuMF-Movielens" ] in
-  let row name =
-    let w = Catalog.find name in
-    let per arch =
-      let mode = Fpx_klang.Mode.with_arch arch Fpx_klang.Mode.precise in
-      let m = Runner.run ~mode ~tool:(Runner.Detector (detector_config ())) w in
-      (m.Runner.total_exceptions, m.Runner.slowdown)
-    in
-    let t_e, t_s = per Fpx_klang.Mode.Turing in
-    let a_e, a_s = per Fpx_klang.Mode.Ampere in
-    [ name; string_of_int t_e; Printf.sprintf "%.1fx" t_s;
-      string_of_int a_e; Printf.sprintf "%.1fx" a_s ]
+  let archs = [ Mode.Turing; Mode.Ampere ] in
+  let at arch name =
+    fpx ~mode:(Mode.with_arch arch Mode.precise) (Catalog.find name)
   in
-  (* static expansion-size evidence for §2.2's division note *)
-  let div_sizes =
-    let k =
-      Fpx_klang.Dsl.(
-        kernel "divprobe"
-          [ ("out", ptr Fpx_klang.Ast.F32); ("a", ptr Fpx_klang.Ast.F32);
-            ("n", scalar Fpx_klang.Ast.I32) ]
-          [ let_ "i" Fpx_klang.Ast.I32 tid;
-            store "out" (v "i") (f32 1.0 /: load "a" (v "i")) ])
+  let render get =
+    let row name =
+      name
+      :: List.concat_map
+          (fun arch ->
+            let m = get (at arch name) in
+            [ string_of_int m.Runner.total_exceptions;
+              Printf.sprintf "%.1fx" m.Runner.slowdown ])
+          archs
     in
-    let len arch =
-      Fpx_sass.Program.length
-        (Fpx_klang.Compile.compile
-           ~mode:(Fpx_klang.Mode.with_arch arch Fpx_klang.Mode.precise) k)
+    (* static expansion-size evidence for §2.2's division note *)
+    let div_sizes =
+      let k =
+        Fpx_klang.Dsl.(
+          kernel "divprobe"
+            [ ("out", ptr Fpx_klang.Ast.F32); ("a", ptr Fpx_klang.Ast.F32);
+              ("n", scalar Fpx_klang.Ast.I32) ]
+            [ let_ "i" Fpx_klang.Ast.I32 tid;
+              store "out" (v "i") (f32 1.0 /: load "a" (v "i")) ])
+      in
+      let len arch =
+        Fpx_sass.Program.length
+          (Fpx_klang.Compile.compile ~mode:(Mode.with_arch arch Mode.precise) k)
+      in
+      Printf.sprintf
+        "FP32 division expansion: %d instructions on Turing, %d on Ampere\n"
+        (len Mode.Turing) (len Mode.Ampere)
     in
-    Printf.sprintf
-      "FP32 division expansion: %d instructions on Turing, %d on Ampere\n"
-      (len Fpx_klang.Mode.Turing) (len Fpx_klang.Mode.Ampere)
+    Ascii.section
+      "Machine comparison: RTX 2070 SUPER (Turing) vs RTX 3060 (Ampere)"
+    ^ Ascii.table
+        ~header:
+          [ "Program"; "Turing exc."; "slowdown"; "Ampere exc."; "slowdown" ]
+        (List.map row progs)
+    ^ div_sizes
   in
-  Ascii.section
-    "Machine comparison: RTX 2070 SUPER (Turing) vs RTX 3060 (Ampere)"
-  ^ Ascii.table
-      ~header:
-        [ "Program"; "Turing exc."; "slowdown"; "Ampere exc."; "slowdown" ]
-      (List.map row progs)
-  ^ div_sizes
+  { name = "machines";
+    keys = List.concat_map (fun n -> List.map (fun a -> at a n) archs) progs;
+    render }
 
 (* --- Ablations ---------------------------------------------------------- *)
 
-let ablation () =
-  let myo = Catalog.find "myocyte" in
-  let with_leader = Runner.run ~tool:(Runner.Detector (detector_config ())) myo in
-  let without_leader =
-    Runner.run
-      ~tool:
-        (Runner.Detector
-           { Detector.use_gt = true; warp_leader = false;
-             sampling = Sampling.always; adaptive_backoff = false;
-             static_prune = false })
-      myo
+let ablation =
+  let myo = Catalog.find "myocyte" and awb = Catalog.find "simpleAWBarrier" in
+  let x1 m = Printf.sprintf "%.1fx" m.Runner.slowdown
+  and x2 m = Printf.sprintf "%.2fx" m.Runner.slowdown
+  and records m = string_of_int m.Runner.records
+  and exceptions m = string_of_int m.Runner.total_exceptions
+  and dash _ = "-" in
+  let rows =
+    [ ("myocyte, warp-leader dedup", fpx myo, [ x1; records; exceptions ]);
+      ( "myocyte, per-lane GT probes",
+        fpx ~config:{ Detector.default_config with warp_leader = false } myo,
+        [ x1; records; exceptions ] );
+      ("myocyte, Turing division expansion", fpx myo, [ x1; dash; exceptions ]);
+      ( "myocyte, Ampere division expansion",
+        fpx ~mode:(Mode.with_arch Mode.Ampere Mode.precise) myo,
+        [ x1; dash; exceptions ] ) ]
+    (* Channel-capacity sweep on the hang mechanism: BinFPE ships every
+       per-lane value over the channel, so a small buffer congests into a
+       hang while an enormous one buys the slowdown back — the pressure
+       GPU-FPX instead removes at the source with the GT. *)
+    @ List.map
+        (fun cap ->
+          ( Printf.sprintf "myocyte, BinFPE, channel capacity %d" cap,
+            run ~cost:{ Cost.default with channel_capacity = cap } Runner.Binfpe
+              myo,
+            [ (fun m -> if m.Runner.hang then "hang" else x1 m);
+              records; exceptions ] ))
+        [ 64; 256; 1024; 16384; 262144 ]
+    (* GT-allocation fixed cost on a Figure-5 outlier: with the one-time
+       allocation waived, GPU-FPX beats BinFPE even on a nearly-FP-free
+       program — confirming the paper's footnote that the below-diagonal
+       points are fixed cost, not checking cost. *)
+    @ [ ("simpleAWBarrier, BinFPE", binfpe awb, [ x2; records; dash ]);
+        ("simpleAWBarrier, GPU-FPX", fpx awb, [ x2; records; dash ]);
+        ( "simpleAWBarrier, GPU-FPX, GT alloc waived",
+          fpx ~cost:{ Cost.default with gt_alloc_per_launch = 0 } awb,
+          [ x2; records; dash ] ) ]
   in
-  let turing =
-    Runner.run ~mode:Fpx_klang.Mode.precise
-      ~tool:(Runner.Detector (detector_config ())) myo
+  let render get =
+    Ascii.section "Ablations (design choices from DESIGN.md)"
+    ^ Ascii.table
+        ~header:[ "Configuration"; "slowdown"; "records"; "exceptions" ]
+        (List.map
+           (fun (label, k, cells) ->
+             let m = get k in
+             label :: List.map (fun cell -> cell m) cells)
+           rows)
   in
-  let ampere =
-    Runner.run
-      ~mode:(Fpx_klang.Mode.with_arch Fpx_klang.Mode.Ampere Fpx_klang.Mode.precise)
-      ~tool:(Runner.Detector (detector_config ())) myo
-  in
-  (* Channel-capacity sweep on the hang mechanism: BinFPE ships every
-     per-lane value over the channel, so a small buffer congests into a
-     hang while an enormous one buys the slowdown back — the pressure
-     GPU-FPX instead removes at the source with the GT. *)
-  let channel_rows =
-    List.map
-      (fun cap ->
-        let cost =
-          { Fpx_gpu.Cost.default with Fpx_gpu.Cost.channel_capacity = cap }
-        in
-        let m = Runner.run ~cost ~tool:Runner.Binfpe myo in
-        [ Printf.sprintf "myocyte, BinFPE, channel capacity %d" cap;
-          (if m.Runner.hang then "hang"
-           else Printf.sprintf "%.1fx" m.Runner.slowdown);
-          string_of_int m.Runner.records;
-          string_of_int m.Runner.total_exceptions ])
-      [ 64; 256; 1024; 16384; 262144 ]
-  in
-  (* GT-allocation fixed cost on a Figure-5 outlier: with the one-time
-     allocation waived, GPU-FPX beats BinFPE even on a nearly-FP-free
-     program — confirming the paper's footnote that the below-diagonal
-     points are fixed cost, not checking cost. *)
-  let outlier_rows =
-    let w = Catalog.find "simpleAWBarrier" in
-    let bin = Runner.run ~tool:Runner.Binfpe w in
-    let fpx = Runner.run ~tool:(Runner.Detector (detector_config ())) w in
-    let fpx_free =
-      Runner.run
-        ~cost:{ Fpx_gpu.Cost.default with Fpx_gpu.Cost.gt_alloc_per_launch = 0 }
-        ~tool:(Runner.Detector (detector_config ())) w
-    in
-    [ [ "simpleAWBarrier, BinFPE";
-        Printf.sprintf "%.2fx" bin.Runner.slowdown;
-        string_of_int bin.Runner.records; "-" ];
-      [ "simpleAWBarrier, GPU-FPX";
-        Printf.sprintf "%.2fx" fpx.Runner.slowdown;
-        string_of_int fpx.Runner.records; "-" ];
-      [ "simpleAWBarrier, GPU-FPX, GT alloc waived";
-        Printf.sprintf "%.2fx" fpx_free.Runner.slowdown;
-        string_of_int fpx_free.Runner.records; "-" ] ]
-  in
-  Ascii.section "Ablations (design choices from DESIGN.md)"
-  ^ Ascii.table
-      ~header:[ "Configuration"; "slowdown"; "records"; "exceptions" ]
-      ([ [ "myocyte, warp-leader dedup";
-           Printf.sprintf "%.1fx" with_leader.Runner.slowdown;
-           string_of_int with_leader.Runner.records;
-           string_of_int with_leader.Runner.total_exceptions ];
-         [ "myocyte, per-lane GT probes";
-           Printf.sprintf "%.1fx" without_leader.Runner.slowdown;
-           string_of_int without_leader.Runner.records;
-           string_of_int without_leader.Runner.total_exceptions ];
-         [ "myocyte, Turing division expansion";
-           Printf.sprintf "%.1fx" turing.Runner.slowdown; "-";
-           string_of_int turing.Runner.total_exceptions ];
-         [ "myocyte, Ampere division expansion";
-           Printf.sprintf "%.1fx" ampere.Runner.slowdown; "-";
-           string_of_int ampere.Runner.total_exceptions ] ]
-      @ channel_rows @ outlier_rows)
+  { name = "ablation"; keys = List.map (fun (_, k, _) -> k) rows; render }
 
 (* --- Headline summary ---------------------------------------------------- *)
 
-let summary perf =
-  let slowdowns ms = List.map (fun (m : Runner.measurement) -> m.Runner.slowdown) ms in
-  let g_b = Runner.geomean (slowdowns perf.binfpe) in
-  let g_f = Runner.geomean (slowdowns perf.fpx) in
-  let under10 ms =
-    100
-    * List.length
-        (List.filter (fun (m : Runner.measurement) -> m.Runner.slowdown < 10.0) ms)
-    / List.length ms
+let summary =
+  let render get =
+    let ms f = List.map get (catalog f) in
+    let slowdowns = List.map (fun m -> m.Runner.slowdown) in
+    let bin = ms binfpe and nogt = ms no_gt and gt = ms fpx in
+    let g_b = Runner.geomean (slowdowns bin) in
+    let g_f = Runner.geomean (slowdowns gt) in
+    let count p ms = List.length (List.filter p ms) in
+    let under10 ms =
+      100 * count (fun m -> m.Runner.slowdown < 10.0) ms / List.length ms
+    in
+    let hangs = count (fun m -> m.Runner.hang) in
+    Ascii.section "Headline results"
+    ^ Printf.sprintf
+        "geomean slowdown: BinFPE %.1fx, GPU-FPX w/o GT %.1fx, GPU-FPX %.1fx\n\
+         geomean speedup of GPU-FPX over BinFPE: %.1fx\n\
+         programs under 10x slowdown: BinFPE %d%%, GPU-FPX %d%%\n\
+         hangs: BinFPE %d, GPU-FPX w/o GT %d, GPU-FPX w/ GT %d\n"
+        g_b
+        (Runner.geomean (slowdowns nogt))
+        g_f (g_b /. g_f) (under10 bin) (under10 gt)
+        (hangs bin) (hangs nogt) (hangs gt)
   in
-  let hangs ms =
-    List.length (List.filter (fun (m : Runner.measurement) -> m.Runner.hang) ms)
+  { name = "summary"; keys = perf_keys; render }
+
+(* --- The plan ------------------------------------------------------------ *)
+
+let artefacts =
+  [ static "table1" table1; static "table2" table2; static "table3" table3;
+    table4; figure4; figure5; table5; figure6; table6; table7; machines;
+    ablation; summary ]
+
+let names = List.map (fun a -> a.name) artefacts
+
+let report ?(jobs = 1) names =
+  let arts =
+    List.map
+      (fun n ->
+        match List.find_opt (fun a -> a.name = n) artefacts with
+        | Some a -> a
+        | None -> invalid_arg ("Experiments.report: unknown artefact " ^ n))
+      names
   in
-  Ascii.section "Headline results"
-  ^ Printf.sprintf
-      "geomean slowdown: BinFPE %.1fx, GPU-FPX w/o GT %.1fx, GPU-FPX %.1fx\n\
-       geomean speedup of GPU-FPX over BinFPE: %.1fx\n\
-       programs under 10x slowdown: BinFPE %d%%, GPU-FPX %d%%\n\
-       hangs: BinFPE %d, GPU-FPX w/o GT %d, GPU-FPX w/ GT %d\n"
-      g_b
-      (Runner.geomean (slowdowns perf.fpx_no_gt))
-      g_f (g_b /. g_f) (under10 perf.binfpe) (under10 perf.fpx)
-      (hangs perf.binfpe) (hangs perf.fpx_no_gt) (hangs perf.fpx)
+  (* Runs are deterministic and independent, so each distinct key runs
+     once, in any order and on any worker, and every artefact reads the
+     same result. *)
+  let keys = List.concat_map (fun a -> a.keys) arts in
+  let distinct = List.sort_uniq compare keys in
+  let results = Hashtbl.create (List.length distinct) in
+  List.iter2 (Hashtbl.replace results) distinct
+    (Fpx_sched.Sched.map ~jobs measure distinct);
+  let get k =
+    try Hashtbl.find results k
+    with Not_found ->
+      invalid_arg ("Experiments.report: undeclared run of " ^ k.program)
+  in
+  String.concat "" (List.map (fun a -> a.render get) arts)

@@ -1,56 +1,21 @@
-(** One driver per table and figure of the paper's evaluation.
+(** The paper's evaluation as one plan.
 
-    Each function renders its artefact as text (and returns any data a
-    caller wants to post-process). [perf_sweep] is the expensive shared
-    computation behind Figures 4–6; run it once and pass it around. *)
+    Every table and figure is declared as data: its name, the runs it
+    needs (program, tool configuration, compilation mode, cost model,
+    and whether the repaired variant runs) and a renderer that reads
+    results by run. {!report} collects the runs of the artefacts it is
+    asked for, runs each distinct one once and renders the artefacts
+    from the shared results. *)
 
-type perf = {
-  binfpe : Runner.measurement list;
-  fpx_no_gt : Runner.measurement list;
-  fpx : Runner.measurement list;
-}
+val names : string list
+(** Every artefact, in EXPERIMENTS.md order: [table1] … [table4],
+    [figure4], [figure5], [table5], [figure6], [table6], [table7],
+    [machines], [ablation], [summary]. *)
 
-val perf_sweep :
-  ?jobs:int -> ?programs:Fpx_workloads.Workload.t list -> unit -> perf
-(** Runs the 151 programs under BinFPE, GPU-FPX w/o GT, GPU-FPX w/ GT.
-    [jobs] (default 1) spreads the runs over worker domains via
-    {!Sweep.run}; the measurements are identical either way. *)
-
-val table1 : unit -> string
-val table2 : unit -> string
-val table3 : unit -> string
-
-val table4 : unit -> string * Runner.measurement list
-(** Exceptions per program (detector, precise compilation). Only
-    programs with meaningful exceptions are listed, as in the paper. *)
-
-val figure4 : perf -> string
-val figure5 : perf -> string
-
-val table5 : unit -> string
-(** Detection loss at FREQ-REDN-FACTOR 64 on the exception-heavy
-    programs. *)
-
-val figure6 : unit -> string
-(** Slowdown + detection vs k ∈ {1,4,16,64,256}, and the CuMF
-    anecdote. *)
-
-val table6 : unit -> string
-(** Fast-math effect on the affected programs. *)
-
-val table7 : unit -> string
-(** Analyzer diagnosis overview for severe-exception programs. *)
-
-val machines : unit -> string
-(** The paper's two test machines: Machine 1 (RTX 2070 SUPER, Turing)
-    and Machine 2 (RTX 3060, Ampere). The architectures expand FP32
-    division differently (§2.2), so instruction counts — and potentially
-    exception sites — differ per machine. *)
-
-val ablation : unit -> string
-(** Extra design-choice ablations: warp-leader aggregation on/off and
-    Turing vs Ampere division expansion. *)
-
-val summary : perf -> string
-(** Headline claims: geomean speedup vs BinFPE, share of programs under
-    10x, hang resolution. *)
+val report : ?jobs:int -> string list -> string
+(** The named artefacts' text, concatenated in the order given. Each
+    distinct run executes once, spread over [jobs] (default 1) worker
+    domains by {!Fpx_sched.Sched.map}; runs are deterministic and
+    independent, so the text is byte-identical for any [jobs] and equals
+    the artefacts rendered one by one.
+    @raise Invalid_argument on a name not in {!names}. *)

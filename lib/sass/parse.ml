@@ -304,10 +304,12 @@ type file = {
   grid : int;
   block : int;
   params : param_spec list;
+  budget : int option;
 }
 
 let file text =
   let grid = ref 1 and block = ref 32 and params = ref [] in
+  let budget = ref None in
   String.split_on_char '\n' text
   |> List.iteri (fun idx raw ->
          let line = idx + 1 in
@@ -325,7 +327,11 @@ let file text =
              params := F64 (float_of_string_e ~line "f64 param" x) :: !params
            | [ ".param"; "i32"; x ] ->
              params := I32 (int32_of_string_e ~line "i32 param" x) :: !params
+           | [ ".budget"; n ] ->
+             let n = int_of_string_e ~line "budget" n in
+             if n < 1 then fail ~line "budget %d is not positive" n;
+             budget := Some n
            | ".kernel" :: _ -> ()
            | _ -> fail ~line "unknown directive %S" s);
   { prog = program text; grid = !grid; block = !block;
-    params = List.rev !params }
+    params = List.rev !params; budget = !budget }

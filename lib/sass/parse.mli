@@ -14,6 +14,7 @@
     .param ptr 1024         // zero-initialised buffer, bytes
     .param f32 1.5
     .param i32 64
+    .budget 5000            // optional watchdog step budget
       /*0000*/ S2R.SR_TID.X R10 ;
       ...
     v} *)
@@ -42,8 +43,12 @@ type file = {
   grid : int;
   block : int;
   params : param_spec list;
+  budget : int option;
+      (** [.budget N]: the per-launch watchdog step budget the kernel
+          should run under ([None]: the executor's default). *)
 }
 
 val file : string -> file
-(** Parse a runnable kernel file with [.launch]/[.param] directives
-    (defaults: grid 1, block 32, no params). *)
+(** Parse a runnable kernel file with [.launch]/[.param]/[.budget]
+    directives (defaults: grid 1, block 32, no params, no budget). A
+    budget below 1 is a parse error. *)

@@ -223,10 +223,12 @@ let compute_payload ~tool_name ~source ~mode ~fault () =
               ds)) ]
   | name ->
     let tool = tool_config_of_name name in
-    let w =
+    let w, fault =
       match source with
-      | Catalog w -> w
-      | Sass text -> Fpx_fuzz.Repro.workload (Fpx_fuzz.Repro.of_file (parse_sass text))
+      | Catalog w -> (w, fault)
+      | Sass text ->
+        let c = Fpx_fuzz.Repro.of_file (parse_sass text) in
+        (Fpx_fuzz.Repro.workload c, Fpx_fuzz.Repro.fault ?fault c)
     in
     let m = R.run ?fault ~mode ~tool w in
     (* Runner.to_json is already deterministic JSON; re-parse so it

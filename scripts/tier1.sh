@@ -110,6 +110,24 @@ run "no unreferenced exports" scripts/exports.sh --check
 
 run "dune runtest" dune runtest
 
+# One report plan: every artefact declares its runs and the report runs
+# each distinct one through the plan executor, the one Runner.run call
+# in lib/harness/experiments.ml. No per-table run loop may come back.
+run "one report plan" \
+  awk '/^let /{inside = /^let measure /}
+       {c = gsub(/Runner\.run([^_[:alnum:]]|$)/, "&"); n += c
+        if (c && !inside) bad = 1}
+       END{exit bad || n != 1}' lib/harness/experiments.ml
+
+# The report is byte-identical whatever the worker count.
+REPORT_DIR="${TMPDIR:-/tmp}/fpx-tier1-report"
+rm -rf "$REPORT_DIR"
+mkdir -p "$REPORT_DIR"
+run "report determinism" \
+  sh -c 'dune exec bin/fpx_run.exe -- report --jobs 1 >"$1/j1.txt" &&
+         dune exec bin/fpx_run.exe -- report --jobs 2 >"$1/j2.txt" &&
+         cmp "$1/j1.txt" "$1/j2.txt"' sh "$REPORT_DIR"
+
 # A standalone .sass kernel that traps ends in the documented crash exit
 # (3), not an uncaught exception.
 run "run-sass trap smoke" \

@@ -189,6 +189,7 @@ let flip_case =
     grid = 2;
     block = 64;
     params = [ Parse.Ptr_bytes (4 * 128) ];
+    budget = None;
   }
 
 let arch_case name arch =
@@ -240,6 +241,7 @@ let poison_case ~armed =
     grid = 1;
     block = 32;
     params = [ Parse.Ptr_bytes (4 * 32) ];
+    budget = None;
   }
 
 let test_poison_dormant () =

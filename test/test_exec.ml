@@ -376,6 +376,34 @@ let test_hook_guard_lanes () =
   ignore (Exec.run ~hooks ~device:dev ~grid:1 ~block:32 ~params:[] prog);
   Alcotest.(check (list int)) "guard-true lanes" [ 0; 1; 2; 3; 4 ] !lanes
 
+(* Each block starts from zeroed shared memory and registers, although
+   the executor reuses one segment and one set of warp states for all
+   blocks of a launch: every lane stores shared[tid] + R7 before writing
+   7 and 9 there, so block 1 stores 16 if block 0's state survives. *)
+let test_blocks_start_clean () =
+  let dev = Device.create () in
+  let out = Memory.alloc_zeroed dev.Device.memory ~bytes:(4 * 128) in
+  let prog =
+    Program.make ~name:"clean"
+      [ Instr.make (Isa.S2R Isa.Tid_x) [ Op.reg 0 ];
+        Instr.make (Isa.S2R Isa.Ctaid_x) [ Op.reg 1 ];
+        Instr.make (Isa.S2R Isa.Ntid_x) [ Op.reg 2 ];
+        Instr.make Isa.IMAD [ Op.reg 3; Op.reg 1; Op.reg 2; Op.reg 0 ];
+        Instr.make Isa.IADD [ Op.reg 4; Op.reg 0; Op.reg 0 ];
+        Instr.make Isa.IADD [ Op.reg 4; Op.reg 4; Op.reg 4 ];
+        Instr.make (Isa.LDS Isa.W32) [ Op.reg 5; Op.reg 4 ];
+        Instr.make Isa.IADD [ Op.reg 6; Op.reg 5; Op.reg 7 ];
+        Instr.make Isa.IMAD
+          [ Op.reg 8; Op.reg 3; Op.imm_i 4l; Op.cbank ~bank:0 ~offset:0x160 ];
+        Instr.make (Isa.STG Isa.W32) [ Op.reg 8; Op.reg 6 ];
+        Instr.make Isa.MOV32I [ Op.reg 9; Op.imm_i 7l ];
+        Instr.make (Isa.STS Isa.W32) [ Op.reg 4; Op.reg 9 ];
+        Instr.make Isa.MOV32I [ Op.reg 7; Op.imm_i 9l ] ]
+  in
+  ignore (Exec.run ~device:dev ~grid:2 ~block:64 ~params:[ Param.Ptr out ] prog);
+  Alcotest.(check (array int32)) "all zero" (Array.make 128 0l)
+    (Memory.read_i32_array dev.Device.memory ~addr:out ~len:128)
+
 let suite =
   ( "exec",
     [ Alcotest.test_case "fadd" `Quick test_fadd;
@@ -403,4 +431,5 @@ let suite =
       Alcotest.test_case "stats counting" `Quick test_stats_counting;
       Alcotest.test_case "hooks fire with costs" `Quick test_hooks_fire;
       Alcotest.test_case "hooks see guard-true lanes" `Quick
-        test_hook_guard_lanes ] )
+        test_hook_guard_lanes;
+      Alcotest.test_case "blocks start clean" `Quick test_blocks_start_clean ] )

@@ -161,7 +161,7 @@ let test_inject_cost () =
 let test_structural_tables_render () =
   List.iter
     (fun s -> Alcotest.(check bool) "non-empty" true (String.length s > 100))
-    [ E.table1 (); E.table2 (); E.table3 () ]
+    (List.map (fun n -> E.report [ n ]) [ "table1"; "table2"; "table3" ])
 
 let test_headline_claims () =
   (* the paper's headline numbers, on a manageable subset for speed:
@@ -171,10 +171,51 @@ let test_headline_claims () =
       [ "nbody"; "GEMM"; "MD"; "hotspot"; "srad"; "backprop"; "Triad";
         "mri-q"; "lavaMD"; "Reduction" ]
   in
-  let perf = E.perf_sweep ~programs () in
-  let g ms = R.geomean (List.map (fun (m : R.measurement) -> m.R.slowdown) ms) in
+  let g tool =
+    R.geomean
+      (List.map
+         (fun (m : R.measurement) -> m.R.slowdown)
+         (Fpx_harness.Sweep.run ~tool programs))
+  in
   Alcotest.(check bool) "binfpe much slower" true
-    (g perf.E.binfpe /. g perf.E.fpx > 5.0)
+    (g R.Binfpe /. g detector > 5.0)
+
+(* A report plan holds every distinct result at once, so a measurement
+   must not pin its run's device: the 64 MiB global memory alone is
+   8.4 M words. The detector keeps only the fault plan and cost model it
+   reads. *)
+let test_measurement_holds_no_device () =
+  let m = R.run ~tool:detector (Catalog.find "GEMM") in
+  let words = Obj.reachable_words (Obj.repr m) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d reachable words" words)
+    true (words < 1_000_000)
+
+(* Artefacts that share runs render from one plan: the bytes equal the
+   artefacts rendered one by one, and each distinct run sets up once.
+   Hand count for table5 + table7 + machines + ablation:
+   - table5: detector full and 1-in-64 on myocyte, Sw4lite (64), Laghos: 6;
+   - table7: the analyzer on its 11 programs, plus the repaired and the
+     original detector run of the 5 with a repair (GRAMSCHM, LU,
+     CuMF-Movielens, cuML-HousePrice, SRU-Example): 21, total 27;
+   - machines: Turing is the default precise mode, so of its 5 programs
+     only S3D's detector run is new, plus 5 Ampere runs: 6, total 33;
+   - ablation: myocyte without warp leader, 5 BinFPE channel capacities
+     and 3 simpleAWBarrier runs are new; the default, precise and Ampere
+     myocyte runs are shared: 9, total 42 (of 49 declared). *)
+let test_report_plan_shares_runs () =
+  let names = [ "table5"; "table7"; "machines"; "ablation" ] in
+  let r = Fpx_obs.Span.create ~capacity:(1 lsl 20) () in
+  let text = Fpx_obs.Span.with_installed r (fun () -> E.report names) in
+  Alcotest.(check string) "same bytes as one by one"
+    (String.concat "" (List.map (fun n -> E.report [ n ]) names))
+    text;
+  Alcotest.(check int) "no span dropped" 0 (Fpx_obs.Span.dropped r);
+  Alcotest.(check int) "one setup per distinct run" 42
+    (List.length
+       (List.filter
+          (fun (s : Fpx_obs.Span.span) -> s.Fpx_obs.Span.name = "run.setup")
+          (Fpx_obs.Span.spans r)))
 
 let test_channel_capacity_ablation () =
   (* the hang is channel congestion, not instrumentation cost: BinFPE on
@@ -359,5 +400,9 @@ let suite =
         test_trapping_sass_faults;
       Alcotest.test_case "catalog sweep dyn instrs pinned" `Quick
         test_catalog_dyn_instrs;
-      Alcotest.test_case "headline claim (subset)" `Slow test_headline_claims ] )
+      Alcotest.test_case "headline claim (subset)" `Slow test_headline_claims;
+      Alcotest.test_case "measurement holds no device" `Quick
+        test_measurement_holds_no_device;
+      Alcotest.test_case "report plan shares runs" `Quick
+        test_report_plan_shares_runs ] )
 

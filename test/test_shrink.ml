@@ -188,6 +188,35 @@ let test_oracle_self_loop_hangs () =
     "self-loop is a hang" (Some "hang")
     (Option.map Oracle.clazz_to_string (Oracle.primary (Oracle.check ~fault c)))
 
+let test_budget_repro_replays_fast () =
+  (* a campaign hang repro carries the budget it was classified under:
+     [.budget] survives render and parse, and a replay with no fault
+     spec reaches the hang verdict (replay's exit 2) on that budget, not
+     after the executor's default 50M steps *)
+  let c =
+    { (Repro.of_file (Fpx_sass.Parse.file "BRA 0x0 ;\nEXIT ;\n")) with
+      Repro.budget = Some 5_000 }
+  in
+  let lines c = String.split_on_char '\n' (Repro.render c) in
+  Alcotest.(check bool) "directive rendered" true
+    (List.mem ".budget 5000" (lines c));
+  Alcotest.(check bool) "no budget, no directive" false
+    (List.exists
+       (String.starts_with ~prefix:".budget")
+       (lines { c with Repro.budget = None }));
+  let c' = Repro.of_file (Fpx_sass.Parse.file (Repro.render c)) in
+  Alcotest.(check (option int)) "budget round-trips" (Some 5_000)
+    c'.Repro.budget;
+  Alcotest.(check bool) "budget 0 rejected" true
+    (match Fpx_sass.Parse.file ".budget 0\nEXIT ;\n" with
+     | _ -> false
+     | exception Fpx_sass.Parse.Parse_error _ -> true);
+  let t0 = Unix.gettimeofday () in
+  let ds = Oracle.check c' in
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "replays as a hang" true (Oracle.same_class Oracle.Hang ds);
+  Alcotest.(check bool) (Printf.sprintf "fast (%.2fs)" dt) true (dt < 1.0)
+
 (* --- the expression shrinker obeys the same contract ---------------- *)
 
 let prop_shrink_ex_decreases =
@@ -233,4 +262,6 @@ let suite =
         test_campaign_finds_injected_defect;
       Alcotest.test_case "oracle: self-loop is a hang" `Quick
         test_oracle_self_loop_hangs;
+      Alcotest.test_case "budget repro replays as a fast hang" `Quick
+        test_budget_repro_replays_fast;
       qcheck_case prop_shrink_ex_decreases ] )
