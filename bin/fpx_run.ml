@@ -626,11 +626,10 @@ let sweep_cmd =
         (fun path -> Option.iter (write_metrics path) (Sweep.merged_metrics ms))
         metrics_out;
       if census then begin
-        let c = Sweep.census ms in
+        let locations, triplets = Sweep.census ms in
         Printf.eprintf
           "census: %d location(s) interned, %d unique exception triplet(s)\n"
-          (Gpu_fpx.Loc_table.size c.Sweep.locs)
-          (Gpu_fpx.Global_table.cardinal c.Sweep.gt)
+          locations triplets
       end
   in
   Cmd.v
@@ -878,7 +877,7 @@ let diagnose_cmd =
         Fpx_obs.Span.with_installed recorder (fun () ->
             let ms = Sweep.run ~jobs ~mode ~tool progs in
             ignore (Sweep.report_json ms : string);
-            ignore (Sweep.census ms : Sweep.census));
+            ignore (Sweep.census ms : int * int));
         let wall_s = Unix.gettimeofday () -. t0 in
         (recorder, Fpx_obs.Domprof.of_spans ~jobs ~wall_s recorder)
       in

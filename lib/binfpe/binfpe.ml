@@ -110,15 +110,7 @@ let on_launch_end t stats =
 
 let findings t = List.rev t.findings_rev
 
-let count t ~fmt ~exce =
-  List.length
-    (List.filter
-       (fun f -> f.fmt = fmt && Exce.equal f.exce exce)
-       t.findings_rev)
-
 let records_received t = t.received
-
-type Fpx_tool.extra += Binfpe of t
 
 module Tool = struct
   type nonrec t = t
@@ -128,15 +120,6 @@ module Tool = struct
   let instrument = instrument
   let on_launch_begin t _ = Channel.new_launch t.channel
   let on_drain t stats ~kernel:_ = on_launch_end t stats
-
-  let report t =
-    {
-      Fpx_tool.counts =
-        Fpx_tool.cells_of (fun ~fmt ~exce -> count t ~fmt ~exce);
-      log = [];
-      degradations = [];
-      extras = [ Binfpe t ];
-    }
 end
 
 let tool t = Fpx_tool.Instance ((module Tool), t)

@@ -28,9 +28,6 @@ type t
 
 val create : Fpx_gpu.Device.t -> t
 
-type Fpx_tool.extra += Binfpe of t
-(** BinFPE's {!Fpx_tool.report} extra: its own handle. *)
-
 val tool : t -> Fpx_tool.instance
 (** Attach with {!Fpx_nvbit.Runtime.attach}. *)
 
@@ -38,7 +35,6 @@ val findings : t -> finding list
 (** Host-deduplicated unique findings (the report the real tool prints
     at exit). *)
 
-val count : t -> fmt:Fpx_sass.Isa.fp_format -> exce:Fpx_tool.Exce.t -> int
 val records_received : t -> int
 (** Total (pre-dedup) records the host processed — the transfer-volume
     number that explains the slowdown gap. *)

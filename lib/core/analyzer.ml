@@ -317,8 +317,6 @@ let state_counts t =
 
 let log_lines t = List.concat_map render (reports t)
 
-type Fpx_tool.extra += Analyzer of t
-
 module Tool = struct
   type nonrec t = t
 
@@ -330,14 +328,6 @@ module Tool = struct
   let instrument = instrument
   let on_launch_begin t _ = Channel.new_launch t.channel
   let on_drain t stats ~kernel:_ = on_drain t stats
-
-  let report t =
-    {
-      Fpx_tool.counts = [];
-      log = log_lines t;
-      degradations = [];
-      extras = [ Analyzer t ];
-    }
 end
 
 let tool t = Fpx_tool.Instance ((module Tool), t)

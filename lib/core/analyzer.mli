@@ -66,10 +66,6 @@ val create :
     kernels that contain FP arithmetic, recording NaN/INF values that
     escape to memory. *)
 
-type Fpx_tool.extra += Analyzer of t
-(** The analyzer's {!Fpx_tool.report} extra: its own handle, giving
-    report consumers access to {!reports} and {!escapes}. *)
-
 val tool : t -> Fpx_tool.instance
 (** Attach with {!Fpx_nvbit.Runtime.attach}. *)
 

@@ -26,16 +26,15 @@ type t = {
   fault : Fault.plan;
   cost : Cost.t;
   config : config;
-  gt : Global_table.t;
+  mutable gt : Global_table.t option;
+      (** [None] without dedup: the phase-1 configuration, or after an
+          injected GT-allocation failure forced the fallback. *)
   locs : Loc_table.t;
   channel : int Channel.t;
   seen_host : (int, unit) Hashtbl.t;
   mutable findings_rev : finding list;
   mutable log_rev : string list;
   mutable gt_alloc_charged : bool;
-  mutable gt_ok : bool;
-      (** [false] once an injected GT-allocation failure has forced the
-          no-dedup fallback. *)
   mutable adaptive_k : int;
       (** Escalated FREQ-REDN-FACTOR under channel congestion
           (0 = not escalated). *)
@@ -83,7 +82,7 @@ let create ?(config = default_config) device =
     fault = device.Device.fault;
     cost = device.Device.cost;
     config;
-    gt = Global_table.create ();
+    gt = (if config.use_gt then Some (Global_table.create ()) else None);
     locs = Loc_table.create ();
     channel =
       Channel.create ~fault:device.Device.fault ?bw:device.Device.bw
@@ -92,12 +91,13 @@ let create ?(config = default_config) device =
     findings_rev = [];
     log_rev = [];
     gt_alloc_charged = false;
-    gt_ok = true;
     adaptive_k = 0;
     obs;
     exce_counters;
     line_buf = Buffer.create 160;
   }
+
+let gt_cardinal t = Option.fold ~none:0 ~some:Global_table.cardinal t.gt
 
 (* CheckExce from Algorithm 2, on the lane's checked register(s). *)
 let exce_of_lane (api : Exec.warp_api) check ~lane =
@@ -135,20 +135,19 @@ let push_record t (ctx : Exec.ctx) (api : Exec.warp_api) ~kernel ~loc ~fmt e
          ());
   delivered
 
-let probe_and_push t ctx api ~kernel ~loc ~fmt e idx =
+let probe_and_push t gt ctx api ~kernel ~loc ~fmt e idx =
   ctx.Exec.stats.Stats.tool_cycles <-
     ctx.Exec.stats.Stats.tool_cycles + gt_probe_cost;
-  if Global_table.test_and_set t.gt idx then
+  if Global_table.test_and_set gt idx then
     if not (push_record t ctx api ~kernel ~loc ~fmt e idx) then
       (* the record this slot claimed never reached the host: undo the
          dedup mark so a recurrence gets another chance *)
-      Global_table.reset t.gt idx
+      Global_table.reset gt idx
 
 let callback t check ~loc_idx ~kernel ~pc ~loc (ctx : Exec.ctx)
     (api : Exec.warp_api) =
   let fmt = Site.fmt check in
-  let gt_mode = t.config.use_gt && t.gt_ok in
-  let leader = gt_mode && t.config.warp_leader in
+  let leader = Option.is_some t.gt && t.config.warp_leader in
   let row =
     match t.obs with None -> [||] | Some _ -> t.exce_counters.(fmt_idx fmt)
   in
@@ -180,18 +179,21 @@ let callback t check ~loc_idx ~kernel ~pc ~loc (ctx : Exec.ctx)
              GT-allocation failure: every occurrence crosses the
              channel. *)
           let idx = Exce.encode ~loc:loc_idx ~fmt e in
-          if gt_mode then probe_and_push t ctx api ~kernel ~loc ~fmt e idx
-          else
+          match t.gt with
+          | Some gt -> probe_and_push t gt ctx api ~kernel ~loc ~fmt e idx
+          | None ->
             ignore (push_record t ctx api ~kernel ~loc ~fmt e idx : bool)
         end)
     api.Exec.executing_lanes;
-  if leader then
+  (match t.gt with
+  | Some gt when leader ->
     (* reversed first-occurrence order, as the old fold produced *)
     for i = !uniques - 1 downto 0 do
       let e = exce_of_idx.((!order lsr (2 * i)) land 3) in
-      probe_and_push t ctx api ~kernel ~loc ~fmt e
+      probe_and_push t gt ctx api ~kernel ~loc ~fmt e
         (Exce.encode ~loc:loc_idx ~fmt e)
-    done;
+    done
+  | _ -> ());
   match t.obs with
   | Some a when !n_exce > 0 ->
     Fpx_obs.Profile.add_exce a.Fpx_obs.Sink.profile ~kernel ~pc ~n:!n_exce ()
@@ -284,7 +286,7 @@ let on_launch_end t stats ~kernel:_ =
       (Fpx_obs.Metrics.gauge a.Fpx_obs.Sink.metrics
          ~help:"Global-table slots in use (unique exception records)"
          "fpx_gt_occupancy")
-      (float_of_int (Global_table.cardinal t.gt)));
+      (float_of_int (gt_cardinal t)));
   absorb t idxs;
   (* Adaptive backoff: a launch that floods the channel is a sign the
      congestion stalls are about to snowball into a hang; trade coverage
@@ -316,14 +318,14 @@ let should_instrument t ~kernel ~invocation =
 
 let on_launch_begin t pre =
   Channel.new_launch t.channel;
-  if t.config.use_gt && t.gt_ok && not t.gt_alloc_charged then begin
+  if Option.is_some t.gt && not t.gt_alloc_charged then begin
     t.gt_alloc_charged <- true;
     match Fault.active t.fault with
     | Some a when Fault.fire a Fault.Gt_alloc_fail ->
       (* cudaMalloc for GT failed: degrade to no-dedup mode — the tool
          keeps detecting, every occurrence now crosses the channel (the
          phase-1 configuration) *)
-      t.gt_ok <- false;
+      t.gt <- None;
       t.log_rev <-
         "#GPU-FPX WARNING: global-table allocation failed; continuing \
          without dedup (every occurrence crosses the channel)"
@@ -346,17 +348,18 @@ let total t = List.length t.findings_rev
 
 let log_lines t = List.rev t.log_rev
 
-let gt_cardinal t = Global_table.cardinal t.gt
-
 let adaptive_k t = t.adaptive_k
 
 let channel_drains_delayed t = Channel.drains_delayed t.channel
 let channel_stranded t = Channel.queued t.channel
 let records_seen t = Hashtbl.length t.seen_host
 
-let degradation_reasons t =
+let degradations t =
   let r = [] in
-  let r = if t.gt_ok then r else "gt-alloc-fallback" :: r in
+  let r =
+    if t.config.use_gt && Option.is_none t.gt then "gt-alloc-fallback" :: r
+    else r
+  in
   let r =
     if t.adaptive_k = 0 then r
     else Printf.sprintf "adaptive-backoff(%d)" t.adaptive_k :: r
@@ -364,8 +367,6 @@ let degradation_reasons t =
   List.rev r
 
 let loc_table t = t.locs
-
-type Fpx_tool.extra += Detector of t
 
 module Tool = struct
   type nonrec t = t
@@ -375,15 +376,6 @@ module Tool = struct
   let instrument = instrument
   let on_launch_begin = on_launch_begin
   let on_drain t stats ~kernel = on_launch_end t stats ~kernel
-
-  let report t =
-    {
-      Fpx_tool.counts =
-        Fpx_tool.cells_of (fun ~fmt ~exce -> count t ~fmt ~exce);
-      log = log_lines t;
-      degradations = degradation_reasons t;
-      extras = [ Detector t ];
-    }
 end
 
 let tool t = Fpx_tool.Instance ((module Tool), t)

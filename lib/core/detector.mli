@@ -43,11 +43,8 @@ type finding = {
 type t
 
 val create : ?config:config -> Fpx_gpu.Device.t -> t
-
-type Fpx_tool.extra += Detector of t
-(** The detector's {!Fpx_tool.report} extra: its own handle, giving
-    report consumers access to {!findings} and {!loc_table} for
-    cross-shard aggregation. *)
+(** The 1 MiB global table is allocated only when [config.use_gt]
+    holds. *)
 
 val tool : t -> Fpx_tool.instance
 (** Attach with {!Fpx_nvbit.Runtime.attach}. *)
@@ -64,8 +61,13 @@ val log_lines : t -> string list
 (** The ["#GPU-FPX LOC-EXCEP INFO: ..."] early-notification lines. *)
 
 val gt_cardinal : t -> int
-(** Set slots in the global table. Public as GT's own count of unique
-    records, which equals {!total} while GT dedup runs. *)
+(** Set slots in the global table (0 without one). Public as GT's own
+    count of unique records, which equals {!total} while GT dedup
+    runs. *)
+
+val degradations : t -> string list
+(** Graceful-degradation events active on the detector:
+    ["gt-alloc-fallback"], ["adaptive-backoff(K)"]. *)
 
 val loc_table : t -> Loc_table.t
 (** The per-run location interning table (every instrumented site). *)

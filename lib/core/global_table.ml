@@ -24,14 +24,3 @@ let cardinal t = t.cardinal
 let clear t =
   Bytes.fill t.slots 0 (Bytes.length t.slots) '\000';
   t.cardinal <- 0
-
-let merge a b =
-  let t = create () in
-  for idx = 0 to Bytes.length t.slots - 1 do
-    if Bytes.get a.slots idx <> '\000' || Bytes.get b.slots idx <> '\000'
-    then begin
-      Bytes.set t.slots idx '\001';
-      t.cardinal <- t.cardinal + 1
-    end
-  done;
-  t

@@ -21,8 +21,3 @@ val reset : t -> int -> unit
 
 val cardinal : t -> int
 val clear : t -> unit
-
-val merge : t -> t -> t
-(** Slot-wise union into a fresh table (set union of seen triplets, so
-    the cardinal counts each triplet once). Neither input is mutated;
-    all state is per-[t] (no hidden global state in this module). *)

@@ -47,31 +47,16 @@ let run ?fault ~tool c =
   | Runner.Faulted msg -> Error (Crash, "trap: " ^ msg)
   | Runner.Completed | Runner.Degraded _ -> Ok m
 
-let find_detector extras =
-  List.find_map (function D.Detector t -> Some t | _ -> None) extras
-
-let find_binfpe extras =
-  List.find_map (function B.Binfpe t -> Some t | _ -> None) extras
-
 let site_str (pc, fmt, e) =
   Printf.sprintf "%04x/%s/%s" (pc * 16) (Isa.fp_format_to_string fmt)
     (Exce.to_string e)
 
-let det_sites (m : Runner.measurement) =
-  match find_detector m.Runner.extras with
-  | None -> []
-  | Some t ->
-    List.map
-      (fun (f : D.finding) ->
-        (f.D.entry.Gpu_fpx.Loc_table.pc, f.D.fmt, f.D.exce))
-      (D.findings t)
+let sites =
+  List.map (fun (f : Runner.finding) ->
+      (f.Runner.pc, f.Runner.fmt, f.Runner.exce))
 
-let bin_sites (m : Runner.measurement) =
-  match find_binfpe m.Runner.extras with
-  | None -> []
-  | Some t ->
-    List.map (fun (f : B.finding) -> (f.B.pc, f.B.fmt, f.B.exce))
-      (B.findings t)
+let det_sites (m : Runner.measurement) = sites m.Runner.detector_findings
+let bin_sites (m : Runner.measurement) = sites m.Runner.binfpe_findings
 
 let diff_sites a b =
   let missing = List.filter (fun s -> not (List.mem s b)) a in

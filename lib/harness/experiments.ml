@@ -34,15 +34,12 @@ let no_gt w = fpx ~config:{ Detector.default_config with use_gt = false } w
 
 let sampled k = { Detector.default_config with sampling = Sampling.every k }
 
-(* The plan executor: the one place a run happens. Every distinct result
-   stays alive until the report renders, so tool state ([extras], which
-   nothing here reads) is dropped: it would multiply peak RSS by six. *)
+(* The plan executor: the one place a run happens. *)
 let measure k =
   let same w = w.W.suite = k.suite && w.W.name = k.program in
   let w = List.find same Catalog.evaluated in
   let w = if k.repaired then { w with W.run = Option.get w.W.repair } else w in
-  let m = Runner.run ~cost:k.cost ~mode:k.mode ~tool:k.tool w in
-  { m with Runner.extras = [] }
+  Runner.run ~cost:k.cost ~mode:k.mode ~tool:k.tool w
 
 type artefact = {
   name : string;

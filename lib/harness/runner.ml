@@ -39,6 +39,21 @@ let status_detail = function
   | Degraded reasons -> String.concat "; " reasons
   | Hung msg | Faulted msg -> msg
 
+type finding = {
+  kernel : string;
+  pc : int;
+  loc : string;
+  fmt : Isa.fp_format;
+  exce : Exce.t;
+}
+
+type channel = {
+  records_seen : int;
+  drains_delayed : int;
+  records_stranded : int;
+  backoff_k : int;
+}
+
 type measurement = {
   program : string;
   tool : tool_config;
@@ -50,9 +65,12 @@ type measurement = {
   counts : (Isa.fp_format * Exce.t * int) list;
   total_exceptions : int;
   log : string list;
+  detector_findings : finding list;
+  binfpe_findings : finding list;
+  locations : Gpu_fpx.Loc_table.entry list;
+  channel : channel;
   analyzer_reports : Gpu_fpx.Analyzer.report list;
   escapes : Gpu_fpx.Analyzer.escape list;
-  extras : Fpx_tool.extra list;
   obs : Fpx_obs.Sink.t;
 }
 
@@ -63,23 +81,143 @@ let count m ~fmt ~exce =
   | Some (_, _, n) -> n
   | None -> 0
 
-(* Build the tool instance a config describes on a device. Every
-   configuration — including composed stacks — flows through the same
-   [Fpx_tool.instance] path from here on. *)
+(* What the built tools leave behind, read once after the run. Plain
+   data: no field holds a tool, a channel or a table, so a measurement
+   keeps no tool alive. *)
+type part = {
+  det : finding list;
+  bin : finding list;
+  locs : Gpu_fpx.Loc_table.entry list;
+  lines : string list;
+  degradations : string list;
+  reports : Gpu_fpx.Analyzer.report list;
+  escs : Gpu_fpx.Analyzer.escape list;
+  det_channel : channel option;
+  bin_received : int option;
+}
+
+let no_part =
+  {
+    det = [];
+    bin = [];
+    locs = [];
+    lines = [];
+    degradations = [];
+    reports = [];
+    escs = [];
+    det_channel = None;
+    bin_received = None;
+  }
+
+(* A stack's members, in member order. The channel counters come from
+   the first detector member, or else from the first BinFPE member. *)
+let concat_parts ps =
+  let cat f = List.concat_map f ps in
+  {
+    det = cat (fun p -> p.det);
+    bin = cat (fun p -> p.bin);
+    locs = cat (fun p -> p.locs);
+    lines = cat (fun p -> p.lines);
+    degradations = cat (fun p -> p.degradations);
+    reports = cat (fun p -> p.reports);
+    escs = cat (fun p -> p.escs);
+    det_channel = List.find_map (fun p -> p.det_channel) ps;
+    bin_received = List.find_map (fun p -> p.bin_received) ps;
+  }
+
+let read_detector d =
+  let module D = Gpu_fpx.Detector in
+  let finding (f : D.finding) =
+    let e = f.D.entry in
+    {
+      kernel = e.Gpu_fpx.Loc_table.kernel;
+      pc = e.Gpu_fpx.Loc_table.pc;
+      loc = e.Gpu_fpx.Loc_table.loc;
+      fmt = f.D.fmt;
+      exce = f.D.exce;
+    }
+  in
+  {
+    no_part with
+    det = List.map finding (D.findings d);
+    locs = Gpu_fpx.Loc_table.entries (D.loc_table d);
+    lines = D.log_lines d;
+    degradations = D.degradations d;
+    det_channel =
+      Some
+        {
+          records_seen = D.records_seen d;
+          drains_delayed = D.channel_drains_delayed d;
+          records_stranded = D.channel_stranded d;
+          backoff_k = D.adaptive_k d;
+        };
+  }
+
+let read_binfpe b =
+  let module B = Fpx_binfpe.Binfpe in
+  let finding (f : B.finding) =
+    { kernel = f.B.kernel; pc = f.B.pc; loc = f.B.loc; fmt = f.B.fmt;
+      exce = f.B.exce }
+  in
+  {
+    no_part with
+    bin = List.map finding (B.findings b);
+    bin_received = Some (B.records_received b);
+  }
+
+let read_analyzer a =
+  let module A = Gpu_fpx.Analyzer in
+  {
+    no_part with
+    lines = A.log_lines a;
+    reports = A.reports a;
+    escs = A.escapes a;
+  }
+
+(* Build the tool a config describes on a device, with how to read it
+   after the run. Every configuration — including composed stacks —
+   runs through the same [Fpx_tool.instance] path; only this match knows
+   the concrete tools. *)
 let rec instance_of_config dev = function
   | No_tool -> None
   | Detector config ->
-    Some (Gpu_fpx.Detector.tool (Gpu_fpx.Detector.create ~config dev))
-  | Binfpe -> Some (Fpx_binfpe.Binfpe.tool (Fpx_binfpe.Binfpe.create dev))
-  | Analyzer -> Some (Gpu_fpx.Analyzer.tool (Gpu_fpx.Analyzer.create dev))
+    let d = Gpu_fpx.Detector.create ~config dev in
+    Some (Gpu_fpx.Detector.tool d, fun () -> read_detector d)
+  | Binfpe ->
+    let b = Fpx_binfpe.Binfpe.create dev in
+    Some (Fpx_binfpe.Binfpe.tool b, fun () -> read_binfpe b)
+  | Analyzer ->
+    let a = Gpu_fpx.Analyzer.create dev in
+    Some (Gpu_fpx.Analyzer.tool a, fun () -> read_analyzer a)
   | Stack cfgs ->
-    Some (Fpx_tool.stack (List.filter_map (instance_of_config dev) cfgs))
+    let members = List.filter_map (instance_of_config dev) cfgs in
+    Some
+      ( Fpx_tool.stack (List.map fst members),
+        fun () -> concat_parts (List.map (fun (_, read) -> read ()) members) )
+
+(* Unique exception sites per (format, kind): FP64 then FP32 ×
+   [Exce.all], non-zero cells only. Each member found each of its sites
+   once, so a stack's cell is the sum over its members. *)
+let counts_of findings =
+  List.concat_map
+    (fun fmt ->
+      List.filter_map
+        (fun exce ->
+          let n =
+            List.length
+              (List.filter
+                 (fun f -> f.fmt = fmt && Exce.equal f.exce exce)
+                 findings)
+          in
+          if n > 0 then Some (fmt, exce, n) else None)
+        Exce.all)
+    [ Isa.FP64; Isa.FP32 ]
 
 let run_body ?cost ?(obs = Fpx_obs.Sink.null) ?fault ?bw ?on_launch ~mode
     ~tool (w : W.t) body =
   (* A fresh plan per run: the spec is immutable, so two runs with the
      same spec see identical fault decision sequences. *)
-  let plan, dev, rt, inst =
+  let plan, dev, rt, built =
     Fpx_obs.Span.with_ ~cat:"run" "run.setup" (fun () ->
         let plan =
           match fault with None -> Fault.none | Some spec -> Fault.of_spec spec
@@ -87,9 +225,9 @@ let run_body ?cost ?(obs = Fpx_obs.Sink.null) ?fault ?bw ?on_launch ~mode
         let dev = Fpx_gpu.Device.create ?cost ~obs ~fault:plan ?bw () in
         let rt = Fpx_nvbit.Runtime.create dev in
         Fpx_nvbit.Runtime.set_on_launch rt on_launch;
-        let inst = instance_of_config dev tool in
-        Option.iter (Fpx_nvbit.Runtime.attach rt) inst;
-        (plan, dev, rt, inst))
+        let built = instance_of_config dev tool in
+        Option.iter (fun (i, _) -> Fpx_nvbit.Runtime.attach rt i) built;
+        (plan, dev, rt, built))
   in
   (* An aborted launch still yields a partial report: whatever the tool
      drained before the abort survives in its host-side tables. This is
@@ -121,24 +259,11 @@ let run_body ?cost ?(obs = Fpx_obs.Sink.null) ?fault ?bw ?on_launch ~mode
     (slowdown > dev.Fpx_gpu.Device.cost.Fpx_gpu.Cost.hang_slowdown
     || match abort with Some (Hung _) -> true | _ -> false)
   in
-  let rep =
-    match inst with
-    | None -> Fpx_tool.empty_report
-    | Some i -> Fpx_tool.report i
-  in
-  let counts = rep.Fpx_tool.counts and log = rep.Fpx_tool.log in
-  let reports, escapes =
-    List.fold_left
-      (fun (rs, es) extra ->
-        match extra with
-        | Gpu_fpx.Analyzer.Analyzer a ->
-          (rs @ Gpu_fpx.Analyzer.reports a, es @ Gpu_fpx.Analyzer.escapes a)
-        | _ -> (rs, es))
-      ([], []) rep.Fpx_tool.extras
-  in
+  let part = match built with None -> no_part | Some (_, read) -> read () in
+  let counts = counts_of (part.det @ part.bin) in
   let degradations =
     (match Fault.active plan with Some a -> Fault.reasons a | None -> [])
-    @ rep.Fpx_tool.degradations
+    @ part.degradations
   in
   let status =
     match abort with
@@ -188,10 +313,22 @@ let run_body ?cost ?(obs = Fpx_obs.Sink.null) ?fault ?bw ?on_launch ~mode
     dyn_instrs = stats.Fpx_gpu.Stats.dyn_instrs;
     counts;
     total_exceptions = List.fold_left (fun a (_, _, n) -> a + n) 0 counts;
-    log;
-    analyzer_reports = reports;
-    escapes;
-    extras = rep.Fpx_tool.extras;
+    log = part.lines;
+    detector_findings = part.det;
+    binfpe_findings = part.bin;
+    locations = part.locs;
+    channel =
+      (match part.det_channel with
+      | Some c -> c
+      | None ->
+        {
+          records_seen = Option.value part.bin_received ~default:0;
+          drains_delayed = 0;
+          records_stranded = 0;
+          backoff_k = 0;
+        });
+    analyzer_reports = part.reports;
+    escapes = part.escs;
     obs;
   }
 

@@ -8,8 +8,8 @@ type tool_config =
   | Analyzer
   | Stack of tool_config list
       (** Compose several tools into one {!Fpx_tool.stack}: every member
-          sees every instrumented launch, and the report merges their
-          counts cell-wise. *)
+          sees every instrumented launch, and the measurement concatenates
+          the members' results in member order. *)
 
 val tool_config_to_string : tool_config -> string
 
@@ -43,6 +43,27 @@ val status_detail : status -> string
 (** Degradation reasons ["; "]-joined, the watchdog or trap message, or
     [""]. *)
 
+type finding = {
+  kernel : string;  (** mangled kernel name *)
+  pc : int;
+  loc : string;
+  fmt : Fpx_sass.Isa.fp_format;
+  exce : Fpx_tool.Exce.t;
+}
+(** One unique exception site a tool reported. *)
+
+type channel = {
+  records_seen : int;
+      (** unique records the detector received host-side; BinFPE's
+          total records received when no detector ran *)
+  drains_delayed : int;
+  records_stranded : int;
+  backoff_k : int;
+}
+(** The detector's channel counters (see {!Gpu_fpx.Detector}): those of
+    the first detector in the tool, or else BinFPE's record count with
+    zeros, or else all zeros. *)
+
 type measurement = {
   program : string;
   tool : tool_config;
@@ -52,23 +73,28 @@ type measurement = {
   records : int;  (** device→host records transferred *)
   dyn_instrs : int;
   counts : (Fpx_sass.Isa.fp_format * Fpx_tool.Exce.t * int) list;
-      (** unique exception sites per (format, kind); only non-zero
+      (** unique exception sites per (format, kind), counted from the
+          findings: FP64 then FP32 × {!Fpx_tool.Exce.all}, only non-zero
           entries *)
   total_exceptions : int;
   log : string list;
+  detector_findings : finding list;
+      (** the detectors' unique findings, first-seen order *)
+  binfpe_findings : finding list;  (** BinFPE's unique findings *)
+  locations : Gpu_fpx.Loc_table.entry list;
+      (** every site the detectors instrumented, in index order *)
+  channel : channel;
   analyzer_reports : Gpu_fpx.Analyzer.report list;
   escapes : Gpu_fpx.Analyzer.escape list;
       (** NaN/INF values the analyzer saw written to global memory. *)
-  extras : Fpx_tool.extra list;
-      (** Typed per-tool handles from the report (e.g.
-          {!Gpu_fpx.Detector.Detector} carrying the detector state), so
-          census code can reach tool-specific tables without the runner
-          special-casing tools. *)
   obs : Fpx_obs.Sink.t;
       (** The observability sink the run reported into
           ({!Fpx_obs.Sink.null} unless one was passed to {!run}); carries
           the metrics registry, trace buffer and profile for export. *)
 }
+(** What one run leaves: plain data read from its tools after the run.
+    No field holds a tool, a channel or a global table, so a retained
+    measurement keeps no tool alive. *)
 
 val count :
   measurement -> fmt:Fpx_sass.Isa.fp_format -> exce:Fpx_tool.Exce.t -> int

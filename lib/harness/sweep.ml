@@ -29,49 +29,37 @@ let report_json ms =
 
 (* --- Cross-run aggregation ------------------------------------------- *)
 
-let detectors ms =
-  List.concat_map
-    (fun (m : Runner.measurement) ->
-      List.filter_map
-        (function Gpu_fpx.Detector.Detector d -> Some d | _ -> None)
-        m.Runner.extras)
-    ms
-
-type census = {
-  locs : Gpu_fpx.Loc_table.t;
-  gt : Gpu_fpx.Global_table.t;
-}
-
+(* Each run interned its detectors' locations into its own table, so
+   equal sites got different indices in different runs. Re-intern every
+   run's locations into one table in catalog order, then count each
+   detector finding once under its merged index. BinFPE findings do not
+   enter. *)
 let census ms =
   Fpx_obs.Span.with_ ~cat:"sweep" "sweep.census" @@ fun () ->
-  let ds = detectors ms in
-  (* Each run interned locations into its own table, so equal sites got
-     different indices in different runs. Re-intern every run's entries
-     into one aggregate table (stable: runs are folded in catalog
-     order), then re-encode each run's findings under the merged indices
-     into a per-run shard GT and union the shards. *)
-  let locs =
-    List.fold_left
-      (fun acc d -> Gpu_fpx.Loc_table.merge acc (Gpu_fpx.Detector.loc_table d))
-      (Gpu_fpx.Loc_table.create ()) ds
-  in
-  let gt =
-    List.fold_left
-      (fun acc d ->
-        let shard = Gpu_fpx.Global_table.create () in
-        List.iter
-          (fun (f : Gpu_fpx.Detector.finding) ->
-            let loc = Gpu_fpx.Loc_table.intern locs f.Gpu_fpx.Detector.entry in
-            ignore
-              (Gpu_fpx.Global_table.test_and_set shard
-                 (Fpx_tool.Exce.encode ~loc ~fmt:f.Gpu_fpx.Detector.fmt
-                    f.Gpu_fpx.Detector.exce)
-                : bool))
-          (Gpu_fpx.Detector.findings d);
-        Gpu_fpx.Global_table.merge acc shard)
-      (Gpu_fpx.Global_table.create ()) ds
-  in
-  { locs; gt }
+  let locs = Gpu_fpx.Loc_table.create () in
+  let intern e = Gpu_fpx.Loc_table.intern locs e in
+  List.iter
+    (fun (m : Runner.measurement) ->
+      List.iter (fun e -> ignore (intern e : int)) m.Runner.locations)
+    ms;
+  let triplets = Hashtbl.create 1024 in
+  List.iter
+    (fun (m : Runner.measurement) ->
+      List.iter
+        (fun (f : Runner.finding) ->
+          (* every finding sits at an interned location: only its
+             (kernel, pc) key is read *)
+          let loc =
+            intern
+              { Gpu_fpx.Loc_table.kernel = f.Runner.kernel; pc = f.Runner.pc;
+                loc = f.Runner.loc; sass = "" }
+          in
+          Hashtbl.replace triplets
+            (Fpx_tool.Exce.encode ~loc ~fmt:f.Runner.fmt f.Runner.exce)
+            ())
+        m.Runner.detector_findings)
+    ms;
+  (Gpu_fpx.Loc_table.size locs, Hashtbl.length triplets)
 
 let merged_metrics ms =
   Fpx_obs.Span.with_ ~cat:"sweep" "sweep.merge_metrics" @@ fun () ->

@@ -27,22 +27,13 @@ val report_json : Runner.measurement list -> string
     measurement order, with a trailing newline. Byte-identical across
     [jobs] values for the same inputs. *)
 
-type census = {
-  locs : Gpu_fpx.Loc_table.t;
-      (** Every instrumented site across the sweep, first-seen in
-          catalog order. *)
-  gt : Gpu_fpx.Global_table.t;
-      (** Union of exception triplets, re-encoded under the merged
-          location indices. *)
-}
-
-val census : Runner.measurement list -> census
-(** Aggregate the detector shards found in the measurements' extras:
-    per-run location tables fold through {!Gpu_fpx.Loc_table.merge} in
-    catalog order, then each run's findings are re-encoded under the
-    merged indices into a shard table and unioned with
-    {!Gpu_fpx.Global_table.merge}. Runs without a detector contribute
-    nothing. *)
+val census : Runner.measurement list -> int * int
+(** [(locations, triplets)]: the sites the sweep's detectors
+    instrumented, each run's {!Runner.measurement.locations} interned
+    into one {!Gpu_fpx.Loc_table} in catalog order, and the unique
+    ⟨E_exce, E_loc, E_fp⟩ triplets among the detector findings under
+    those merged indices. BinFPE findings and runs without a detector
+    contribute nothing. *)
 
 val merged_metrics : Runner.measurement list -> Fpx_obs.Metrics.t option
 (** Fold {!Fpx_obs.Metrics.merge} over the runs' active sinks in

@@ -39,40 +39,18 @@ type result = {
 
 type _ Effect.t += Yield : unit Effect.t
 
-let detector_of (m : Runner.measurement) =
-  List.find_map
-    (function Gpu_fpx.Detector.Detector d -> Some d | _ -> None)
-    m.Runner.extras
-
-let outcome_of tenant m ~launches ~stats =
-  let records_seen, drains_delayed, records_stranded, backoff_k =
-    match detector_of m with
-    | Some d ->
-      ( Gpu_fpx.Detector.records_seen d,
-        Gpu_fpx.Detector.channel_drains_delayed d,
-        Gpu_fpx.Detector.channel_stranded d,
-        Gpu_fpx.Detector.adaptive_k d )
-    | None ->
-      let recv =
-        List.find_map
-          (function
-            | Fpx_binfpe.Binfpe.Binfpe b ->
-              Some (Fpx_binfpe.Binfpe.records_received b)
-            | _ -> None)
-          m.Runner.extras
-      in
-      (Option.value recv ~default:0, 0, 0, 0)
-  in
+let outcome_of tenant (m : Runner.measurement) ~launches ~stats =
+  let c = m.Runner.channel in
   {
     tenant;
     m;
     launches;
     total_cycles = Stats.total_cycles stats;
     contention_cycles = stats.Stats.contention_cycles;
-    records_seen;
-    drains_delayed;
-    records_stranded;
-    backoff_k;
+    records_seen = c.Runner.records_seen;
+    drains_delayed = c.Runner.drains_delayed;
+    records_stranded = c.Runner.records_stranded;
+    backoff_k = c.Runner.backoff_k;
   }
 
 let run ?(partition = Bandwidth.No_partition) ?(cost = Cost.default)

@@ -21,12 +21,15 @@ type outcome = {
       (** Portion lost to cross-tenant interference (0 solo or under
           full partitioning with an adequate allocation). *)
   records_seen : int;
-      (** Unique exception records the tool received host-side. *)
+      (** Unique exception records the detector received host-side
+          (BinFPE's total records received when no detector ran). *)
   drains_delayed : int;
-      (** Channel drains the shared memory path throttled. *)
+      (** The detector's channel drains the shared memory path
+          throttled (0 without a detector). *)
   records_stranded : int;
-      (** Records still queued when the stream ended — findings the
-          host never saw. *)
+      (** Records still queued in the detector's channel when the
+          stream ended — findings the host never saw (0 without a
+          detector). *)
   backoff_k : int;
       (** The detector's escalated FREQ-REDN-FACTOR (0 = never backed
           off). *)

@@ -9,40 +9,15 @@
     - {e before-instr} / {e after-instr}: the callbacks the tool plants
       with {!Inject.insert_before} / {!Inject.insert_after} inside
       {!S.instrument};
-    - {e on-drain}: {!S.on_drain}, after the kernel completes;
-    - {e report}: {!S.report}, the tool's host-side result.
+    - {e on-drain}: {!S.on_drain}, after the kernel completes.
 
-    The runtime and the harness know only this interface, so every tool
-    — and every stack of tools — flows through a single code path. *)
+    The runtime knows only this interface, so every tool — and every
+    stack of tools — flows through a single code path. What a tool found
+    is read from the concrete tool after the run, as plain data, by
+    whoever built it (the harness's [Runner]). *)
 
 module Exce = Exce
 module Inject = Inject
-
-type extra = ..
-(** Tool-specific report payloads. Each tool may declare its own
-    constructor (e.g. the analyzer's flow reports) and attach it to
-    {!report.extras}; consumers pattern-match on the constructors they
-    understand and ignore the rest. *)
-
-type extra += No_extra
-
-type report = {
-  counts : (Fpx_sass.Isa.fp_format * Exce.t * int) list;
-      (** Unique exception sites per (format, kind); non-zero cells only,
-          in FP64, FP32 × {!Exce.all} order. *)
-  log : string list;  (** Early-notification lines, in emission order. *)
-  degradations : string list;
-      (** Graceful-degradation events active on the tool. *)
-  extras : extra list;
-}
-
-val empty_report : report
-
-val cells_of :
-  (fmt:Fpx_sass.Isa.fp_format -> exce:Exce.t -> int) ->
-  (Fpx_sass.Isa.fp_format * Exce.t * int) list
-(** Build {!report.counts} from a per-cell counting function, keeping
-    only non-zero cells, in the canonical order. *)
 
 module type S = sig
   type t
@@ -64,8 +39,6 @@ module type S = sig
   val on_drain : t -> Fpx_gpu.Stats.t -> kernel:string -> unit
   (** Called after the kernel completes — where tools drain their
       channel and emit early notifications. *)
-
-  val report : t -> report
 end
 
 type instance = Instance : (module S with type t = 'a) * 'a -> instance
@@ -77,12 +50,9 @@ val should_instrument : instance -> kernel:string -> invocation:int -> bool
 val instrument : instance -> Fpx_sass.Program.t -> Inject.t -> unit
 val on_launch_begin : instance -> Fpx_gpu.Stats.t -> unit
 val on_drain : instance -> Fpx_gpu.Stats.t -> kernel:string -> unit
-val report : instance -> report
 
 val stack : instance list -> instance
 (** Compose tools: every member instruments the same kernel binary and
     drains after every launch. Instrumentation is all-or-nothing per
     launch, so the stack instruments whenever {e any} member's sampling
-    policy would. Its report keeps member order: counts are summed per
-    (format, kind) cell (each member counts its own unique locations),
-    logs, degradations and extras concatenate. *)
+    policy would. *)

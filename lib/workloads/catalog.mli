@@ -1,5 +1,5 @@
 (** The full evaluated-program catalog (paper Table 3: 151 programs) and
-    the case-study extras. *)
+    the extra case-study programs. *)
 
 val evaluated : Workload.t list
 (** The 151 programs of the evaluation, grouped by suite in Table 3

@@ -103,6 +103,12 @@ run "one run path" \
                   lib --include=*.ml --exclude-dir=gpu --exclude-dir=nvbit)" = \
               lib/harness/runner.ml'
 
+# Tool results are plain data: Runner reads the tools it built into the
+# measurement's own fields, so no open payload type and no tool handle
+# may come back into a result.
+run "tool results are plain data" \
+  sh -c '! grep -rnE "Fpx_tool\.extra|type extra|extras" lib bin'
+
 # No unreferenced exports: every lib/*/*.mli value is used outside its
 # own module, or is on scripts/exports.allow with the reason in its .mli
 # doc. The list must equal the allowlist, so it can only shrink.

@@ -361,6 +361,19 @@ let test_classify_table () =
   case "fp32 reading of the fp16 word" None ~fmt:Isa.FP32 ~div0:false
     0x7e003c00l 0l
 
+(* Without GT dedup the detector allocates no global table: a no-GT
+   detector is a few thousand words, not the 1 MiB (131 K words) table.
+   The device it reads is not part of the count. *)
+let test_no_gt_allocates_no_table () =
+  let det =
+    D.create ~config:{ D.default_config with D.use_gt = false }
+      (Gpu.Device.create ())
+  in
+  let words = Obj.reachable_words (Obj.repr det) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d reachable words" words)
+    true (words < 10_000)
+
 let suite =
   ( "detector",
     [ Alcotest.test_case "record encode/decode" `Quick test_encode_decode;
@@ -388,4 +401,6 @@ let suite =
       Alcotest.test_case "guarded-off lanes not checked" `Quick
         test_guarded_off_lanes_not_checked;
       Alcotest.test_case "CheckExce classify table" `Quick
-        test_classify_table ] )
+        test_classify_table;
+      Alcotest.test_case "no GT without use_gt" `Quick
+        test_no_gt_allocates_no_table ] )

@@ -181,15 +181,22 @@ let test_headline_claims () =
     (g R.Binfpe /. g detector > 5.0)
 
 (* A report plan holds every distinct result at once, so a measurement
-   must not pin its run's device: the 64 MiB global memory alone is
-   8.4 M words. The detector keeps only the fault plan and cost model it
-   reads. *)
+   must be plain data: no device (the 64 MiB global memory alone is
+   8.4 M words) and no tool (a detector's 1 MiB global table is 131 K
+   words). *)
 let test_measurement_holds_no_device () =
-  let m = R.run ~tool:detector (Catalog.find "GEMM") in
-  let words = Obj.reachable_words (Obj.repr m) in
-  Alcotest.(check bool)
-    (Printf.sprintf "%d reachable words" words)
-    true (words < 1_000_000)
+  List.iter
+    (fun tool ->
+      let m = R.run ~tool (Catalog.find "GEMM") in
+      let words = Obj.reachable_words (Obj.repr m) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d reachable words"
+           (R.tool_config_to_string tool) words)
+        true (words < 20_000))
+    [ detector;
+      R.Detector { Gpu_fpx.Detector.default_config with use_gt = false };
+      R.Binfpe;
+      R.Analyzer ]
 
 (* Artefacts that share runs render from one plan: the bytes equal the
    artefacts rendered one by one, and each distinct run sets up once.

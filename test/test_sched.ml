@@ -1,15 +1,14 @@
 (* The domain scheduler and the cross-shard merge machinery behind
    --jobs: results in input order for any job count, sequential
-   exception semantics, merge laws for the location/global tables and
-   the metrics registry, and the end-to-end property that a parallel
-   catalog sweep emits byte-identical reports — also under fault
-   injection and static pruning. *)
+   exception semantics, merge laws for the location table and the
+   metrics registry, the cross-run census, and the end-to-end property
+   that a parallel catalog sweep emits byte-identical reports — also
+   under fault injection and static pruning. *)
 
 module Sched = Fpx_sched.Sched
 module Sweep = Fpx_harness.Sweep
 module R = Fpx_harness.Runner
 module L = Gpu_fpx.Loc_table
-module G = Gpu_fpx.Global_table
 module M = Fpx_obs.Metrics
 module F = Fpx_fault.Fault
 
@@ -241,22 +240,27 @@ let test_loc_merge_first_seen () =
     [ "left.cu:1"; "k3.cu:3" ]
     (List.map (fun (en : L.entry) -> en.L.loc) (L.entries m))
 
-(* --- Global_table.merge ----------------------------------------------- *)
+(* --- Sweep.census ------------------------------------------------------ *)
 
-let test_gt_merge () =
-  let a = G.create () and b = G.create () in
-  ignore (G.test_and_set a 1 : bool);
-  ignore (G.test_and_set a 7 : bool);
-  ignore (G.test_and_set b 7 : bool);
-  ignore (G.test_and_set b 42 : bool);
-  let m = G.merge a b in
-  Alcotest.(check int) "union cardinal" 3 (G.cardinal m);
-  Alcotest.(check bool) "slot from left" true (G.mem m 1);
-  Alcotest.(check bool) "shared slot" true (G.mem m 7);
-  Alcotest.(check bool) "slot from right" true (G.mem m 42);
-  Alcotest.(check bool) "unset stays unset" false (G.mem m 2);
-  Alcotest.(check int) "left intact" 2 (G.cardinal a);
-  Alcotest.(check int) "right intact" 2 (G.cardinal b)
+(* The census of a catalog subset, pinned to the numbers the
+   Global_table-merge census printed for it (133 locations, 53 unique
+   triplets). A stack with BinFPE, in either order, counts the detector's
+   findings only, so it must agree, and BinFPE alone counts nothing. *)
+let test_census_pinned () =
+  let programs =
+    List.map Fpx_workloads.Catalog.find
+      [ "GRAMSCHM"; "LU"; "GEMM"; "hotspot"; "SRU-Example"; "CuMF-Movielens" ]
+  in
+  let det = R.Detector Gpu_fpx.Detector.default_config in
+  List.iter
+    (fun tool ->
+      Alcotest.(check (pair int int))
+        (R.tool_config_to_string tool)
+        (133, 53)
+        (Sweep.census (Sweep.run ~tool programs)))
+    [ det; R.Stack [ det; R.Binfpe ]; R.Stack [ R.Binfpe; det ] ];
+  Alcotest.(check (pair int int)) "BinFPE" (0, 0)
+    (Sweep.census (Sweep.run ~tool:R.Binfpe programs))
 
 (* --- Metrics: merge + deterministic export ---------------------------- *)
 
@@ -430,7 +434,8 @@ let suite =
         test_loc_merge_dedup_count;
       Alcotest.test_case "loc merge: first-seen wins" `Quick
         test_loc_merge_first_seen;
-      Alcotest.test_case "global-table merge" `Quick test_gt_merge;
+      Alcotest.test_case "census: catalog subset pinned" `Quick
+        test_census_pinned;
       Alcotest.test_case "metrics merge" `Quick test_metrics_merge;
       Alcotest.test_case "metrics merge: bucket mismatch" `Quick
         test_metrics_merge_bucket_mismatch;
