@@ -876,47 +876,47 @@ let tenancy_bench () =
     [ ( "solo",
         J.Obj
           [ ("cycles", int solo.Mt.total_cycles);
-            ("records_seen", int solo.Mt.records_seen) ] );
+            ("records_seen", int solo.Mt.m.R.channel.R.records_seen) ] );
       ( "no_partition",
         J.Obj
           [ ("cycles", int sv.Mt.total_cycles);
             ("contention_cycles", int sv.Mt.contention_cycles);
-            ("records_seen", int sv.Mt.records_seen);
-            ("drains_delayed", int sv.Mt.drains_delayed);
-            ("records_stranded", int sv.Mt.records_stranded) ] );
+            ("records_seen", int sv.Mt.m.R.channel.R.records_seen);
+            ("drains_delayed", int sv.Mt.m.R.channel.R.drains_delayed);
+            ("records_stranded", int sv.Mt.m.R.channel.R.records_stranded) ] );
       ( "compute_memory",
         J.Obj
           [ ("cycles", int fv.Mt.total_cycles);
             ("contention_cycles", int fv.Mt.contention_cycles);
-            ("records_seen", int fv.Mt.records_seen) ] ) ]
+            ("records_seen", int fv.Mt.m.R.channel.R.records_seen) ] ) ]
     ~gates:
       [ (* unpartitioned interference is measurable and corrupts the
            victim's findings *)
         ("interference_measurable",
          sv.Mt.contention_cycles > 0
-         && sv.Mt.records_stranded > 0
+         && sv.Mt.m.R.channel.R.records_stranded > 0
          && Mt.report_text sv <> solo_report);
         (* compute+memory partitioning restores the solo report *)
         ("victim_report_identical",
          Mt.report_text fv = solo_report
          && fv.Mt.contention_cycles = 0
-         && fv.Mt.drains_delayed = 0
-         && fv.Mt.records_stranded = 0);
+         && fv.Mt.m.R.channel.R.drains_delayed = 0
+         && fv.Mt.m.R.channel.R.records_stranded = 0);
         (* the co-run replays byte-identically *)
         ("deterministic",
          Mt.result_json (run Bw.No_partition) = Mt.result_json shared
          && Mt.result_json (run Bw.Compute_memory) = Mt.result_json fenced) ]
     ~lines:
       [ Printf.sprintf "victim solo:        %9d cycles, %d records seen"
-          solo.Mt.total_cycles solo.Mt.records_seen;
+          solo.Mt.total_cycles solo.Mt.m.R.channel.R.records_seen;
         Printf.sprintf
           "shared (none):      %9d cycles (+%d contention), %d seen, %d \
            drains delayed, %d stranded"
-          sv.Mt.total_cycles sv.Mt.contention_cycles sv.Mt.records_seen
-          sv.Mt.drains_delayed sv.Mt.records_stranded;
+          sv.Mt.total_cycles sv.Mt.contention_cycles sv.Mt.m.R.channel.R.records_seen
+          sv.Mt.m.R.channel.R.drains_delayed sv.Mt.m.R.channel.R.records_stranded;
         Printf.sprintf
           "shared (comp+mem):  %9d cycles (+%d contention), %d seen"
-          fv.Mt.total_cycles fv.Mt.contention_cycles fv.Mt.records_seen ]
+          fv.Mt.total_cycles fv.Mt.contention_cycles fv.Mt.m.R.channel.R.records_seen ]
 
 (* --- Artefact printing --------------------------------------------------- *)
 

@@ -1546,8 +1546,8 @@ let print_mt_summary (r : Mt.result) =
         (R.tool_config_to_string o.Mt.tenant.Tenant.tool)
         (R.status_to_string o.Mt.m.R.status)
         o.Mt.launches o.Mt.total_cycles o.Mt.contention_cycles
-        o.Mt.records_seen o.Mt.m.R.records o.Mt.drains_delayed
-        o.Mt.records_stranded o.Mt.backoff_k)
+        o.Mt.m.R.channel.R.records_seen o.Mt.m.R.records o.Mt.m.R.channel.R.drains_delayed
+        o.Mt.m.R.channel.R.records_stranded o.Mt.m.R.channel.R.backoff_k)
     r.Mt.outcomes
 
 let mt_run_cmd =

@@ -10,21 +10,27 @@ type finding = {
   exce : Exce.t;
 }
 
-(* What crosses the channel: the raw destination value plus enough
-   context for host-side classification. *)
-type record = {
-  r_kernel : string;
-  r_pc : int;
-  r_loc : string;
-  r_fmt : Isa.fp_format;
-  r_rcp : bool;  (** destination of a MUFU reciprocal-class op *)
-  r_lo : int32;
-  r_hi : int32;  (** meaningful only for FP64 *)
+(* What crosses the channel is a packet: a site id plus the raw
+   destination words (the high word only for FP64). The site array,
+   built at instrument time, holds everything else the host needs to
+   classify the value. [cls] numbers the distinct (kernel, pc, format)
+   keys the host dedups findings on; [seen] holds one bit per exception
+   kind for each. *)
+type site = {
+  kernel : string;
+  pc : int;
+  loc : string;
+  fmt : Isa.fp_format;
+  div0 : bool;  (** destination of a MUFU reciprocal-class op *)
+  cls : int;
 }
 
 type t = {
-  channel : record Channel.t;
-  seen : (string * int * Isa.fp_format * Exce.t, unit) Hashtbl.t;
+  channel : Channel.t;
+  mutable sites : site array;
+  mutable n_sites : int;
+  classes : (string * int * Isa.fp_format, int) Hashtbl.t;
+  mutable seen : Bytes.t;  (** per class: a bitmask of exception kinds *)
   mutable findings_rev : finding list;
   mutable received : int;
 }
@@ -34,10 +40,32 @@ let create (device : Device.t) =
     channel =
       Channel.create ~fault:device.Device.fault ?bw:device.Device.bw
         ~cost:device.Device.cost ();
-    seen = Hashtbl.create 64;
+    sites = [||];
+    n_sites = 0;
+    classes = Hashtbl.create 64;
+    seen = Bytes.empty;
     findings_rev = [];
     received = 0;
   }
+
+let add_site t ~kernel ~pc ~loc ~fmt ~div0 =
+  let cls =
+    match Hashtbl.find_opt t.classes (kernel, pc, fmt) with
+    | Some c -> c
+    | None ->
+      let c = Hashtbl.length t.classes in
+      Hashtbl.add t.classes (kernel, pc, fmt) c;
+      if c >= Bytes.length t.seen then
+        t.seen <- Bytes.extend t.seen 0 (max 64 (Bytes.length t.seen));
+      Bytes.set_uint8 t.seen c 0;
+      c
+  in
+  let s = { kernel; pc; loc; fmt; div0; cls } in
+  if t.n_sites = Array.length t.sites then
+    t.sites <- Array.append t.sites (Array.make (max 64 t.n_sites) s);
+  t.sites.(t.n_sites) <- s;
+  t.n_sites <- t.n_sites + 1;
+  t.n_sites - 1
 
 (* BinFPE's instrumentation set: FP arithmetic only. FP16 is not
    supported (BinFPE predates the extension) and the control-flow
@@ -53,10 +81,10 @@ let instrument t prog b =
       match plan i with
       | None -> ()
       | Some p ->
-        let r_kernel = prog.Program.mangled
-        and r_pc = i.Instr.pc
-        and r_loc = Instr.loc_string i in
-        let r_fmt = Site.fmt p and r_rcp = Site.is_div0 p in
+        let id =
+          add_site t ~kernel:prog.Program.mangled ~pc:i.Instr.pc
+            ~loc:(Instr.loc_string i) ~fmt:(Site.fmt p) ~div0:(Site.is_div0 p)
+        in
         let lo, hi =
           match p with
           | Site.Check_64 (lo, hi) | Site.Div0_64 (lo, hi) -> (lo, Some hi)
@@ -66,47 +94,37 @@ let instrument t prog b =
           ~n_values:(Site.n_values p) (fun ctx api ->
             List.iter
               (fun lane ->
-                let record =
-                  {
-                    r_kernel;
-                    r_pc;
-                    r_loc;
-                    r_fmt;
-                    r_rcp;
-                    r_lo = api.Exec.read_reg ~lane lo;
-                    r_hi =
-                      (match hi with
-                      | Some hi -> api.Exec.read_reg ~lane hi
-                      | None -> 0l);
-                  }
-                in
-                Channel.push t.channel ~stats:ctx.Exec.stats record)
+                Channel.push t.channel ~stats:ctx.Exec.stats id
+                  (Int32.to_int (api.Exec.read_reg ~lane lo))
+                  (match hi with
+                  | Some hi -> Int32.to_int (api.Exec.read_reg ~lane hi)
+                  | None -> 0))
               api.Exec.executing_lanes))
     prog.Program.instrs
 
+let kind_bit = function
+  | Exce.Nan -> 1
+  | Exce.Inf -> 2
+  | Exce.Sub -> 4
+  | Exce.Div0 -> 8
+
+(* Host-side classification of one received value; a finding is new
+   the first time its (kernel, pc, format, kind) shows up. *)
+let receive t id lo hi =
+  let s = t.sites.(id) in
+  match Exce.classify ~fmt:s.fmt ~div0:s.div0 (Int32.of_int lo) (Int32.of_int hi) with
+  | None -> ()
+  | Some exce ->
+    let mask = Bytes.get_uint8 t.seen s.cls and bit = kind_bit exce in
+    if mask land bit = 0 then begin
+      Bytes.set_uint8 t.seen s.cls (mask lor bit);
+      t.findings_rev <-
+        { kernel = s.kernel; pc = s.pc; loc = s.loc; fmt = s.fmt; exce }
+        :: t.findings_rev
+    end
+
 let on_launch_end t stats =
-  let records = Channel.drain t.channel ~stats in
-  t.received <- t.received + List.length records;
-  List.iter
-    (fun r ->
-      (* host-side classification of the received value *)
-      match Exce.classify ~fmt:r.r_fmt ~div0:r.r_rcp r.r_lo r.r_hi with
-      | None -> ()
-      | Some exce ->
-        let key = (r.r_kernel, r.r_pc, r.r_fmt, exce) in
-        if not (Hashtbl.mem t.seen key) then begin
-          Hashtbl.add t.seen key ();
-          t.findings_rev <-
-            {
-              kernel = r.r_kernel;
-              pc = r.r_pc;
-              loc = r.r_loc;
-              fmt = r.r_fmt;
-              exce;
-            }
-            :: t.findings_rev
-        end)
-    records
+  t.received <- t.received + Channel.drain t.channel ~stats (receive t)
 
 let findings t = List.rev t.findings_rev
 

@@ -78,7 +78,12 @@ type t = {
   max_per_site : int;
   sampling : Sampling.t;
   track_stores : bool;
-  channel : report Channel.t;
+  channel : Channel.t;  (** packets: an index into [sent], 0, 0 *)
+  mutable sent : report array;
+      (** Side table of the rich reports the channel's packets point
+          at, in push order; rewound once a drain leaves nothing
+          queued. *)
+  mutable n_sent : int;
   site_counts : (string * int * state, int) Hashtbl.t;
   escape_seen : (string * int * Kind.t, unit) Hashtbl.t;
   mutable reports_rev : report list;
@@ -95,6 +100,8 @@ let create ?(max_reports_per_site = 2) ?(sampling = Sampling.always)
     channel =
       Channel.create ~fault:device.Device.fault ?bw:device.Device.bw
         ~cost:device.Device.cost ();
+    sent = [||];
+    n_sent = 0;
     site_counts = Hashtbl.create 64;
     escape_seen = Hashtbl.create 64;
     reports_rev = [];
@@ -197,6 +204,15 @@ let instrument_store t prog b (i : Instr.t) reg =
           | Kind.Subnormal | Kind.Zero | Kind.Normal -> ())
         api.Exec.executing_lanes)
 
+(* Ship a report: it goes into the side table, its index over the
+   channel. *)
+let send t (ctx : Exec.ctx) r =
+  if t.n_sent = Array.length t.sent then
+    t.sent <- Array.append t.sent (Array.make (max 16 t.n_sent) r);
+  t.sent.(t.n_sent) <- r;
+  Channel.push t.channel ~stats:ctx.Exec.stats t.n_sent 0 0;
+  t.n_sent <- t.n_sent + 1
+
 let instrument t prog b =
   let dec = Decode.program prog in
   let uop (i : Instr.t) = dec.Decode.entries.(i.Instr.pc).Decode.uop in
@@ -275,7 +291,7 @@ let instrument t prog b =
                           [ ("kernel", Fpx_obs.Span.S prog.Program.mangled);
                             ("loc", Fpx_obs.Span.S (Instr.loc_string i)) ]
                         ());
-                    Channel.push t.channel ~stats:ctx.Exec.stats
+                    send t ctx
                       {
                         state;
                         kernel = prog.Program.mangled;
@@ -290,7 +306,14 @@ let instrument t prog b =
     prog.Program.instrs
 
 let on_drain t stats =
-  let rs = Channel.drain t.channel ~stats in
+  let n =
+    Channel.drain t.channel ~stats (fun i _ _ ->
+        t.reports_rev <- t.sent.(i) :: t.reports_rev)
+  in
+  if Channel.queued t.channel = 0 then begin
+    t.sent <- [||];
+    t.n_sent <- 0
+  end;
   (match t.obs with
   | None -> ()
   | Some a ->
@@ -299,9 +322,8 @@ let on_drain t stats =
       ~ts:(Fpx_obs.Sink.now a ~launch_cycles:(Stats.total_cycles stats))
       ~args:
         [ ("tool", Fpx_obs.Span.S "analyzer");
-          ("records", Fpx_obs.Span.I (List.length rs)) ]
-      ());
-  t.reports_rev <- List.rev_append rs t.reports_rev
+          ("records", Fpx_obs.Span.I n) ]
+      ())
 
 let reports t = List.rev t.reports_rev
 

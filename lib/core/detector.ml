@@ -30,7 +30,7 @@ type t = {
       (** [None] without dedup: the phase-1 configuration, or after an
           injected GT-allocation failure forced the fallback. *)
   locs : Loc_table.t;
-  channel : int Channel.t;
+  channel : Channel.t;  (** packets: an {!Exce.encode} index, 0, 0 *)
   seen_host : (int, unit) Hashtbl.t;
   mutable findings_rev : finding list;
   mutable log_rev : string list;
@@ -117,7 +117,7 @@ let exce_of_idx = [| Exce.Nan; Exce.Inf; Exce.Sub; Exce.Div0 |]
    it must allocate nothing. *)
 let push_record t (ctx : Exec.ctx) (api : Exec.warp_api) ~kernel ~loc ~fmt e
     idx =
-  let delivered = Channel.try_push t.channel ~stats:ctx.Exec.stats idx in
+  let delivered = Channel.try_push t.channel ~stats:ctx.Exec.stats idx 0 0 in
   (if delivered then
      match t.obs with
      | None -> ()
@@ -253,25 +253,22 @@ let line_of_finding t f =
   Buffer.add_char b ']';
   Buffer.contents b
 
-(* Absorb drained records without a per-drain closure; only indices not
-   yet seen host-side allocate anything (their finding + log line). *)
-let rec absorb t = function
-  | [] -> ()
-  | idx :: rest ->
-    if not (Hashtbl.mem t.seen_host idx) then begin
-      Hashtbl.add t.seen_host idx ();
-      let loc, fmt, exce = Exce.decode idx in
-      (match Loc_table.entry t.locs loc with
-      | entry ->
-        let f = { entry; fmt; exce } in
-        t.findings_rev <- f :: t.findings_rev;
-        t.log_rev <- line_of_finding t f :: t.log_rev
-      | exception Not_found -> ())
-    end;
-    absorb t rest
+(* Absorb one drained record; only indices not yet seen host-side
+   allocate anything (their finding + log line). *)
+let absorb t idx _ _ =
+  if not (Hashtbl.mem t.seen_host idx) then begin
+    Hashtbl.add t.seen_host idx ();
+    let loc, fmt, exce = Exce.decode idx in
+    match Loc_table.entry t.locs loc with
+    | entry ->
+      let f = { entry; fmt; exce } in
+      t.findings_rev <- f :: t.findings_rev;
+      t.log_rev <- line_of_finding t f :: t.log_rev
+    | exception Not_found -> ()
+  end
 
 let on_launch_end t stats ~kernel:_ =
-  let idxs = Channel.drain t.channel ~stats in
+  let n = Channel.drain t.channel ~stats (absorb t) in
   (match t.obs with
   | None -> ()
   | Some a ->
@@ -280,14 +277,13 @@ let on_launch_end t stats ~kernel:_ =
       ~ts:(Fpx_obs.Sink.now a ~launch_cycles:(Stats.total_cycles stats))
       ~args:
         [ ("tool", Fpx_obs.Span.S "detector");
-          ("records", Fpx_obs.Span.I (List.length idxs)) ]
+          ("records", Fpx_obs.Span.I n) ]
       ();
     Fpx_obs.Metrics.set
       (Fpx_obs.Metrics.gauge a.Fpx_obs.Sink.metrics
          ~help:"Global-table slots in use (unique exception records)"
          "fpx_gt_occupancy")
       (float_of_int (gt_cardinal t)));
-  absorb t idxs;
   (* Adaptive backoff: a launch that floods the channel is a sign the
      congestion stalls are about to snowball into a hang; trade coverage
      for survival by undersampling subsequent invocations harder. On a

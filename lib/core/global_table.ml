@@ -1,26 +1,47 @@
-type t = { slots : Bytes.t; mutable cardinal : int }
+(* One byte per slot, in chunks of [chunk] slots allocated on the first
+   mark that falls in them: a run marks a handful of sites, so it backs
+   a few KiB of the 2^20-slot table instead of all of it. *)
+let chunk_bits = 12
+let chunk = 1 lsl chunk_bits
+
+type t = { chunks : Bytes.t array; mutable cardinal : int }
 
 let create () =
-  { slots = Bytes.make Fpx_tool.Exce.table_slots '\000'; cardinal = 0 }
+  {
+    chunks = Array.make (Fpx_tool.Exce.table_slots lsr chunk_bits) Bytes.empty;
+    cardinal = 0;
+  }
+
+let mem t idx =
+  let c = t.chunks.(idx lsr chunk_bits) in
+  Bytes.length c > 0 && Bytes.get c (idx land (chunk - 1)) <> '\000'
 
 let test_and_set t idx =
-  if Bytes.get t.slots idx = '\000' then begin
-    Bytes.set t.slots idx '\001';
+  let c = t.chunks.(idx lsr chunk_bits) in
+  let c =
+    if Bytes.length c > 0 then c
+    else begin
+      let c = Bytes.make chunk '\000' in
+      t.chunks.(idx lsr chunk_bits) <- c;
+      c
+    end
+  in
+  let i = idx land (chunk - 1) in
+  if Bytes.get c i = '\000' then begin
+    Bytes.set c i '\001';
     t.cardinal <- t.cardinal + 1;
     true
   end
   else false
 
-let mem t idx = Bytes.get t.slots idx <> '\000'
-
 let reset t idx =
-  if Bytes.get t.slots idx <> '\000' then begin
-    Bytes.set t.slots idx '\000';
+  if mem t idx then begin
+    Bytes.set t.chunks.(idx lsr chunk_bits) (idx land (chunk - 1)) '\000';
     t.cardinal <- t.cardinal - 1
   end
 
 let cardinal t = t.cardinal
 
 let clear t =
-  Bytes.fill t.slots 0 (Bytes.length t.slots) '\000';
+  Array.fill t.chunks 0 (Array.length t.chunks) Bytes.empty;
   t.cardinal <- 0

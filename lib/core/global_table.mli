@@ -1,7 +1,8 @@
 (** The global table GT (paper §3.1.2): a device-resident table with one
     slot per possible exception record, giving O(1) dedup of
     ⟨E_exce, E_loc, E_fp⟩ triplets so a record crosses the GPU→CPU
-    channel at most once. *)
+    channel at most once. Slots are backed in chunks on first use, so
+    a run that marks a few sites does not pay for the whole table. *)
 
 type t
 

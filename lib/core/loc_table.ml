@@ -31,9 +31,3 @@ let entries t =
   Hashtbl.fold (fun idx e acc -> (idx, e) :: acc) t.by_index []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> List.map snd
-
-let merge a b =
-  let t = create () in
-  List.iter (fun e -> ignore (intern t e : int)) (entries a);
-  List.iter (fun e -> ignore (intern t e : int)) (entries b);
-  t

@@ -21,11 +21,3 @@ val size : t -> int
 
 val entries : t -> entry list
 (** All interned entries in index (first-seen) order. *)
-
-val merge : t -> t -> t
-(** [merge a b] is a fresh table holding [a]'s entries (keeping their
-    first-seen order) followed by [b]'s entries not already present —
-    (kernel, pc) keys dedup left-biased, so merging per-domain shard
-    tables in a stable shard order yields indices independent of how
-    work was split. Neither input is mutated; all state is per-[t]
-    (there is no hidden global state in this module). *)

@@ -1,16 +1,21 @@
 module Fault = Fpx_fault.Fault
 
-(* Each record crosses the channel with a checksum so in-transit
-   corruption is detected at the host and discarded instead of being
-   mis-decoded. Hashtbl.hash is deterministic on immutable payloads,
-   which keeps seeded fault runs byte-identical. *)
-type 'a slot = { payload : 'a; sum : int }
+(* Packets are [width] consecutive ints of [buf]: the three payload
+   words and a checksum over them, so in-transit corruption is detected
+   at the host and discarded instead of being mis-decoded. Pending
+   packets are [head, tail) (in packets); a drain that empties the
+   queue rewinds both to 0. When the tail reaches the end, the pending
+   packets slide down to the start if they and the new one fit in half
+   the buffer; otherwise the buffer doubles. *)
+let width = 4
 
-type 'a t = {
+type t = {
   cost : Cost.t;
   fault : Fault.plan;
   bw : Bandwidth.binding option;
-  queue : 'a slot Queue.t;
+  mutable buf : int array;
+  mutable head : int;
+  mutable tail : int;
   mutable launch_pushes : int;
   mutable dropped : int;
   mutable corrupt_detected : int;
@@ -19,14 +24,16 @@ type 'a t = {
   mutable drains_delayed : int;
 }
 
-let checksum x = Hashtbl.hash x
+let checksum a b c = (((a * 0x9E3779B1) lxor b) * 0x85EBCA77) lxor c
 
 let create ?(fault = Fault.none) ?bw ~cost () =
   {
     cost;
     fault;
     bw;
-    queue = Queue.create ();
+    buf = [||];
+    head = 0;
+    tail = 0;
     launch_pushes = 0;
     dropped = 0;
     corrupt_detected = 0;
@@ -34,6 +41,25 @@ let create ?(fault = Fault.none) ?bw ~cost () =
     retries = 0;
     drains_delayed = 0;
   }
+
+let enqueue t a b c sum =
+  if (t.tail + 1) * width > Array.length t.buf then begin
+    let pending = t.tail - t.head in
+    let buf =
+      if Array.length t.buf >= 2 * (pending + 1) * width then t.buf
+      else Array.make (max (64 * width) (2 * Array.length t.buf)) 0
+    in
+    Array.blit t.buf (t.head * width) buf 0 (pending * width);
+    t.buf <- buf;
+    t.head <- 0;
+    t.tail <- pending
+  end;
+  let i = t.tail * width in
+  t.buf.(i) <- a;
+  t.buf.(i + 1) <- b;
+  t.buf.(i + 2) <- c;
+  t.buf.(i + 3) <- sum;
+  t.tail <- t.tail + 1
 
 let new_launch t = t.launch_pushes <- 0
 
@@ -65,16 +91,16 @@ let charge_push t ~(stats : Stats.t) =
     let stall = Bandwidth.push_stall b.Bandwidth.meter ~tenant:b.Bandwidth.tenant in
     if stall > 0 then stats.contention_cycles <- stats.contention_cycles + stall
 
-let try_push t ~(stats : Stats.t) x =
+let try_push t ~(stats : Stats.t) a b c =
   t.launch_pushes <- t.launch_pushes + 1;
   stats.records_pushed <- stats.records_pushed + 1;
   charge_push t ~stats;
   match Fault.active t.fault with
   | None ->
-    Queue.push { payload = x; sum = checksum x } t.queue;
+    enqueue t a b c (checksum a b c);
     true
-  | Some a ->
-    if Fault.fire a Fault.Channel_stall then begin
+  | Some fa ->
+    if Fault.fire fa Fault.Channel_stall then begin
       stats.tool_cycles <- stats.tool_cycles + t.cost.stall_burst;
       stats.fault_cycles <- stats.fault_cycles + t.cost.stall_burst
     end;
@@ -82,15 +108,16 @@ let try_push t ~(stats : Stats.t) x =
        [retry_limit] times, each attempt paying a doubling backoff;
        only exhausting the retries actually loses the record. *)
     let rec attempt k =
-      if not (Fault.roll a Fault.Channel_drop) then begin
+      if not (Fault.roll fa Fault.Channel_drop) then begin
         let sum =
-          if Fault.fire a Fault.Channel_corrupt then
+          if Fault.fire fa Fault.Channel_corrupt then
             (* garbled in transit: the stored checksum no longer matches
                the payload, so the drain detects and discards it *)
-            checksum x lxor (1 lsl (Fault.draw a Fault.Channel_corrupt mod 30))
-          else checksum x
+            checksum a b c
+            lxor (1 lsl (Fault.draw fa Fault.Channel_corrupt mod 30))
+          else checksum a b c
         in
-        Queue.push { payload = x; sum } t.queue;
+        enqueue t a b c sum;
         true
       end
       else if k < t.cost.retry_limit then begin
@@ -101,26 +128,27 @@ let try_push t ~(stats : Stats.t) x =
         attempt (k + 1)
       end
       else begin
-        Fault.note a Fault.Channel_drop;
+        Fault.note fa Fault.Channel_drop;
         t.dropped <- t.dropped + 1;
         false
       end
     in
     attempt 0
 
-let push t ~stats x = ignore (try_push t ~stats x : bool)
+let push t ~stats a b c = ignore (try_push t ~stats a b c : bool)
 
-let drain t ~(stats : Stats.t) =
-  let n = Queue.length t.queue in
+let drain t ~(stats : Stats.t) f =
+  let n = t.tail - t.head in
   match Fault.active t.fault with
   | Some a when n > 0 && Fault.fire a Fault.Drain_fail ->
     (* the host-side consumer failed mid-drain: everything pending is
        lost, but the cycles for the attempt were still paid *)
-    Queue.clear t.queue;
+    t.head <- 0;
+    t.tail <- 0;
     t.drain_failures <- t.drain_failures + 1;
     stats.host_cycles <- stats.host_cycles + (n * t.cost.host_per_record);
     stats.fault_cycles <- stats.fault_cycles + (n * t.cost.host_per_record);
-    []
+    0
   | _ ->
     (* On a saturated shared memory path the host consumer only gets a
        budget of records per drain; the rest stay queued for the next
@@ -137,13 +165,23 @@ let drain t ~(stats : Stats.t) =
     let budget = min n budget in
     if budget < n then t.drains_delayed <- t.drains_delayed + 1;
     stats.host_cycles <- stats.host_cycles + (budget * t.cost.host_per_record);
-    let out = ref [] in
+    let delivered = ref 0 in
     for _ = 1 to budget do
-      let s = Queue.pop t.queue in
-      if checksum s.payload = s.sum then out := s.payload :: !out
+      let i = t.head * width in
+      let a = t.buf.(i) and b = t.buf.(i + 1) and c = t.buf.(i + 2) in
+      let sum = t.buf.(i + 3) in
+      t.head <- t.head + 1;
+      if checksum a b c = sum then begin
+        incr delivered;
+        f a b c
+      end
       else t.corrupt_detected <- t.corrupt_detected + 1
     done;
-    List.rev !out
+    if t.head = t.tail then begin
+      t.head <- 0;
+      t.tail <- 0
+    end;
+    !delivered
 
 let pushed_this_launch t = t.launch_pushes
 let dropped t = t.dropped
@@ -151,5 +189,5 @@ let corrupt_detected t = t.corrupt_detected
 let drain_failures t = t.drain_failures
 let retries t = t.retries
 let drains_delayed t = t.drains_delayed
-let queued t = Queue.length t.queue
+let queued t = t.tail - t.head
 let effective_capacity t = capacity_now t

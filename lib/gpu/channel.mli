@@ -6,6 +6,12 @@
     the congestion that makes BinFPE hang on chatty programs and that
     GPU-FPX's global-table dedup avoids (paper §4.2).
 
+    A record is a fixed-size packet of three ints, as NVBit's channel
+    is a buffer of fixed-size packets: each tool encodes what it ships
+    into them (an exception-record index, a site id and a value's two
+    words, an index into a side table). Packets live in one growable
+    int buffer, so a push allocates nothing once it has grown.
+
     Records carry a checksum so that injected in-transit corruption
     (see {!Fpx_fault.Fault}) is detected at the host and the record
     discarded rather than mis-decoded. With an active fault plan a push
@@ -15,14 +21,14 @@
     {!Fpx_fault.Fault.none} the channel is exact: every record arrives,
     in push order. *)
 
-type 'a t
+type t
 
 val create :
   ?fault:Fpx_fault.Fault.plan ->
   ?bw:Bandwidth.binding ->
   cost:Cost.t ->
   unit ->
-  'a t
+  t
 (** [fault] defaults to {!Fpx_fault.Fault.none}; pass the device's plan
     to subject this channel to injection. [bw] (absent by default) ties
     the channel to a shared multi-tenant {!Bandwidth} meter: neighbour
@@ -31,49 +37,51 @@ val create :
     {!Bandwidth.partition.Compute_memory}, where the reserved lane makes
     the channel behave exactly as if unmetered. *)
 
-val new_launch : 'a t -> unit
+val new_launch : t -> unit
 (** Reset the per-launch congestion counter. *)
 
-val push : 'a t -> stats:Stats.t -> 'a -> unit
+val push : t -> stats:Stats.t -> int -> int -> int -> unit
+(** [push t ~stats a b c] sends the packet [(a, b, c)]. *)
 
-val try_push : 'a t -> stats:Stats.t -> 'a -> bool
+val try_push : t -> stats:Stats.t -> int -> int -> int -> bool
 (** Like {!push} but reports delivery: [false] means the record was
     dropped by an injected fault after exhausting its retries (callers
     with replay machinery — the detector's global table — can undo their
     dedup mark so the record gets another chance later). *)
 
-val drain : 'a t -> stats:Stats.t -> 'a list
-(** Receive pending records in push order, charging
-    [cost.host_per_record] host cycles each. Corrupted records are
-    counted (see {!corrupt_detected}) and dropped. On a meter-bound
+val drain : t -> stats:Stats.t -> (int -> int -> int -> unit) -> int
+(** [drain t ~stats f] receives pending records in push order, calling
+    [f a b c] on each, and returns how many it delivered. Each record
+    consumed costs [cost.host_per_record] host cycles. Corrupted records
+    are counted (see {!corrupt_detected}) and dropped. On a meter-bound
     channel a saturated shared memory path caps how many records one
-    drain may consume ({!Bandwidth.drain_budget}); the rest stay queued
-    and {!drains_delayed} is incremented. *)
+    drain may consume ({!Bandwidth.drain_budget}); the rest stay queued,
+    in order, and {!drains_delayed} is incremented. *)
 
-val pushed_this_launch : 'a t -> int
+val pushed_this_launch : t -> int
 
-val dropped : 'a t -> int
+val dropped : t -> int
 (** Records lost to injected push failures (after retries). *)
 
-val corrupt_detected : 'a t -> int
+val corrupt_detected : t -> int
 (** Records whose checksum failed at drain time. Public, with
     {!dropped}, {!drain_failures} and {!retries}, as the channel's
     fault counters. *)
 
-val drain_failures : 'a t -> int
+val drain_failures : t -> int
 (** Drains an injected drain fault made fail. *)
 
-val retries : 'a t -> int
+val retries : t -> int
 
-val drains_delayed : 'a t -> int
+val drains_delayed : t -> int
 (** Drains that could not consume everything pending because neighbour
     traffic capped their budget. *)
 
-val queued : 'a t -> int
+val queued : t -> int
 (** Records still pending delivery (stranded findings if the run is
     over). *)
 
-val effective_capacity : 'a t -> int
+val effective_capacity : t -> int
 (** The per-launch congestion threshold currently in force:
     [cost.channel_capacity], narrowed by neighbour traffic when the
     channel is bound to a shared {!Bandwidth} meter. *)

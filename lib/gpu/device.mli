@@ -26,6 +26,7 @@ val create :
   ?bw:Bandwidth.binding ->
   unit ->
   t
-(** Default: 64 MiB of global memory, {!Cost.default}, name
+(** Default: 64 MiB of global memory — the logical size {!Memory}
+    bounds accesses by; a fresh device backs one 4 KiB page of it, {!Cost.default}, name
     ["SM-SIM (RTX 2070 SUPER model)"], observability and fault injection
     disabled, no bandwidth meter. *)

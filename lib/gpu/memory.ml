@@ -1,6 +1,20 @@
-type t = { buf : Bytes.t; mutable brk : int }
+(* The logical space is [size] bytes, but only what a run uses is
+   backed. [dense] backs [0, Bytes.length dense): it covers [brk] and
+   only [alloc] grows it, doubling in whole pages. A store at or above
+   its end lands in a sparse 4 KiB page, so an address a campaign flip
+   corrupted costs one page, not a dense prefix up to it. Every byte
+   nobody stored reads as zero. *)
+type t = {
+  size : int;
+  mutable dense : Bytes.t;
+  mutable brk : int;
+  pages : (int, Bytes.t) Hashtbl.t;  (** page number -> page *)
+}
 
 exception Fault of { addr : int; size : int }
+
+let page_bits = 12
+let page = 1 lsl page_bits
 
 (* Deterministic garbage for fresh allocations: a cheap xorshift keyed on
    the address, giving stable "uninitialised memory" contents across runs
@@ -13,52 +27,116 @@ let garbage_byte addr =
 
 (* [digest] hashes [0, brk): the reserved null page and the 16-byte
    alignment gaps between allocations are inside that window, so they
-   must hold defined bytes — [Bytes.create] contents depend on what the
-   allocator recycles. Zero, because fresh mappings are zero-filled and
-   recorded campaign baselines were produced that way. *)
+   hold zeros, like every other byte nobody stored. *)
 let create ~size_bytes =
-  let buf = Bytes.create size_bytes in
-  Bytes.fill buf 0 16 '\000';
-  { buf; brk = 16 }
+  {
+    size = size_bytes;
+    dense = Bytes.make (min size_bytes page) '\000';
+    brk = 16;
+    pages = Hashtbl.create 1;
+  }
 
-let size t = Bytes.length t.buf
+let size t = t.size
 
-let bounds t ~addr ~size:n =
-  if addr < 0 || addr + n > Bytes.length t.buf then raise (Fault { addr; size = n })
+(* Back [0, n) densely: double (in whole pages, capped at [size]) and
+   move every sparse page the new prefix now covers into it. *)
+let reserve t n =
+  let old = Bytes.length t.dense in
+  if n > old then begin
+    let len = min t.size (max (2 * old) ((n + page - 1) land lnot (page - 1))) in
+    let dense = Bytes.create len in
+    Bytes.blit t.dense 0 dense 0 old;
+    Bytes.fill dense old (len - old) '\000';
+    if Hashtbl.length t.pages > 0 then
+      Hashtbl.filter_map_inplace
+        (fun p pg ->
+          let base = p lsl page_bits in
+          if base < len then begin
+            Bytes.blit pg 0 dense base (min page (len - base));
+            None
+          end
+          else Some pg)
+        t.pages;
+    t.dense <- dense
+  end
 
 let alloc t ~bytes =
   let addr = (t.brk + 15) / 16 * 16 in
-  if addr + bytes > Bytes.length t.buf then
-    raise (Fault { addr; size = bytes });
-  Bytes.fill t.buf t.brk (addr - t.brk) '\000';
+  if addr + bytes > t.size then raise (Fault { addr; size = bytes });
+  reserve t (addr + bytes);
+  Bytes.fill t.dense t.brk (addr - t.brk) '\000';
   t.brk <- addr + bytes;
   for k = 0 to bytes - 1 do
-    Bytes.set_uint8 t.buf (addr + k) (garbage_byte (addr + k))
+    Bytes.set_uint8 t.dense (addr + k) (garbage_byte (addr + k))
   done;
   addr
 
 let alloc_zeroed t ~bytes =
   let addr = alloc t ~bytes in
-  Bytes.fill t.buf addr bytes '\000';
+  Bytes.fill t.dense addr bytes '\000';
   addr
 
-let digest t = Digest.to_hex (Digest.subbytes t.buf 0 t.brk)
+let digest t = Digest.to_hex (Digest.subbytes t.dense 0 t.brk)
+
+(* Accesses that are not wholly inside [dense]: bounds-checked against
+   the logical size, then served byte by byte from the sparse pages, so
+   one that straddles the dense end or a page boundary needs no special
+   case. Only accesses at or above the dense end take this path. *)
+let get_byte t a =
+  if a < Bytes.length t.dense then Bytes.get_uint8 t.dense a
+  else
+    match Hashtbl.find_opt t.pages (a lsr page_bits) with
+    | None -> 0
+    | Some pg -> Bytes.get_uint8 pg (a land (page - 1))
+
+let set_byte t a v =
+  if a < Bytes.length t.dense then Bytes.set_uint8 t.dense a v
+  else begin
+    let p = a lsr page_bits in
+    let pg =
+      match Hashtbl.find_opt t.pages p with
+      | Some pg -> pg
+      | None ->
+        let pg = Bytes.make page '\000' in
+        Hashtbl.add t.pages p pg;
+        pg
+    in
+    Bytes.set_uint8 pg (a land (page - 1)) v
+  end
+
+(* Little-endian, [n] <= 8 bytes, as an int64. *)
+let load_slow t ~addr ~size:n =
+  if addr < 0 || addr + n > t.size then raise (Fault { addr; size = n });
+  let v = ref 0L in
+  for k = n - 1 downto 0 do
+    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (get_byte t (addr + k)))
+  done;
+  !v
+
+let store_slow t ~addr ~size:n v =
+  if addr < 0 || addr + n > t.size then raise (Fault { addr; size = n });
+  for k = 0 to n - 1 do
+    set_byte t (addr + k)
+      (Int64.to_int (Int64.shift_right_logical v (8 * k)) land 0xff)
+  done
+
+let in_dense t ~addr ~size:n = addr >= 0 && addr + n <= Bytes.length t.dense
 
 let load_i32 t ~addr =
-  bounds t ~addr ~size:4;
-  Bytes.get_int32_le t.buf addr
+  if in_dense t ~addr ~size:4 then Bytes.get_int32_le t.dense addr
+  else Int64.to_int32 (load_slow t ~addr ~size:4)
 
 let store_i32 t ~addr v =
-  bounds t ~addr ~size:4;
-  Bytes.set_int32_le t.buf addr v
+  if in_dense t ~addr ~size:4 then Bytes.set_int32_le t.dense addr v
+  else store_slow t ~addr ~size:4 (Int64.of_int32 v)
 
 let load_i64 t ~addr =
-  bounds t ~addr ~size:8;
-  Bytes.get_int64_le t.buf addr
+  if in_dense t ~addr ~size:8 then Bytes.get_int64_le t.dense addr
+  else load_slow t ~addr ~size:8
 
 let store_i64 t ~addr v =
-  bounds t ~addr ~size:8;
-  Bytes.set_int64_le t.buf addr v
+  if in_dense t ~addr ~size:8 then Bytes.set_int64_le t.dense addr v
+  else store_slow t ~addr ~size:8 v
 
 let load_f32 t ~addr = load_i32 t ~addr
 let store_f32 t ~addr v = store_i32 t ~addr v

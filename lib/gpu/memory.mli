@@ -1,11 +1,18 @@
 (** Device global memory: a flat 32-bit byte-addressed space with a bump
     allocator (there is no [cudaFree] in our runs; a fresh device is made
-    per program run). *)
+    per program run).
+
+    [size_bytes] is the logical size: it bounds every access and every
+    allocation, but only what a run uses is backed. A dense prefix covers
+    the allocated range and grows (doubling, in whole 4 KiB pages) only
+    when {!alloc} needs it; stores above it land in sparse 4 KiB pages.
+    Every byte nobody stored — above the break included — reads as
+    zero. *)
 
 type t
 
 exception Fault of { addr : int; size : int }
-(** Raised on out-of-bounds or unallocated access. *)
+(** Raised on an access or an allocation outside [[0, size)]. *)
 
 val create : size_bytes:int -> t
 val size : t -> int
@@ -15,7 +22,8 @@ val alloc : t -> bytes:int -> int
     Contents are NOT zeroed: like [cudaMalloc], fresh allocations carry
     whatever garbage the allocator produces — deterministic per-device
     pseudo-random bytes, so "uninitialised tensor" bugs (paper §5.3)
-    reproduce. *)
+    reproduce. The garbage overwrites whatever was stored in that range
+    before the allocation reached it. *)
 
 val alloc_zeroed : t -> bytes:int -> int
 

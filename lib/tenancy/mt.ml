@@ -23,10 +23,6 @@ type outcome = {
   launches : int;
   total_cycles : int;
   contention_cycles : int;
-  records_seen : int;
-  drains_delayed : int;
-  records_stranded : int;
-  backoff_k : int;
 }
 
 type result = {
@@ -40,17 +36,12 @@ type result = {
 type _ Effect.t += Yield : unit Effect.t
 
 let outcome_of tenant (m : Runner.measurement) ~launches ~stats =
-  let c = m.Runner.channel in
   {
     tenant;
     m;
     launches;
     total_cycles = Stats.total_cycles stats;
     contention_cycles = stats.Stats.contention_cycles;
-    records_seen = c.Runner.records_seen;
-    drains_delayed = c.Runner.drains_delayed;
-    records_stranded = c.Runner.records_stranded;
-    backoff_k = c.Runner.backoff_k;
   }
 
 let run ?(partition = Bandwidth.No_partition) ?(cost = Cost.default)
@@ -208,6 +199,7 @@ let report_text (o : outcome) =
 let quote = Fpx_obs.Json.quote
 
 let outcome_json o =
+  let c = o.m.Runner.channel in
   Printf.sprintf
     "{\"tenant\":%s,\"program\":%s,\"tool\":%s,\"status\":\"%s\",\"launches\":%d,\"total_cycles\":%d,\"contention_cycles\":%d,\"records\":%d,\"records_seen\":%d,\"drains_delayed\":%d,\"records_stranded\":%d,\"backoff_k\":%d,\"total_exceptions\":%d,\"report_sha\":\"%s\"}"
     (quote o.tenant.Tenant.id)
@@ -215,8 +207,8 @@ let outcome_json o =
     (quote (Runner.tool_config_to_string o.tenant.Tenant.tool))
     (Runner.status_to_string o.m.Runner.status)
     o.launches o.total_cycles o.contention_cycles o.m.Runner.records
-    o.records_seen o.drains_delayed o.records_stranded o.backoff_k
-    o.m.Runner.total_exceptions
+    c.Runner.records_seen c.Runner.drains_delayed c.Runner.records_stranded
+    c.Runner.backoff_k o.m.Runner.total_exceptions
     (Digest.to_hex (Digest.string (report_text o)))
 
 let result_json r =
@@ -243,6 +235,7 @@ let export_metrics r (m : Fpx_obs.Metrics.t) =
       let add name ?help v =
         Fpx_obs.Metrics.add_named m ?help (label name) v
       in
+      let c = o.m.Runner.channel in
       add "fpx_mt_launches_total" ~help:"Launches arbitrated per tenant"
         o.launches;
       add "fpx_mt_cycles_total" ~help:"Modelled cycles per tenant"
@@ -250,11 +243,12 @@ let export_metrics r (m : Fpx_obs.Metrics.t) =
       add "fpx_mt_contention_cycles_total"
         ~help:"Cycles lost to cross-tenant interference" o.contention_cycles;
       add "fpx_mt_records_seen_total"
-        ~help:"Unique exception records received host-side" o.records_seen;
+        ~help:"Unique exception records received host-side"
+        c.Runner.records_seen;
       add "fpx_mt_drains_delayed_total"
         ~help:"Channel drains throttled by neighbour traffic"
-        o.drains_delayed;
+        c.Runner.drains_delayed;
       add "fpx_mt_records_stranded_total"
         ~help:"Records still queued when the stream ended"
-        o.records_stranded)
+        c.Runner.records_stranded)
     r.outcomes

@@ -20,20 +20,9 @@ type outcome = {
   contention_cycles : int;
       (** Portion lost to cross-tenant interference (0 solo or under
           full partitioning with an adequate allocation). *)
-  records_seen : int;
-      (** Unique exception records the detector received host-side
-          (BinFPE's total records received when no detector ran). *)
-  drains_delayed : int;
-      (** The detector's channel drains the shared memory path
-          throttled (0 without a detector). *)
-  records_stranded : int;
-      (** Records still queued in the detector's channel when the
-          stream ended — findings the host never saw (0 without a
-          detector). *)
-  backoff_k : int;
-      (** The detector's escalated FREQ-REDN-FACTOR (0 = never backed
-          off). *)
 }
+(** A tenant's channel counters are its measurement's
+    [m.channel] ({!Fpx_harness.Runner.channel}). *)
 
 type result = {
   partition : Fpx_gpu.Bandwidth.partition;

@@ -109,6 +109,12 @@ run "one run path" \
 run "tool results are plain data" \
   sh -c '! grep -rnE "Fpx_tool\.extra|type extra|extras" lib bin'
 
+# One flat channel: device->host records are fixed-size int packets,
+# so Fpx_gpu.Channel takes no type parameter and a push allocates
+# nothing. No polymorphic payload may come back.
+run "flat channel" \
+  sh -c '! grep -nE "(^|[^A-Za-z])'\''[a-z_]+ +t([^a-z_]|$)|type +'\''" lib/gpu/channel.mli'
+
 # No unreferenced exports: every lib/*/*.mli value is used outside its
 # own module, or is on scripts/exports.allow with the reason in its .mli
 # doc. The list must equal the allowlist, so it can only shrink.

@@ -374,6 +374,33 @@ let test_no_gt_allocates_no_table () =
     (Printf.sprintf "%d reachable words" words)
     true (words < 10_000)
 
+(* The GT backs its slots in chunks on first use: a fresh table is a
+   few hundred words, and marks on either side of a chunk boundary and
+   in the last slot behave like any other. *)
+let test_gt_backed_on_use () =
+  let module G = Gpu_fpx.Global_table in
+  let gt = G.create () in
+  let words = Obj.reachable_words (Obj.repr gt) in
+  Alcotest.(check bool)
+    (Printf.sprintf "fresh GT: %d reachable words < 1024" words)
+    true (words < 1024);
+  let last = Fpx_tool.Exce.table_slots - 1 in
+  List.iter
+    (fun i ->
+      Alcotest.(check bool) (Printf.sprintf "%d unset" i) false (G.mem gt i);
+      Alcotest.(check bool) (Printf.sprintf "%d first set" i) true
+        (G.test_and_set gt i);
+      Alcotest.(check bool) (Printf.sprintf "%d second set" i) false
+        (G.test_and_set gt i))
+    [ 4095; 4096; last ];
+  Alcotest.(check bool) "neighbour untouched" false (G.mem gt 4097);
+  Alcotest.(check int) "cardinal" 3 (G.cardinal gt);
+  G.reset gt 4096;
+  G.reset gt 4097;
+  Alcotest.(check bool) "reset clears" false (G.mem gt 4096);
+  Alcotest.(check int) "reset of an empty slot is a no-op" 2 (G.cardinal gt);
+  Alcotest.(check bool) "set again after reset" true (G.test_and_set gt 4096)
+
 let suite =
   ( "detector",
     [ Alcotest.test_case "record encode/decode" `Quick test_encode_decode;
@@ -403,4 +430,5 @@ let suite =
       Alcotest.test_case "CheckExce classify table" `Quick
         test_classify_table;
       Alcotest.test_case "no GT without use_gt" `Quick
-        test_no_gt_allocates_no_table ] )
+        test_no_gt_allocates_no_table;
+      Alcotest.test_case "gt backed on use" `Quick test_gt_backed_on_use ] )

@@ -87,20 +87,30 @@ let test_counters_and_reasons () =
 
 (* --- channel under faults -------------------------------------------- *)
 
+(* Pushes the packets (i, 1000 + i, -i) for i = 1..n and drains them,
+   returning the delivered packets in order. *)
 let drained_with ~spec n =
   let fault = Fault.of_spec spec in
   let ch = Channel.create ~fault ~cost:Cost.default () in
   let stats = Stats.create () in
   Channel.new_launch ch;
   for i = 1 to n do
-    Channel.push ch ~stats i
+    Channel.push ch ~stats i (1000 + i) (-i)
   done;
-  (Channel.drain ch ~stats, ch, stats)
+  let got = ref [] in
+  let delivered =
+    Channel.drain ch ~stats (fun a b c -> got := (a, b, c) :: !got)
+  in
+  Alcotest.(check int) "drain returns the delivered count"
+    (List.length !got) delivered;
+  (List.rev !got, ch, stats)
+
+let packets = Alcotest.(list (triple int int int))
 
 let test_channel_drop_all () =
   let spec = Fault.spec ~sites:[ Fault.Channel_drop ] ~rate:1.0 ~seed:9 () in
   let got, ch, stats = drained_with ~spec 50 in
-  Alcotest.(check (list int)) "nothing delivered" [] got;
+  Alcotest.check packets "nothing delivered" [] got;
   Alcotest.(check int) "all dropped" 50 (Channel.dropped ch);
   Alcotest.(check int) "retried before dropping"
     (50 * Cost.default.Cost.retry_limit)
@@ -113,20 +123,20 @@ let test_channel_corrupt_detected () =
     Fault.spec ~sites:[ Fault.Channel_corrupt ] ~rate:1.0 ~seed:9 ()
   in
   let got, ch, _ = drained_with ~spec 20 in
-  Alcotest.(check (list int)) "all discarded, none mis-decoded" [] got;
+  Alcotest.check packets "all discarded, none mis-decoded" [] got;
   Alcotest.(check int) "all detected" 20 (Channel.corrupt_detected ch)
 
 let test_channel_drain_failure () =
   let spec = Fault.spec ~sites:[ Fault.Drain_fail ] ~rate:1.0 ~seed:9 () in
   let got, ch, _ = drained_with ~spec 20 in
-  Alcotest.(check (list int)) "everything pending lost" [] got;
+  Alcotest.check packets "everything pending lost" [] got;
   Alcotest.(check int) "one failed drain" 1 (Channel.drain_failures ch)
 
 let test_channel_stall_burst_charged () =
   let spec = Fault.spec ~sites:[ Fault.Channel_stall ] ~rate:1.0 ~seed:9 () in
   let got, _, stats = drained_with ~spec 10 in
-  Alcotest.(check (list int)) "records still delivered"
-    [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
+  Alcotest.check packets "records still delivered"
+    (List.init 10 (fun k -> (k + 1, 1001 + k, -(k + 1))))
     got;
   Alcotest.(check int) "one burst per push"
     (10 * Cost.default.Cost.stall_burst)
@@ -136,13 +146,16 @@ let test_channel_stall_burst_charged () =
 
 let prop_none_is_exact =
   QCheck.Test.make ~count:50 ~name:"Fault.none channel is exact"
-    QCheck.(list_of_size (Gen.int_bound 200) small_int)
+    QCheck.(list_of_size (Gen.int_bound 200) (triple int int int))
     (fun xs ->
       let ch = Channel.create ~cost:Cost.default () in
       let stats = Stats.create () in
       Channel.new_launch ch;
-      List.iter (fun x -> Channel.push ch ~stats x) xs;
-      Channel.drain ch ~stats = xs
+      List.iter (fun (a, b, c) -> Channel.push ch ~stats a b c) xs;
+      let got = ref [] in
+      let n = Channel.drain ch ~stats (fun a b c -> got := (a, b, c) :: !got) in
+      List.rev !got = xs
+      && n = List.length xs
       && stats.Stats.records_pushed = List.length xs
       && stats.Stats.fault_cycles = 0)
 

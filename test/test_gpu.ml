@@ -103,13 +103,24 @@ let test_param_abi_matches_compiler () =
 
 (* --- Channel --------------------------------------------------------------- *)
 
+(* Drain into a list of packets, checking the returned count. *)
+let drain_all ch ~stats =
+  let got = ref [] in
+  let n = Channel.drain ch ~stats (fun a b c -> got := (a, b, c) :: !got) in
+  Alcotest.(check int) "drain returns the delivered count"
+    (List.length !got) n;
+  List.rev !got
+
+let packets = Alcotest.(list (triple int int int))
+
 let test_channel_order_and_drain () =
   let stats = Stats.create () in
   let ch = Channel.create ~cost:Cost.default () in
   Channel.new_launch ch;
-  List.iter (fun x -> Channel.push ch ~stats x) [ 1; 2; 3 ];
-  Alcotest.(check (list int)) "fifo" [ 1; 2; 3 ] (Channel.drain ch ~stats);
-  Alcotest.(check (list int)) "empty after drain" [] (Channel.drain ch ~stats);
+  let xs = [ (1, 10, -1); (2, 20, -2); (3, 30, -3) ] in
+  List.iter (fun (a, b, c) -> Channel.push ch ~stats a b c) xs;
+  Alcotest.check packets "fifo" xs (drain_all ch ~stats);
+  Alcotest.check packets "empty after drain" [] (drain_all ch ~stats);
   Alcotest.(check int) "records counted" 3 stats.Stats.records_pushed
 
 let test_channel_costs () =
@@ -117,10 +128,10 @@ let test_channel_costs () =
   let stats = Stats.create () in
   let ch = Channel.create ~cost () in
   Channel.new_launch ch;
-  Channel.push ch ~stats 0;
+  Channel.push ch ~stats 0 0 0;
   Alcotest.(check int) "uncongested device cost" cost.Cost.channel_record
     stats.Stats.tool_cycles;
-  ignore (Channel.drain ch ~stats);
+  ignore (drain_all ch ~stats);
   Alcotest.(check int) "host cost" cost.Cost.host_per_record
     stats.Stats.host_cycles
 
@@ -129,16 +140,16 @@ let test_channel_congestion () =
   let stats = Stats.create () in
   let ch = Channel.create ~cost () in
   Channel.new_launch ch;
-  for i = 1 to 4 do Channel.push ch ~stats i done;
+  for i = 1 to 4 do Channel.push ch ~stats i i i done;
   let before = stats.Stats.tool_cycles in
-  Channel.push ch ~stats 5;
+  Channel.push ch ~stats 5 5 5;
   let marginal = stats.Stats.tool_cycles - before in
   Alcotest.(check bool) "congested record costs more" true
     (marginal > cost.Cost.channel_record);
   (* new launch resets the congestion counter *)
   Channel.new_launch ch;
   let before = stats.Stats.tool_cycles in
-  Channel.push ch ~stats 6;
+  Channel.push ch ~stats 6 6 6;
   Alcotest.(check int) "reset after new launch" cost.Cost.channel_record
     (stats.Stats.tool_cycles - before)
 
@@ -150,10 +161,10 @@ let test_channel_congestion_grows () =
   Channel.new_launch ch;
   let marginal_at n =
     while Channel.pushed_this_launch ch < n do
-      Channel.push ch ~stats 0
+      Channel.push ch ~stats 0 0 0
     done;
     let before = stats.Stats.tool_cycles in
-    Channel.push ch ~stats 0;
+    Channel.push ch ~stats 0 0 0;
     stats.Stats.tool_cycles - before
   in
   let early = marginal_at 4 in
@@ -193,6 +204,151 @@ let test_stats_zero_base_nonzero_overhead () =
   Alcotest.(check bool) "host-only is +inf" true
     (Stats.slowdown h = Float.infinity)
 
+(* --- Memory contract: logical 64 MiB, backed only where used ---------- *)
+
+let mib64 = 64 * 1024 * 1024
+
+let test_fresh_memory_reads_zero () =
+  let m = (Device.create ()).Device.memory in
+  Alcotest.(check int) "logical size" mib64 (Memory.size m);
+  let a = Memory.alloc m ~bytes:100 in
+  (* from just past the break to the last word of the logical space *)
+  List.iter
+    (fun addr ->
+      Alcotest.(check int32) (Printf.sprintf "i32 @ 0x%x" addr) 0l
+        (Memory.load_i32 m ~addr);
+      if addr + 8 <= mib64 then
+        Alcotest.(check int64) (Printf.sprintf "i64 @ 0x%x" addr) 0L
+          (Memory.load_i64 m ~addr))
+    [ a + 100; a + 104; 4092; 4096; 0x10000; 0x2fffffc; 0x3000000;
+      mib64 - 8; mib64 - 4 ];
+  Alcotest.(check bool) "past the logical end faults" true
+    (try ignore (Memory.load_i32 m ~addr:(mib64 - 2)); false
+     with Memory.Fault _ -> true)
+
+let test_store_far_above_brk () =
+  let far = 0x3000000 in
+  let m = Memory.create ~size_bytes:mib64 in
+  let d0 = Memory.digest m in
+  Memory.store_i32 m ~addr:far 0x1234_5678l;
+  Memory.store_i64 m ~addr:(far + 0x100) 0x0123_4567_89ab_cdefL;
+  Alcotest.(check int32) "reads back" 0x1234_5678l (Memory.load_i32 m ~addr:far);
+  Alcotest.(check int64) "reads back (i64)" 0x0123_4567_89ab_cdefL
+    (Memory.load_i64 m ~addr:(far + 0x100));
+  Alcotest.(check string) "digest unchanged" d0 (Memory.digest m);
+  (* an allocation that reaches over the stored word overwrites it with
+     the same garbage a device that never stored there gets; the word
+     stored past the allocation's end survives the move into the dense
+     prefix *)
+  let fresh = Memory.create ~size_bytes:mib64 in
+  let bytes = far + 64 - 16 in
+  let a = Memory.alloc m ~bytes and a' = Memory.alloc fresh ~bytes in
+  Alcotest.(check int) "same address" a' a;
+  Alcotest.(check (array int32)) "deterministic garbage over the store"
+    (Memory.read_i32_array fresh ~addr:(far - 32) ~len:24)
+    (Memory.read_i32_array m ~addr:(far - 32) ~len:24);
+  Alcotest.(check bool) "garbage, not the stored word" true
+    (Memory.load_i32 m ~addr:far <> 0x1234_5678l);
+  Alcotest.(check string) "digest as if never stored" (Memory.digest fresh)
+    (Memory.digest m);
+  Alcotest.(check int64) "store past the allocation kept"
+    0x0123_4567_89ab_cdefL
+    (Memory.load_i64 m ~addr:(far + 0x100))
+
+let test_straddling_accesses () =
+  let m = Memory.create ~size_bytes:mib64 in
+  let dense_end = 4096 and page_end = 0x201000 in
+  (* 8- and 4-byte accesses across the dense end and across a boundary
+     between two sparse pages, one of them never stored before *)
+  List.iter
+    (fun edge ->
+      List.iter
+        (fun off ->
+          let addr = edge - off in
+          let v = Int64.(logor (shift_left (of_int addr) 20) 0xabcdefL) in
+          Memory.store_i64 m ~addr v;
+          Alcotest.(check int64) (Printf.sprintf "i64 @ edge-%d" off) v
+            (Memory.load_i64 m ~addr);
+          Alcotest.(check int32) (Printf.sprintf "hi i32 @ edge-%d" off)
+            (Int64.to_int32 (Int64.shift_right_logical v 32))
+            (Memory.load_i32 m ~addr:(addr + 4));
+          let w = Int32.of_int (0x5a00 + off) in
+          Memory.store_i32 m ~addr:(edge - 2) w;
+          Alcotest.(check int32) (Printf.sprintf "i32 across edge, off %d" off)
+            w (Memory.load_i32 m ~addr:(edge - 2)))
+        [ 7; 4; 1 ])
+    [ dense_end; page_end ];
+  (* growing the dense prefix over the lower of the two stored pages
+     keeps every stored byte, in the prefix and in the page above it *)
+  let words = List.init 16 (fun k -> page_end - 8 + k) in
+  let before = List.map (fun addr -> Memory.load_i32 m ~addr) words in
+  Alcotest.(check bool) "something stored there" true
+    (List.exists (fun w -> w <> 0l) before);
+  ignore (Memory.alloc m ~bytes:(page_end - 0x800 - 16));
+  Alcotest.(check (list int32)) "bytes kept across the move" before
+    (List.map (fun addr -> Memory.load_i32 m ~addr) words)
+
+let test_device_is_small () =
+  let w = Obj.reachable_words (Obj.repr (Device.create ())) in
+  Alcotest.(check bool)
+    (Printf.sprintf "fresh device: %d reachable words < 4096" w)
+    true (w < 4096)
+
+(* --- Channel: flat packets -------------------------------------------- *)
+
+let test_channel_push_allocates_nothing () =
+  let stats = Stats.create () in
+  let ch = Channel.create ~cost:Cost.default () in
+  Channel.new_launch ch;
+  for i = 1 to 10_000 do Channel.push ch ~stats i i i done;
+  ignore (Channel.drain ch ~stats (fun _ _ _ -> ()) : int);
+  Channel.new_launch ch;
+  let probe0 = Gc.minor_words () in
+  let probe1 = Gc.minor_words () in
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do Channel.push ch ~stats i (i + 1) (-i) done;
+  let after = Gc.minor_words () in
+  Alcotest.(check int) "minor words over 10,000 pushes" 0
+    (int_of_float (after -. before -. (probe1 -. probe0)));
+  Alcotest.(check int) "all queued" 10_000 (Channel.queued ch)
+
+let test_channel_capped_drain_keeps_order () =
+  let cost = Cost.default in
+  let meter =
+    Bandwidth.create ~cost ~shares:[| (0.5, 0.5); (0.5, 0.5) |] ()
+  in
+  (* the neighbour saturates the shared memory path *)
+  Bandwidth.note_launch meter ~tenant:1
+    ~records:(4 * cost.Cost.mem_bw_tokens) ~warps:1;
+  let bw = { Bandwidth.meter; tenant = 0 } in
+  let stats = Stats.create () in
+  let ch = Channel.create ~bw ~cost () in
+  Channel.new_launch ch;
+  let pkt i = (i, 7 * i, -i) in
+  for i = 1 to 100 do
+    let a, b, c = pkt i in
+    Channel.push ch ~stats a b c
+  done;
+  let first = drain_all ch ~stats in
+  let k = List.length first in
+  Alcotest.(check bool) "budget below the queue" true (k > 0 && k < 100);
+  Alcotest.check packets "a prefix, in push order" (List.init k (fun j -> pkt (j + 1)))
+    first;
+  Alcotest.(check int) "rest queued" (100 - k) (Channel.queued ch);
+  Alcotest.(check int) "drain delayed" 1 (Channel.drains_delayed ch);
+  (* more traffic behind the leftovers, then drain to empty *)
+  for i = 101 to 300 do
+    let a, b, c = pkt i in
+    Channel.push ch ~stats a b c
+  done;
+  let rest = ref [] in
+  while Channel.queued ch > 0 do
+    rest := !rest @ drain_all ch ~stats
+  done;
+  Alcotest.check packets "the rest, in push order"
+    (List.init (300 - k) (fun j -> pkt (k + j + 1)))
+    !rest
+
 let suite =
   ( "gpu",
     [ Alcotest.test_case "alloc alignment" `Quick test_alloc_alignment;
@@ -214,4 +370,16 @@ let suite =
         test_stats_add_and_slowdown;
       Alcotest.test_case "stats empty" `Quick test_stats_empty_slowdown;
       Alcotest.test_case "stats zero-base overhead" `Quick
-        test_stats_zero_base_nonzero_overhead ] )
+        test_stats_zero_base_nonzero_overhead;
+      Alcotest.test_case "memory: zeros above brk" `Quick
+        test_fresh_memory_reads_zero;
+      Alcotest.test_case "memory: store far above brk" `Quick
+        test_store_far_above_brk;
+      Alcotest.test_case "memory: straddling accesses" `Quick
+        test_straddling_accesses;
+      Alcotest.test_case "device: backs no 64 MiB buffer" `Quick
+        test_device_is_small;
+      Alcotest.test_case "channel: push allocates nothing" `Quick
+        test_channel_push_allocates_nothing;
+      Alcotest.test_case "channel: capped drain keeps order" `Quick
+        test_channel_capped_drain_keeps_order ] )

@@ -202,10 +202,10 @@ let test_interference_measurable () =
     (o.Mt.contention_cycles > 0);
   Alcotest.(check bool) "slower than solo" true
     (o.Mt.total_cycles > s.Mt.total_cycles);
-  Alcotest.(check bool) "drains throttled" true (o.Mt.drains_delayed > 0);
-  Alcotest.(check bool) "findings stranded" true (o.Mt.records_stranded > 0);
+  Alcotest.(check bool) "drains throttled" true (o.Mt.m.R.channel.R.drains_delayed > 0);
+  Alcotest.(check bool) "findings stranded" true (o.Mt.m.R.channel.R.records_stranded > 0);
   Alcotest.(check bool) "fewer records seen" true
-    (o.Mt.records_seen < s.Mt.records_seen);
+    (o.Mt.m.R.channel.R.records_seen < s.Mt.m.R.channel.R.records_seen);
   Alcotest.(check bool) "report corrupted" true
     (Mt.report_text o <> Mt.report_text s)
 
@@ -215,8 +215,8 @@ let test_partitioned_report_identical () =
   Alcotest.(check string) "report byte-identical to solo"
     (Mt.report_text s) (Mt.report_text o);
   Alcotest.(check int) "no contention" 0 o.Mt.contention_cycles;
-  Alcotest.(check int) "no delayed drains" 0 o.Mt.drains_delayed;
-  Alcotest.(check int) "nothing stranded" 0 o.Mt.records_stranded;
+  Alcotest.(check int) "no delayed drains" 0 o.Mt.m.R.channel.R.drains_delayed;
+  Alcotest.(check int) "nothing stranded" 0 o.Mt.m.R.channel.R.records_stranded;
   Alcotest.(check int) "same cycles as solo" s.Mt.total_cycles
     o.Mt.total_cycles
 
