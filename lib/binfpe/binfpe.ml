@@ -92,14 +92,15 @@ let instrument t prog b =
         in
         Fpx_tool.Inject.insert_after b ~pc:i.Instr.pc
           ~n_values:(Site.n_values p) (fun ctx api ->
-            List.iter
-              (fun lane ->
+            let executing = api.Exec.executing in
+            for lane = 0 to 31 do
+              if (executing lsr lane) land 1 = 1 then
                 Channel.push t.channel ~stats:ctx.Exec.stats id
-                  (Int32.to_int (api.Exec.read_reg ~lane lo))
+                  (api.Exec.read_reg ~lane lo)
                   (match hi with
-                  | Some hi -> Int32.to_int (api.Exec.read_reg ~lane hi)
-                  | None -> 0))
-              api.Exec.executing_lanes))
+                  | Some hi -> api.Exec.read_reg ~lane hi
+                  | None -> 0)
+            done))
     prog.Program.instrs
 
 let kind_bit = function
@@ -112,7 +113,7 @@ let kind_bit = function
    the first time its (kernel, pc, format, kind) shows up. *)
 let receive t id lo hi =
   let s = t.sites.(id) in
-  match Exce.classify ~fmt:s.fmt ~div0:s.div0 (Int32.of_int lo) (Int32.of_int hi) with
+  match Exce.classify ~fmt:s.fmt ~div0:s.div0 lo hi with
   | None -> ()
   | Some exce ->
     let mask = Bytes.get_uint8 t.seen s.cls and bit = kind_bit exce in

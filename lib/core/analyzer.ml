@@ -128,16 +128,16 @@ let reg_plan (i : Instr.t) u =
 
 let classify_reg (api : Exec.warp_api) ~lane (n, width) =
   match width with
-  | Single -> Fp32.classify (api.Exec.read_reg ~lane n)
+  | Single -> Fp32.classify_word (api.Exec.read_reg ~lane n)
   | Pair ->
-    Fp64.classify
-      (Fp64.of_words ~lo:(api.Exec.read_reg ~lane n)
-         ~hi:(api.Exec.read_reg ~lane (n + 1)))
-  | Hi_word -> Fp64.classify_hi (api.Exec.read_reg ~lane n)
+    Fp64.classify_words ~lo:(api.Exec.read_reg ~lane n)
+      ~hi:(api.Exec.read_reg ~lane (n + 1))
+  | Hi_word -> Fp64.classify_words ~lo:0 ~hi:(api.Exec.read_reg ~lane n)
   | Packed_half ->
     (* report the worse of the two packed halves *)
-    let lo, hi = Fpx_num.Fp16.unpack2 (api.Exec.read_reg ~lane n) in
-    let klo = Fpx_num.Fp16.classify lo and khi = Fpx_num.Fp16.classify hi in
+    let w = api.Exec.read_reg ~lane n in
+    let klo = Fpx_num.Fp16.classify (w land 0xffff)
+    and khi = Fpx_num.Fp16.classify ((w lsr 16) land 0xffff) in
     if Kind.is_exceptional klo then klo else khi
 
 (* Listing 2: compile-time detection of exceptional immediates. *)
@@ -190,8 +190,9 @@ let instrument_store t prog b (i : Instr.t) reg =
   Fpx_tool.Inject.insert_before b ~pc
     ~n_values:(if snd reg = Pair then 2 else 1)
     (fun _ctx api ->
-      List.iter
-        (fun lane ->
+      let executing = api.Exec.executing in
+      for lane = 0 to 31 do
+        if (executing lsr lane) land 1 = 1 then
           match classify_reg api ~lane reg with
           | Kind.Nan | Kind.Inf as kind ->
             let key = (kernel, pc, kind) in
@@ -201,8 +202,8 @@ let instrument_store t prog b (i : Instr.t) reg =
                 { store_kernel = kernel; store_loc = loc; kind }
                 :: t.escapes_rev
             end
-          | Kind.Subnormal | Kind.Zero | Kind.Normal -> ())
-        api.Exec.executing_lanes)
+          | Kind.Subnormal | Kind.Zero | Kind.Normal -> ()
+      done)
 
 (* Ship a report: it goes into the side table, its index over the
    channel. *)
@@ -234,19 +235,24 @@ let instrument t prog b =
         let cte = compile_e_type i in
         let pending = ref None in
         let capture api lane = List.map (classify_reg api ~lane) regs in
+        (* the lowest executing lane with an exceptional register, else
+           the lowest executing lane; -1 when none executes *)
         let choose_lane api =
-          let lanes = api.Exec.executing_lanes in
-          match
-            List.find_opt (fun lane -> has_ev (capture api lane)) lanes
-          with
-          | Some lane -> Some lane
-          | None -> ( match lanes with [] -> None | l :: _ -> Some l)
+          let executing = api.Exec.executing in
+          let first = ref (-1) and chosen = ref (-1) in
+          for lane = 0 to 31 do
+            if !chosen < 0 && (executing lsr lane) land 1 = 1 then begin
+              if !first < 0 then first := lane;
+              if has_ev (capture api lane) then chosen := lane
+            end
+          done;
+          if !chosen >= 0 then !chosen else !first
         in
         Fpx_tool.Inject.insert_before b ~pc:i.Instr.pc ~n_values:n_regs
           (fun _ctx api ->
             match choose_lane api with
-            | None -> pending := None
-            | Some lane -> pending := Some (lane, capture api lane));
+            | -1 -> pending := None
+            | lane -> pending := Some (lane, capture api lane));
         Fpx_tool.Inject.insert_after b ~pc:i.Instr.pc ~n_values:n_regs
           (fun ctx api ->
             match !pending with

@@ -104,7 +104,7 @@ let exce_of_lane (api : Exec.warp_api) check ~lane =
   let fmt = Site.fmt check and div0 = Site.is_div0 check in
   match check with
   | Site.Check_32 d | Site.Check_16 d | Site.Div0_32 d ->
-    Exce.classify ~fmt ~div0 (api.Exec.read_reg ~lane d) 0l
+    Exce.classify ~fmt ~div0 (api.Exec.read_reg ~lane d) 0
   | Site.Check_64 (lo, hi) | Site.Div0_64 (lo, hi) ->
     Exce.classify ~fmt ~div0 (api.Exec.read_reg ~lane lo)
       (api.Exec.read_reg ~lane hi)
@@ -151,16 +151,18 @@ let callback t check ~loc_idx ~kernel ~pc ~loc (ctx : Exec.ctx)
   let row =
     match t.obs with None -> [||] | Some _ -> t.exce_counters.(fmt_idx fmt)
   in
-  (* One pass over the executing lanes. Warp-leader dedup runs on an int
-     bitmask, remembering first-occurrence order in 2-bit packed form so
-     the push sequence matches what the old list-based dedup produced
-     (reports are compared byte for byte across versions). *)
+  (* One pass over the executing lanes, in ascending order. Warp-leader
+     dedup runs on an int bitmask, remembering first-occurrence order in
+     2-bit packed form so the push sequence matches what the old
+     list-based dedup produced (reports are compared byte for byte
+     across versions). *)
   let n_exce = ref 0 in
   let mask = ref 0 in
   let order = ref 0 in
   let uniques = ref 0 in
-  List.iter
-    (fun lane ->
+  let executing = api.Exec.executing in
+  for lane = 0 to 31 do
+    if (executing lsr lane) land 1 = 1 then
       match exce_of_lane api check ~lane with
       | None -> ()
       | Some e ->
@@ -183,8 +185,8 @@ let callback t check ~loc_idx ~kernel ~pc ~loc (ctx : Exec.ctx)
           | Some gt -> probe_and_push t gt ctx api ~kernel ~loc ~fmt e idx
           | None ->
             ignore (push_record t ctx api ~kernel ~loc ~fmt e idx : bool)
-        end)
-    api.Exec.executing_lanes;
+        end
+  done;
   (match t.gt with
   | Some gt when leader ->
     (* reversed first-occurrence order, as the old fold produced *)
@@ -222,10 +224,12 @@ let instrument t prog b =
               sass = Instr.sass_string i;
             }
         in
-        Fpx_tool.Inject.insert_after b ~pc:i.Instr.pc
-          ~n_values:(Site.n_values check)
-          (callback t check ~loc_idx ~kernel:prog.Program.name
-             ~pc:i.Instr.pc ~loc:(Instr.loc_string i)))
+        let kernel = prog.Program.name and pc = i.Instr.pc
+        and loc = Instr.loc_string i in
+        (* a two-argument closure: calling a partial application of
+           [callback] would allocate on every dynamic execution *)
+        Fpx_tool.Inject.insert_after b ~pc ~n_values:(Site.n_values check)
+          (fun ctx api -> callback t check ~loc_idx ~kernel ~pc ~loc ctx api))
     prog.Program.instrs;
   (* The prune predicate must not outlive this tool's inserts: in a
      stacked attachment the next member shares the builder. *)

@@ -20,15 +20,47 @@ let exponent_field t =
   Int32.to_int (Int32.logand (Int32.shift_right_logical t 23) 0xffl)
 let mantissa_field t = Int32.to_int (Int32.logand t 0x7fffffl)
 
-let classify t =
-  match exponent_field t, mantissa_field t with
+(* The bit rules, on words: each is defined once here, on the
+   representation the executor's register file holds, and the [t]
+   versions below go through them. *)
+let to_word t = Int32.to_int t land 0xffffffff
+let of_word = Int32.of_int
+
+let classify_word w =
+  match (w lsr 23) land 0xff, w land 0x7fffff with
   | 0xff, 0 -> Kind.Inf
   | 0xff, _ -> Kind.Nan
   | 0, 0 -> Kind.Zero
   | 0, _ -> Kind.Subnormal
   | _, _ -> Kind.Normal
 
-let is_nan t = Kind.equal (classify t) Kind.Nan
+let is_nan_word w = w land 0x7fffffff > 0x7f800000
+
+let ftz_word w =
+  if w land 0x7f800000 = 0 && w land 0x7fffff <> 0 then w land 0x80000000
+  else w
+
+let mod_word w ~neg ~abs ~ftz =
+  let w = if ftz then ftz_word w else w in
+  let w = if abs then w land 0x7fffffff else w in
+  if neg then w lxor 0x80000000 else w
+
+let word_float w = Int32.float_of_bits (Int32.of_int w)
+
+let min_nv_word a b =
+  if is_nan_word a then b
+  else if is_nan_word b then a
+  else if word_float a <= word_float b then a
+  else b
+
+let max_nv_word a b =
+  if is_nan_word a then b
+  else if is_nan_word b then a
+  else if word_float a >= word_float b then a
+  else b
+
+let classify t = classify_word (to_word t)
+let is_nan t = is_nan_word (to_word t)
 let is_inf t = Kind.equal (classify t) Kind.Inf
 let is_subnormal t = Kind.equal (classify t) Kind.Subnormal
 let is_zero t = Kind.equal (classify t) Kind.Zero
@@ -45,19 +77,18 @@ let neg t = Int32.logxor t Int32.min_int
 let abs t = Int32.logand t Int32.max_int
 let sqrt t = of_float (Float.sqrt (to_float t))
 
+(* The word rules return one of their inputs' words; handing back that
+   input itself keeps the common case from boxing a fresh [int32]. *)
 let min_nv a b =
-  if is_nan a then b
-  else if is_nan b then a
-  else if to_float a <= to_float b then a
-  else b
+  if min_nv_word (to_word a) (to_word b) = to_word a then a else b
 
 let max_nv a b =
-  if is_nan a then b
-  else if is_nan b then a
-  else if to_float a >= to_float b then a
-  else b
+  if max_nv_word (to_word a) (to_word b) = to_word a then a else b
 
-let ftz t = if is_subnormal t then Int32.logand t Int32.min_int else t
+let ftz t =
+  let w = to_word t in
+  let f = ftz_word w in
+  if f = w then t else of_word f
 
 let equal_bits = Int32.equal
 

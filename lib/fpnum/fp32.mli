@@ -68,6 +68,24 @@ val max_nv : t -> t -> t
 val ftz : t -> t
 (** Flush a subnormal to a same-signed zero (fast-math / SFU behaviour). *)
 
+(** {1 Words}
+
+    The same rules on a {e word}: the bit pattern zero-extended into a
+    native [int], the form the executor's register file holds. They
+    allocate nothing; {!classify}, {!is_nan}, {!ftz}, {!min_nv} and
+    {!max_nv} are defined through them, so each rule has one
+    definition. *)
+
+val classify_word : int -> Kind.t
+val ftz_word : int -> int
+
+val mod_word : int -> neg:bool -> abs:bool -> ftz:bool -> int
+(** An FP32 source operand's modifiers in the executor's order: flush
+    (when [ftz]), then absolute value, then negation. *)
+
+val min_nv_word : int -> int -> int
+val max_nv_word : int -> int -> int
+
 val equal_bits : t -> t -> bool
 val compare_ieee : t -> t -> int option
 (** IEEE comparison; [None] when unordered (either operand NaN). *)

@@ -3,18 +3,21 @@ type t = float
 let bits = Int64.bits_of_float
 let of_bits = Int64.float_of_bits
 
-let exponent_field t =
-  Int64.to_int (Int64.logand (Int64.shift_right_logical (bits t) 52) 0x7ffL)
-
-let mantissa_field t = Int64.logand (bits t) 0xfffffffffffffL
-
-let classify t =
-  match exponent_field t, mantissa_field t with
-  | 0x7ff, 0L -> Kind.Inf
+(* The classification rule, on the two 32-bit words of the pattern (a
+   register pair), so callers holding words need not build the double;
+   [classify] and [classify_hi] go through it. *)
+let classify_words ~lo ~hi =
+  match (hi lsr 20) land 0x7ff, (hi land 0xfffff) lor (lo land 0xffffffff) with
+  | 0x7ff, 0 -> Kind.Inf
   | 0x7ff, _ -> Kind.Nan
-  | 0, 0L -> Kind.Zero
+  | 0, 0 -> Kind.Zero
   | 0, _ -> Kind.Subnormal
   | _, _ -> Kind.Normal
+
+let classify t =
+  let b = bits t in
+  classify_words ~lo:(Int64.to_int b)
+    ~hi:(Int64.to_int (Int64.shift_right_logical b 32))
 
 let is_nan t = Kind.equal (classify t) Kind.Nan
 let is_inf t = Kind.equal (classify t) Kind.Inf
@@ -40,15 +43,7 @@ let of_words ~lo ~hi =
 
 let hi_word t = snd (to_words t)
 
-let classify_hi hi =
-  let exp = Int32.to_int (Int32.logand (Int32.shift_right_logical hi 20) 0x7ffl) in
-  let man_hi = Int32.logand hi 0xfffffl in
-  match exp, man_hi with
-  | 0x7ff, 0l -> Kind.Inf
-  | 0x7ff, _ -> Kind.Nan
-  | 0, 0l -> Kind.Zero
-  | 0, _ -> Kind.Subnormal
-  | _, _ -> Kind.Normal
+let classify_hi hi = classify_words ~lo:0 ~hi:(Int32.to_int hi)
 
 let add = ( +. )
 let sub = ( -. )

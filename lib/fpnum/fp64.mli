@@ -37,6 +37,11 @@ val classify_hi : int32 -> Kind.t
 (** Classification using only the high word; subnormal and zero collapse
     to [Zero] when the low 20 mantissa bits in the high word are zero. *)
 
+val classify_words : lo:int -> hi:int -> Kind.t
+(** {!classify} of the value whose words are [lo] and [hi], each a
+    32-bit pattern in a native [int] (bits above 31 of [hi] are
+    ignored); allocates nothing. *)
+
 (** {1 Arithmetic (native binary64)} *)
 
 val add : t -> t -> t

@@ -4,11 +4,15 @@
    engine runs them over unboxed per-warp state: one [int array]
    register file per warp indexed [lane * nslots + r] holding
    zero-extended 32-bit words (FP64 as word pairs), and predicate
-   bitsets (one lane-mask int per predicate register). The common path
-   allocates nothing per instruction: operand descriptors are integer
-   indexes resolved at decode time, FP32 arithmetic runs on native
-   floats via [Int32.float_of_bits]-style unboxable primitive chains,
-   and the per-lane closures of the reference core are gone.
+   bitsets (one lane-mask int per predicate register).
+
+   Execution is vectorised per warp step: the step does its warp-level
+   work once — find the pc, evaluate the guard into a lane mask, fire
+   the hooks, match the micro-op, resolve its lane-invariant operands —
+   and only then loops over the executing lanes, in ascending order,
+   inside the micro-op's arm. A converged warp (every live lane at one
+   pc) finds its next pc in O(1); only a diverged warp scans its
+   per-lane pcs. The common path allocates nothing per instruction.
 
    This is the library's only interpreter. The original tree-walking
    core (the "reference core" below) is frozen under test/oracle/ as
@@ -18,7 +22,6 @@
 
 open Fpx_sass
 module Fp32 = Fpx_num.Fp32
-module Fp64 = Fpx_num.Fp64
 module Kind = Fpx_num.Kind
 module Fault = Fpx_fault.Fault
 
@@ -29,8 +32,8 @@ type ctx = { device : Device.t; stats : Stats.t }
 type warp_api = {
   warp_index : int;
   block : int;
-  mutable executing_lanes : int list;
-  read_reg : lane:int -> int -> int32;
+  mutable executing : int;
+  read_reg : lane:int -> int -> int;
   read_pred : lane:int -> int -> bool;
   read_cbank : offset:int -> int32;
   global_tid : lane:int -> int;
@@ -49,38 +52,11 @@ let done_pc = max_int
 
 let trapf fmt = Printf.ksprintf (fun s -> raise (Trap s)) fmt
 
-(* Unboxed warp state: zero-extended 32-bit words and lane bitmasks. *)
-type wstate = { regs : int array; preds : int array; pcs : int array }
-
 (* FP32 on raw bits held in native ints. The float round trips below
    replicate the reference core's [Fp32] calls exactly: compute in
    double, round through [Int32.bits_of_float]. *)
 let[@inline] f32f bits = Int32.float_of_bits (Int32.of_int bits)
 let[@inline] f32b f = Int32.to_int (Int32.bits_of_float f) land 0xffffffff
-
-let[@inline] is_nan32 bits = bits land 0x7fffffff > 0x7f800000
-
-let[@inline] ftz32 bits =
-  if bits land 0x7f800000 = 0 && bits land 0x7fffff <> 0 then
-    bits land 0x80000000
-  else bits
-
-let[@inline] mod_f32 bits ~neg ~abs ~ftz =
-  let b = if ftz then ftz32 bits else bits in
-  let b = if abs then b land 0x7fffffff else b in
-  if neg then b lxor 0x80000000 else b
-
-let min_nv32 a b =
-  if is_nan32 a then b
-  else if is_nan32 b then a
-  else if f32f a <= f32f b then a
-  else b
-
-let max_nv32 a b =
-  if is_nan32 a then b
-  else if is_nan32 b then a
-  else if f32f a >= f32f b then a
-  else b
 
 let cb_read32 cb off =
   if off + 4 <= Bytes.length cb then
@@ -92,96 +68,197 @@ let cb_read64 cb off =
     Int64.float_of_bits (Bytes.get_int64_le cb off)
   else 0.0
 
-let rd_f32 regs base cb (s : Decode.f32src) =
-  match s with
-  | Decode.F32_reg r -> Array.unsafe_get regs (base + r)
-  | Decode.F32_reg_m { r; neg; abs; ftz } ->
-    mod_f32 (Array.unsafe_get regs (base + r)) ~neg ~abs ~ftz
-  | Decode.F32_imm v -> v
-  | Decode.F32_cb off -> cb_read32 cb off
-  | Decode.F32_cb_m { off; neg; abs; ftz } ->
-    mod_f32 (cb_read32 cb off) ~neg ~abs ~ftz
-  | Decode.F32_poison e -> raise e
+let[@inline] f64_mods v ~neg ~abs =
+  let v = if abs then Float.abs v else v in
+  if neg then Float.neg v else v
 
-(* Register pair to double; decode guaranteed the indexes in range,
-   only the per-word RZ reads remain dynamic. *)
-let[@inline] pair_float regs base r =
+(* Register pair to bits / double; decode guaranteed the indexes in
+   range, only the per-word RZ reads remain dynamic. *)
+let[@inline] pair_bits (regs : int array) base r =
   let lo = if r = 255 then 0 else Array.unsafe_get regs (base + r) in
   let h = r + 1 in
   let hi = if h = 255 then 0 else Array.unsafe_get regs (base + h) in
-  Int64.float_of_bits
-    (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo))
+  Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
 
-let rd_f64 regs base cb (s : Decode.f64src) =
+let[@inline] pair_float (regs : int array) base r =
+  Int64.float_of_bits (pair_bits regs base r)
+
+(* An operand resolved once per warp step. [slot] is a register index
+   (>= 0), [konst] (the value is lane-invariant: [w], or [f] for an FP64
+   value, and for a predicate source [w] is its lane mask) or [poison]
+   (reading raises [ex]). Raising stays lazy, so a poisoned operand
+   raises on the first executing lane, in the reference read order. *)
+type opnd = {
+  mutable slot : int;
+  mutable w : int;
+  f : float array;
+  mutable mods : bool;  (** a register read applies neg/abs/ftz *)
+  mutable neg : bool;
+  mutable abs : bool;
+  mutable ftz : bool;
+  mutable raw : bool;  (** a 64-bit store source read as a raw pair *)
+  mutable ex : exn;
+}
+
+let konst = -1
+let poison = -2
+
+let opnd () =
+  { slot = konst; w = 0; f = [| 0.0 |]; mods = false; neg = false;
+    abs = false; ftz = false; raw = false; ex = Not_found }
+
+let[@inline] set_konst o w =
+  o.slot <- konst;
+  o.w <- w
+
+let[@inline] set_poison o e =
+  o.slot <- poison;
+  o.ex <- e
+
+let set_i32 o cb (s : Decode.i32src) =
+  o.mods <- false;
   match s with
-  | Decode.F64_reg r -> pair_float regs base r
+  | Decode.I32_reg r -> o.slot <- r
+  | Decode.I32_imm v -> set_konst o v
+  | Decode.I32_cb off -> set_konst o (cb_read32 cb off)
+  | Decode.I32_poison e -> set_poison o e
+
+let set_f32 o cb (s : Decode.f32src) =
+  o.mods <- false;
+  match s with
+  | Decode.F32_reg r -> o.slot <- r
+  | Decode.F32_reg_m { r; neg; abs; ftz } ->
+    o.slot <- r;
+    o.mods <- true;
+    o.neg <- neg;
+    o.abs <- abs;
+    o.ftz <- ftz
+  | Decode.F32_imm v -> set_konst o v
+  | Decode.F32_cb off -> set_konst o (cb_read32 cb off)
+  | Decode.F32_cb_m { off; neg; abs; ftz } ->
+    set_konst o (Fp32.mod_word (cb_read32 cb off) ~neg ~abs ~ftz)
+  | Decode.F32_poison e -> set_poison o e
+
+let set_f64 o cb (s : Decode.f64src) =
+  o.mods <- false;
+  o.raw <- false;
+  match s with
+  | Decode.F64_reg r -> o.slot <- r
   | Decode.F64_reg_m { r; neg; abs } ->
-    let v = pair_float regs base r in
-    let v = if abs then Float.abs v else v in
-    if neg then Float.neg v else v
-  | Decode.F64_imm v -> v
+    o.slot <- r;
+    o.mods <- true;
+    o.neg <- neg;
+    o.abs <- abs
+  | Decode.F64_imm v ->
+    o.slot <- konst;
+    o.f.(0) <- v
   | Decode.F64_cb { off; neg; abs } ->
-    let v = cb_read64 cb off in
-    let v = if abs then Float.abs v else v in
-    if neg then Float.neg v else v
-  | Decode.F64_poison e -> raise e
+    o.slot <- konst;
+    o.f.(0) <- f64_mods (cb_read64 cb off) ~neg ~abs
+  | Decode.F64_poison e -> set_poison o e
 
-let rd_i32 regs base cb (s : Decode.i32src) =
-  match s with
-  | Decode.I32_reg r -> Array.unsafe_get regs (base + r)
-  | Decode.I32_imm v -> v
-  | Decode.I32_cb off -> cb_read32 cb off
-  | Decode.I32_poison e -> raise e
-
-let rd_v64_bits regs base cb (s : Decode.v64src) =
+let set_v64 o cb (s : Decode.v64src) =
   match s with
   | Decode.V64_pair r ->
-    let lo = if r = 255 then 0 else Array.unsafe_get regs (base + r) in
-    let h = r + 1 in
-    let hi = if h = 255 then 0 else Array.unsafe_get regs (base + h) in
-    Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
-  | Decode.V64_val f -> Int64.bits_of_float (rd_f64 regs base cb f)
+    o.slot <- r;
+    o.raw <- true
+  | Decode.V64_val f -> set_f64 o cb f
 
-let[@inline] rd_pred preds ~lane (p : Decode.predsrc) =
+let set_pred o preds (p : Decode.predsrc) =
   match p with
   | Decode.P_src packed ->
     let q = packed land 7 in
-    let v = q = 7 || (Array.unsafe_get preds q lsr lane) land 1 = 1 in
-    if packed >= 8 then not v else v
-  | Decode.P_poison e -> raise e
+    let m = if q = 7 then -1 else Array.unsafe_get preds q in
+    set_konst o (if packed >= 8 then lnot m else m)
+  | Decode.P_poison e -> set_poison o e
 
-let[@inline] wr32_raw regs base (d : Decode.dst) v =
+let set_dst o (d : Decode.dst) =
   match d with
-  | Decode.D_reg r -> Array.unsafe_set regs (base + r) v
-  | Decode.D_sink -> ()
-  | Decode.D_poison e -> raise e
+  | Decode.D_reg r -> o.slot <- r
+  | Decode.D_sink -> o.slot <- konst
+  | Decode.D_poison e -> set_poison o e
 
-let[@inline] wr32 ~ftz regs base d v =
-  wr32_raw regs base d (if ftz then ftz32 v else v)
-
-let wr_pair_words regs base (d : Decode.dst) lo hi =
-  match d with
-  | Decode.D_reg r ->
-    if r <> 255 then Array.unsafe_set regs (base + r) lo;
-    let h = r + 1 in
-    if h <> 255 then Array.unsafe_set regs (base + h) hi
-  | Decode.D_sink -> ()
-  | Decode.D_poison e -> raise e
-
-let wr_pair_float regs base d v =
-  let b = Int64.bits_of_float v in
-  wr_pair_words regs base d
-    (Int64.to_int b land 0xffffffff)
-    (Int64.to_int (Int64.shift_right_logical b 32) land 0xffffffff)
-
-let wr_pred preds ~lane (pd : Decode.pdst) v =
+let set_pdst o (pd : Decode.pdst) =
   match pd with
-  | Decode.PD_reg p ->
-    if p <> 7 then
-      Array.unsafe_set preds p
-        (let m = Array.unsafe_get preds p in
-         if v then m lor (1 lsl lane) else m land lnot (1 lsl lane))
-  | Decode.PD_poison e -> raise e
+  | Decode.PD_reg p -> o.slot <- (if p = 7 then konst else p)
+  | Decode.PD_poison e -> set_poison o e
+
+(* Per-lane reads and writes. An arm copies each resolved operand's
+   slot and value (and an FP32 source's has-modifiers flag) into locals
+   for its lane loop; the record is read only on the rare paths,
+   modifiers and poison. *)
+let[@inline] rd_w (regs : int array) base s w o =
+  if s >= 0 then Array.unsafe_get regs (base + s)
+  else if s = konst then w
+  else raise o.ex
+
+let[@inline] rd_m (regs : int array) base s w m o =
+  if s >= 0 then
+    let v = Array.unsafe_get regs (base + s) in
+    if m then Fp32.mod_word v ~neg:o.neg ~abs:o.abs ~ftz:o.ftz else v
+  else if s = konst then w
+  else raise o.ex
+
+let[@inline] rd_f64 o (regs : int array) base =
+  let s = o.slot in
+  if s >= 0 then
+    let v = pair_float regs base s in
+    if o.mods then f64_mods v ~neg:o.neg ~abs:o.abs else v
+  else if s = konst then Array.unsafe_get o.f 0
+  else raise o.ex
+
+let[@inline] rd_bits64 o (regs : int array) base =
+  if o.raw then pair_bits regs base o.slot
+  else Int64.bits_of_float (rd_f64 o regs base)
+
+let[@inline] rd_pred lane s w o =
+  if s = poison then raise o.ex else (w lsr lane) land 1 = 1
+
+let[@inline] wr (regs : int array) base s o v =
+  if s >= 0 then Array.unsafe_set regs (base + s) v
+  else if s = poison then raise o.ex
+
+let[@inline] wr_pair_bits (regs : int array) base s o b =
+  if s >= 0 then begin
+    if s <> 255 then
+      Array.unsafe_set regs (base + s) (Int64.to_int b land 0xffffffff);
+    let h = s + 1 in
+    if h <> 255 then
+      Array.unsafe_set regs (base + h)
+        (Int64.to_int (Int64.shift_right_logical b 32) land 0xffffffff)
+  end
+  else if s = poison then raise o.ex
+
+let[@inline] wr32 ~ftz (regs : int array) base s o v =
+  wr regs base s o (if ftz then Fp32.ftz_word v else v)
+
+let[@inline] wr_float (regs : int array) base s o v =
+  wr_pair_bits regs base s o (Int64.bits_of_float v)
+
+let[@inline] wr_pred (preds : int array) lane p o v =
+  if p >= 0 then
+    let m = Array.unsafe_get preds p in
+    Array.unsafe_set preds p
+      (if v then m lor (1 lsl lane) else m land lnot (1 lsl lane))
+  else if p = poison then raise o.ex
+
+(* A comparison's truth table, built once per step: bit 0 less, 1
+   equal, 2 greater, 3 unordered. *)
+let truth_bit c ord bit = if Isa.eval_cmp c ord then bit else 0
+
+let truth (c : Isa.cmp) =
+  truth_bit c (Some (-1)) 1
+  lor truth_bit c (Some 0) 2
+  lor truth_bit c (Some 1) 4
+  lor truth_bit c None 8
+
+let[@inline] order_float x y =
+  if x < y then 1 else if x = y then 2 else if x > y then 4 else 8
+
+(* Signed 32-bit order of two zero-extended words. *)
+let[@inline] order_i32 x y =
+  let x = x lxor 0x80000000 and y = y lxor 0x80000000 in
+  if x < y then 1 else if x = y then 2 else 4
 
 (* FCHK: would the fast reciprocal-based division path be unsafe for
    a / b? Exceptional denominators and range-extreme operands force the
@@ -191,12 +268,11 @@ let wr_pred preds ~lane (pd : Decode.pdst) v =
    consequently flows through the refinement FMAs, which is how precise
    compilation exposes more NaN sites than fast-math (Table 6). *)
 let fchk_needs_slowpath a b =
-  let ca = Fp32.classify a and cb = Fp32.classify b in
   let extreme x =
-    let e = Fp32.exponent_field x in
+    let e = (x lsr 23) land 0xff in
     e <= 23 || e >= 232
   in
-  match ca, cb with
+  match Fp32.classify_word a, Fp32.classify_word b with
   | _, (Kind.Nan | Kind.Inf | Kind.Zero | Kind.Subnormal) -> true
   | (Kind.Inf | Kind.Subnormal), _ -> true
   | (Kind.Nan | Kind.Zero), Kind.Normal -> false
@@ -204,310 +280,95 @@ let fchk_needs_slowpath a b =
 
 let one_bits = 0x3f800000
 
-(* Per-lane micro-op effect; returns the lane's next pc. Source reads
-   keep the reference core's evaluation order (OCaml right-to-left
-   argument order there), so a poisoned operand raises at the same
-   dynamic point with the same message. *)
-let exec_lane ~ftz ~flt ~(stats : Stats.t) st cbank0 ~mem ~shared ~lane ~base
-    ~warp_in_block ~block ~grid ~block_dim ~next (u : Decode.uop) =
-  let regs = st.regs in
-  match u with
-  | Decode.U_fadd { d; a; b } ->
-    let vb = rd_f32 regs base cbank0 b in
-    let va = rd_f32 regs base cbank0 a in
-    wr32 ~ftz regs base d (f32b (f32f va +. f32f vb));
-    next
-  | Decode.U_fmul { d; a; b } ->
-    let vb = rd_f32 regs base cbank0 b in
-    let va = rd_f32 regs base cbank0 a in
-    wr32 ~ftz regs base d (f32b (f32f va *. f32f vb));
-    next
-  | Decode.U_ffma { d; a; b; c } ->
-    let vc = rd_f32 regs base cbank0 c in
-    let vb = rd_f32 regs base cbank0 b in
-    let va = rd_f32 regs base cbank0 a in
-    wr32 ~ftz regs base d (f32b (Float.fma (f32f va) (f32f vb) (f32f vc)));
-    next
-  | Decode.U_mufu_f32 { d; m; a } ->
-    let r = Isa.eval_mufu m (Int32.of_int (rd_f32 regs base cbank0 a)) in
-    wr32_raw regs base d (Int32.to_int r land 0xffffffff);
-    next
-  | Decode.U_mufu_64h { d; m; a } ->
-    let r = Isa.eval_mufu m (Int32.of_int (rd_i32 regs base cbank0 a)) in
-    wr32_raw regs base d (Int32.to_int r land 0xffffffff);
-    next
-  | Decode.U_hadd2 { d; a; b } ->
-    let vb = rd_i32 regs base cbank0 b in
-    let va = rd_i32 regs base cbank0 a in
-    let r = Fpx_num.Fp16.add2 (Int32.of_int va) (Int32.of_int vb) in
-    wr32_raw regs base d (Int32.to_int r land 0xffffffff);
-    next
-  | Decode.U_hmul2 { d; a; b } ->
-    let vb = rd_i32 regs base cbank0 b in
-    let va = rd_i32 regs base cbank0 a in
-    let r = Fpx_num.Fp16.mul2 (Int32.of_int va) (Int32.of_int vb) in
-    wr32_raw regs base d (Int32.to_int r land 0xffffffff);
-    next
-  | Decode.U_hfma2 { d; a; b; c } ->
-    let vc = rd_i32 regs base cbank0 c in
-    let vb = rd_i32 regs base cbank0 b in
-    let va = rd_i32 regs base cbank0 a in
-    let r =
-      Fpx_num.Fp16.fma2 (Int32.of_int va) (Int32.of_int vb) (Int32.of_int vc)
-    in
-    wr32_raw regs base d (Int32.to_int r land 0xffffffff);
-    next
-  | Decode.U_dadd { d; a; b } ->
-    let vb = rd_f64 regs base cbank0 b in
-    let va = rd_f64 regs base cbank0 a in
-    wr_pair_float regs base d (va +. vb);
-    next
-  | Decode.U_dmul { d; a; b } ->
-    let vb = rd_f64 regs base cbank0 b in
-    let va = rd_f64 regs base cbank0 a in
-    wr_pair_float regs base d (va *. vb);
-    next
-  | Decode.U_dfma { d; a; b; c } ->
-    let vc = rd_f64 regs base cbank0 c in
-    let vb = rd_f64 regs base cbank0 b in
-    let va = rd_f64 regs base cbank0 a in
-    wr_pair_float regs base d (Float.fma va vb vc);
-    next
-  | Decode.U_fsel { d; a; b; p } ->
-    (* raw 32-bit select: only the selected source is read *)
-    let v =
-      if rd_pred st.preds ~lane p then rd_f32 regs base cbank0 a
-      else rd_f32 regs base cbank0 b
-    in
-    wr32_raw regs base d v;
-    next
-  | Decode.U_fset { d; c; a; b } ->
-    let vb = rd_f32 regs base cbank0 b in
-    let va = rd_f32 regs base cbank0 a in
-    let r =
-      Isa.eval_cmp c (Fp32.compare_ieee (Int32.of_int va) (Int32.of_int vb))
-    in
-    wr32_raw regs base d (if r then one_bits else 0);
-    next
-  | Decode.U_fsetp { pd; c; a; b } ->
-    let vb = rd_f32 regs base cbank0 b in
-    let va = rd_f32 regs base cbank0 a in
-    wr_pred st.preds ~lane pd
-      (Isa.eval_cmp c (Fp32.compare_ieee (Int32.of_int va) (Int32.of_int vb)));
-    next
-  | Decode.U_fmnmx { d; a; b; p } ->
-    let va = rd_f32 regs base cbank0 a in
-    let vb = rd_f32 regs base cbank0 b in
-    let v =
-      if rd_pred st.preds ~lane p then min_nv32 va vb else max_nv32 va vb
-    in
-    wr32 ~ftz regs base d v;
-    next
-  | Decode.U_dsetp { pd; c; a; b } ->
-    let vb = rd_f64 regs base cbank0 b in
-    let va = rd_f64 regs base cbank0 a in
-    wr_pred st.preds ~lane pd (Isa.eval_cmp c (Fp64.compare_ieee va vb));
-    next
-  | Decode.U_psetp { pd; op; p1; p2 } ->
-    let v1 = rd_pred st.preds ~lane p1 in
-    let v2 = rd_pred st.preds ~lane p2 in
-    wr_pred st.preds ~lane pd (Isa.eval_pbool op v1 v2);
-    next
-  | Decode.U_fchk { pd; a; b } ->
-    let vb = rd_f32 regs base cbank0 b in
-    let va = rd_f32 regs base cbank0 a in
-    wr_pred st.preds ~lane pd
-      (fchk_needs_slowpath (Int32.of_int va) (Int32.of_int vb));
-    next
-  | Decode.U_f32_of_f64 { d; a } ->
-    let v = rd_f64 regs base cbank0 a in
-    wr32 ~ftz regs base d (f32b v);
-    next
-  | Decode.U_f64_of_f32 { d; a } ->
-    let va = rd_f32 regs base cbank0 a in
-    wr_pair_float regs base d (f32f va);
-    next
-  | Decode.U_f32_of_f32 { d; a } ->
-    let va = rd_f32 regs base cbank0 a in
-    wr32 ~ftz regs base d va;
-    next
-  | Decode.U_f64_of_f64 { d; a } ->
-    let v = rd_f64 regs base cbank0 a in
-    wr_pair_float regs base d v;
-    next
-  | Decode.U_f16_of_f32 { d; a } ->
-    let va = rd_f32 regs base cbank0 a in
-    wr32_raw regs base d (Fpx_num.Fp16.of_float (f32f va));
-    next
-  | Decode.U_f32_of_f16 { d; a } ->
-    let va = rd_i32 regs base cbank0 a in
-    wr32_raw regs base d (f32b (Fpx_num.Fp16.to_float (va land 0xffff)));
-    next
-  | Decode.U_i2f32 { d; a } ->
-    let va = rd_i32 regs base cbank0 a in
-    wr32_raw regs base d (f32b (Int32.to_float (Int32.of_int va)));
-    next
-  | Decode.U_i2f64 { d; a } ->
-    let va = rd_i32 regs base cbank0 a in
-    wr_pair_float regs base d (Int32.to_float (Int32.of_int va));
-    next
-  | Decode.U_f2i32 { d; a } ->
-    let v = f32f (rd_f32 regs base cbank0 a) in
-    wr32_raw regs base d
-      (if Float.is_nan v then 0 else Int32.to_int (Int32.of_float v) land 0xffffffff);
-    next
-  | Decode.U_f2i64 { d; a } ->
-    let v = rd_f64 regs base cbank0 a in
-    wr32_raw regs base d
-      (if Float.is_nan v then 0 else Int32.to_int (Int32.of_float v) land 0xffffffff);
-    next
-  | Decode.U_mov { d; a } ->
-    wr32_raw regs base d (rd_i32 regs base cbank0 a);
-    next
-  | Decode.U_iadd { d; a; b } ->
-    let vb = rd_i32 regs base cbank0 b in
-    let va = rd_i32 regs base cbank0 a in
-    wr32_raw regs base d ((va + vb) land 0xffffffff);
-    next
-  | Decode.U_imad { d; a; b; c } ->
-    let vc = rd_i32 regs base cbank0 c in
-    let vb = rd_i32 regs base cbank0 b in
-    let va = rd_i32 regs base cbank0 a in
-    wr32_raw regs base d (((va * vb) + vc) land 0xffffffff);
-    next
-  | Decode.U_isetp { pd; c; a; b } ->
-    let vb = rd_i32 regs base cbank0 b in
-    let va = rd_i32 regs base cbank0 a in
-    wr_pred st.preds ~lane pd
-      (Isa.eval_cmp c
-         (Some (Int32.compare (Int32.of_int va) (Int32.of_int vb))));
-    next
-  | Decode.U_shl { d; a; b } ->
-    let vb = rd_i32 regs base cbank0 b in
-    let va = rd_i32 regs base cbank0 a in
-    wr32_raw regs base d ((va lsl (vb land 31)) land 0xffffffff);
-    next
-  | Decode.U_shr { d; a; b } ->
-    let vb = rd_i32 regs base cbank0 b in
-    let va = rd_i32 regs base cbank0 a in
-    wr32_raw regs base d (va lsr (vb land 31));
-    next
-  | Decode.U_and { d; a; b } ->
-    let vb = rd_i32 regs base cbank0 b in
-    let va = rd_i32 regs base cbank0 a in
-    wr32_raw regs base d (va land vb);
-    next
-  | Decode.U_or { d; a; b } ->
-    let vb = rd_i32 regs base cbank0 b in
-    let va = rd_i32 regs base cbank0 a in
-    wr32_raw regs base d (va lor vb);
-    next
-  | Decode.U_xor { d; a; b } ->
-    let vb = rd_i32 regs base cbank0 b in
-    let va = rd_i32 regs base cbank0 a in
-    wr32_raw regs base d (va lxor vb);
-    next
-  | Decode.U_ldg32 { d; addr } ->
-    let addr = rd_i32 regs base cbank0 addr in
-    let v = Memory.load_i32 mem ~addr in
-    let v =
-      (* modelled silent data corruption: a flipped bit in the loaded
-         word, the raw material for downstream exception analysis *)
-      match flt with
-      | Some a when Fault.fire a Fault.Mem_bit_flip ->
-        Int32.logxor v
-          (Int32.shift_left 1l (Fault.draw a Fault.Mem_bit_flip land 31))
-      | _ -> v
-    in
-    wr32_raw regs base d (Int32.to_int v land 0xffffffff);
-    next
-  | Decode.U_ldg64 { d; addr } ->
-    let addr = rd_i32 regs base cbank0 addr in
-    let v = Memory.load_i64 mem ~addr in
-    let v =
-      match flt with
-      | Some a when Fault.fire a Fault.Mem_bit_flip ->
-        Int64.logxor v
-          (Int64.shift_left 1L (Fault.draw a Fault.Mem_bit_flip land 63))
-      | _ -> v
-    in
-    wr_pair_words regs base d
-      (Int64.to_int v land 0xffffffff)
-      (Int64.to_int (Int64.shift_right_logical v 32) land 0xffffffff);
-    next
-  | Decode.U_stg32 { addr; v } ->
-    let addr = rd_i32 regs base cbank0 addr in
-    Memory.store_i32 mem ~addr (Int32.of_int (rd_i32 regs base cbank0 v));
-    next
-  | Decode.U_stg64 { addr; v } ->
-    let addr = rd_i32 regs base cbank0 addr in
-    Memory.store_i64 mem ~addr (rd_v64_bits regs base cbank0 v);
-    next
-  | Decode.U_lds32 { d; addr } ->
-    let addr = rd_i32 regs base cbank0 addr in
-    if addr + 4 > Bytes.length shared then trapf "shared load out of bounds";
-    if addr + 4 > stats.Stats.shmem_hwm then
-      stats.Stats.shmem_hwm <- addr + 4;
-    wr32_raw regs base d
-      (Int32.to_int (Bytes.get_int32_le shared addr) land 0xffffffff);
-    next
-  | Decode.U_lds64 { d; addr } ->
-    let addr = rd_i32 regs base cbank0 addr in
-    if addr + 8 > Bytes.length shared then trapf "shared load out of bounds";
-    if addr + 8 > stats.Stats.shmem_hwm then
-      stats.Stats.shmem_hwm <- addr + 8;
-    let v = Bytes.get_int64_le shared addr in
-    wr_pair_words regs base d
-      (Int64.to_int v land 0xffffffff)
-      (Int64.to_int (Int64.shift_right_logical v 32) land 0xffffffff);
-    next
-  | Decode.U_sts32 { addr; v } ->
-    let addr = rd_i32 regs base cbank0 addr in
-    if addr + 4 > Bytes.length shared then trapf "shared store out of bounds";
-    if addr + 4 > stats.Stats.shmem_hwm then
-      stats.Stats.shmem_hwm <- addr + 4;
-    Bytes.set_int32_le shared addr (Int32.of_int (rd_i32 regs base cbank0 v));
-    next
-  | Decode.U_sts64 { addr; v } ->
-    let addr = rd_i32 regs base cbank0 addr in
-    if addr + 8 > Bytes.length shared then trapf "shared store out of bounds";
-    if addr + 8 > stats.Stats.shmem_hwm then
-      stats.Stats.shmem_hwm <- addr + 8;
-    Bytes.set_int64_le shared addr (rd_v64_bits regs base cbank0 v);
-    next
-  | Decode.U_atom_add { d; fp; addr; v } ->
-    (* lanes execute in ascending order (the executor's lane loop), so
-       the read-modify-write below is race-free and deterministic *)
-    let addr = rd_i32 regs base cbank0 addr in
-    let old = Int32.to_int (Memory.load_i32 mem ~addr) land 0xffffffff in
-    let vv = rd_i32 regs base cbank0 v in
-    let updated =
-      if fp then f32b (f32f old +. f32f vv) else (old + vv) land 0xffffffff
-    in
-    Memory.store_i32 mem ~addr (Int32.of_int updated);
-    wr32_raw regs base d old;
-    next
-  | Decode.U_s2r { d; r } ->
-    let v =
-      match r with
-      | Isa.Tid_x -> (warp_in_block * warp_size) + lane
-      | Isa.Ntid_x -> block_dim
-      | Isa.Ctaid_x -> block
-      | Isa.Nctaid_x -> grid
-      | Isa.Lane_id -> lane mod warp_size
-    in
-    wr32_raw regs base d (v land 0xffffffff);
-    next
-  | Decode.U_bra target -> target
-  | Decode.U_bra_poison e -> raise e
-  | Decode.U_exit -> done_pc
-  | Decode.U_nop -> next
-  | Decode.U_trap e -> raise e
-  | Decode.U_bar ->
-    (* barriers are handled by the block scheduler, never here *)
-    trapf "BAR reached the lane executor"
-
 let shared_mem_bytes = 48 * 1024
+
+(* The device's warp states, grown to [count] warps of [nslots]-slot
+   register files. *)
+let warps_for (device : Device.t) ~count ~nslots =
+  let need = warp_size * nslots in
+  let fresh () =
+    { Device.regs = Array.make need 0; preds = Array.make 8 0;
+      pcs = Array.make warp_size done_pc; pc = done_pc; live = 0; at = 0;
+      diverged = false }
+  in
+  let ws = device.Device.warps in
+  let ws =
+    if Array.length ws >= count then ws
+    else begin
+      let ws =
+        Array.append ws
+          (Array.init (count - Array.length ws) (fun _ -> fresh ()))
+      in
+      device.Device.warps <- ws;
+      ws
+    end
+  in
+  for w = 0 to count - 1 do
+    if Array.length ws.(w).Device.regs < need then ws.(w) <- fresh ()
+  done;
+  ws
+
+(* A diverged warp's one scan: the minimum pc of its live lanes (the
+   min-pc reconvergence rule), the lanes parked there, and the live
+   lanes. It reconverges once every live lane is at that pc. *)
+let regroup (st : Device.warp) =
+  let pcs = st.Device.pcs in
+  let m = ref done_pc and at = ref 0 and live = ref 0 in
+  for lane = 0 to warp_size - 1 do
+    let p = Array.unsafe_get pcs lane in
+    if p <> done_pc then begin
+      live := !live lor (1 lsl lane);
+      if p < !m then begin
+        m := p;
+        at := 1 lsl lane
+      end
+      else if p = !m then at := !at lor (1 lsl lane)
+    end
+  done;
+  st.pc <- !m;
+  st.at <- !at;
+  st.live <- !live;
+  if !at = !live then st.diverged <- false
+
+(* Write a converged warp out as per-lane pcs, for the barrier release,
+   which works on them; the next step regroups it. *)
+let materialise (st : Device.warp) =
+  for lane = 0 to warp_size - 1 do
+    st.Device.pcs.(lane) <-
+      (if (st.live lsr lane) land 1 = 1 then st.pc else done_pc)
+  done;
+  st.diverged <- true
+
+(* After a step at [m]: the executing lanes go to [tgt] (the branch
+   target, [done_pc] on EXIT, else [m + 1]), the rest of the lanes at
+   [m] to [m + 1]. Only a branch taken by some but not all of them
+   diverges a converged warp. *)
+let advance (st : Device.warp) ~m ~exec ~tgt =
+  let next = m + 1 in
+  if not st.Device.diverged then begin
+    if tgt = next || exec = 0 then st.pc <- next
+    else if tgt = done_pc then begin
+      let live = st.live land lnot exec in
+      st.live <- live;
+      st.at <- live;
+      st.pc <- (if live = 0 then done_pc else next)
+    end
+    else if exec = st.live then st.pc <- tgt
+    else begin
+      for lane = 0 to warp_size - 1 do
+        st.pcs.(lane) <-
+          (if (exec lsr lane) land 1 = 1 then tgt
+           else if (st.live lsr lane) land 1 = 1 then next
+           else done_pc)
+      done;
+      st.diverged <- true
+    end
+  end
+  else
+    for lane = 0 to warp_size - 1 do
+      if (st.at lsr lane) land 1 = 1 then
+        st.pcs.(lane) <- (if (exec lsr lane) land 1 = 1 then tgt else next)
+    done
 
 (* On a multi-tenant device, a launch whose warp-slot demand collides
    with its neighbours' (or overflows its partition's allocation) pays
@@ -583,43 +444,710 @@ let run_decoded ?hooks ?(max_dyn_instrs = 50_000_000) ~device ~grid ~block
            "fpx_warp_divergent_steps_total")
     | None -> None
   in
-  (* Blocks reuse one segment of shared memory (zeroed, though real shared
-     memory is not: clean programs stay clean) and one set of warp states. *)
-  let shared = Bytes.create shared_mem_bytes in
-  let warps =
-    Array.init warps_per_block (fun _ ->
-        { regs = Array.make (warp_size * nslots) 0;
-          preds = Array.make 8 0;
-          pcs = Array.make warp_size 0 })
+  (* Blocks reuse the device's shared segment (zeroed, though real
+     shared memory is not: clean programs stay clean) and warp states. *)
+  if Bytes.length device.Device.shared < shared_mem_bytes then
+    device.Device.shared <- Bytes.create shared_mem_bytes;
+  let shared = device.Device.shared in
+  let warps = warps_for device ~count:warps_per_block ~nslots in
+  let od = opnd () and oa = opnd () and ob = opnd () and oc = opnd () in
+  (* One warp step's data effects over the [exec] lanes, in ascending
+     lane order; returns where the executing lanes go next. Source
+     reads keep the reference core's evaluation order (OCaml
+     right-to-left argument order there), so a poisoned operand raises
+     at the same dynamic point with the same message. *)
+  let dispatch (st : Device.warp) (u : Decode.uop) ~exec ~m ~w ~blk =
+    let regs = st.Device.regs and preds = st.Device.preds in
+    let next = m + 1 in
+    match u with
+    | Decode.U_fadd { d; a; b } ->
+      set_dst od d; set_f32 oa cbank0 a; set_f32 ob cbank0 b;
+      let sd = od.slot and sa = oa.slot and wa = oa.w and ma = oa.mods and
+        sb = ob.slot and wb = ob.w and mb = ob.mods in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let vb = rd_m regs base sb wb mb ob in
+          let va = rd_m regs base sa wa ma oa in
+          wr32 ~ftz regs base sd od (f32b (f32f va +. f32f vb))
+        end
+      done;
+      next
+    | Decode.U_fmul { d; a; b } ->
+      set_dst od d; set_f32 oa cbank0 a; set_f32 ob cbank0 b;
+      let sd = od.slot and sa = oa.slot and wa = oa.w and ma = oa.mods and
+        sb = ob.slot and wb = ob.w and mb = ob.mods in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let vb = rd_m regs base sb wb mb ob in
+          let va = rd_m regs base sa wa ma oa in
+          wr32 ~ftz regs base sd od (f32b (f32f va *. f32f vb))
+        end
+      done;
+      next
+    | Decode.U_ffma { d; a; b; c } ->
+      set_dst od d; set_f32 oa cbank0 a; set_f32 ob cbank0 b;
+      set_f32 oc cbank0 c;
+      let sd = od.slot and sa = oa.slot and wa = oa.w and ma = oa.mods and
+        sb = ob.slot and wb = ob.w and mb = ob.mods and
+        sc = oc.slot and wc = oc.w and mc = oc.mods in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let vc = rd_m regs base sc wc mc oc in
+          let vb = rd_m regs base sb wb mb ob in
+          let va = rd_m regs base sa wa ma oa in
+          wr32 ~ftz regs base sd od
+            (f32b (Float.fma (f32f va) (f32f vb) (f32f vc)))
+        end
+      done;
+      next
+    | Decode.U_mufu_f32 { d; m = op; a } ->
+      set_dst od d; set_f32 oa cbank0 a;
+      let sd = od.slot and sa = oa.slot and wa = oa.w and ma = oa.mods in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let va = rd_m regs base sa wa ma oa in
+          let r = Isa.eval_mufu op (Int32.of_int va) in
+          wr regs base sd od (Int32.to_int r land 0xffffffff)
+        end
+      done;
+      next
+    | Decode.U_mufu_64h { d; m = op; a } ->
+      set_dst od d; set_i32 oa cbank0 a;
+      let sd = od.slot and sa = oa.slot and wa = oa.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let va = rd_w regs base sa wa oa in
+          let r = Isa.eval_mufu op (Int32.of_int va) in
+          wr regs base sd od (Int32.to_int r land 0xffffffff)
+        end
+      done;
+      next
+    | Decode.U_hadd2 { d; a; b } ->
+      set_dst od d; set_i32 oa cbank0 a; set_i32 ob cbank0 b;
+      let sd = od.slot and sa = oa.slot and wa = oa.w and
+        sb = ob.slot and wb = ob.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let vb = rd_w regs base sb wb ob in
+          let va = rd_w regs base sa wa oa in
+          let r =
+            Fpx_num.Fp16.add2 (Int32.of_int va) (Int32.of_int vb)
+          in
+          wr regs base sd od (Int32.to_int r land 0xffffffff)
+        end
+      done;
+      next
+    | Decode.U_hmul2 { d; a; b } ->
+      set_dst od d; set_i32 oa cbank0 a; set_i32 ob cbank0 b;
+      let sd = od.slot and sa = oa.slot and wa = oa.w and
+        sb = ob.slot and wb = ob.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let vb = rd_w regs base sb wb ob in
+          let va = rd_w regs base sa wa oa in
+          let r =
+            Fpx_num.Fp16.mul2 (Int32.of_int va) (Int32.of_int vb)
+          in
+          wr regs base sd od (Int32.to_int r land 0xffffffff)
+        end
+      done;
+      next
+    | Decode.U_hfma2 { d; a; b; c } ->
+      set_dst od d; set_i32 oa cbank0 a; set_i32 ob cbank0 b;
+      set_i32 oc cbank0 c;
+      let sd = od.slot and sa = oa.slot and wa = oa.w and
+        sb = ob.slot and wb = ob.w and sc = oc.slot and wc = oc.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let vc = rd_w regs base sc wc oc in
+          let vb = rd_w regs base sb wb ob in
+          let va = rd_w regs base sa wa oa in
+          let r =
+            Fpx_num.Fp16.fma2
+              (Int32.of_int va)
+              (Int32.of_int vb) (Int32.of_int vc)
+          in
+          wr regs base sd od (Int32.to_int r land 0xffffffff)
+        end
+      done;
+      next
+    | Decode.U_dadd { d; a; b } ->
+      set_dst od d; set_f64 oa cbank0 a; set_f64 ob cbank0 b;
+      let sd = od.slot in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let vb = rd_f64 ob regs base in
+          wr_float regs base sd od (rd_f64 oa regs base +. vb)
+        end
+      done;
+      next
+    | Decode.U_dmul { d; a; b } ->
+      set_dst od d; set_f64 oa cbank0 a; set_f64 ob cbank0 b;
+      let sd = od.slot in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let vb = rd_f64 ob regs base in
+          wr_float regs base sd od (rd_f64 oa regs base *. vb)
+        end
+      done;
+      next
+    | Decode.U_dfma { d; a; b; c } ->
+      set_dst od d; set_f64 oa cbank0 a; set_f64 ob cbank0 b;
+      set_f64 oc cbank0 c;
+      let sd = od.slot in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let vc = rd_f64 oc regs base in
+          let vb = rd_f64 ob regs base in
+          wr_float regs base sd od (Float.fma (rd_f64 oa regs base) vb vc)
+        end
+      done;
+      next
+    | Decode.U_fsel { d; a; b; p } ->
+      (* raw 32-bit select: only the selected source is read *)
+      set_dst od d; set_f32 oa cbank0 a; set_f32 ob cbank0 b;
+      set_pred oc preds p;
+      let sd = od.slot and sa = oa.slot and wa = oa.w and ma = oa.mods and
+        sb = ob.slot and wb = ob.w and mb = ob.mods and
+        sc = oc.slot and wc = oc.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          wr regs base sd od
+            (if rd_pred lane sc wc oc then rd_m regs base sa wa ma oa
+             else rd_m regs base sb wb mb ob)
+        end
+      done;
+      next
+    | Decode.U_fset { d; c; a; b } ->
+      let tt = truth c in
+      set_dst od d; set_f32 oa cbank0 a; set_f32 ob cbank0 b;
+      let sd = od.slot and sa = oa.slot and wa = oa.w and ma = oa.mods and
+        sb = ob.slot and wb = ob.w and mb = ob.mods in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let vb = rd_m regs base sb wb mb ob in
+          let va = rd_m regs base sa wa ma oa in
+          let o = order_float (f32f va) (f32f vb) in
+          wr regs base sd od (if tt land o <> 0 then one_bits else 0)
+        end
+      done;
+      next
+    | Decode.U_fsetp { pd; c; a; b } ->
+      let tt = truth c in
+      set_pdst od pd; set_f32 oa cbank0 a; set_f32 ob cbank0 b;
+      let sd = od.slot and sa = oa.slot and wa = oa.w and ma = oa.mods and
+        sb = ob.slot and wb = ob.w and mb = ob.mods in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let vb = rd_m regs base sb wb mb ob in
+          let va = rd_m regs base sa wa ma oa in
+          let o = order_float (f32f va) (f32f vb) in
+          wr_pred preds lane sd od (tt land o <> 0)
+        end
+      done;
+      next
+    | Decode.U_fmnmx { d; a; b; p } ->
+      set_dst od d; set_f32 oa cbank0 a; set_f32 ob cbank0 b;
+      set_pred oc preds p;
+      let sd = od.slot and sa = oa.slot and wa = oa.w and ma = oa.mods and
+        sb = ob.slot and wb = ob.w and mb = ob.mods and
+        sc = oc.slot and wc = oc.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let va = rd_m regs base sa wa ma oa in
+          let vb = rd_m regs base sb wb mb ob in
+          wr32 ~ftz regs base sd od
+            (if rd_pred lane sc wc oc then Fp32.min_nv_word va vb
+             else Fp32.max_nv_word va vb)
+        end
+      done;
+      next
+    | Decode.U_dsetp { pd; c; a; b } ->
+      let tt = truth c in
+      set_pdst od pd; set_f64 oa cbank0 a; set_f64 ob cbank0 b;
+      let sd = od.slot in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let vb = rd_f64 ob regs base in
+          let o = order_float (rd_f64 oa regs base) vb in
+          wr_pred preds lane sd od (tt land o <> 0)
+        end
+      done;
+      next
+    | Decode.U_psetp { pd; op; p1; p2 } ->
+      set_pdst od pd; set_pred oa preds p1; set_pred ob preds p2;
+      let sd = od.slot and sa = oa.slot and wa = oa.w and
+        sb = ob.slot and wb = ob.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let v1 = rd_pred lane sa wa oa in
+          let v2 = rd_pred lane sb wb ob in
+          wr_pred preds lane sd od (Isa.eval_pbool op v1 v2)
+        end
+      done;
+      next
+    | Decode.U_fchk { pd; a; b } ->
+      set_pdst od pd; set_f32 oa cbank0 a; set_f32 ob cbank0 b;
+      let sd = od.slot and sa = oa.slot and wa = oa.w and ma = oa.mods and
+        sb = ob.slot and wb = ob.w and mb = ob.mods in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let vb = rd_m regs base sb wb mb ob in
+          let va = rd_m regs base sa wa ma oa in
+          wr_pred preds lane sd od (fchk_needs_slowpath va vb)
+        end
+      done;
+      next
+    | Decode.U_f32_of_f64 { d; a } ->
+      set_dst od d; set_f64 oa cbank0 a;
+      let sd = od.slot in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          wr32 ~ftz regs base sd od (f32b (rd_f64 oa regs base))
+        end
+      done;
+      next
+    | Decode.U_f64_of_f32 { d; a } ->
+      set_dst od d; set_f32 oa cbank0 a;
+      let sd = od.slot and sa = oa.slot and wa = oa.w and ma = oa.mods in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let va = rd_m regs base sa wa ma oa in
+          wr_float regs base sd od (f32f va)
+        end
+      done;
+      next
+    | Decode.U_f32_of_f32 { d; a } ->
+      set_dst od d; set_f32 oa cbank0 a;
+      let sd = od.slot and sa = oa.slot and wa = oa.w and ma = oa.mods in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let va = rd_m regs base sa wa ma oa in
+          wr32 ~ftz regs base sd od va
+        end
+      done;
+      next
+    | Decode.U_f64_of_f64 { d; a } ->
+      set_dst od d; set_f64 oa cbank0 a;
+      let sd = od.slot in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          wr_float regs base sd od (rd_f64 oa regs base)
+        end
+      done;
+      next
+    | Decode.U_f16_of_f32 { d; a } ->
+      set_dst od d; set_f32 oa cbank0 a;
+      let sd = od.slot and sa = oa.slot and wa = oa.w and ma = oa.mods in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let va = rd_m regs base sa wa ma oa in
+          wr regs base sd od (Fpx_num.Fp16.of_float (f32f va))
+        end
+      done;
+      next
+    | Decode.U_f32_of_f16 { d; a } ->
+      set_dst od d; set_i32 oa cbank0 a;
+      let sd = od.slot and sa = oa.slot and wa = oa.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let va = rd_w regs base sa wa oa in
+          wr regs base sd od
+            (f32b (Fpx_num.Fp16.to_float (va land 0xffff)))
+        end
+      done;
+      next
+    | Decode.U_i2f32 { d; a } ->
+      set_dst od d; set_i32 oa cbank0 a;
+      let sd = od.slot and sa = oa.slot and wa = oa.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let va = rd_w regs base sa wa oa in
+          wr regs base sd od (f32b (Int32.to_float (Int32.of_int va)))
+        end
+      done;
+      next
+    | Decode.U_i2f64 { d; a } ->
+      set_dst od d; set_i32 oa cbank0 a;
+      let sd = od.slot and sa = oa.slot and wa = oa.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let va = rd_w regs base sa wa oa in
+          wr_float regs base sd od (Int32.to_float (Int32.of_int va))
+        end
+      done;
+      next
+    | Decode.U_f2i32 { d; a } ->
+      set_dst od d; set_f32 oa cbank0 a;
+      let sd = od.slot and sa = oa.slot and wa = oa.w and ma = oa.mods in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let v = f32f (rd_m regs base sa wa ma oa) in
+          wr regs base sd od
+            (if Float.is_nan v then 0
+             else Int32.to_int (Int32.of_float v) land 0xffffffff)
+        end
+      done;
+      next
+    | Decode.U_f2i64 { d; a } ->
+      set_dst od d; set_f64 oa cbank0 a;
+      let sd = od.slot in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let v = rd_f64 oa regs base in
+          wr regs base sd od
+            (if Float.is_nan v then 0
+             else Int32.to_int (Int32.of_float v) land 0xffffffff)
+        end
+      done;
+      next
+    | Decode.U_mov { d; a } ->
+      set_dst od d; set_i32 oa cbank0 a;
+      let sd = od.slot and sa = oa.slot and wa = oa.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let va = rd_w regs base sa wa oa in
+          wr regs base sd od va
+        end
+      done;
+      next
+    | Decode.U_iadd { d; a; b } ->
+      set_dst od d; set_i32 oa cbank0 a; set_i32 ob cbank0 b;
+      let sd = od.slot and sa = oa.slot and wa = oa.w and
+        sb = ob.slot and wb = ob.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let vb = rd_w regs base sb wb ob in
+          let va = rd_w regs base sa wa oa in
+          wr regs base sd od ((va + vb) land 0xffffffff)
+        end
+      done;
+      next
+    | Decode.U_imad { d; a; b; c } ->
+      set_dst od d; set_i32 oa cbank0 a; set_i32 ob cbank0 b;
+      set_i32 oc cbank0 c;
+      let sd = od.slot and sa = oa.slot and wa = oa.w and
+        sb = ob.slot and wb = ob.w and sc = oc.slot and wc = oc.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let vc = rd_w regs base sc wc oc in
+          let vb = rd_w regs base sb wb ob in
+          let va = rd_w regs base sa wa oa in
+          wr regs base sd od (((va * vb) + vc) land 0xffffffff)
+        end
+      done;
+      next
+    | Decode.U_isetp { pd; c; a; b } ->
+      let tt = truth c in
+      set_pdst od pd; set_i32 oa cbank0 a; set_i32 ob cbank0 b;
+      let sd = od.slot and sa = oa.slot and wa = oa.w and
+        sb = ob.slot and wb = ob.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let vb = rd_w regs base sb wb ob in
+          let va = rd_w regs base sa wa oa in
+          wr_pred preds lane sd od (tt land order_i32 va vb <> 0)
+        end
+      done;
+      next
+    | Decode.U_shl { d; a; b } ->
+      set_dst od d; set_i32 oa cbank0 a; set_i32 ob cbank0 b;
+      let sd = od.slot and sa = oa.slot and wa = oa.w and
+        sb = ob.slot and wb = ob.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let vb = rd_w regs base sb wb ob in
+          let va = rd_w regs base sa wa oa in
+          wr regs base sd od ((va lsl (vb land 31)) land 0xffffffff)
+        end
+      done;
+      next
+    | Decode.U_shr { d; a; b } ->
+      set_dst od d; set_i32 oa cbank0 a; set_i32 ob cbank0 b;
+      let sd = od.slot and sa = oa.slot and wa = oa.w and
+        sb = ob.slot and wb = ob.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let vb = rd_w regs base sb wb ob in
+          let va = rd_w regs base sa wa oa in
+          wr regs base sd od (va lsr (vb land 31))
+        end
+      done;
+      next
+    | Decode.U_and { d; a; b } ->
+      set_dst od d; set_i32 oa cbank0 a; set_i32 ob cbank0 b;
+      let sd = od.slot and sa = oa.slot and wa = oa.w and
+        sb = ob.slot and wb = ob.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let vb = rd_w regs base sb wb ob in
+          let va = rd_w regs base sa wa oa in
+          wr regs base sd od (va land vb)
+        end
+      done;
+      next
+    | Decode.U_or { d; a; b } ->
+      set_dst od d; set_i32 oa cbank0 a; set_i32 ob cbank0 b;
+      let sd = od.slot and sa = oa.slot and wa = oa.w and
+        sb = ob.slot and wb = ob.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let vb = rd_w regs base sb wb ob in
+          let va = rd_w regs base sa wa oa in
+          wr regs base sd od (va lor vb)
+        end
+      done;
+      next
+    | Decode.U_xor { d; a; b } ->
+      set_dst od d; set_i32 oa cbank0 a; set_i32 ob cbank0 b;
+      let sd = od.slot and sa = oa.slot and wa = oa.w and
+        sb = ob.slot and wb = ob.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let vb = rd_w regs base sb wb ob in
+          let va = rd_w regs base sa wa oa in
+          wr regs base sd od (va lxor vb)
+        end
+      done;
+      next
+    | Decode.U_ldg32 { d; addr } ->
+      set_dst od d; set_i32 oa cbank0 addr;
+      let sd = od.slot and sa = oa.slot and wa = oa.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let v = Memory.load_word mem ~addr:(rd_w regs base sa wa oa) in
+          let v =
+            (* modelled silent data corruption: a flipped bit in the
+               loaded word, the raw material for downstream exception
+               analysis *)
+            match flt with
+            | Some a when Fault.fire a Fault.Mem_bit_flip ->
+              v lxor (1 lsl (Fault.draw a Fault.Mem_bit_flip land 31))
+            | _ -> v
+          in
+          wr regs base sd od v
+        end
+      done;
+      next
+    | Decode.U_ldg64 { d; addr } ->
+      set_dst od d; set_i32 oa cbank0 addr;
+      let sd = od.slot and sa = oa.slot and wa = oa.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let v = Memory.load_i64 mem ~addr:(rd_w regs base sa wa oa) in
+          let v =
+            match flt with
+            | Some a when Fault.fire a Fault.Mem_bit_flip ->
+              Int64.logxor v
+                (Int64.shift_left 1L (Fault.draw a Fault.Mem_bit_flip land 63))
+            | _ -> v
+          in
+          wr_pair_bits regs base sd od v
+        end
+      done;
+      next
+    | Decode.U_stg32 { addr; v } ->
+      set_i32 oa cbank0 addr; set_i32 ob cbank0 v;
+      let sa = oa.slot and wa = oa.w and sb = ob.slot and wb = ob.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let addr = rd_w regs base sa wa oa in
+          Memory.store_word mem ~addr (rd_w regs base sb wb ob)
+        end
+      done;
+      next
+    | Decode.U_stg64 { addr; v } ->
+      set_i32 oa cbank0 addr; set_v64 ob cbank0 v;
+      let sa = oa.slot and wa = oa.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let addr = rd_w regs base sa wa oa in
+          Memory.store_i64 mem ~addr (rd_bits64 ob regs base)
+        end
+      done;
+      next
+    | Decode.U_lds32 { d; addr } ->
+      set_dst od d; set_i32 oa cbank0 addr;
+      let sd = od.slot and sa = oa.slot and wa = oa.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let addr = rd_w regs base sa wa oa in
+          if addr + 4 > Bytes.length shared then
+            trapf "shared load out of bounds";
+          if addr + 4 > stats.Stats.shmem_hwm then
+            stats.Stats.shmem_hwm <- addr + 4;
+          wr regs base sd od
+            (Int32.to_int (Bytes.get_int32_le shared addr) land 0xffffffff)
+        end
+      done;
+      next
+    | Decode.U_lds64 { d; addr } ->
+      set_dst od d; set_i32 oa cbank0 addr;
+      let sd = od.slot and sa = oa.slot and wa = oa.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let addr = rd_w regs base sa wa oa in
+          if addr + 8 > Bytes.length shared then
+            trapf "shared load out of bounds";
+          if addr + 8 > stats.Stats.shmem_hwm then
+            stats.Stats.shmem_hwm <- addr + 8;
+          wr_pair_bits regs base sd od (Bytes.get_int64_le shared addr)
+        end
+      done;
+      next
+    | Decode.U_sts32 { addr; v } ->
+      set_i32 oa cbank0 addr; set_i32 ob cbank0 v;
+      let sa = oa.slot and wa = oa.w and sb = ob.slot and wb = ob.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let addr = rd_w regs base sa wa oa in
+          if addr + 4 > Bytes.length shared then
+            trapf "shared store out of bounds";
+          if addr + 4 > stats.Stats.shmem_hwm then
+            stats.Stats.shmem_hwm <- addr + 4;
+          Bytes.set_int32_le shared addr
+            (Int32.of_int (rd_w regs base sb wb ob))
+        end
+      done;
+      next
+    | Decode.U_sts64 { addr; v } ->
+      set_i32 oa cbank0 addr; set_v64 ob cbank0 v;
+      let sa = oa.slot and wa = oa.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let addr = rd_w regs base sa wa oa in
+          if addr + 8 > Bytes.length shared then
+            trapf "shared store out of bounds";
+          if addr + 8 > stats.Stats.shmem_hwm then
+            stats.Stats.shmem_hwm <- addr + 8;
+          Bytes.set_int64_le shared addr (rd_bits64 ob regs base)
+        end
+      done;
+      next
+    | Decode.U_atom_add { d; fp; addr; v } ->
+      (* lanes execute in ascending order, so the read-modify-write
+         below is race-free and deterministic *)
+      set_dst od d; set_i32 oa cbank0 addr; set_i32 ob cbank0 v;
+      let sd = od.slot and sa = oa.slot and wa = oa.w and
+        sb = ob.slot and wb = ob.w in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then begin
+          let base = lane * nslots in
+          let addr = rd_w regs base sa wa oa in
+          let old = Memory.load_word mem ~addr in
+          let vv = rd_w regs base sb wb ob in
+          Memory.store_word mem ~addr
+            (if fp then f32b (f32f old +. f32f vv)
+             else (old + vv) land 0xffffffff);
+          wr regs base sd od old
+        end
+      done;
+      next
+    | Decode.U_s2r { d; r } ->
+      (* the value is [v0], plus the lane for the lane-indexed registers *)
+      let v0 =
+        match r with
+        | Isa.Tid_x -> w * warp_size
+        | Isa.Lane_id -> 0
+        | Isa.Ntid_x -> block
+        | Isa.Ctaid_x -> blk
+        | Isa.Nctaid_x -> grid
+      in
+      let by_lane =
+        match r with
+        | Isa.Tid_x | Isa.Lane_id -> 1
+        | Isa.Ntid_x | Isa.Ctaid_x | Isa.Nctaid_x -> 0
+      in
+      set_dst od d;
+      let sd = od.slot in
+      for lane = 0 to warp_size - 1 do
+        if (exec lsr lane) land 1 = 1 then
+          wr regs (lane * nslots) sd od
+            ((v0 + (by_lane * lane)) land 0xffffffff)
+      done;
+      next
+    | Decode.U_bra target -> target
+    | Decode.U_bra_poison e | Decode.U_trap e -> raise e
+    | Decode.U_exit -> done_pc
+    | Decode.U_nop -> next
+    | Decode.U_bar ->
+      (* barriers are handled by the block scheduler, never here *)
+      trapf "BAR reached the lane executor"
   in
   for blk = 0 to grid - 1 do
     Bytes.fill shared 0 shared_mem_bytes '\000';
-    Array.iteri
-      (fun w st ->
-        let live = max 0 (min warp_size (block - (w * warp_size))) in
-        Array.fill st.regs 0 (Array.length st.regs) 0;
-        Array.fill st.preds 0 8 0;
-        Array.fill st.pcs 0 live 0;
-        Array.fill st.pcs live (warp_size - live) done_pc)
-      warps;
+    for w = 0 to warps_per_block - 1 do
+      let st = warps.(w) in
+      let n = max 0 (min warp_size (block - (w * warp_size))) in
+      let live = (1 lsl n) - 1 in
+      Array.fill st.Device.regs 0 (warp_size * nslots) 0;
+      Array.fill st.preds 0 8 0;
+      st.pc <- (if live = 0 then done_pc else 0);
+      st.live <- live;
+      st.at <- live;
+      st.diverged <- false
+    done;
     (* `Run: can make progress; `Bar: parked at a barrier; `Done *)
     let status = Array.make warps_per_block `Run in
     let diverged = Array.make warps_per_block false in
     let run_warp_slice w =
       let st = warps.(w) in
-      let regs = st.regs in
-      let preds = st.preds in
-      let pcs = st.pcs in
+      let regs = st.Device.regs in
+      let preds = st.Device.preds in
       let warp_index = (blk * warps_per_block) + w in
       let api =
         {
           warp_index;
           block = blk;
-          executing_lanes = [];
+          executing = 0;
           read_reg =
             (fun ~lane r ->
-              if r = Operand.rz then 0l
-              else if r < nslots then Int32.of_int regs.((lane * nslots) + r)
+              if r = Operand.rz then 0
+              else if r < nslots then regs.((lane * nslots) + r)
               else trapf "register R%d out of range" r);
           read_pred =
             (fun ~lane p ->
@@ -637,15 +1165,9 @@ let run_decoded ?hooks ?(max_dyn_instrs = 50_000_000) ~device ~grid ~block
         stats.tool_cycles <- stats.tool_cycles + inj.fixed_cost;
         inj.fn ctx api
       in
-      let min_pc () =
-        let m = ref done_pc in
-        for lane = 0 to warp_size - 1 do
-          if pcs.(lane) < !m then m := pcs.(lane)
-        done;
-        !m
-      in
       let rec step () =
-        let m = min_pc () in
+        if st.diverged then regroup st;
+        let m = st.pc in
         if m = done_pc then `Done
         else begin
           decr budget;
@@ -680,16 +1202,13 @@ let run_decoded ?hooks ?(max_dyn_instrs = 50_000_000) ~device ~grid ~block
           | None -> ()
           | Some a ->
             pc_counts.(m) <- pc_counts.(m) + 1;
-            let dv = ref false in
-            for lane = 0 to warp_size - 1 do
-              if pcs.(lane) <> m && pcs.(lane) <> done_pc then dv := true
-            done;
-            if !dv then
+            let dv = st.diverged in
+            if dv then
               Option.iter Fpx_obs.Metrics.incr divergent_steps;
-            if !dv <> diverged.(w) then begin
-              diverged.(w) <- !dv;
+            if dv <> diverged.(w) then begin
+              diverged.(w) <- dv;
               Fpx_obs.Span.instant a.Fpx_obs.Sink.trace ~tid:warp_index
-                ~name:(if !dv then "warp_diverge" else "warp_reconverge")
+                ~name:(if dv then "warp_diverge" else "warp_reconverge")
                 ~cat:"simt"
                 ~ts:
                   (Fpx_obs.Sink.now a
@@ -699,20 +1218,17 @@ let run_decoded ?hooks ?(max_dyn_instrs = 50_000_000) ~device ~grid ~block
                     ("pc", Fpx_obs.Span.I m) ]
                 ()
             end);
+          stats.dyn_instrs <- stats.dyn_instrs + 1;
+          stats.base_cycles <- stats.base_cycles + e.Decode.cost;
           match e.Decode.uop with
           | Decode.U_bar ->
             (* every live lane must have arrived *)
-            for lane = 0 to warp_size - 1 do
-              if pcs.(lane) <> m && pcs.(lane) <> done_pc then
-                trapf "divergent barrier in kernel %s at pc %d"
-                  prog.Program.name m
-            done;
-            stats.dyn_instrs <- stats.dyn_instrs + 1;
-            stats.base_cycles <- stats.base_cycles + e.Decode.cost;
+            if st.diverged then
+              trapf "divergent barrier in kernel %s at pc %d"
+                prog.Program.name m;
+            materialise st;
             `Bar
           | u ->
-            stats.dyn_instrs <- stats.dyn_instrs + 1;
-            stats.base_cycles <- stats.base_cycles + e.Decode.cost;
             let mask =
               match e.Decode.guard with
               | Decode.G_none -> -1
@@ -722,32 +1238,24 @@ let run_decoded ?hooks ?(max_dyn_instrs = 50_000_000) ~device ~grid ~block
                 if packed >= 8 then lnot mv else mv
               | Decode.G_poison ex -> raise ex
             in
-            let hooked = hooks.before.(m) <> [] || hooks.after.(m) <> [] in
-            if hooked then begin
-              let executing = ref [] in
-              for lane = warp_size - 1 downto 0 do
-                if pcs.(lane) = m && (mask lsr lane) land 1 = 1 then
-                  executing := lane :: !executing
-              done;
-              api.executing_lanes <- !executing
-            end;
-            if hooked then List.iter fire hooks.before.(m);
-            for lane = 0 to warp_size - 1 do
-              if Array.unsafe_get pcs lane = m then
-                if (mask lsr lane) land 1 = 1 then
-                  Array.unsafe_set pcs lane
-                    (try
-                       exec_lane ~ftz ~flt ~stats st cbank0 ~mem ~shared
-                         ~lane ~base:(lane * nslots) ~warp_in_block:w
-                         ~block:blk ~grid ~block_dim:block ~next:(m + 1) u
-                     with Memory.Fault { addr; size } ->
-                       trapf
-                         "global access out of bounds: %d bytes at 0x%x in \
-                          kernel %s"
-                         size addr prog.Program.name)
-                else Array.unsafe_set pcs lane (m + 1)
-            done;
-            if hooked then List.iter fire hooks.after.(m);
+            let exec = st.at land mask in
+            let before = hooks.before.(m) and after = hooks.after.(m) in
+            (match before, after with
+            | [], [] -> ()
+            | _ -> api.executing <- exec);
+            (match before with [] -> () | l -> List.iter fire l);
+            let tgt =
+              if exec = 0 then m + 1
+              else
+                try dispatch st u ~exec ~m ~w ~blk
+                with Memory.Fault { addr; size } ->
+                  trapf
+                    "global access out of bounds: %d bytes at 0x%x in \
+                     kernel %s"
+                    size addr prog.Program.name
+            in
+            advance st ~m ~exec ~tgt;
+            (match after with [] -> () | l -> List.iter fire l);
             step ()
         end
       in
@@ -773,13 +1281,13 @@ let run_decoded ?hooks ?(max_dyn_instrs = 50_000_000) ~device ~grid ~block
           (* all runnable warps have arrived: release the barrier *)
           for w = 0 to warps_per_block - 1 do
             if status.(w) = `Bar then begin
-              let st = warps.(w) in
+              let pcs = warps.(w).Device.pcs in
               let m = ref done_pc in
               for lane = 0 to warp_size - 1 do
-                if st.pcs.(lane) < !m then m := st.pcs.(lane)
+                if pcs.(lane) < !m then m := pcs.(lane)
               done;
               for lane = 0 to warp_size - 1 do
-                if st.pcs.(lane) = !m then st.pcs.(lane) <- !m + 1
+                if pcs.(lane) = !m then pcs.(lane) <- !m + 1
               done;
               status.(w) <- `Run
             end

@@ -15,6 +15,18 @@
     kept under [test/oracle/] as the semantic oracle it is
     differentially tested against.
 
+    Each warp step is vectorised: the micro-op is matched once, its
+    lane-invariant operands (register index, immediate or constant-bank
+    value, FP32 modifiers) are resolved once, and the arm loops over the
+    executing lanes in ascending order. A warp is {e converged} (one pc
+    and a live-lane mask: its next step costs O(1)) or {e diverged}
+    (per-lane pcs, scanned once per step for the minimum pc, the lanes
+    parked there and the live lanes; it reconverges when those two masks
+    are equal). Only a branch taken by some but not all of a converged
+    warp's lanes diverges it; a partial [EXIT] only clears live bits.
+    The warp states and the shared segment belong to the {!Device.t}
+    (see {!Device.warp}) and are reused by its later launches.
+
     Instrumentation is injected per static instruction as before/after
     callbacks (the NVBit model). Callbacks receive a {!warp_api} view of
     the executing warp and a {!ctx} for cost accounting. *)
@@ -28,12 +40,16 @@ type ctx = { device : Device.t; stats : Stats.t }
 type warp_api = {
   warp_index : int;  (** Global warp index within the launch. *)
   block : int;
-  mutable executing_lanes : int list;
-      (** Lanes active at this pc whose guard predicate held — the lanes
-          whose destination registers the instruction actually wrote.
-          (Mutable so the executor can reuse one view per warp; callbacks
-          must not retain it across invocations.) *)
-  read_reg : lane:int -> int -> int32;
+  mutable executing : int;
+      (** The lanes at this pc whose guard predicate held — the lanes
+          whose destination registers the instruction actually wrote —
+          as a mask: bit [l] set means lane [l] executes. Iterate it in
+          ascending lane order. (Mutable so the executor can reuse one
+          view per warp; callbacks must not retain it across
+          invocations.) *)
+  read_reg : lane:int -> int -> int;
+      (** The register's 32-bit word, zero-extended into an [int]; RZ
+          reads 0. Allocates nothing. *)
   read_pred : lane:int -> int -> bool;
   read_cbank : offset:int -> int32;
   global_tid : lane:int -> int;

@@ -122,13 +122,17 @@ let store_slow t ~addr ~size:n v =
 
 let in_dense t ~addr ~size:n = addr >= 0 && addr + n <= Bytes.length t.dense
 
-let load_i32 t ~addr =
-  if in_dense t ~addr ~size:4 then Bytes.get_int32_le t.dense addr
-  else Int64.to_int32 (load_slow t ~addr ~size:4)
+let load_word t ~addr =
+  if in_dense t ~addr ~size:4 then
+    Int32.to_int (Bytes.get_int32_le t.dense addr) land 0xffffffff
+  else Int64.to_int (load_slow t ~addr ~size:4)
 
-let store_i32 t ~addr v =
-  if in_dense t ~addr ~size:4 then Bytes.set_int32_le t.dense addr v
-  else store_slow t ~addr ~size:4 (Int64.of_int32 v)
+let store_word t ~addr w =
+  if in_dense t ~addr ~size:4 then Bytes.set_int32_le t.dense addr (Int32.of_int w)
+  else store_slow t ~addr ~size:4 (Int64.of_int (w land 0xffffffff))
+
+let load_i32 t ~addr = Int32.of_int (load_word t ~addr)
+let store_i32 t ~addr v = store_word t ~addr (Int32.to_int v)
 
 let load_i64 t ~addr =
   if in_dense t ~addr ~size:8 then Bytes.get_int64_le t.dense addr

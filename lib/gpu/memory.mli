@@ -32,8 +32,18 @@ val digest : t -> string
     golden-output fingerprint a bit-flip campaign classifies against.
     Identical allocation and store sequences give identical digests. *)
 
+val load_word : t -> addr:int -> int
+val store_word : t -> addr:int -> int -> unit
+(** A 32-bit access on a word: the bit pattern zero-extended into an
+    [int] (a store keeps the low 32 bits). The executor's path; neither
+    allocates. *)
+
 val load_i32 : t -> addr:int -> int32
 val store_i32 : t -> addr:int -> int32 -> unit
+(** {!load_word} and {!store_word} on [int32]. The executor reads
+    through {!load_word}; [load_i32] is public for host code, the tests
+    and the reference core. *)
+
 val load_i64 : t -> addr:int -> int64
 val store_i64 : t -> addr:int -> int64 -> unit
 

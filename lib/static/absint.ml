@@ -89,7 +89,7 @@ let join_env_into ~widen dst src =
    ⊤ and a poisoned predicate as unknown: the concrete core traps
    there, so nothing it reads flows on. *)
 
-let flush ftz v = if ftz then A.ftz32 v else v
+let flush ftz v = if ftz then A.flush32 v else v
 
 let mods w ~neg ~abs v =
   let v = if abs then A.abs_mod w v else v in

@@ -217,7 +217,7 @@ let to_string x =
 
 (* --- modifiers and flushes ------------------------------------------- *)
 
-let ftz32 x =
+let flush32 x =
   if is_bot x || x.cls land m_sub = 0 then x
   else
     let r =
@@ -244,7 +244,7 @@ let neg_mod w x =
 
 (* --- transfer-function plumbing -------------------------------------- *)
 
-let post w ~ftz r = if ftz && w = W32 then ftz32 r else r
+let post w ~ftz r = if ftz && w = W32 then flush32 r else r
 
 let consts2 w a b =
   match w with

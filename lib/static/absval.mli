@@ -77,7 +77,7 @@ val to_string : t -> string
 
 (** {1 Operand modifiers and flushes} *)
 
-val ftz32 : t -> t
+val flush32 : t -> t
 (** Abstract flush-to-zero of the FP32 view. *)
 
 val abs_mod : width -> t -> t
@@ -87,7 +87,7 @@ val neg_mod : width -> t -> t
 
     [w] selects the format thresholds; [~ftz] applies the output flush
     (the program-level fast-math FTZ; callers flush {e inputs} with
-    {!ftz32} first, as [exec.ml]'s operand reads do). FP64 ops never
+    {!flush32} first, as [exec.ml]'s operand reads do). FP64 ops never
     flush. *)
 
 val add : width -> ftz:bool -> t -> t -> t

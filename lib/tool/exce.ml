@@ -31,14 +31,12 @@ let worse a b =
 let classify ~fmt ~div0 lo hi =
   let e =
     match fmt with
-    | Fpx_sass.Isa.FP32 -> of_kind (Fpx_num.Fp32.classify lo)
-    | Fpx_sass.Isa.FP64 ->
-      of_kind (Fpx_num.Fp64.classify (Fpx_num.Fp64.of_words ~lo ~hi))
+    | Fpx_sass.Isa.FP32 -> of_kind (Fpx_num.Fp32.classify_word lo)
+    | Fpx_sass.Isa.FP64 -> of_kind (Fpx_num.Fp64.classify_words ~lo ~hi)
     | Fpx_sass.Isa.FP16 ->
-      let l, h = Fpx_num.Fp16.unpack2 lo in
       worse
-        (of_kind (Fpx_num.Fp16.classify l))
-        (of_kind (Fpx_num.Fp16.classify h))
+        (of_kind (Fpx_num.Fp16.classify (lo land 0xffff)))
+        (of_kind (Fpx_num.Fp16.classify ((lo lsr 16) land 0xffff)))
   in
   if not div0 then e
   else

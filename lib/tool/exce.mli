@@ -12,12 +12,14 @@ val equal : t -> t -> bool
 val all : t list
 
 val classify :
-  fmt:Fpx_sass.Isa.fp_format -> div0:bool -> int32 -> int32 -> t option
+  fmt:Fpx_sass.Isa.fp_format -> div0:bool -> int -> int -> t option
 (** CheckExce (Algorithm 2): the exception a checked value raises.
     [classify ~fmt ~div0 lo hi] reads [lo] as an FP32 value, [lo]/[hi]
     as the two words of an FP64 value, or [lo] as two packed FP16 values
     (the worse half wins: NaN, then INF, then SUB); [hi] is ignored
-    outside FP64. With [div0] (a MUFU.RCP/RSQ result) a NaN or INF
+    outside FP64. Each word is a 32-bit pattern zero-extended into an
+    [int], as {!Fpx_gpu.Exec.warp_api}'s [read_reg] returns it; nothing
+    is allocated. With [div0] (a MUFU.RCP/RSQ result) a NaN or INF
     reports [Div0] and anything else [None]. *)
 
 val max_loc : int

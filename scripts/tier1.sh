@@ -115,6 +115,16 @@ run "tool results are plain data" \
 run "flat channel" \
   sh -c '! grep -nE "(^|[^A-Za-z])'\''[a-z_]+ +t([^a-z_]|$)|type +'\''" lib/gpu/channel.mli'
 
+# One dispatch per warp step: the executor matches a micro-op once and
+# loops over the executing lanes inside its arm, and hands tools an int
+# lane mask. No per-lane executor or lane list may come back, and each
+# FP32 bit rule (NaN test, flush, FMNMX min/max) has its one definition
+# in Fpx_num.Fp32.
+run "one dispatch per warp step" \
+  sh -c '! grep -rnE "executing_lanes|exec_lane" lib bin test/oracle &&
+         ! grep -rnE "let(\[@[a-z]+\])? +(rec +)?(is_nan32|ftz32|min_nv32|max_nv32)([^A-Za-z0-9_]|$)" \
+           lib --exclude-dir=fpnum'
+
 # No unreferenced exports: every lib/*/*.mli value is used outside its
 # own module, or is on scripts/exports.allow with the reason in its .mli
 # doc. The list must equal the allowlist, so it can only shrink.

@@ -13,8 +13,8 @@ type ctx = Exec.ctx = { device : Device.t; stats : Stats.t }
 type warp_api = Exec.warp_api = {
   warp_index : int;
   block : int;
-  mutable executing_lanes : int list;
-  read_reg : lane:int -> int -> int32;
+  mutable executing : int;
+  read_reg : lane:int -> int -> int;
   read_pred : lane:int -> int -> bool;
   read_cbank : offset:int -> int32;
   global_tid : lane:int -> int;
@@ -490,8 +490,9 @@ let run ?hooks ?(max_dyn_instrs = 50_000_000) ~device ~grid ~block ~params
         {
           warp_index;
           block = blk;
-          executing_lanes = [];
-          read_reg = (fun ~lane r -> read_reg st ~lane r);
+          executing = 0;
+          read_reg =
+            (fun ~lane r -> Int32.to_int (read_reg st ~lane r) land 0xffffffff);
           read_pred = (fun ~lane p -> read_pred_raw st ~lane p);
           read_cbank = (fun ~offset -> cbank_read cbank0 ~offset);
           global_tid = (fun ~lane -> (blk * block) + (w * warp_size) + lane);
@@ -582,12 +583,12 @@ let run ?hooks ?(max_dyn_instrs = 50_000_000) ~device ~grid ~block ~params
             stats.base_cycles <- stats.base_cycles + Isa.base_cost i.Instr.op;
             let hooked = hooks.before.(m) <> [] || hooks.after.(m) <> [] in
             if hooked then begin
-              let executing = ref [] in
+              let executing = ref 0 in
               for lane = warp_size - 1 downto 0 do
                 if st.pcs.(lane) = m && lane_executes i lane then
-                  executing := lane :: !executing
+                  executing := !executing lor (1 lsl lane)
               done;
-              api.executing_lanes <- !executing
+              api.executing <- !executing
             end;
             if hooked then List.iter fire hooks.before.(m);
             for lane = 0 to warp_size - 1 do

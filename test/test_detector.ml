@@ -342,24 +342,24 @@ let test_classify_table () =
   (* (name, FP32 bits, FP64 (lo, hi) words, plain class, DIV0 class) *)
   List.iter
     (fun (name, b32, (lo64, hi64), plain, div0) ->
-      case ("fp32 " ^ name) plain ~fmt:Isa.FP32 ~div0:false b32 0l;
-      case ("fp32 div0 " ^ name) div0 ~fmt:Isa.FP32 ~div0:true b32 0l;
+      case ("fp32 " ^ name) plain ~fmt:Isa.FP32 ~div0:false b32 0;
+      case ("fp32 div0 " ^ name) div0 ~fmt:Isa.FP32 ~div0:true b32 0;
       case ("fp64 " ^ name) plain ~fmt:Isa.FP64 ~div0:false lo64 hi64;
       case ("fp64 div0 " ^ name) div0 ~fmt:Isa.FP64 ~div0:true lo64 hi64)
-    [ ("nan", 0x7fc00000l, (0l, 0x7ff80000l), Some E.Nan, Some E.Div0);
-      ("inf", 0xff800000l, (0l, 0xfff00000l), Some E.Inf, Some E.Div0);
-      ("subnormal", 0x00000001l, (1l, 0l), Some E.Sub, None);
-      ("zero", 0x80000000l, (0l, 0l), None, None);
-      ("normal", 0x3f800000l, (0l, 0x3ff00000l), None, None) ];
+    [ ("nan", 0x7fc00000, (0, 0x7ff80000), Some E.Nan, Some E.Div0);
+      ("inf", 0xff800000, (0, 0xfff00000), Some E.Inf, Some E.Div0);
+      ("subnormal", 0x00000001, (1, 0), Some E.Sub, None);
+      ("zero", 0x80000000, (0, 0), None, None);
+      ("normal", 0x3f800000, (0, 0x3ff00000), None, None) ];
   (* FP16 packs two values; the worse half decides *)
   case "fp16 nan in the high half only" (Some E.Nan) ~fmt:Isa.FP16
-    ~div0:false 0x7e003c00l 0l;
+    ~div0:false 0x7e003c00 0;
   case "fp16 inf over a subnormal" (Some E.Inf) ~fmt:Isa.FP16 ~div0:false
-    0x7c000001l 0l;
-  case "fp16 both normal" None ~fmt:Isa.FP16 ~div0:false 0x3c003c00l 0l;
+    0x7c000001 0;
+  case "fp16 both normal" None ~fmt:Isa.FP16 ~div0:false 0x3c003c00 0;
   (* the FP32 reading of the packed NaN/1.0 word is a normal number *)
   case "fp32 reading of the fp16 word" None ~fmt:Isa.FP32 ~div0:false
-    0x7e003c00l 0l
+    0x7e003c00 0
 
 (* Without GT dedup the detector allocates no global table: a no-GT
    detector is a few thousand words, not the 1 MiB (131 K words) table.
@@ -401,6 +401,63 @@ let test_gt_backed_on_use () =
   Alcotest.(check int) "reset of an empty slot is a no-op" 2 (G.cardinal gt);
   Alcotest.(check bool) "set again after reset" true (G.test_and_set gt 4096)
 
+(* --- A hooked, exception-free warp step allocates nothing ------------ *)
+
+(* Each trip of the loop is one instrumented warp step (FADD R3 += 1,
+   never exceptional) and three plain ones; the trip count is the
+   kernel's I32 parameter. *)
+let alloc_loop =
+  let module Op = Fpx_sass.Operand in
+  let module Instr = Fpx_sass.Instr in
+  Fpx_sass.Program.make ~name:"alloc_loop"
+    [ Instr.make Isa.FADD [ Op.reg 3; Op.reg 3; Op.imm_f32 Fpx_num.Fp32.one ];
+      Instr.make Isa.IADD [ Op.reg 1; Op.reg 1; Op.imm_i 1l ];
+      Instr.make (Isa.ISETP (Isa.cmp Isa.Lt))
+        [ Op.pred 0; Op.reg 1; Op.cbank ~bank:0 ~offset:0x160 ];
+      Instr.make ~guard:(Op.pred 0) Isa.BRA [ Op.label 0 ] ]
+
+(* Minor words 1,000 extra trips cost: a 2,000-trip launch minus a
+   1,000-trip one, after a 2,000-trip warm-up (which also grows the
+   tool's channel). Everything paid once per launch cancels. *)
+let words_per_1000_hooked_steps tool =
+  let dev = Gpu.Device.create () in
+  let d = Fpx_sass.Decode.program alloc_loop in
+  let b = Fpx_tool.Inject.create dev alloc_loop in
+  Fpx_tool.instrument tool alloc_loop b;
+  let hooks = Fpx_tool.Inject.build b in
+  let launch trips =
+    Fpx_tool.on_launch_begin tool (Gpu.Stats.create ());
+    let stats =
+      Gpu.Exec.run_decoded ~hooks ~device:dev ~grid:1 ~block:32
+        ~params:[ Gpu.Param.I32 (Int32.of_int trips) ] d
+    in
+    Fpx_tool.on_drain tool stats ~kernel:"alloc_loop"
+  in
+  let words trips =
+    let w0 = Gc.minor_words () in
+    launch trips;
+    Gc.minor_words () -. w0
+  in
+  launch 2000;
+  let w1 = words 1000 in
+  let w2 = words 2000 in
+  int_of_float (w2 -. w1)
+
+let test_detector_step_allocates_nothing () =
+  let dev = Gpu.Device.create () in
+  let det = D.create dev in
+  Alcotest.(check int) "minor words per 1,000 hooked steps" 0
+    (words_per_1000_hooked_steps (D.tool det));
+  Alcotest.(check int) "no findings" 0 (D.total det)
+
+let test_binfpe_step_allocates_nothing () =
+  let module Binfpe = Fpx_binfpe.Binfpe in
+  let bin = Binfpe.create (Gpu.Device.create ()) in
+  Alcotest.(check int) "minor words per 1,000 hooked steps" 0
+    (words_per_1000_hooked_steps (Binfpe.tool bin));
+  Alcotest.(check int) "every lane's value received" (32 * 5000)
+    (Binfpe.records_received bin)
+
 let suite =
   ( "detector",
     [ Alcotest.test_case "record encode/decode" `Quick test_encode_decode;
@@ -431,4 +488,8 @@ let suite =
         test_classify_table;
       Alcotest.test_case "no GT without use_gt" `Quick
         test_no_gt_allocates_no_table;
-      Alcotest.test_case "gt backed on use" `Quick test_gt_backed_on_use ] )
+      Alcotest.test_case "gt backed on use" `Quick test_gt_backed_on_use;
+      Alcotest.test_case "hooked step allocates nothing" `Quick
+        test_detector_step_allocates_nothing;
+      Alcotest.test_case "BinFPE hooked step allocates nothing" `Quick
+        test_binfpe_step_allocates_nothing ] )

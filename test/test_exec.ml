@@ -23,6 +23,9 @@ let run_lanes ?(block = 32) instrs =
     (Exec.run ~device:dev ~grid:1 ~block ~params:[ Param.Ptr out ] prog);
   Memory.read_f32_array dev.Device.memory ~addr:out ~len:block
 
+(* The lanes of an executing mask, ascending. *)
+let lanes_of_mask m = List.filter (fun l -> (m lsr l) land 1 = 1) (List.init 32 Fun.id)
+
 let store_r0 = Instr.make (Isa.STG Isa.W32) [ Op.reg 11; Op.reg 0 ]
 
 let feq = Alcotest.float 1e-6
@@ -350,7 +353,7 @@ let test_hooks_fire () =
         fn =
           (fun _ api ->
             incr after;
-            lanes_seen := List.length api.Exec.executing_lanes) } ];
+            lanes_seen := lanes_of_mask api.Exec.executing |> List.length) } ];
   let st = Exec.run ~hooks ~device:dev ~grid:1 ~block:32 ~params:[] prog in
   Alcotest.(check int) "before fired" 1 !before;
   Alcotest.(check int) "after fired" 1 !after;
@@ -372,7 +375,7 @@ let test_hook_guard_lanes () =
   let hooks = Exec.no_hooks prog in
   hooks.Exec.after.(2) <-
     [ { Exec.fixed_cost = 0;
-        fn = (fun _ api -> lanes := api.Exec.executing_lanes) } ];
+        fn = (fun _ api -> lanes := lanes_of_mask api.Exec.executing) } ];
   ignore (Exec.run ~hooks ~device:dev ~grid:1 ~block:32 ~params:[] prog);
   Alcotest.(check (list int)) "guard-true lanes" [ 0; 1; 2; 3; 4 ] !lanes
 
@@ -404,6 +407,206 @@ let test_blocks_start_clean () =
   Alcotest.(check (array int32)) "all zero" (Array.make 128 0l)
     (Memory.read_i32_array dev.Device.memory ~addr:out ~len:128)
 
+(* --- Converged and diverged warps, against the reference core ------- *)
+
+(* Everything a launch shows: the memory digest, the step and cycle
+   counts, every hook firing as (pc, warp, executing mask) in firing
+   order, the "simt" trace instants, and the divergent-step counter. *)
+type observed = {
+  digest : string;
+  dyn_instrs : int;
+  base_cycles : int;
+  tool_cycles : int;
+  fired : (int * int * int) list;
+  instants : (int * string * float * (string * Fpx_obs.Span.arg) list) list;
+  divergent_steps : int option;
+  out : int32 array;
+}
+
+type engine =
+  ?hooks:Exec.hooks -> ?max_dyn_instrs:int -> device:Device.t -> grid:int ->
+  block:int -> params:Param.t list -> Program.t -> Stats.t
+
+(* Kernels below start with the [run_lanes] prologue: R10 = tid,
+   R11 = &out[global tid]; pc 2 is the first body instruction. *)
+let prologue =
+  [ Instr.make (Isa.S2R Isa.Tid_x) [ Op.reg 10 ];
+    Instr.make Isa.IMAD
+      [ Op.reg 11; Op.reg 10; Op.imm_i 4l; Op.cbank ~bank:0 ~offset:0x160 ] ]
+
+let observe ~(run : engine) ?(obs = false) ~grid ~block ~hooked body =
+  let prog = Program.make ~name:"simt" (prologue @ body) in
+  let sink = if obs then Fpx_obs.Sink.create () else Fpx_obs.Sink.null in
+  let dev = Device.create ~obs:sink () in
+  let n = grid * block in
+  let out = Memory.alloc_zeroed dev.Device.memory ~bytes:(4 * n) in
+  let fired = ref [] in
+  let hooks = Exec.no_hooks prog in
+  List.iter
+    (fun pc ->
+      hooks.Exec.after.(pc) <-
+        [ { Exec.fixed_cost = 3;
+            fn =
+              (fun _ api ->
+                fired := (pc, api.Exec.warp_index, api.Exec.executing) :: !fired)
+          } ])
+    hooked;
+  let st = run ~hooks ~device:dev ~grid ~block ~params:[ Param.Ptr out ] prog in
+  let instants, divergent_steps =
+    match Fpx_obs.Sink.active sink with
+    | None -> ([], None)
+    | Some a ->
+      ( List.filter_map
+          (fun (sp : Fpx_obs.Span.span) ->
+            if sp.Fpx_obs.Span.cat = "simt" then
+              Some (sp.track, sp.name, sp.t0, sp.args)
+            else None)
+          (Fpx_obs.Span.spans a.Fpx_obs.Sink.trace),
+        Fpx_obs.Metrics.counter_value a.Fpx_obs.Sink.metrics
+          "fpx_warp_divergent_steps_total" )
+  in
+  {
+    digest = Memory.digest dev.Device.memory;
+    dyn_instrs = st.Stats.dyn_instrs;
+    base_cycles = st.Stats.base_cycles;
+    tool_cycles = st.Stats.tool_cycles;
+    fired = List.rev !fired;
+    instants;
+    divergent_steps;
+    out = Memory.read_i32_array dev.Device.memory ~addr:out ~len:n;
+  }
+
+(* Run both engines; they must agree on everything observed. Returns
+   the decoded engine's view. *)
+let against_oracle ?obs ?(grid = 1) ?(block = 32) ~hooked body =
+  let r = observe ~run:Fpx_oracle.Exec_ref.run ?obs ~grid ~block ~hooked body in
+  let d = observe ~run:Exec.run ?obs ~grid ~block ~hooked body in
+  Alcotest.(check string) "memory digest" r.digest d.digest;
+  Alcotest.(check int) "dyn instrs" r.dyn_instrs d.dyn_instrs;
+  Alcotest.(check int) "base cycles" r.base_cycles d.base_cycles;
+  Alcotest.(check int) "tool cycles" r.tool_cycles d.tool_cycles;
+  Alcotest.(check (list (triple int int int))) "hook masks" r.fired d.fired;
+  Alcotest.(check bool) "simt instants" true (r.instants = d.instants);
+  Alcotest.(check (option int)) "divergent steps" r.divergent_steps
+    d.divergent_steps;
+  d
+
+let mov32 r v = Instr.make Isa.MOV32I [ Op.reg r; Op.imm_i v ]
+let bra ?guard pc = Instr.make ?guard Isa.BRA [ Op.label pc ]
+
+let setp c r v =
+  Instr.make (Isa.ISETP (Isa.cmp c)) [ Op.pred r; Op.reg 10; Op.imm_i v ]
+
+let stg = Instr.make (Isa.STG Isa.W32) [ Op.reg 11; Op.reg 0 ]
+
+(* Lanes 0-7 take pc 6, 8-15 pc 8, 16-31 pc 10; the inner paths join
+   at 9, everyone at 11. *)
+let nested =
+  [ (* 2 *) setp Isa.Lt 0 16l;
+    (* 3 *) bra ~guard:(Op.pred_not 0) 10;
+    (* 4 *) setp Isa.Lt 1 8l;
+    (* 5 *) bra ~guard:(Op.pred_not 1) 8;
+    (* 6 *) mov32 0 1l;
+    (* 7 *) bra 9;
+    (* 8 *) mov32 0 2l;
+    (* 9 *) bra 11;
+    (* 10 *) mov32 0 3l;
+    (* 11 *) Instr.make Isa.IADD [ Op.reg 0; Op.reg 0; Op.imm_i 100l ];
+    (* 12 *) stg ]
+
+let test_nested_divergence_reconverges () =
+  let d = against_oracle ~hooked:[ 6; 8; 9; 10; 11 ] nested in
+  Alcotest.(check (list (triple int int int))) "each path once, then 32 lanes"
+    [ (6, 0, 0xff); (8, 0, 0xff00); (9, 0, 0xffff); (10, 0, 0xffff0000);
+      (11, 0, 0xffffffff) ]
+    d.fired;
+  Alcotest.(check (array int32)) "per-path results"
+    (Array.init 32 (fun l -> if l < 8 then 101l else if l < 16 then 102l else 103l))
+    d.out
+
+let test_partial_exit_then_divergence () =
+  let d =
+    against_oracle ~hooked:[ 6; 8; 9 ]
+      [ (* 2 *) setp Isa.Ge 0 24l;
+        (* 3 *) Instr.make ~guard:(Op.pred 0) Isa.EXIT [];
+        (* 4 *) setp Isa.Lt 1 4l;
+        (* 5 *) bra ~guard:(Op.pred 1) 8;
+        (* 6 *) mov32 0 5l;
+        (* 7 *) bra 9;
+        (* 8 *) mov32 0 7l;
+        (* 9 *) stg ]
+  in
+  Alcotest.(check (list (triple int int int))) "exited lanes never execute"
+    [ (6, 0, 0x00fffff0); (8, 0, 0xf); (9, 0, 0x00ffffff) ]
+    d.fired;
+  Alcotest.(check (array int32)) "survivors store, exited lanes do not"
+    (Array.init 32 (fun l -> if l < 4 then 7l else if l < 24 then 5l else 0l))
+    d.out
+
+(* Two warps: warp 1 diverges (tids 32-39 vs 40-63) and reconverges
+   before the barrier; after it each thread reads its partner's
+   (tid xor 32) shared word. *)
+let test_barrier_after_reconvergence () =
+  let d =
+    against_oracle ~block:64 ~hooked:[ 7; 13 ]
+      [ (* 2 *) setp Isa.Lt 0 40l;
+        (* 3 *) bra ~guard:(Op.pred_not 0) 6;
+        (* 4 *) mov32 1 1l;
+        (* 5 *) bra 7;
+        (* 6 *) mov32 1 2l;
+        (* 7 *) Instr.make Isa.IADD [ Op.reg 1; Op.reg 1; Op.reg 10 ];
+        (* 8 *) Instr.make Isa.SHL [ Op.reg 2; Op.reg 10; Op.imm_i 2l ];
+        (* 9 *) Instr.make (Isa.STS Isa.W32) [ Op.reg 2; Op.reg 1 ];
+        (* 10 *) Instr.make Isa.BAR [];
+        (* 11 *) Instr.make Isa.LOP_XOR [ Op.reg 3; Op.reg 10; Op.imm_i 32l ];
+        (* 12 *) Instr.make Isa.SHL [ Op.reg 4; Op.reg 3; Op.imm_i 2l ];
+        (* 13 *) Instr.make (Isa.LDS Isa.W32) [ Op.reg 0; Op.reg 4 ];
+        (* 14 *) stg ]
+  in
+  Alcotest.(check (list (triple int int int))) "both warps whole at the join"
+    [ (7, 0, 0xffffffff); (7, 1, 0xffffffff); (13, 0, 0xffffffff);
+      (13, 1, 0xffffffff) ]
+    d.fired;
+  Alcotest.(check (array int32)) "partner's word"
+    (Array.init 64 (fun t ->
+         let p = t lxor 32 in
+         Int32.of_int (p + if p < 40 then 1 else 2)))
+    d.out
+
+let test_uniform_branches_do_not_diverge () =
+  let d =
+    against_oracle ~obs:true ~hooked:[ 3; 5 ]
+      [ (* 2 *) setp Isa.Ge 0 0l;
+        (* 3 *) bra ~guard:(Op.pred 0) 5;
+        (* 4 *) mov32 0 9l;
+        (* 5 *) bra ~guard:(Op.pred_not 0) 7;
+        (* 6 *) mov32 0 1l;
+        (* 7 *) stg ]
+  in
+  Alcotest.(check (list (triple int int int))) "taken by all, then by none"
+    [ (3, 0, 0xffffffff); (5, 0, 0) ] d.fired;
+  Alcotest.(check int) "no simt instant" 0 (List.length d.instants);
+  Alcotest.(check (option int)) "no divergent step" (Some 0) d.divergent_steps;
+  Alcotest.(check (array int32)) "fell through" (Array.make 32 1l) d.out
+
+(* Two blocks of 48 threads: each block's first warp diverges and
+   reconverges once; its second warp (16 live lanes, tids 32-47) takes
+   the outer else path together and never diverges. *)
+let test_divergence_instants_match_oracle () =
+  let d = against_oracle ~obs:true ~grid:2 ~block:48 ~hooked:[ 11 ] nested in
+  let count name =
+    List.length (List.filter (fun (_, n, _, _) -> n = name) d.instants)
+  in
+  Alcotest.(check int) "one divergence per first warp" 2 (count "warp_diverge");
+  Alcotest.(check int) "one reconvergence per first warp" 2
+    (count "warp_reconverge");
+  Alcotest.(check (list (triple int int int))) "whole warps at the join"
+    [ (11, 0, 0xffffffff); (11, 1, 0xffff); (11, 2, 0xffffffff);
+      (11, 3, 0xffff) ]
+    d.fired;
+  Alcotest.(check bool) "divergent steps counted" true
+    (match d.divergent_steps with Some n -> n > 0 | None -> false)
+
 let suite =
   ( "exec",
     [ Alcotest.test_case "fadd" `Quick test_fadd;
@@ -432,4 +635,14 @@ let suite =
       Alcotest.test_case "hooks fire with costs" `Quick test_hooks_fire;
       Alcotest.test_case "hooks see guard-true lanes" `Quick
         test_hook_guard_lanes;
-      Alcotest.test_case "blocks start clean" `Quick test_blocks_start_clean ] )
+      Alcotest.test_case "blocks start clean" `Quick test_blocks_start_clean;
+      Alcotest.test_case "nested divergence reconverges" `Quick
+        test_nested_divergence_reconverges;
+      Alcotest.test_case "partial exit, then divergence" `Quick
+        test_partial_exit_then_divergence;
+      Alcotest.test_case "barrier after reconvergence" `Quick
+        test_barrier_after_reconvergence;
+      Alcotest.test_case "uniform branches do not diverge" `Quick
+        test_uniform_branches_do_not_diverge;
+      Alcotest.test_case "divergence instants match the oracle" `Quick
+        test_divergence_instants_match_oracle ] )

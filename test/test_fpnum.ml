@@ -225,6 +225,57 @@ let prop_min_nv_never_nan_unless_both =
       let r = Fp32.min_nv a b in
       if Fp32.is_nan r then Fp32.is_nan a && Fp32.is_nan b else true)
 
+(* The word rules the executor and the reference core share, pinned
+   with their expected bits written out: a fault in one of them cannot
+   show up as an executor/oracle disagreement. *)
+let test_word_rules_table () =
+  let bits = Alcotest.testable (fun ppf w -> Format.fprintf ppf "0x%08x" w) ( = ) in
+  let check2 name f cases =
+    List.iter
+      (fun (a, b, want) ->
+        Alcotest.check bits (Printf.sprintf "%s 0x%08x 0x%08x" name a b) want
+          (f a b))
+      cases
+  in
+  let qnan = 0x7fc00000 and neg_nan = 0xffc00001 and two = 0x40000000 in
+  let pos0 = 0x00000000 and neg0 = 0x80000000 in
+  check2 "min_nv" Fp32.min_nv_word
+    [ (qnan, two, two); (two, qnan, two); (qnan, neg_nan, neg_nan);
+      (pos0, neg0, pos0); (neg0, pos0, neg0);
+      (0x3f800000, two, 0x3f800000); (0xbf800000, 0x3f800000, 0xbf800000) ];
+  check2 "max_nv" Fp32.max_nv_word
+    [ (qnan, two, two); (two, qnan, two); (qnan, neg_nan, neg_nan);
+      (pos0, neg0, pos0); (neg0, pos0, neg0);
+      (0x3f800000, two, two); (0xbf800000, 0x3f800000, 0x3f800000) ];
+  List.iter
+    (fun (w, want) ->
+      Alcotest.check bits (Printf.sprintf "ftz 0x%08x" w) want (Fp32.ftz_word w))
+    [ (0x00000001, 0x00000000); (0x807fffff, 0x80000000);
+      (0x80000001, 0x80000000); (0x00800000, 0x00800000);
+      (0x3f800000, 0x3f800000); (0xc0490fdb, 0xc0490fdb);
+      (0x7fc00000, 0x7fc00000); (0x80000000, 0x80000000) ];
+  List.iter
+    (fun (w, want) ->
+      Alcotest.(check bool) (Printf.sprintf "is_nan 0x%08x" w) want
+        (Fp32.is_nan (Int32.of_int w)))
+    [ (0x7f800000, false); (0x7f800001, true); (0xff800001, true);
+      (0xffffffff, true); (0xff800000, false); (0x7f7fffff, false) ];
+  (* modifiers apply in the order flush, abs, neg *)
+  List.iter
+    (fun (w, (neg, abs, ftz), want) ->
+      Alcotest.check bits (Printf.sprintf "mod 0x%08x" w) want
+        (Fp32.mod_word w ~neg ~abs ~ftz))
+    [ (0x80000001, (true, false, true), 0x00000000);
+      (0x80000001, (true, true, false), 0x80000001);
+      (0x80000001, (false, true, true), 0x00000000);
+      (0xbf800000, (false, true, false), 0x3f800000);
+      (0x3f800000, (true, false, false), 0xbf800000);
+      (0x3f800000, (false, false, true), 0x3f800000) ];
+  (* the [t] functions are the word rules *)
+  Alcotest.(check int32) "min_nv on int32" 0x80000000l
+    (Fp32.min_nv 0x80000000l 0x00000000l);
+  Alcotest.(check int32) "ftz on int32" 0x80000000l (Fp32.ftz 0x807fffffl)
+
 let suite =
   ( "fpnum",
     [ Alcotest.test_case "classify specials" `Quick test_classify_specials;
@@ -247,4 +298,5 @@ let suite =
       qcheck_case prop_words_roundtrip;
       qcheck_case prop_ftz_idempotent;
       qcheck_case prop_add_commutes;
-      qcheck_case prop_min_nv_never_nan_unless_both ] )
+      qcheck_case prop_min_nv_never_nan_unless_both;
+      Alcotest.test_case "word rules table" `Quick test_word_rules_table ] )
