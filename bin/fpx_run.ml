@@ -156,6 +156,12 @@ let fault_spec_of seed rate kinds =
     let sites =
       match kinds with
       | None -> Fault.all_sites
+      | Some [] ->
+        (* "" and "," parse to no names: a run with no site enabled is
+           not what "default: all" promises *)
+        Printf.eprintf
+          "fpx_run: --fault-kinds names no fault kind (known: %s)\n" site_names;
+        exit 124
       | Some names ->
         List.map
           (fun n ->

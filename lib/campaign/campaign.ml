@@ -134,13 +134,15 @@ type profile = {
   shmem_words : int;
   n_regs : int;
   kernels : (string * Program.t) array;
+  ledger : Runner.ledger;
+      (** the golden run's launches, replayed by every injection *)
 }
 
 (* One detector run through the shared runner. The campaign's own
    workload wrapper captures what a measurement does not carry: the
    memory digest and dynamic totals at the moment the program finished,
-   [None] when the run aborted. *)
-let exec ?fault (w : W.t) =
+   [None] when the run aborted or stopped at reconvergence. *)
+let exec ?fault ~ledger (w : W.t) =
   let finished = ref None in
   let run ctx =
     w.W.run ctx;
@@ -150,7 +152,7 @@ let exec ?fault (w : W.t) =
           Fpx_nvbit.Runtime.totals ctx.W.rt )
   in
   let m =
-    Runner.run ?fault
+    Runner.run ?fault ~ledger
       ~tool:(Runner.Detector Gpu_fpx.Detector.default_config)
       { w with W.run }
   in
@@ -161,7 +163,8 @@ let profile_exn name =
     try Fpx_workloads.Catalog.find name
     with Not_found -> failwith (Printf.sprintf "campaign: no workload %s" name)
   in
-  match exec w with
+  let ledger = Runner.ledger () in
+  match exec ~ledger:(Runner.Record ledger) w with
   | m, Some (digest, totals) ->
     let kernels =
       Array.of_list
@@ -186,6 +189,7 @@ let profile_exn name =
       shmem_words = totals.Gpu.Stats.shmem_hwm / 4;
       n_regs;
       kernels;
+      ledger;
     }
   | m, None ->
     failwith
@@ -300,6 +304,10 @@ let minimize_repro cfg (prof : profile) ~id ~outcome = function
 (* One injection                                                       *)
 
 let classify (prof : profile) (m : Runner.measurement) = function
+  | _ when m.Runner.reconverged ->
+    (* memory and the detector equalled the golden run's at a launch
+       boundary, so every later step is the golden run's *)
+    (Masked, false, "")
   | Some (digest, _) ->
     let detected = m.Runner.log <> prof.det_log in
     if String.equal digest prof.digest then (Masked, detected, "")
@@ -320,7 +328,9 @@ let run_one cfg (profiles : profile array) id =
       let spec =
         Fault.spec ~sites:[] ~rate:0.0 ~arch ~budget ~seed:(cfg.seed + id) ()
       in
-      let m, finished = exec ~fault:spec prof.w in
+      let m, finished =
+        exec ~fault:spec ~ledger:(Runner.Replay prof.ledger) prof.w
+      in
       let outcome, detected, detail = classify prof m finished in
       let artifact =
         match outcome with
@@ -339,7 +349,7 @@ let run_one cfg (profiles : profile array) id =
             detail;
           }
       in
-      (r, artifact))
+      (r, artifact, m.Runner.replayed, m.Runner.reconverged))
 
 (* ------------------------------------------------------------------ *)
 (* The campaign driver                                                 *)
@@ -350,6 +360,8 @@ type summary = {
   results : result list;
   artifacts : (int * string) list;
   halted : bool;
+  launches_replayed : int;
+  reconverged : int;
 }
 
 module IS = Set.Make (Int)
@@ -409,6 +421,10 @@ let record_metrics s sink =
     let add = Fpx_obs.Metrics.add_named m in
     add ~help:"architectural injections classified"
       "campaign_injections_total" s.completed;
+    add ~help:"golden launches replayed instead of executed"
+      "campaign_launches_replayed_total" s.launches_replayed;
+    add ~help:"injections stopped where they rejoined the golden run"
+      "campaign_reconverged_total" s.reconverged;
     List.iter
       (fun (o, n) ->
         if n > 0 then
@@ -420,9 +436,18 @@ let record_metrics s sink =
             n)
       (by_outcome s)
 
-let summary_of cfg ?(artifacts = []) ?(halted = false) results =
+let summary_of cfg ?(artifacts = []) ?(halted = false) ?(replayed = 0)
+    ?(reconverged = 0) results =
   let results = List.sort (fun a b -> compare a.id b.id) results in
-  { cfg; completed = List.length results; results; artifacts; halted }
+  {
+    cfg;
+    completed = List.length results;
+    results;
+    artifacts;
+    halted;
+    launches_replayed = replayed;
+    reconverged;
+  }
 
 let load cfg =
   let results =
@@ -433,9 +458,14 @@ let load cfg =
   in
   summary_of cfg results
 
+(* The golden runs are independent: profile them over [cfg.jobs]
+   domains. [Sched.map] re-raises the first failure in input order. *)
+let profiles cfg =
+  Array.of_list (Sched.map ~jobs:cfg.jobs profile_exn cfg.programs)
+
 let run ?(sink = Fpx_obs.Sink.null) cfg =
   Fpx_obs.Span.with_ ~cat:"campaign" "campaign.run" (fun () ->
-      let profiles = Array.of_list (List.map profile_exn cfg.programs) in
+      let profiles = profiles cfg in
       let k = key cfg in
       let existing =
         match cfg.store with
@@ -477,17 +507,20 @@ let run ?(sink = Fpx_obs.Sink.null) cfg =
       in
       let fresh = ref [] in
       let artifacts = ref [] in
+      let replayed = ref 0 and reconverged = ref 0 in
       List.iter
         (fun batch ->
           let rs = Sched.map ~jobs:cfg.jobs (run_one cfg profiles) batch in
           (match cfg.store with
           | Some root ->
             Store.append ~root ~key:k
-              (List.map (fun (r, _) -> result_to_line r) rs)
+              (List.map (fun (r, _, _, _) -> result_to_line r) rs)
           | None -> ());
           List.iter
-            (fun (r, a) ->
+            (fun (r, a, n, back) ->
               fresh := r :: !fresh;
+              replayed := !replayed + n;
+              if back then incr reconverged;
               match a with
               | Some p -> artifacts := (r.id, p) :: !artifacts
               | None -> ())
@@ -496,7 +529,7 @@ let run ?(sink = Fpx_obs.Sink.null) cfg =
       let s =
         summary_of cfg
           ~artifacts:(List.rev !artifacts)
-          ~halted
+          ~halted ~replayed:!replayed ~reconverged:!reconverged
           (existing @ !fresh)
       in
       record_metrics s sink;
@@ -507,8 +540,8 @@ let rerun cfg ~id =
     invalid_arg
       (Printf.sprintf "Campaign.rerun: id %d outside plan 0..%d" id
          (cfg.total - 1));
-  let profiles = Array.of_list (List.map profile_exn cfg.programs) in
-  fst (run_one cfg profiles id)
+  let r, _, _, _ = run_one cfg (profiles cfg) id in
+  r
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)

@@ -105,11 +105,20 @@ type summary = {
       (** Minimized repro paths written by {e this} process (resumed
           records don't re-minimize); excluded from {!summary_json}. *)
   halted : bool;  (** [true] when [halt_after] stopped the run early. *)
+  launches_replayed : int;
+      (** Golden launches {e this} process replayed from the golden
+          run's launch ledger instead of executing them (see
+          {!Fpx_harness.Runner.run}); excluded from {!summary_json}. *)
+  reconverged : int;
+      (** Injections {e this} process stopped at the end of their flip's
+          launch, back on the golden state, and classified [Masked]
+          undetected; excluded from {!summary_json}. *)
 }
 
 val run :
   ?sink:Fpx_obs.Sink.t -> config -> summary
-(** Execute (or resume) the campaign: golden-profile each program, fan
+(** Execute (or resume) the campaign: golden-profile each program (over
+    [cfg.jobs] domains, recording each golden run's launch ledger), fan
     the pending injections out over {!Fpx_sched.Sched.map}, classify
     each against golden, and append every batch to the store before
     starting the next. Results are byte-identical for any [cfg.jobs].
@@ -138,4 +147,6 @@ val summary_json : summary -> string
     [halt_after] and artifact paths. *)
 
 val record_metrics : summary -> Fpx_obs.Sink.t -> unit
-(** Export campaign counters into a metrics sink. *)
+(** Export campaign counters into a metrics sink, among them
+    [campaign_launches_replayed_total] and
+    [campaign_reconverged_total]. *)

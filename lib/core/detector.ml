@@ -29,7 +29,7 @@ type t = {
   mutable gt : Global_table.t option;
       (** [None] without dedup: the phase-1 configuration, or after an
           injected GT-allocation failure forced the fallback. *)
-  locs : Loc_table.t;
+  mutable locs : Loc_table.t;
   channel : Channel.t;  (** packets: an {!Exce.encode} index, 0, 0 *)
   seen_host : (int, unit) Hashtbl.t;
   mutable findings_rev : finding list;
@@ -367,6 +367,78 @@ let degradations t =
   List.rev r
 
 let loc_table t = t.locs
+
+(* Everything a launch can change host-side, copied: a checkpoint is
+   never written after it is taken, so one may be restored from several
+   domains. [findings] and [log] are immutable lists and are shared. *)
+type checkpoint = {
+  c_gt : Global_table.t option;
+  c_locs : Loc_table.t;
+  c_channel : Channel.state;
+  c_seen : (int, unit) Hashtbl.t;
+  c_findings : finding list;
+  c_log : string list;
+  c_gt_alloc_charged : bool;
+  c_adaptive_k : int;
+}
+
+let same_seen seen c =
+  Hashtbl.length seen = Hashtbl.length c.c_seen
+  && Hashtbl.fold (fun k () ok -> ok && Hashtbl.mem seen k) c.c_seen true
+
+let same_gt gt c =
+  match gt, c.c_gt with
+  | None, None -> true
+  | Some a, Some b -> Global_table.equal a b
+  | Some _, None | None, Some _ -> false
+
+(* The tables a launch left as they were are shared with [prev]'s
+   checkpoint instead of copied again: most launches add no site and no
+   record. *)
+let checkpoint ?prev t =
+  let keep same copy part =
+    match prev with Some c when same c -> part c | _ -> copy ()
+  in
+  {
+    c_gt =
+      keep (same_gt t.gt) (fun () -> Option.map Global_table.copy t.gt)
+        (fun c -> c.c_gt);
+    c_locs =
+      keep
+        (fun c -> Loc_table.equal t.locs c.c_locs)
+        (fun () -> Loc_table.copy t.locs)
+        (fun c -> c.c_locs);
+    c_channel = Channel.state t.channel;
+    c_seen =
+      keep (same_seen t.seen_host) (fun () -> Hashtbl.copy t.seen_host)
+        (fun c -> c.c_seen);
+    c_findings = t.findings_rev;
+    c_log = t.log_rev;
+    c_gt_alloc_charged = t.gt_alloc_charged;
+    c_adaptive_k = t.adaptive_k;
+  }
+
+let restore t c =
+  t.gt <- Option.map Global_table.copy c.c_gt;
+  t.locs <- Loc_table.copy c.c_locs;
+  Channel.restore t.channel c.c_channel;
+  Hashtbl.reset t.seen_host;
+  Hashtbl.iter (Hashtbl.replace t.seen_host) c.c_seen;
+  t.findings_rev <- c.c_findings;
+  t.log_rev <- c.c_log;
+  t.gt_alloc_charged <- c.c_gt_alloc_charged;
+  t.adaptive_k <- c.c_adaptive_k
+
+let matches t c =
+  t.gt_alloc_charged = c.c_gt_alloc_charged
+  && t.adaptive_k = c.c_adaptive_k
+  && List.length t.log_rev = List.length c.c_log
+  && t.log_rev = c.c_log
+  && t.findings_rev = c.c_findings
+  && same_seen t.seen_host c
+  && Channel.equal_state t.channel c.c_channel
+  && Loc_table.equal t.locs c.c_locs
+  && same_gt t.gt c
 
 module Tool = struct
   type nonrec t = t

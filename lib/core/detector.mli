@@ -87,3 +87,29 @@ val channel_stranded : t -> int
 
 val records_seen : t -> int
 (** Unique exception records received host-side. *)
+
+(** {1 Checkpoints}
+
+    The detector's whole host-side state between two launches: the
+    global table, the location table, the channel's counters and queue,
+    the records seen, the findings and log, the GT-allocation charge
+    and the adaptive backoff. A launch ledger records one per golden
+    launch, installs one before the first launch a replayed run
+    executes, and compares one to decide that a run is back on the
+    golden state. *)
+
+type checkpoint
+(** Never written once taken, so one may be restored from several
+    domains. *)
+
+val checkpoint : ?prev:checkpoint -> t -> checkpoint
+(** The tables equal to [prev]'s are shared with it rather than
+    copied. *)
+
+val restore : t -> checkpoint -> unit
+(** Make [t]'s state a copy of the checkpoint's. *)
+
+val matches : t -> checkpoint -> bool
+(** Conservative equality of [t]'s state and the checkpoint's: [true]
+    means every later launch behaves as it would from the checkpoint;
+    [false] may be a false alarm (a backed but unmarked GT chunk). *)

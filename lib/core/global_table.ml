@@ -45,3 +45,11 @@ let cardinal t = t.cardinal
 let clear t =
   Array.fill t.chunks 0 (Array.length t.chunks) Bytes.empty;
   t.cardinal <- 0
+
+let copy t = { chunks = Array.map Bytes.copy t.chunks; cardinal = t.cardinal }
+
+(* A chunk backed in one table and not the other counts as a
+   difference even when it holds no mark: the test may only err
+   towards "unequal". *)
+let equal a b =
+  a.cardinal = b.cardinal && Array.for_all2 Bytes.equal a.chunks b.chunks

@@ -22,3 +22,9 @@ val reset : t -> int -> unit
 
 val cardinal : t -> int
 val clear : t -> unit
+
+val copy : t -> t
+
+val equal : t -> t -> bool
+(** Conservative: [true] means the same slots are set; [false] may also
+    mean only that the two tables backed different chunks. *)

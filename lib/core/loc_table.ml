@@ -31,3 +31,17 @@ let entries t =
   Hashtbl.fold (fun idx e acc -> (idx, e) :: acc) t.by_index []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> List.map snd
+
+let copy t =
+  {
+    by_key = Hashtbl.copy t.by_key;
+    by_index = Hashtbl.copy t.by_index;
+    next = t.next;
+  }
+
+let equal a b =
+  a.next = b.next
+  && Hashtbl.length a.by_index = Hashtbl.length b.by_index
+  && Hashtbl.fold
+       (fun i e ok -> ok && Hashtbl.find_opt b.by_index i = Some e)
+       a.by_index true

@@ -21,3 +21,8 @@ val size : t -> int
 
 val entries : t -> entry list
 (** All interned entries in index (first-seen) order. *)
+
+val copy : t -> t
+
+val equal : t -> t -> bool
+(** The same entries at the same indices, and the same next index. *)

@@ -232,6 +232,15 @@ let arch_tick a =
     None
   end
 
+(* A replayed launch's warp-steps, counted off in one go: the flip must
+   not be among them. *)
+let arch_skip a n =
+  if a.arch_countdown >= 0 then begin
+    if n > a.arch_countdown then
+      invalid_arg "Fault.arch_skip: the flip lands in the skipped steps";
+    a.arch_countdown <- a.arch_countdown - n
+  end
+
 (* Called by the JIT path at every launch of [kernel]; the mutation
    itself is deterministic, so applying it per-launch is idempotent.
    Noted once so degradation reasons stay tidy. *)

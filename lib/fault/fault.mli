@@ -185,6 +185,14 @@ val arch_tick : active -> arch option
     persists across kernel launches, so [at_dyn] addresses the whole
     program run. O(1). *)
 
+val arch_skip : active -> int -> unit
+(** [arch_skip a n] counts [n] warp-steps off the countdown at once, as
+    [n] calls of {!arch_tick} that do not fire would: the steps of a
+    launch replayed instead of executed. A no-op once the flip fired or
+    when the plan has none to count down to.
+    @raise Invalid_argument when the flip would land within the [n]
+    steps. *)
+
 val arch_instr_flip : active -> kernel:string -> (int * int) option
 (** [(pc, sel)] when the plan targets an [Instr_flip] at this kernel —
     returned at {e every} launch of the kernel (the mutation is

@@ -191,3 +191,29 @@ let retries t = t.retries
 let drains_delayed t = t.drains_delayed
 let queued t = t.tail - t.head
 let effective_capacity t = capacity_now t
+
+(* The counters, then the pending packets. *)
+type state = int array
+
+let n_counters = 6
+
+let state t =
+  Array.append
+    [| t.launch_pushes; t.dropped; t.corrupt_detected; t.drain_failures;
+       t.retries; t.drains_delayed |]
+    (Array.sub t.buf (t.head * width) ((t.tail - t.head) * width))
+
+let restore t (st : state) =
+  t.launch_pushes <- st.(0);
+  t.dropped <- st.(1);
+  t.corrupt_detected <- st.(2);
+  t.drain_failures <- st.(3);
+  t.retries <- st.(4);
+  t.drains_delayed <- st.(5);
+  let words = Array.length st - n_counters in
+  if words > Array.length t.buf then t.buf <- Array.make words 0;
+  Array.blit st n_counters t.buf 0 words;
+  t.head <- 0;
+  t.tail <- words / width
+
+let equal_state t st = state t = st

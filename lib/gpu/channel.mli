@@ -85,3 +85,15 @@ val effective_capacity : t -> int
 (** The per-launch congestion threshold currently in force:
     [cost.channel_capacity], narrowed by neighbour traffic when the
     channel is bound to a shared {!Bandwidth} meter. *)
+
+(** {1 Checkpoints} *)
+
+type state
+(** The counters above and the pending packets, copied. *)
+
+val state : t -> state
+
+val restore : t -> state -> unit
+(** Make [t]'s counters and queue those of the state. *)
+
+val equal_state : t -> state -> bool

@@ -34,9 +34,6 @@ type warp_api = {
   block : int;
   mutable executing : int;
   read_reg : lane:int -> int -> int;
-  read_pred : lane:int -> int -> bool;
-  read_cbank : offset:int -> int32;
-  global_tid : lane:int -> int;
 }
 
 type callback = ctx -> warp_api -> unit
@@ -1149,16 +1146,6 @@ let run_decoded ?hooks ?(max_dyn_instrs = 50_000_000) ~device ~grid ~block
               if r = Operand.rz then 0
               else if r < nslots then regs.((lane * nslots) + r)
               else trapf "register R%d out of range" r);
-          read_pred =
-            (fun ~lane p ->
-              if p = Operand.pt then true
-              else (preds.(p) lsr lane) land 1 = 1);
-          read_cbank =
-            (fun ~offset ->
-              if offset + 4 <= Bytes.length cbank0 then
-                Bytes.get_int32_le cbank0 offset
-              else 0l);
-          global_tid = (fun ~lane -> (blk * block) + (w * warp_size) + lane);
         }
       in
       let fire inj =

@@ -50,9 +50,6 @@ type warp_api = {
   read_reg : lane:int -> int -> int;
       (** The register's 32-bit word, zero-extended into an [int]; RZ
           reads 0. Allocates nothing. *)
-  read_pred : lane:int -> int -> bool;
-  read_cbank : offset:int -> int32;
-  global_tid : lane:int -> int;
 }
 
 type callback = ctx -> warp_api -> unit

@@ -78,6 +78,44 @@ let alloc_zeroed t ~bytes =
 
 let digest t = Digest.to_hex (Digest.subbytes t.dense 0 t.brk)
 
+(* A copy of the whole state: the dense prefix (past [brk] too), the
+   break and every sparse page, so two equal images read the same at
+   every address. An image is never written after it is taken: it may
+   be shared between domains. *)
+type image = { i_dense : Bytes.t; i_brk : int; i_pages : (int * Bytes.t) list }
+
+let image t =
+  {
+    i_dense = Bytes.copy t.dense;
+    i_brk = t.brk;
+    i_pages =
+      List.sort compare
+        (Hashtbl.fold (fun p pg acc -> (p, Bytes.copy pg) :: acc) t.pages []);
+  }
+
+(* Same-length dense prefixes are blitted into place, so installing the
+   image a same-shaped run took allocates no new prefix. *)
+let install t img =
+  if Bytes.length t.dense = Bytes.length img.i_dense then
+    Bytes.blit img.i_dense 0 t.dense 0 (Bytes.length t.dense)
+  else t.dense <- Bytes.copy img.i_dense;
+  t.brk <- img.i_brk;
+  Hashtbl.reset t.pages;
+  List.iter
+    (fun (p, pg) -> Hashtbl.replace t.pages p (Bytes.copy pg))
+    img.i_pages
+
+let equal_image t img =
+  t.brk = img.i_brk
+  && Bytes.equal t.dense img.i_dense
+  && Hashtbl.length t.pages = List.length img.i_pages
+  && List.for_all
+       (fun (p, pg) ->
+         match Hashtbl.find_opt t.pages p with
+         | Some q -> Bytes.equal pg q
+         | None -> false)
+       img.i_pages
+
 (* Accesses that are not wholly inside [dense]: bounds-checked against
    the logical size, then served byte by byte from the sparse pages, so
    one that straddles the dense end or a page boundary needs no special

@@ -32,6 +32,22 @@ val digest : t -> string
     golden-output fingerprint a bit-flip campaign classifies against.
     Identical allocation and store sequences give identical digests. *)
 
+(** {1 Images} *)
+
+type image
+(** A copy of the whole memory state: every backed byte, the allocation
+    break and the sparse pages. Never written once taken, so one image
+    may be installed from several domains. *)
+
+val image : t -> image
+
+val install : t -> image -> unit
+(** Make [t]'s state a copy of the image's. *)
+
+val equal_image : t -> image -> bool
+(** [true] when [t] would read as the image at every address and
+    allocate as it would: a stronger test than equal {!digest}s. *)
+
 val load_word : t -> addr:int -> int
 val store_word : t -> addr:int -> int -> unit
 (** A 32-bit access on a word: the bit pattern zero-extended into an

@@ -72,6 +72,8 @@ type measurement = {
   analyzer_reports : Gpu_fpx.Analyzer.report list;
   escapes : Gpu_fpx.Analyzer.escape list;
   obs : Fpx_obs.Sink.t;
+  replayed : int;
+  reconverged : bool;
 }
 
 let count m ~fmt ~exce =
@@ -213,21 +215,242 @@ let counts_of findings =
         Exce.all)
     [ Isa.FP64; Isa.FP32 ]
 
-let run_body ?cost ?(obs = Fpx_obs.Sink.null) ?fault ?bw ?on_launch ~mode
-    ~tool (w : W.t) body =
+(* ------------------------------------------------------------------ *)
+(* The launch ledger                                                   *)
+
+module Runtime = Fpx_nvbit.Runtime
+module Detector = Gpu_fpx.Detector
+module Memory = Fpx_gpu.Memory
+module Stats = Fpx_gpu.Stats
+
+(* One golden launch, as it stood at the end of [Runtime.launch]: after
+   the drain and the watchdog check. Never written once recorded, so a
+   ledger may be replayed from several domains. *)
+type checkpoint = {
+  req : Runtime.request;
+  stats : Stats.t;  (** the launch's stats, as added to the totals *)
+  image : Memory.image;
+  det : Detector.checkpoint;
+}
+
+type recording = {
+  program : string;
+  rec_mode : Fpx_klang.Mode.t;
+  rec_cost : Fpx_gpu.Cost.t;
+  launches : checkpoint array;
+}
+
+type ledger = { mutable recording : recording option }
+type ledger_use = Record of ledger | Replay of ledger
+
+let ledger () = { recording = None }
+
+(* A ledger stands in only for runs whose every launch it can predict.
+   Replay skips the rate-driven sites' rolls, the obs sink's per-launch
+   events and a shared meter's accounting, and checkpoints hold the
+   default detector's state only. *)
+let ledger_eligible ~obs ~fault ~bw ~tool =
+  tool = Detector Detector.default_config
+  && (not (Fpx_obs.Sink.is_active obs))
+  && Option.is_none bw
+  &&
+  match fault with
+  | None -> true
+  | Some (s : Fault.spec) -> s.Fault.sites = [] || s.Fault.rate = 0.0
+
+let copy_stats s =
+  let c = Stats.create () in
+  Stats.add c s;
+  c
+
+(* The first launch of a ledger that the executor's per-launch budget
+   would stop: replaying it or counting on it would skip a trap. *)
+let fits_budget (spec : Fault.spec option) cp =
+  match Option.bind spec (fun s -> s.Fault.budget) with
+  | None -> true
+  | Some b -> cp.stats.Stats.dyn_instrs < max 1 b
+
+(* Launches [0, prefix) execute exactly as in the golden run: those
+   whose warp-steps all come before a register or shared-memory flip,
+   or that precede the mutated kernel's first launch. *)
+let safe_prefix (spec : Fault.spec option) launches =
+  let n = Array.length launches in
+  let bound =
+    match Option.bind spec (fun s -> s.Fault.arch) with
+    | None -> n
+    | Some (Fault.Reg_flip { at_dyn; _ } | Fault.Shmem_flip { at_dyn; _ }) ->
+      let rec go i steps =
+        if i < n && steps + launches.(i).stats.Stats.dyn_instrs <= at_dyn then
+          go (i + 1) (steps + launches.(i).stats.Stats.dyn_instrs)
+        else i
+      in
+      go 0 0
+    | Some (Fault.Instr_flip { kernel; _ }) ->
+      let rec go i =
+        if i < n && not (String.equal launches.(i).req.Runtime.kernel kernel)
+        then go (i + 1)
+        else i
+      in
+      go 0
+  in
+  let rec fit i =
+    if i < bound && fits_budget spec launches.(i) then fit (i + 1) else i
+  in
+  fit 0
+
+(* Raised from the on-launch hook when an injected run is back on the
+   golden state; [run_body] ends the body there. *)
+exception Reconverged
+
+type replay_state = {
+  rc : recording;
+  prefix : int;
+  mutable next : int;  (** the index of the next launch *)
+  mutable on_track : bool;
+      (** every request so far was the ledger's at the same index *)
+  mutable replaying : bool;
+  mutable replayed : int;
+  mutable fired_before : bool;
+      (** the architectural flip had fired when this launch began *)
+  mutable reconverged : bool;
+}
+
+(* Replay the safe prefix; at the first launch that executes (the
+   prefix ended, or a request differs from the ledger's), install the
+   detector state of the last replayed launch. *)
+let replay_hook st plan det (req : Runtime.request) =
+  let i = st.next in
+  st.next <- i + 1;
+  let n = Array.length st.rc.launches in
+  if not (i < n && compare st.rc.launches.(i).req req = 0) then
+    st.on_track <- false;
+  st.fired_before <-
+    (match Fault.active plan with Some a -> Fault.arch_fired a | None -> false);
+  if st.replaying && st.on_track && i < st.prefix then begin
+    st.replayed <- st.replayed + 1;
+    let cp = st.rc.launches.(i) in
+    Some (cp.stats, cp.image)
+  end
+  else begin
+    if st.replaying then begin
+      st.replaying <- false;
+      if i > 0 then Detector.restore det st.rc.launches.(i - 1).det
+    end;
+    None
+  end
+
+(* The exit at reconvergence, checked once: at the end of the launch a
+   register or shared-memory flip landed in. Registers and shared memory
+   die with the launch, and host code has so far seen only golden
+   memory, so the run is back on the golden path when memory and the
+   detector equal the ledger's, and the golden launches left cannot
+   trip either watchdog from the run's totals. Later boundaries are not
+   checked: host code has run on the flipped memory by then. *)
+let reconverged st (spec : Fault.spec option) plan rt det =
+  let k = st.next - 1 in
+  let launches = st.rc.launches in
+  let dev = Runtime.device rt in
+  st.on_track && (not st.fired_before)
+  && (match Fault.active plan with Some a -> Fault.arch_fired a | None -> false)
+  && Memory.equal_image dev.Fpx_gpu.Device.memory launches.(k).image
+  && Detector.matches det launches.(k).det
+  &&
+  let total = copy_stats (Runtime.totals rt) in
+  let rec holds j =
+    j >= Array.length launches
+    || begin
+         Stats.add total launches.(j).stats;
+         fits_budget spec launches.(j)
+         && Stats.slowdown total
+            <= dev.Fpx_gpu.Device.cost.Fpx_gpu.Cost.hang_slowdown
+         && holds (j + 1)
+       end
+  in
+  holds (k + 1)
+
+(* How a run uses its ledger: what [run_body] reads back after the run. *)
+type wiring =
+  | Unwired
+  | Recording of ledger * checkpoint list ref  (** newest first *)
+  | Replaying of replay_state
+
+(* Install a ledger's hooks on a run's runtime. Returns the wiring and
+   the on-launch hook to chain after the caller's. *)
+let wire ~fault ~plan ~mode (w : W.t) rt det = function
+  | Record l when Option.is_none (Option.bind fault (fun s -> s.Fault.arch)) ->
+    let acc = ref [] in
+    let note req stats =
+      let prev = match !acc with c :: _ -> Some c.det | [] -> None in
+      acc :=
+        { req; stats = copy_stats stats;
+          image = Memory.image (Runtime.device rt).Fpx_gpu.Device.memory;
+          det = Detector.checkpoint ?prev det }
+        :: !acc
+    in
+    (Recording (l, acc), Some note)
+  | Replay { recording = Some rc }
+    when String.equal rc.program w.W.name
+         && rc.rec_mode = mode
+         && rc.rec_cost = (Runtime.device rt).Fpx_gpu.Device.cost ->
+    let st =
+      { rc; prefix = safe_prefix fault rc.launches; next = 0; on_track = true;
+        replaying = true; replayed = 0; fired_before = false;
+        reconverged = false }
+    in
+    Runtime.set_replay rt (Some (replay_hook st plan det));
+    let check _ _ =
+      if reconverged st fault plan rt det then begin
+        st.reconverged <- true;
+        raise Reconverged
+      end
+    in
+    ( Replaying st,
+      match Option.bind fault (fun s -> s.Fault.arch) with
+      | Some (Fault.Reg_flip _ | Fault.Shmem_flip _) -> Some check
+      | Some (Fault.Instr_flip _) | None -> None )
+  | Record _ | Replay _ -> (Unwired, None)
+
+let run_body ?cost ?(obs = Fpx_obs.Sink.null) ?fault ?bw ?on_launch ?ledger
+    ~mode ~tool (w : W.t) body =
+  let ledger =
+    match ledger with
+    | Some _ when ledger_eligible ~obs ~fault ~bw ~tool -> ledger
+    | _ -> None
+  in
   (* A fresh plan per run: the spec is immutable, so two runs with the
      same spec see identical fault decision sequences. *)
-  let plan, dev, rt, built =
+  let plan, dev, rt, built, wiring =
     Fpx_obs.Span.with_ ~cat:"run" "run.setup" (fun () ->
         let plan =
           match fault with None -> Fault.none | Some spec -> Fault.of_spec spec
         in
         let dev = Fpx_gpu.Device.create ?cost ~obs ~fault:plan ?bw () in
-        let rt = Fpx_nvbit.Runtime.create dev in
-        Fpx_nvbit.Runtime.set_on_launch rt on_launch;
-        let built = instance_of_config dev tool in
-        Option.iter (fun (i, _) -> Fpx_nvbit.Runtime.attach rt i) built;
-        (plan, dev, rt, built))
+        let rt = Runtime.create dev in
+        let on_launch =
+          Option.map
+            (fun f (r : Runtime.request) stats ->
+              f ~kernel:r.Runtime.kernel stats)
+            on_launch
+        in
+        let built, wiring, on_launch =
+          match ledger with
+          | None -> (instance_of_config dev tool, Unwired, on_launch)
+          | Some use ->
+            (* eligible: the tool is the default detector *)
+            let d = Detector.create ~config:Detector.default_config dev in
+            let wiring, hook = wire ~fault ~plan ~mode w rt d use in
+            let on_launch =
+              match on_launch, hook with
+              | Some f, Some g -> Some (fun r s -> f r s; g r s)
+              | f, None | None, f -> f
+            in
+            ( Some (Detector.tool d, fun () -> read_detector d),
+              wiring,
+              on_launch )
+        in
+        Option.iter (fun (i, _) -> Runtime.attach rt i) built;
+        Runtime.set_on_launch rt on_launch;
+        (plan, dev, rt, built, wiring))
   in
   (* An aborted launch still yields a partial report: whatever the tool
      drained before the abort survives in its host-side tables. This is
@@ -245,6 +468,7 @@ let run_body ?cost ?(obs = Fpx_obs.Sink.null) ?fault ?bw ?on_launch ~mode
           body { W.rt; mode };
           None
         with
+        | Reconverged -> None
         | Fpx_nvbit.Runtime.Hang_abort msg -> Some (Hung msg)
         | Fpx_gpu.Exec.Trap msg when String.starts_with ~prefix:"watchdog" msg
           ->
@@ -253,6 +477,14 @@ let run_body ?cost ?(obs = Fpx_obs.Sink.null) ?fault ?bw ?on_launch ~mode
         | e -> Some (Faulted (Printexc.to_string e)))
   in
   Fpx_obs.Span.with_ ~cat:"run" "run.report" @@ fun () ->
+  (match wiring, abort with
+  | Recording (l, acc), None ->
+    l.recording <-
+      Some
+        { program = w.W.name; rec_mode = mode;
+          rec_cost = dev.Fpx_gpu.Device.cost;
+          launches = Array.of_list (List.rev !acc) }
+  | _ -> ());
   let stats = Fpx_nvbit.Runtime.totals rt in
   let slowdown = Fpx_gpu.Stats.slowdown stats in
   let hang =
@@ -330,11 +562,14 @@ let run_body ?cost ?(obs = Fpx_obs.Sink.null) ?fault ?bw ?on_launch ~mode
     analyzer_reports = part.reports;
     escapes = part.escs;
     obs;
+    replayed = (match wiring with Replaying st -> st.replayed | _ -> 0);
+    reconverged =
+      (match wiring with Replaying st -> st.reconverged | _ -> false);
   }
 
-let run ?cost ?obs ?fault ?bw ?on_launch ?(mode = Fpx_klang.Mode.precise)
-    ~tool (w : W.t) =
-  run_body ?cost ?obs ?fault ?bw ?on_launch ~mode ~tool w w.W.run
+let run ?cost ?obs ?fault ?bw ?on_launch ?ledger
+    ?(mode = Fpx_klang.Mode.precise) ~tool (w : W.t) =
+  run_body ?cost ?obs ?fault ?bw ?on_launch ?ledger ~mode ~tool w w.W.run
 
 let run_repair ?obs ?fault ?(mode = Fpx_klang.Mode.precise) ~tool (w : W.t) =
   Option.map (fun body -> run_body ?obs ?fault ~mode ~tool w body) w.W.repair

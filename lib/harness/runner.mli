@@ -91,6 +91,13 @@ type measurement = {
       (** The observability sink the run reported into
           ({!Fpx_obs.Sink.null} unless one was passed to {!run}); carries
           the metrics registry, trace buffer and profile for export. *)
+  replayed : int;
+      (** Launches a {!ledger} replayed instead of executing them. *)
+  reconverged : bool;
+      (** The run stopped at the end of the launch its architectural
+          flip landed in, because its state there equalled the golden
+          run's (see {!run}): every later step would have been the
+          golden run's. Its counters and findings stop at that launch. *)
 }
 (** What one run leaves: plain data read from its tools after the run.
     No field holds a tool, a channel or a global table, so a retained
@@ -99,12 +106,36 @@ type measurement = {
 val count :
   measurement -> fmt:Fpx_sass.Isa.fp_format -> exce:Fpx_tool.Exce.t -> int
 
+(** {1 Launch ledgers}
+
+    A golden run records one checkpoint per launch: the request, the
+    launch's stats, a memory image and the detector's state. A run
+    injected with one architectural flip then replays the launches the
+    flip cannot reach instead of executing them, and stops where it is
+    back on the golden state. *)
+
+type ledger
+(** Filled by a recording run; read-only afterwards, so one ledger may be
+    replayed from several domains at once. *)
+
+val ledger : unit -> ledger
+(** An empty ledger, for {!Record}. *)
+
+type ledger_use =
+  | Record of ledger
+      (** Record every launch of this run; the ledger is set when the
+          run completes without an abort or a fault spec with an
+          architectural flip. *)
+  | Replay of ledger
+      (** Replay a recorded run of the same program, mode and cost. *)
+
 val run :
   ?cost:Fpx_gpu.Cost.t ->
   ?obs:Fpx_obs.Sink.t ->
   ?fault:Fpx_fault.Fault.spec ->
   ?bw:Fpx_gpu.Bandwidth.binding ->
   ?on_launch:(kernel:string -> Fpx_gpu.Stats.t -> unit) ->
+  ?ledger:ledger_use ->
   ?mode:Fpx_klang.Mode.t -> tool:tool_config -> Fpx_workloads.Workload.t ->
   measurement
 (** [cost] overrides the performance-model constants (default
@@ -119,7 +150,26 @@ val run :
     results instead of propagating. [bw] binds the run's device (and so its tool channels)
     to a shared multi-tenant {!Fpx_gpu.Bandwidth} meter; [on_launch] is
     installed as the runtime's per-launch hook — the tenancy executor's
-    yield point (see {!Fpx_nvbit.Runtime.set_on_launch}). *)
+    yield point (see {!Fpx_nvbit.Runtime.set_on_launch}).
+
+    [ledger] is used only when the tool is the default detector, the
+    fault spec enables no rate-driven site (or has rate 0), no [bw] is
+    bound and [obs] is null; any other run ignores it. Under [Replay]:
+    - the head: a launch in the safe prefix whose request equals the
+      ledger's at the same index is replayed
+      ({!Fpx_nvbit.Runtime.set_replay}). The safe prefix is every launch
+      whose warp-steps all come before a register or shared-memory
+      flip's [at_dyn], or that precedes an instruction flip's kernel's
+      first launch, and that the spec's budget would not stop. At the
+      first launch that executes, the detector state of the last
+      replayed one is installed;
+    - the tail: at the end of the launch a register or shared-memory
+      flip landed in, when every request so far equalled the ledger's,
+      memory equals the ledger's image, the detector's state equals its
+      checkpoint, and the ledger's remaining launches, added to the
+      totals one by one, never cross [cost.hang_slowdown] or the
+      budget, the run stops and [reconverged] is set. The status is
+      then the one the run had at that point. *)
 
 val run_repair :
   ?obs:Fpx_obs.Sink.t ->

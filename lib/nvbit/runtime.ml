@@ -3,6 +3,13 @@ module Fault = Fpx_fault.Fault
 
 exception Hang_abort of string
 
+type request = {
+  kernel : string;
+  grid : int;
+  block : int;
+  params : Param.t list;
+}
+
 type t = {
   dev : Device.t;
   mutable tool : Fpx_tool.instance option;
@@ -10,7 +17,8 @@ type t = {
   jit_cache : (string, Exec.hooks option) Hashtbl.t;
   decode_cache : (string, Fpx_sass.Decode.t) Hashtbl.t;
   total : Stats.t;
-  mutable on_launch : (kernel:string -> Stats.t -> unit) option;
+  mutable on_launch : (request -> Stats.t -> unit) option;
+  mutable replay : (request -> (Stats.t * Memory.image) option) option;
 }
 
 let create dev =
@@ -22,10 +30,12 @@ let create dev =
     decode_cache = Hashtbl.create 16;
     total = Stats.create ();
     on_launch = None;
+    replay = None;
   }
 
 let device t = t.dev
 let set_on_launch t f = t.on_launch <- f
+let set_replay t f = t.replay <- f
 
 let attach t tool =
   t.tool <- Some tool;
@@ -105,8 +115,9 @@ let instrumented_hooks t tool prog =
     | _, _ -> ());
     h
 
-let launch t ?(grid = 1) ?(block = 32) ~params prog =
-  let kernel = prog.Fpx_sass.Program.name in
+(* The launch as the tool sees it: JIT, on-launch-begin, run, drain.
+   Returns the launch's stats. *)
+let execute t ~grid ~block ~params ~kernel ~invocation prog =
   (* Targeted instruction-encoding flip (campaign Instr_bit_flip site):
      mutate the kernel at JIT time, before any instrumentation, so the
      tool hooks are built against the mutated program. The mutation is
@@ -128,40 +139,60 @@ let launch t ?(grid = 1) ?(block = 32) ~params prog =
       | None -> prog)
     | None -> prog
   in
-  let invocation = invocations t ~kernel in
   Hashtbl.replace t.counts kernel (invocation + 1);
   let cost = t.dev.Device.cost in
-  let stats =
-    match t.tool with
+  match t.tool with
+  | None ->
+    Fpx_obs.Span.with_ ~cat:"exec" "exec.launch" (fun () ->
+        exec t ~grid ~block ~params prog)
+  | Some tool ->
+    let hooks =
+      if Fpx_tool.should_instrument tool ~kernel ~invocation then
+        instrumented_hooks t tool prog
+      else None
+    in
+    let pre = Stats.create () in
+    (match hooks with
+    | Some _ ->
+      let n = Fpx_sass.Program.length prog in
+      pre.jit_instrs <- n;
+      pre.tool_cycles <-
+        cost.Cost.jit_launch_fixed + (cost.Cost.jit_per_instr * n)
     | None ->
+      (* interception without re-instrumentation is cheap — the whole
+         point of Algorithm 3's undersampling *)
+      pre.tool_cycles <- cost.Cost.jit_launch_fixed / 10);
+    Fpx_tool.on_launch_begin tool pre;
+    let stats =
       Fpx_obs.Span.with_ ~cat:"exec" "exec.launch" (fun () ->
-          exec t ~grid ~block ~params prog)
-    | Some tool ->
-      let hooks =
-        if Fpx_tool.should_instrument tool ~kernel ~invocation then
-          instrumented_hooks t tool prog
-        else None
-      in
-      let pre = Stats.create () in
-      (match hooks with
-      | Some _ ->
-        let n = Fpx_sass.Program.length prog in
-        pre.jit_instrs <- n;
-        pre.tool_cycles <-
-          cost.Cost.jit_launch_fixed + (cost.Cost.jit_per_instr * n)
-      | None ->
-        (* interception without re-instrumentation is cheap — the whole
-           point of Algorithm 3's undersampling *)
-        pre.tool_cycles <- cost.Cost.jit_launch_fixed / 10);
-      Fpx_tool.on_launch_begin tool pre;
-      let stats =
-        Fpx_obs.Span.with_ ~cat:"exec" "exec.launch" (fun () ->
-            exec t ?hooks ~grid ~block ~params prog)
-      in
-      Stats.add stats pre;
-      Fpx_obs.Span.with_ ~cat:"drain" "launch.drain" (fun () ->
-          Fpx_tool.on_drain tool stats ~kernel);
-      stats
+          exec t ?hooks ~grid ~block ~params prog)
+    in
+    Stats.add stats pre;
+    Fpx_obs.Span.with_ ~cat:"drain" "launch.drain" (fun () ->
+        Fpx_tool.on_drain tool stats ~kernel);
+    stats
+
+(* A recorded launch in place of an executed one: its memory image and
+   its stats, with its warp-steps counted off the fault plan's
+   countdown. Neither the tool nor the executor runs. *)
+let replay t ~kernel ~invocation (stats, image) =
+  Fpx_obs.Span.with_ ~cat:"exec" "launch.replay" @@ fun () ->
+  Memory.install t.dev.Device.memory image;
+  Option.iter
+    (fun a -> Fault.arch_skip a stats.Stats.dyn_instrs)
+    (Fault.active t.dev.Device.fault);
+  Hashtbl.replace t.counts kernel (invocation + 1);
+  stats
+
+let launch t ?(grid = 1) ?(block = 32) ~params prog =
+  let kernel = prog.Fpx_sass.Program.name in
+  let req = { kernel; grid; block; params } in
+  let invocation = invocations t ~kernel in
+  let cost = t.dev.Device.cost in
+  let stats =
+    match Option.bind t.replay (fun f -> f req) with
+    | Some recorded -> replay t ~kernel ~invocation recorded
+    | None -> execute t ~grid ~block ~params ~kernel ~invocation prog
   in
   Stats.add t.total stats;
   (* Launch watchdog: only armed under fault injection, where modelled
@@ -233,4 +264,4 @@ let launch t ?(grid = 1) ?(block = 32) ~params prog =
       ~warps:(grid * ((block + 31) / 32)));
   (* Per-launch hook: the tenancy executor yields its stream here so a
      deterministic arbiter can interleave launches across tenants. *)
-  match t.on_launch with None -> () | Some f -> f ~kernel stats
+  match t.on_launch with None -> () | Some f -> f req stats

@@ -19,6 +19,14 @@ exception Hang_abort of string
 
 type t
 
+type request = {
+  kernel : string;
+  grid : int;
+  block : int;
+  params : Fpx_gpu.Param.t list;
+}
+(** What the host asked {!launch} for. *)
+
 val create : Fpx_gpu.Device.t -> t
 val device : t -> Fpx_gpu.Device.t
 
@@ -44,9 +52,24 @@ val invocations : t -> kernel:string -> int
 val totals : t -> Fpx_gpu.Stats.t
 (** Aggregate stats across all launches since creation. *)
 
-val set_on_launch : t -> (kernel:string -> Fpx_gpu.Stats.t -> unit) option -> unit
+val set_on_launch : t -> (request -> Fpx_gpu.Stats.t -> unit) option -> unit
 (** Install (or clear) a hook called after every completed launch with
-    that launch's stats — after drains, watchdog checks, and shared-meter
-    accounting. The tenancy executor parks its yield point here so a
-    deterministic arbiter can interleave launches from several tenants'
-    streams; [None] by default. *)
+    that launch's request and stats — after drains, watchdog checks, and
+    shared-meter accounting. The tenancy executor parks its yield point
+    here so a deterministic arbiter can interleave launches from several
+    tenants' streams, and a launch ledger records its checkpoints here;
+    [None] by default. *)
+
+val set_replay :
+  t ->
+  (request -> (Fpx_gpu.Stats.t * Fpx_gpu.Memory.image) option) option ->
+  unit
+(** Install (or clear) the replay hook, asked first by every {!launch}.
+    [Some (stats, image)] replays a recorded launch instead of running
+    it: the tool's on-launch-begin, the executor and the drain are
+    skipped; the image is installed as the device memory, the stats are
+    added to {!totals}, the launch's warp-steps are counted off the
+    fault plan's countdown ({!Fpx_fault.Fault.arch_skip}) and the
+    kernel's invocation count moves on. The watchdog check and the
+    on-launch hook then run as after an executed launch. [None] (and
+    the default, no hook) runs the launch. *)

@@ -170,6 +170,15 @@ run "fault-rate smoke" \
            test $? -eq 124 || exit 1
          done'
 
+# A --fault-kinds list that names no kind ("" or ",") or an unknown one
+# is a bad CLI value (124), not a run with no fault site enabled.
+run "fault-kinds smoke" \
+  sh -c 'for k in "" , bogus; do
+           dune exec bin/fpx_run.exe -- detect GEMM --fault-seed 1 \
+             --fault-kinds="$k" >/dev/null 2>&1
+           test $? -eq 124 || exit 1
+         done'
+
 # An executor watchdog trap is a hang: exit 2, the same as the runtime's
 # slowdown watchdog, not the simulator-fault exit.
 run "watchdog hang smoke" \

@@ -15,9 +15,6 @@ type warp_api = Exec.warp_api = {
   block : int;
   mutable executing : int;
   read_reg : lane:int -> int -> int;
-  read_pred : lane:int -> int -> bool;
-  read_cbank : offset:int -> int32;
-  global_tid : lane:int -> int;
 }
 
 type callback = ctx -> warp_api -> unit
@@ -493,9 +490,6 @@ let run ?hooks ?(max_dyn_instrs = 50_000_000) ~device ~grid ~block ~params
           executing = 0;
           read_reg =
             (fun ~lane r -> Int32.to_int (read_reg st ~lane r) land 0xffffffff);
-          read_pred = (fun ~lane p -> read_pred_raw st ~lane p);
-          read_cbank = (fun ~offset -> cbank_read cbank0 ~offset);
-          global_tid = (fun ~lane -> (blk * block) + (w * warp_size) + lane);
         }
       in
       let fire inj =

@@ -259,6 +259,186 @@ let test_rerun_matches_plan () =
     (Invalid_argument "Campaign.rerun: id 9 outside plan 0..3") (fun () ->
       ignore (C.rerun cfg ~id:9))
 
+(* --- the launch ledger ------------------------------------------------ *)
+
+module W = Fpx_workloads.Workload
+module D = Gpu_fpx.Detector
+
+(* A store line per injection, sorted as text: the seed-42 plan's ids
+   0-299 as the engine classified them before it had a launch ledger. *)
+let test_seed42_store_lines () =
+  let s = C.run (C.config ~jobs:2 ~minimize:false ~seed:42 ~total:300 ()) in
+  let got = List.sort compare (List.map C.result_to_line s.C.results) in
+  (* [dune runtest] runs in the build's test dir, a manual [dune exec]
+     from the project root *)
+  let path =
+    let local = Filename.concat "golden" "campaign_seed42_300.jsonl" in
+    if Sys.file_exists local then local else Filename.concat "test" local
+  in
+  let want = In_channel.with_open_text path In_channel.input_lines in
+  Alcotest.(check int) "line count" (List.length want) (List.length got);
+  List.iter2 (fun w g -> Alcotest.(check string) "store line" w g) want got
+
+let test_ledger_counters () =
+  let s =
+    C.run
+      (C.config ~jobs:1 ~programs:[ "GRAMSCHM"; "Triad"; "hotspot" ]
+         ~seed:42 ~total:30 ())
+  in
+  Alcotest.(check bool) "launches replayed" true (s.C.launches_replayed > 0);
+  Alcotest.(check bool) "injections reconverged" true (s.C.reconverged > 0);
+  let sink = Fpx_obs.Sink.create () in
+  C.record_metrics s sink;
+  let m = (Option.get (Fpx_obs.Sink.active sink)).Fpx_obs.Sink.metrics in
+  List.iter
+    (fun (name, n) ->
+      Alcotest.(check (option int)) name (Some n)
+        (Fpx_obs.Metrics.counter_value m name))
+    [ ("campaign_launches_replayed_total", s.C.launches_replayed);
+      ("campaign_reconverged_total", s.C.reconverged) ]
+
+(* A run as a campaign sees it: the JSON report, the final memory
+   digest (None when the body did not finish) and the measurement. *)
+let observe ?ledger ?fault (w : W.t) =
+  let digest = ref None in
+  let run ctx =
+    w.W.run ctx;
+    digest := Some (Fpx_gpu.Memory.digest (W.device ctx).Fpx_gpu.Device.memory)
+  in
+  let m =
+    R.run ?ledger ?fault ~tool:(R.Detector D.default_config) { w with W.run }
+  in
+  (R.to_json m, !digest, m)
+
+let recorded (w : W.t) =
+  let l = R.ledger () in
+  let _, digest, _ = observe ~ledger:(R.Record l) w in
+  Alcotest.(check bool) "golden run finished" true (digest <> None);
+  l
+
+(* The ledger's run against one without it: the same report bytes and
+   final memory, and the counters the case expects. *)
+let check_against_plain ~what ~replayed ~ledger ~fault w =
+  let plain_json, plain_digest, _ = observe ~fault w in
+  let json, digest, m = observe ~ledger:(R.Replay ledger) ~fault w in
+  Alcotest.(check string) (what ^ ": report") plain_json json;
+  Alcotest.(check (option string)) (what ^ ": memory") plain_digest digest;
+  Alcotest.(check int) (what ^ ": launches replayed") replayed m.R.replayed;
+  Alcotest.(check bool) (what ^ ": no early exit") false m.R.reconverged
+
+let spec arch = Fault.spec ~sites:[] ~rate:0.0 ~arch ~seed:1 ()
+
+(* Three launches: [copy] twice, then [check], whose 16-thread block
+   leaves lanes 16-31 dead. [scale] is [check]'s arithmetic: [x * 2]
+   raises nothing, [x / 0] an exception the detector logs; either way
+   [check] stores [x], so memory cannot tell the two apart. *)
+let copy_k =
+  Fpx_klang.Dsl.(
+    kernel "ledger_copy"
+      [ ("out", ptr F32); ("a", ptr F32) ]
+      [ store "out" tid (load "a" tid) ])
+
+let check_k scale =
+  Fpx_klang.Dsl.(
+    kernel "ledger_check"
+      [ ("out", ptr F32); ("a", ptr F32) ]
+      [ let_ "x" F32 (load "a" tid);
+        let_ "t" F32 (scale (v "x"));
+        store "out" tid (select (v "t" <: f32 0.0) (v "x") (v "x")) ])
+
+let ledger_workload ?(name = "ledger-probe") ?(copies = 2) ?(second_grid = 1)
+    scale =
+  W.make ~name ~suite:W.Polybench ~kernels:[ copy_k; check_k scale ]
+    (fun ctx ->
+      let cp = W.compile ctx copy_k and ck = W.compile ctx (check_k scale) in
+      let a = W.f32s ctx (W.randf ~seed:3 ~lo:1.0 ~hi:2.0 64) in
+      let o1 = W.zeros ctx ~bytes:256 and o2 = W.zeros ctx ~bytes:256 in
+      W.launch ctx ~grid:1 ~block:32 cp [ Ptr o1; Ptr a ];
+      if copies > 1 then begin
+        W.launch ctx ~grid:second_grid ~block:32 cp [ Ptr o2; Ptr a ];
+        W.launch ctx ~grid:1 ~block:16 ck [ Ptr o1; Ptr o2 ]
+      end)
+
+let doubled x = Fpx_klang.Dsl.(x *: f32 2.0)
+let clean = ledger_workload doubled
+
+let test_ledger_reconverges () =
+  let l = recorded clean in
+  let _, _, golden = observe clean in
+  (* the flip lands in [check]'s second step, in a dead lane, so it
+     changes nothing *)
+  let _, _, one_copy =
+    observe (ledger_workload ~name:"one-copy" ~copies:1 doubled)
+  in
+  let before_check = 2 * one_copy.R.dyn_instrs in
+  Alcotest.(check bool) "check has steps" true
+    (golden.R.dyn_instrs > before_check + 1);
+  let fault =
+    spec
+      (Fault.Reg_flip { at_dyn = before_check + 1; lane = 20; reg = 0; bit = 3 })
+  in
+  let _, digest, m = observe ~ledger:(R.Replay l) ~fault clean in
+  Alcotest.(check int) "both copies replayed" 2 m.R.replayed;
+  Alcotest.(check bool) "back on the golden state" true m.R.reconverged;
+  Alcotest.(check (option string)) "the body did not finish" None digest;
+  (* [check] uses no shared memory, so a shared-memory flip there is
+     masked too *)
+  let _, _, m =
+    observe ~ledger:(R.Replay l)
+      ~fault:
+        (spec
+           (Fault.Shmem_flip { at_dyn = before_check + 1; word = 5; bit = 7 }))
+      clean
+  in
+  Alcotest.(check bool) "shared-memory flip reconverges" true m.R.reconverged;
+  (* the same flip in a run whose [check] raises an exception the
+     golden one did not: memory is equal, the detector is not *)
+  let noisy = ledger_workload (fun x -> Fpx_klang.Dsl.(x /: f32 0.0)) in
+  check_against_plain ~what:"detector differs" ~replayed:2 ~ledger:l ~fault
+    noisy;
+  let _, _, m = observe ~fault noisy in
+  Alcotest.(check bool) "the noisy run logs more" true (m.R.log <> [])
+
+(* A request that differs from the ledger's at launch 1 ends the replay
+   there, mid-prefix: launch 0 is replayed, the rest execute. *)
+let test_ledger_request_mismatch () =
+  let l = recorded clean in
+  let fault =
+    spec (Fault.Reg_flip { at_dyn = 1_000_000; lane = 3; reg = 1; bit = 30 })
+  in
+  check_against_plain ~what:"tampered request" ~replayed:1 ~ledger:l ~fault
+    (ledger_workload ~second_grid:2 doubled);
+  check_against_plain ~what:"flip past the end" ~replayed:3 ~ledger:l ~fault
+    clean;
+  (* a budget the first launch exceeds: nothing is replayed, and the
+     watchdog stops the run as it would without a ledger *)
+  check_against_plain ~what:"budget" ~replayed:0 ~ledger:l
+    ~fault:{ fault with Fault.budget = Some 4 }
+    clean
+
+(* An instruction flip in GRAMSCHM's third kernel: its first launch is
+   launch 2, so launches 0 and 1 are replayed. *)
+let test_ledger_instr_flip_prefix () =
+  let w = Fpx_workloads.Catalog.find "GRAMSCHM" in
+  let l = recorded w in
+  let prog =
+    Fpx_klang.Compile.compile ~mode:Fpx_klang.Mode.precise
+      (List.nth w.W.kernels 2)
+  in
+  let pc = 5 in
+  let sel =
+    let rec find sel =
+      match Mutate.instr_flip prog ~pc ~sel with
+      | Ok _ -> sel
+      | Error _ -> find (sel + 1)
+    in
+    find 0
+  in
+  let fault =
+    spec (Fault.Instr_flip { kernel = prog.Program.name; pc; sel })
+  in
+  check_against_plain ~what:"instr flip" ~replayed:2 ~ledger:l ~fault w
+
 let suite =
   ( "campaign",
     [ Alcotest.test_case "Prng.pick empty raises" `Quick
@@ -283,5 +463,14 @@ let suite =
         test_store_old_lines;
       Alcotest.test_case "campaign: resume + jobs invariance" `Quick
         test_campaign_resume_and_jobs_invariance;
+      Alcotest.test_case "ledger: seed-42 store lines" `Quick
+        test_seed42_store_lines;
+      Alcotest.test_case "ledger: counters" `Quick test_ledger_counters;
+      Alcotest.test_case "ledger: reconverges, not past the detector" `Quick
+        test_ledger_reconverges;
+      Alcotest.test_case "ledger: request mismatch falls back" `Quick
+        test_ledger_request_mismatch;
+      Alcotest.test_case "ledger: instr flip replays the prefix" `Quick
+        test_ledger_instr_flip_prefix;
       Alcotest.test_case "campaign: rerun matches plan" `Quick
         test_rerun_matches_plan ] )
