@@ -144,36 +144,35 @@ let fault_kinds =
              "Fault sites to enable (default: all). Known sites: %s."
              site_names))
 
+(* Both values are checked whether or not --fault-seed is given: a bad
+   rate or kind list is a bad CLI value even when it would go unused. *)
 let fault_spec_of seed rate kinds =
-  match seed with
-  | None -> None
-  | Some seed ->
-    if not (rate >= 0.0 && rate <= 1.0) then begin
-      (* NaN fails both comparisons *)
-      Printf.eprintf "fpx_run: bad fault rate %g (want 0 <= rate <= 1)\n" rate;
+  if not (rate >= 0.0 && rate <= 1.0) then begin
+    (* NaN fails both comparisons *)
+    Printf.eprintf "fpx_run: bad fault rate %g (want 0 <= rate <= 1)\n" rate;
+    exit 124
+  end;
+  let sites =
+    match kinds with
+    | None -> Fault.all_sites
+    | Some [] ->
+      (* "" and "," parse to no names: a run with no site enabled is
+         not what "default: all" promises *)
+      Printf.eprintf
+        "fpx_run: --fault-kinds names no fault kind (known: %s)\n" site_names;
       exit 124
-    end;
-    let sites =
-      match kinds with
-      | None -> Fault.all_sites
-      | Some [] ->
-        (* "" and "," parse to no names: a run with no site enabled is
-           not what "default: all" promises *)
-        Printf.eprintf
-          "fpx_run: --fault-kinds names no fault kind (known: %s)\n" site_names;
-        exit 124
-      | Some names ->
-        List.map
-          (fun n ->
-            match Fault.site_of_string n with
-            | Some s -> s
-            | None ->
-              Printf.eprintf "fpx_run: unknown fault kind %S (known: %s)\n" n
-                site_names;
-              exit 124)
-          names
-    in
-    Some (Fault.spec ~sites ~rate ~seed ())
+    | Some names ->
+      List.map
+        (fun n ->
+          match Fault.site_of_string n with
+          | Some s -> s
+          | None ->
+            Printf.eprintf "fpx_run: unknown fault kind %S (known: %s)\n" n
+              site_names;
+            exit 124)
+        names
+  in
+  Option.map (fun seed -> Fault.spec ~sites ~rate ~seed ()) seed
 
 (* Exit statuses for runs that did not complete cleanly (documented in
    each command's EXIT STATUS section). *)

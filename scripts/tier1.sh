@@ -59,6 +59,17 @@ run "one bench writer" \
        /open_out|Json\.to_string|J\.to_string|\{\\"/{n++; if (!inside) bad = 1}
        END{exit bad || n == 0}' bench/main.ml
 
+# One bench harness: the deterministic BENCH files are diffed by
+# `dune runtest` (bench/dune) and timing gates live in bench/main.exe.
+# No second timing framework, no standalone gate script and no CI-side
+# regenerate-and-diff step may come back.
+run "one bench harness" \
+  sh -c '! grep -rni bechamel bench .github dune-project &&
+         ! find . -path ./_build -prune -o -name dune -print |
+             xargs grep -li bechamel &&
+         ! test -e scripts/diagnose_gate.sh &&
+         ! grep -rn "git diff --exit-code.*BENCH_" .github'
+
 # One tool table: every tool name resolves through Toolreg.table. No
 # mutable registry and no second name -> tool mapping may come back.
 run "one tool table" \
@@ -162,21 +173,27 @@ run "run-sass malformed smoke" \
            examples/sass/missing_operand.sass >/dev/null; test $? -eq 3'
 
 # A fault rate that is NaN or outside [0, 1] is a bad CLI value (124),
-# not a silently fault-free (or always-faulting) run.
+# not a silently fault-free (or always-faulting) run, with or without
+# --fault-seed.
 run "fault-rate smoke" \
-  sh -c 'for r in nan -0.5 2; do
-           dune exec bin/fpx_run.exe -- detect GEMM --fault-seed 1 \
-             --fault-rate="$r" >/dev/null 2>&1
-           test $? -eq 124 || exit 1
+  sh -c 'for seed in "--fault-seed=1" ""; do
+           for r in nan -0.5 2; do
+             dune exec bin/fpx_run.exe -- detect GEMM $seed \
+               --fault-rate="$r" >/dev/null 2>&1
+             test $? -eq 124 || exit 1
+           done
          done'
 
 # A --fault-kinds list that names no kind ("" or ",") or an unknown one
-# is a bad CLI value (124), not a run with no fault site enabled.
+# is a bad CLI value (124), not a run with no fault site enabled, with
+# or without --fault-seed.
 run "fault-kinds smoke" \
-  sh -c 'for k in "" , bogus; do
-           dune exec bin/fpx_run.exe -- detect GEMM --fault-seed 1 \
-             --fault-kinds="$k" >/dev/null 2>&1
-           test $? -eq 124 || exit 1
+  sh -c 'for seed in "--fault-seed=1" ""; do
+           for k in "" , bogus; do
+             dune exec bin/fpx_run.exe -- detect GEMM $seed \
+               --fault-kinds="$k" >/dev/null 2>&1
+             test $? -eq 124 || exit 1
+           done
          done'
 
 # An executor watchdog trap is a hang: exit 2, the same as the runtime's

@@ -207,7 +207,19 @@ let test_interference_measurable () =
   Alcotest.(check bool) "fewer records seen" true
     (o.Mt.m.R.channel.R.records_seen < s.Mt.m.R.channel.R.records_seen);
   Alcotest.(check bool) "report corrupted" true
-    (Mt.report_text o <> Mt.report_text s)
+    (Mt.report_text o <> Mt.report_text s);
+  (* the exact counters EXPERIMENTS.md's tenancy table records *)
+  Alcotest.(check int) "solo cycles" 516_582 s.Mt.total_cycles;
+  Alcotest.(check int) "solo records seen" 313
+    s.Mt.m.R.channel.R.records_seen;
+  Alcotest.(check int) "shared cycles" 614_323 o.Mt.total_cycles;
+  Alcotest.(check int) "shared contention" 99_149 o.Mt.contention_cycles;
+  Alcotest.(check int) "shared records seen" 225
+    o.Mt.m.R.channel.R.records_seen;
+  Alcotest.(check int) "shared drains delayed" 4
+    o.Mt.m.R.channel.R.drains_delayed;
+  Alcotest.(check int) "shared records stranded" 88
+    o.Mt.m.R.channel.R.records_stranded
 
 let test_partitioned_report_identical () =
   let o = victim_of (Lazy.force fenced) in
@@ -218,7 +230,9 @@ let test_partitioned_report_identical () =
   Alcotest.(check int) "no delayed drains" 0 o.Mt.m.R.channel.R.drains_delayed;
   Alcotest.(check int) "nothing stranded" 0 o.Mt.m.R.channel.R.records_stranded;
   Alcotest.(check int) "same cycles as solo" s.Mt.total_cycles
-    o.Mt.total_cycles
+    o.Mt.total_cycles;
+  Alcotest.(check int) "same records seen as solo"
+    s.Mt.m.R.channel.R.records_seen o.Mt.m.R.channel.R.records_seen
 
 let test_solo_matches_plain_run () =
   (* the one-tenant co-run must be the same run as an unmetered
