@@ -683,9 +683,9 @@ let exec_bench () =
      warm-up launch (decode + allocate once) *)
   let time_engine
       (run :
-        ?hooks:Gpu.Exec.hooks -> ?max_dyn_instrs:int ->
-        device:Gpu.Device.t -> grid:int -> block:int ->
-        params:Gpu.Param.t list -> Program.t -> Gpu.Stats.t) prog =
+        ?hooks:Gpu.Exec.hooks -> device:Gpu.Device.t -> grid:int ->
+        block:int -> params:Gpu.Param.t list -> Program.t -> Gpu.Stats.t)
+      prog =
     let dev = Gpu.Device.create () in
     let out = Gpu.Memory.alloc_zeroed dev.Gpu.Device.memory ~bytes:(4 * 512) in
     let params = [ Gpu.Param.Ptr out ] in

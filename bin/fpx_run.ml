@@ -236,7 +236,7 @@ let read_sass_file path =
     exit 124
 
 let write_file path s =
-  Fpx_fuzz.Corpus.mkdir_p (Filename.dirname path);
+  Fpx_store.Content.mkdir_p (Filename.dirname path);
   match open_out path with
   | oc ->
     output_string oc s;
@@ -771,11 +771,9 @@ let fuzz_cmd =
     print_string (Fpx_fuzz.Campaign.summary_json s);
     Option.iter
       (fun path ->
-        let sink = Fpx_obs.Sink.create () in
-        Fpx_fuzz.Campaign.record_metrics s sink;
-        match Fpx_obs.Sink.active sink with
-        | Some a -> write_metrics path a.Fpx_obs.Sink.metrics
-        | None -> ())
+        let m = Fpx_obs.Metrics.create () in
+        Fpx_fuzz.Campaign.record_metrics s m;
+        write_metrics path m)
       metrics_out;
     Printf.eprintf "fuzz: %d cases in %.2fs (%.1f execs/sec), %d discrepancy(ies)\n"
       s.Fpx_fuzz.Campaign.runs dt
@@ -1102,11 +1100,9 @@ let campaign_run_cmd =
       Option.iter (fun p -> write_file p (C.summary_json s)) out;
       Option.iter
         (fun path ->
-          let sink = Fpx_obs.Sink.create () in
-          C.record_metrics s sink;
-          match Fpx_obs.Sink.active sink with
-          | Some a -> write_metrics path a.Fpx_obs.Sink.metrics
-          | None -> ())
+          let m = Fpx_obs.Metrics.create () in
+          C.record_metrics s m;
+          write_metrics path m)
         metrics_out;
       Printf.eprintf
         "campaign: %d/%d classified in %.2fs (%.1f inj/sec)%s\n"
@@ -1267,17 +1263,11 @@ let serve_cmd =
     Arg.(
       value
       & opt (some int) None
-      & info [ "budget" ] ~docv:"FACTOR"
+      & info [ "budget" ] ~docv:"N"
           ~doc:
-            "Default per-request watchdog budget factor: abort (and \
-             report) a submission instead of hanging a worker.")
-  in
-  let max_requests =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-requests" ] ~docv:"N"
-          ~doc:"Stop accepting after $(docv) requests (bench/smoke use).")
+            "Default per-request watchdog step cap: a submission whose \
+             launch runs more than $(docv) warp-instructions ends as a \
+             reported hang instead of hanging a worker.")
   in
   let log =
     Arg.(
@@ -1304,8 +1294,8 @@ let serve_cmd =
              (default: jobs + queue, i.e. bounded only by global \
              admission).")
   in
-  let run socket tcp jobs queue cache budget max_requests log tenant_quota
-      default_quota metrics_out =
+  let run socket tcp jobs queue cache budget log tenant_quota default_quota
+      metrics_out =
     let tenant_quotas =
       List.map
         (fun spec ->
@@ -1328,7 +1318,7 @@ let serve_cmd =
     in
     let config =
       { Serve.jobs = resolve_jobs jobs; queue; cache_capacity = cache;
-        budget; max_requests; log; tenant_quotas; default_quota }
+        budget; log; tenant_quotas; default_quota }
     in
     let t = Serve.create ~config () in
     Printf.printf "fpx_run serve: listening on unix:%s%s (jobs=%d queue=%d)\n%!"
@@ -1348,8 +1338,8 @@ let serve_cmd =
           scrape Prometheus metrics with an HTTP GET /metrics on the same \
           socket.")
     Term.(
-      const run $ socket_arg $ tcp_arg $ jobs $ queue $ cache $ budget
-      $ max_requests $ log $ tenant_quota $ default_quota $ metrics_out)
+      const run $ socket_arg $ tcp_arg $ jobs $ queue $ cache $ budget $ log
+      $ tenant_quota $ default_quota $ metrics_out)
 
 let submit_cmd =
   let target =
@@ -1386,8 +1376,10 @@ let submit_cmd =
     Arg.(
       value
       & opt (some int) None
-      & info [ "budget" ] ~docv:"FACTOR"
-          ~doc:"Per-request watchdog budget factor override.")
+      & info [ "budget" ] ~docv:"N"
+          ~doc:
+            "Per-request watchdog step cap: each launch may run at most \
+             $(docv) warp-instructions (overrides the daemon's --budget).")
   in
   let tenant =
     Arg.(

@@ -91,11 +91,11 @@ let instrument t prog b =
           | Site.Check_32 d | Site.Div0_32 d | Site.Check_16 d -> (d, None)
         in
         Fpx_tool.Inject.insert_after b ~pc:i.Instr.pc
-          ~n_values:(Site.n_values p) (fun ctx api ->
+          ~n_values:(Site.n_values p) (fun stats api ->
             let executing = api.Exec.executing in
             for lane = 0 to 31 do
               if (executing lsr lane) land 1 = 1 then
-                Channel.push t.channel ~stats:ctx.Exec.stats id
+                Channel.push t.channel ~stats id
                   (api.Exec.read_reg ~lane lo)
                   (match hi with
                   | Some hi -> api.Exec.read_reg ~lane hi

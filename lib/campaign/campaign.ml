@@ -413,28 +413,22 @@ let catch_rate s =
   if detected + sdc = 0 then None
   else Some (float_of_int detected /. float_of_int (detected + sdc))
 
-let record_metrics s sink =
-  match Fpx_obs.Sink.active sink with
-  | None -> ()
-  | Some a ->
-    let m = a.Fpx_obs.Sink.metrics in
-    let add = Fpx_obs.Metrics.add_named m in
-    add ~help:"architectural injections classified"
-      "campaign_injections_total" s.completed;
-    add ~help:"golden launches replayed instead of executed"
-      "campaign_launches_replayed_total" s.launches_replayed;
-    add ~help:"injections stopped where they rejoined the golden run"
-      "campaign_reconverged_total" s.reconverged;
-    List.iter
-      (fun (o, n) ->
-        if n > 0 then
-          add ~help:"injections with one outcome"
-            ("campaign_outcome_"
-            ^ String.map
-                (function '-' -> '_' | c -> c)
-                (outcome_to_string o))
-            n)
-      (by_outcome s)
+let record_metrics s m =
+  let add = Fpx_obs.Metrics.add_named m in
+  add ~help:"architectural injections classified" "campaign_injections_total"
+    s.completed;
+  add ~help:"golden launches replayed instead of executed"
+    "campaign_launches_replayed_total" s.launches_replayed;
+  add ~help:"injections stopped where they rejoined the golden run"
+    "campaign_reconverged_total" s.reconverged;
+  List.iter
+    (fun (o, n) ->
+      if n > 0 then
+        add ~help:"injections with one outcome"
+          ("campaign_outcome_"
+          ^ String.map (function '-' -> '_' | c -> c) (outcome_to_string o))
+          n)
+    (by_outcome s)
 
 let summary_of cfg ?(artifacts = []) ?(halted = false) ?(replayed = 0)
     ?(reconverged = 0) results =
@@ -463,7 +457,7 @@ let load cfg =
 let profiles cfg =
   Array.of_list (Sched.map ~jobs:cfg.jobs profile_exn cfg.programs)
 
-let run ?(sink = Fpx_obs.Sink.null) cfg =
+let run cfg =
   Fpx_obs.Span.with_ ~cat:"campaign" "campaign.run" (fun () ->
       let profiles = profiles cfg in
       let k = key cfg in
@@ -526,14 +520,10 @@ let run ?(sink = Fpx_obs.Sink.null) cfg =
               | None -> ())
             rs)
         (chunks batch_size pending);
-      let s =
-        summary_of cfg
-          ~artifacts:(List.rev !artifacts)
-          ~halted ~replayed:!replayed ~reconverged:!reconverged
-          (existing @ !fresh)
-      in
-      record_metrics s sink;
-      s)
+      summary_of cfg
+        ~artifacts:(List.rev !artifacts)
+        ~halted ~replayed:!replayed ~reconverged:!reconverged
+        (existing @ !fresh))
 
 let rerun cfg ~id =
   if id < 0 || id >= cfg.total then

@@ -115,8 +115,7 @@ type summary = {
           undetected; excluded from {!summary_json}. *)
 }
 
-val run :
-  ?sink:Fpx_obs.Sink.t -> config -> summary
+val run : config -> summary
 (** Execute (or resume) the campaign: golden-profile each program (over
     [cfg.jobs] domains, recording each golden run's launch ledger), fan
     the pending injections out over {!Fpx_sched.Sched.map}, classify
@@ -146,7 +145,7 @@ val summary_json : summary -> string
     SDC-vs-detected counts and catch rate. Independent of [jobs],
     [halt_after] and artifact paths. *)
 
-val record_metrics : summary -> Fpx_obs.Sink.t -> unit
-(** Export campaign counters into a metrics sink, among them
+val record_metrics : summary -> Fpx_obs.Metrics.t -> unit
+(** Export campaign counters into a metrics registry, among them
     [campaign_launches_replayed_total] and
     [campaign_reconverged_total]. *)

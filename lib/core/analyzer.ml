@@ -74,10 +74,11 @@ let render r =
 
 type escape = { store_kernel : string; store_loc : string; kind : Kind.t }
 
+(* How many dynamic executions of one (instruction, state) pair are
+   reported. *)
+let max_per_site = 2
+
 type t = {
-  max_per_site : int;
-  sampling : Sampling.t;
-  track_stores : bool;
   channel : Channel.t;  (** packets: an index into [sent], 0, 0 *)
   mutable sent : report array;
       (** Side table of the rich reports the channel's packets point
@@ -91,12 +92,8 @@ type t = {
   obs : Fpx_obs.Sink.active option;
 }
 
-let create ?(max_reports_per_site = 2) ?(sampling = Sampling.always)
-    ?(track_stores = true) device =
+let create device =
   {
-    max_per_site = max_reports_per_site;
-    sampling;
-    track_stores;
     channel =
       Channel.create ~fault:device.Device.fault ?bw:device.Device.bw
         ~cost:device.Device.cost ();
@@ -189,7 +186,7 @@ let instrument_store t prog b (i : Instr.t) reg =
   let pc = i.Instr.pc in
   Fpx_tool.Inject.insert_before b ~pc
     ~n_values:(if snd reg = Pair then 2 else 1)
-    (fun _ctx api ->
+    (fun _ api ->
       let executing = api.Exec.executing in
       for lane = 0 to 31 do
         if (executing lsr lane) land 1 = 1 then
@@ -207,17 +204,17 @@ let instrument_store t prog b (i : Instr.t) reg =
 
 (* Ship a report: it goes into the side table, its index over the
    channel. *)
-let send t (ctx : Exec.ctx) r =
+let send t (stats : Stats.t) r =
   if t.n_sent = Array.length t.sent then
     t.sent <- Array.append t.sent (Array.make (max 16 t.n_sent) r);
   t.sent.(t.n_sent) <- r;
-  Channel.push t.channel ~stats:ctx.Exec.stats t.n_sent 0 0;
+  Channel.push t.channel ~stats t.n_sent 0 0;
   t.n_sent <- t.n_sent + 1
 
 let instrument t prog b =
   let dec = Decode.program prog in
   let uop (i : Instr.t) = dec.Decode.entries.(i.Instr.pc).Decode.uop in
-  if t.track_stores && Program.fp_instr_count prog > 0 then
+  if Program.fp_instr_count prog > 0 then
     Array.iter
       (fun (i : Instr.t) ->
         let u = uop i in
@@ -249,12 +246,12 @@ let instrument t prog b =
           if !chosen >= 0 then !chosen else !first
         in
         Fpx_tool.Inject.insert_before b ~pc:i.Instr.pc ~n_values:n_regs
-          (fun _ctx api ->
+          (fun _ api ->
             match choose_lane api with
             | -1 -> pending := None
             | lane -> pending := Some (lane, capture api lane));
         Fpx_tool.Inject.insert_after b ~pc:i.Instr.pc ~n_values:n_regs
-          (fun ctx api ->
+          (fun stats api ->
             match !pending with
             | None -> ()
             | Some (lane, before) ->
@@ -273,7 +270,7 @@ let instrument t prog b =
                       (Hashtbl.find_opt t.site_counts key)
                       ~default:0
                   in
-                  if seen < t.max_per_site then begin
+                  if seen < max_per_site then begin
                     Hashtbl.replace t.site_counts key (seen + 1);
                     (match t.obs with
                     | None -> ()
@@ -292,12 +289,12 @@ let instrument t prog b =
                         ~ts:
                           (Fpx_obs.Sink.now a
                              ~launch_cycles:
-                               (Stats.total_cycles ctx.Exec.stats))
+                               (Stats.total_cycles stats))
                         ~args:
                           [ ("kernel", Fpx_obs.Span.S prog.Program.mangled);
                             ("loc", Fpx_obs.Span.S (Instr.loc_string i)) ]
                         ());
-                    send t ctx
+                    send t stats
                       {
                         state;
                         kernel = prog.Program.mangled;
@@ -350,8 +347,7 @@ module Tool = struct
 
   let name _ = "GPU-FPX analyzer"
 
-  let should_instrument t ~kernel ~invocation =
-    Sampling.should_instrument t.sampling ~kernel ~invocation
+  let should_instrument _ ~kernel:_ ~invocation:_ = true
 
   let instrument = instrument
   let on_launch_begin t _ = Channel.new_launch t.channel

@@ -54,17 +54,11 @@ type escape = { store_kernel : string; store_loc : string; kind : Fpx_num.Kind.t
 
 type t
 
-val create :
-  ?max_reports_per_site:int ->
-  ?sampling:Sampling.t ->
-  ?track_stores:bool ->
-  Fpx_gpu.Device.t ->
-  t
-(** [max_reports_per_site] bounds how many dynamic executions of one
-    (instruction, state) pair are reported (default 2).
-    [track_stores] (default true) additionally instruments STG in
-    kernels that contain FP arithmetic, recording NaN/INF values that
-    escape to memory. *)
+val create : Fpx_gpu.Device.t -> t
+(** An analyzer for runs on the device. It instruments every launch,
+    reports at most two dynamic executions of one (instruction, state)
+    pair, and also instruments STG in kernels that contain FP
+    arithmetic, recording NaN/INF values that escape to memory. *)
 
 val tool : t -> Fpx_tool.instance
 (** Attach with {!Fpx_nvbit.Runtime.attach}. *)

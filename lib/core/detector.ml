@@ -115,9 +115,9 @@ let exce_of_idx = [| Exce.Nan; Exce.Inf; Exce.Sub; Exce.Div0 |]
    built inside [callback]: the callback fires on every instrumented
    dynamic instruction, and on exception-free warps (the common case)
    it must allocate nothing. *)
-let push_record t (ctx : Exec.ctx) (api : Exec.warp_api) ~kernel ~loc ~fmt e
+let push_record t (stats : Stats.t) (api : Exec.warp_api) ~kernel ~loc ~fmt e
     idx =
-  let delivered = Channel.try_push t.channel ~stats:ctx.Exec.stats idx 0 0 in
+  let delivered = Channel.try_push t.channel ~stats idx 0 0 in
   (if delivered then
      match t.obs with
      | None -> ()
@@ -126,7 +126,7 @@ let push_record t (ctx : Exec.ctx) (api : Exec.warp_api) ~kernel ~loc ~fmt e
          ~name:"exception" ~cat:"exception"
          ~ts:
            (Fpx_obs.Sink.now a
-              ~launch_cycles:(Stats.total_cycles ctx.Exec.stats))
+              ~launch_cycles:(Stats.total_cycles stats))
          ~args:
            [ ("kernel", Fpx_obs.Span.S kernel);
              ("loc", Fpx_obs.Span.S loc);
@@ -135,16 +135,15 @@ let push_record t (ctx : Exec.ctx) (api : Exec.warp_api) ~kernel ~loc ~fmt e
          ());
   delivered
 
-let probe_and_push t gt ctx api ~kernel ~loc ~fmt e idx =
-  ctx.Exec.stats.Stats.tool_cycles <-
-    ctx.Exec.stats.Stats.tool_cycles + gt_probe_cost;
+let probe_and_push t gt stats api ~kernel ~loc ~fmt e idx =
+  stats.Stats.tool_cycles <- stats.Stats.tool_cycles + gt_probe_cost;
   if Global_table.test_and_set gt idx then
-    if not (push_record t ctx api ~kernel ~loc ~fmt e idx) then
+    if not (push_record t stats api ~kernel ~loc ~fmt e idx) then
       (* the record this slot claimed never reached the host: undo the
          dedup mark so a recurrence gets another chance *)
       Global_table.reset gt idx
 
-let callback t check ~loc_idx ~kernel ~pc ~loc (ctx : Exec.ctx)
+let callback t check ~loc_idx ~kernel ~pc ~loc (stats : Stats.t)
     (api : Exec.warp_api) =
   let fmt = Site.fmt check in
   let leader = Option.is_some t.gt && t.config.warp_leader in
@@ -182,9 +181,9 @@ let callback t check ~loc_idx ~kernel ~pc ~loc (ctx : Exec.ctx)
              channel. *)
           let idx = Exce.encode ~loc:loc_idx ~fmt e in
           match t.gt with
-          | Some gt -> probe_and_push t gt ctx api ~kernel ~loc ~fmt e idx
+          | Some gt -> probe_and_push t gt stats api ~kernel ~loc ~fmt e idx
           | None ->
-            ignore (push_record t ctx api ~kernel ~loc ~fmt e idx : bool)
+            ignore (push_record t stats api ~kernel ~loc ~fmt e idx : bool)
         end
   done;
   (match t.gt with
@@ -192,7 +191,7 @@ let callback t check ~loc_idx ~kernel ~pc ~loc (ctx : Exec.ctx)
     (* reversed first-occurrence order, as the old fold produced *)
     for i = !uniques - 1 downto 0 do
       let e = exce_of_idx.((!order lsr (2 * i)) land 3) in
-      probe_and_push t gt ctx api ~kernel ~loc ~fmt e
+      probe_and_push t gt stats api ~kernel ~loc ~fmt e
         (Exce.encode ~loc:loc_idx ~fmt e)
     done
   | _ -> ());
@@ -203,13 +202,15 @@ let callback t check ~loc_idx ~kernel ~pc ~loc (ctx : Exec.ctx)
 
 let instrument t prog b =
   (* Static pruning: the abstract interpreter proves some planned sites
-     can never produce the classes their check fires on; dropping those
-     injections shrinks the instrumentation cost without changing a
-     single report (the checks were no-ops). *)
-  if t.config.static_prune then begin
-    let p = Fpx_static.Prune.analyze prog in
-    Fpx_tool.Inject.set_prune b (Fpx_static.Prune.is_clean p)
-  end;
+     can never produce the classes their check fires on; not planting
+     those callbacks shrinks the instrumentation cost without changing a
+     single report (the checks were no-ops). A pruned site is still
+     interned, so the location table is the same either way. *)
+  let clean =
+    if t.config.static_prune then
+      Fpx_static.Prune.is_clean (Fpx_static.Prune.analyze prog)
+    else fun _ -> false
+  in
   Array.iter
     (fun (i : Instr.t) ->
       match Site.plan i with
@@ -221,19 +222,17 @@ let instrument t prog b =
               Loc_table.kernel = prog.Program.mangled;
               pc = i.Instr.pc;
               loc = Instr.loc_string i;
-              sass = Instr.sass_string i;
             }
         in
         let kernel = prog.Program.name and pc = i.Instr.pc
         and loc = Instr.loc_string i in
-        (* a two-argument closure: calling a partial application of
-           [callback] would allocate on every dynamic execution *)
-        Fpx_tool.Inject.insert_after b ~pc ~n_values:(Site.n_values check)
-          (fun ctx api -> callback t check ~loc_idx ~kernel ~pc ~loc ctx api))
-    prog.Program.instrs;
-  (* The prune predicate must not outlive this tool's inserts: in a
-     stacked attachment the next member shares the builder. *)
-  if t.config.static_prune then Fpx_tool.Inject.set_prune b (fun _ -> false)
+        if not (clean pc) then
+          (* a two-argument closure: calling a partial application of
+             [callback] would allocate on every dynamic execution *)
+          Fpx_tool.Inject.insert_after b ~pc ~n_values:(Site.n_values check)
+            (fun stats api ->
+              callback t check ~loc_idx ~kernel ~pc ~loc stats api))
+    prog.Program.instrs
 
 (* Static fragments of the finding line, preformatted once — the drain
    path assembles findings in a reused buffer instead of going through

@@ -1,4 +1,4 @@
-type entry = { kernel : string; pc : int; loc : string; sass : string }
+type entry = { kernel : string; pc : int; loc : string }
 
 type t = {
   by_key : (string * int, int) Hashtbl.t;

@@ -2,10 +2,10 @@
 
     At JIT time every instrumented instruction gets a 16-bit location
     index (E_loc); the host keeps the reverse mapping to kernel name,
-    pc, source location and SASS text used in reports. Indices wrap at
+    pc and source location used in reports. Indices wrap at
     2^16, matching the paper's table-size tradeoff. *)
 
-type entry = { kernel : string; pc : int; loc : string; sass : string }
+type entry = { kernel : string; pc : int; loc : string }
 
 type t
 

@@ -117,28 +117,21 @@ let summary_json s =
     classes
     (String.concat "," (List.map found_json s.found))
 
-let record_metrics s sink =
-  match Fpx_obs.Sink.active sink with
-  | None -> ()
-  | Some a ->
-    let m = a.Fpx_obs.Sink.metrics in
-    let add = Fpx_obs.Metrics.add_named m in
-    add ~help:"fuzz cases generated" "fuzz_cases_total" s.runs;
-    add ~help:"cases through the klang generator" "fuzz_klang_cases_total"
-      s.klang_cases;
-    add ~help:"cases with at least one discrepancy"
-      "fuzz_discrepancies_total"
-      (List.length s.found);
-    add ~help:"instructions removed by minimization"
-      "fuzz_minimized_instrs_removed"
-      (List.fold_left
-         (fun acc f -> acc + (f.orig_instrs - f.min_instrs))
-         0 s.found);
-    List.iter
-      (fun (cl, n) ->
-        if n > 0 then
-          add ~help:"discrepancies of one class"
-            ("fuzz_found_" ^ String.map (function '-' -> '_' | c -> c)
-                               (Oracle.clazz_to_string cl))
-            n)
-      (by_class s)
+let record_metrics s m =
+  let add = Fpx_obs.Metrics.add_named m in
+  add ~help:"fuzz cases generated" "fuzz_cases_total" s.runs;
+  add ~help:"cases through the klang generator" "fuzz_klang_cases_total"
+    s.klang_cases;
+  add ~help:"cases with at least one discrepancy" "fuzz_discrepancies_total"
+    (List.length s.found);
+  add ~help:"instructions removed by minimization"
+    "fuzz_minimized_instrs_removed"
+    (List.fold_left (fun acc f -> acc + (f.orig_instrs - f.min_instrs)) 0 s.found);
+  List.iter
+    (fun (cl, n) ->
+      if n > 0 then
+        add ~help:"discrepancies of one class"
+          ("fuzz_found_"
+          ^ String.map (function '-' -> '_' | c -> c) (Oracle.clazz_to_string cl))
+          n)
+    (by_class s)

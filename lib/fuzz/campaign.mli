@@ -45,8 +45,8 @@ val run : config -> summary
 val summary_json : summary -> string
 (** Deterministic (no timing, no job count); trailing newline. *)
 
-val record_metrics : summary -> Fpx_obs.Sink.t -> unit
+val record_metrics : summary -> Fpx_obs.Metrics.t -> unit
 (** Export campaign counters ([fuzz_cases_total],
     [fuzz_klang_cases_total], [fuzz_discrepancies_total],
     [fuzz_minimized_instrs_removed] and one [fuzz_found_<class>]
-    counter per reported class) into an active sink's registry. *)
+    counter per reported class) into a metrics registry. *)

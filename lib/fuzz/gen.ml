@@ -48,8 +48,9 @@ let const_pool =
 
 (* --- splittable-PRNG generation: the fuzzer's deterministic path ------ *)
 
-let ex_of_prng ?(consts = const_pool) ~ops_full ~size prng =
-  let consts = Array.of_list consts in
+let consts = Array.of_list const_pool
+
+let ex_of_prng ~ops_full ~size prng =
   let leaf () =
     match Prng.int prng 3 with
     | 0 -> X

@@ -27,7 +27,6 @@ val const_pool : float list
     {!ex_of_prng}. *)
 
 val ex_of_prng :
-  ?consts:float list ->
   ops_full:bool ->
   size:int ->
   Fpx_fault.Fault.Prng.t ->
@@ -35,7 +34,7 @@ val ex_of_prng :
 (** Sized expression trees (size capped at 12) driven by a
     {!Fpx_fault.Fault.Prng} stream, with no QCheck state involved.
     [ops_full:false] restricts to the exactly-rounded subset (no Div,
-    no SFU ops). *)
+    no SFU ops). Constants are drawn from {!const_pool}. *)
 
 val build_kernel : ex -> Fpx_klang.Ast.kernel
 (** The FP32 harness kernel: [out\[i\] = e(a\[i\], b\[i\])] for

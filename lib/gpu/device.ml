@@ -9,7 +9,6 @@ type warp = {
 }
 
 type t = {
-  name : string;
   memory : Memory.t;
   cost : Cost.t;
   obs : Fpx_obs.Sink.t;
@@ -19,12 +18,10 @@ type t = {
   mutable shared : Bytes.t;
 }
 
-let create ?(name = "SM-SIM (RTX 2070 SUPER model)") ?(cost = Cost.default)
-    ?(mem_bytes = 64 * 1024 * 1024) ?(obs = Fpx_obs.Sink.null)
+let create ?(cost = Cost.default) ?(obs = Fpx_obs.Sink.null)
     ?(fault = Fpx_fault.Fault.none) ?bw () =
   {
-    name;
-    memory = Memory.create ~size_bytes:mem_bytes;
+    memory = Memory.create ~size_bytes:(64 * 1024 * 1024);
     cost;
     obs;
     fault;

@@ -22,7 +22,6 @@ type warp = {
 }
 
 type t = {
-  name : string;
   memory : Memory.t;
   cost : Cost.t;
   obs : Fpx_obs.Sink.t;  (** {!Fpx_obs.Sink.null} unless profiling. *)
@@ -43,15 +42,13 @@ type t = {
 }
 
 val create :
-  ?name:string ->
   ?cost:Cost.t ->
-  ?mem_bytes:int ->
   ?obs:Fpx_obs.Sink.t ->
   ?fault:Fpx_fault.Fault.plan ->
   ?bw:Bandwidth.binding ->
   unit ->
   t
-(** Default: 64 MiB of global memory — the logical size {!Memory}
-    bounds accesses by; a fresh device backs one 4 KiB page of it, {!Cost.default}, name
-    ["SM-SIM (RTX 2070 SUPER model)"], observability and fault injection
+(** A device with 64 MiB of global memory — the logical size {!Memory}
+    bounds accesses by; a fresh device backs one 4 KiB page of it.
+    Defaults: {!Cost.default}, observability and fault injection
     disabled, no bandwidth meter. *)

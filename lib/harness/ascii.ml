@@ -37,8 +37,8 @@ let histogram ~title ~labels series =
     labels;
   Buffer.contents buf
 
-let scatter ~title ~xlabel ~ylabel ?(size = (56, 24)) points =
-  let width, height = size in
+let scatter ~title ~xlabel ~ylabel points =
+  let width = 56 and height = 24 in
   let lg x = Float.log (max x 1.0) /. Float.log 2.0 in
   let pts = List.map (fun (x, y) -> (lg x, lg y)) points in
   let hi =

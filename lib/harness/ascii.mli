@@ -13,10 +13,9 @@ val scatter :
   title:string ->
   xlabel:string ->
   ylabel:string ->
-  ?size:int * int ->
   (float * float) list ->
   string
-(** Log₂-log₂ scatter with the y=x diagonal marked ['/'] and points
+(** A 56 × 24 log₂-log₂ scatter with the y=x diagonal marked ['/'] and points
     ['o'] (['#'] where a point sits on the diagonal). *)
 
 val section : string -> string

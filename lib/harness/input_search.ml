@@ -5,9 +5,9 @@ type result = {
   trace : (float array * int) list;
 }
 
-(* Deterministic xorshift in [0,1). *)
-let make_rng seed =
-  let state = ref (if seed = 0 then 0x9e3779b9 else seed land 0x3fffffff) in
+(* Deterministic xorshift in [0,1), from a fixed seed. *)
+let make_rng () =
+  let state = ref 1 in
   fun () ->
     let x = !state in
     let x = x lxor (x lsl 13) land 0x3fffffff in
@@ -16,11 +16,11 @@ let make_rng seed =
     state := x;
     float_of_int x /. 1073741824.0
 
-let search ?(iters = 60) ?(seed = 1) ~lo ~hi objective =
+let search ?(iters = 60) ~lo ~hi objective =
   let dims = Array.length lo in
   if Array.length hi <> dims then
     invalid_arg "Input_search.search: lo/hi length mismatch";
-  let rng = make_rng seed in
+  let rng = make_rng () in
   let trace = ref [] in
   let evaluations = ref 0 in
   let eval x =
@@ -76,7 +76,7 @@ let search ?(iters = 60) ?(seed = 1) ~lo ~hi objective =
     trace = List.rev !trace;
   }
 
-let count_exceptions ?mode kernel ~params_of ~grid ~block input =
+let count_exceptions kernel ~params_of ~grid ~block input =
   let module W = Fpx_workloads.Workload in
   let w =
     W.make ~name:kernel.Fpx_klang.Ast.kname ~suite:W.Cuda_samples
@@ -85,6 +85,6 @@ let count_exceptions ?mode kernel ~params_of ~grid ~block input =
           (params_of input (W.device ctx)))
   in
   let m =
-    Runner.run ?mode ~tool:(Runner.Detector Gpu_fpx.Detector.default_config) w
+    Runner.run ~tool:(Runner.Detector Gpu_fpx.Detector.default_config) w
   in
   m.Runner.total_exceptions

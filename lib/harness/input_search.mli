@@ -24,17 +24,16 @@ type result = {
 
 val search :
   ?iters:int ->
-  ?seed:int ->
   lo:float array ->
   hi:float array ->
   (float array -> int) ->
   result
 (** [search ~lo ~hi objective] maximises [objective] over the box
-    [lo..hi] with ~[iters] evaluations (default 60).
+    [lo..hi] with ~[iters] evaluations (default 60), from one fixed
+    quasi-random seed.
     @raise Invalid_argument if [lo] and [hi] differ in length. *)
 
 val count_exceptions :
-  ?mode:Fpx_klang.Mode.t ->
   Fpx_klang.Ast.kernel ->
   params_of:(float array -> Fpx_gpu.Device.t -> Fpx_gpu.Param.t list) ->
   grid:int ->
@@ -42,7 +41,7 @@ val count_exceptions :
   float array ->
   int
 (** Objective builder: one {!Runner.run} per call under the default
-    detector — compile [kernel] on the run's fresh device, launch it with
+    detector — compile [kernel] (precise mode) on the run's fresh device, launch it with
     [params_of input device], and return the detector's unique-record
     count. A launch that traps or hangs counts the records drained before
     the abort. *)

@@ -469,10 +469,7 @@ let run_body ?cost ?(obs = Fpx_obs.Sink.null) ?fault ?bw ?on_launch ?ledger
           None
         with
         | Reconverged -> None
-        | Fpx_nvbit.Runtime.Hang_abort msg -> Some (Hung msg)
-        | Fpx_gpu.Exec.Trap msg when String.starts_with ~prefix:"watchdog" msg
-          ->
-          Some (Hung msg)
+        | Fpx_gpu.Exec.Watchdog msg -> Some (Hung msg)
         | Fpx_gpu.Exec.Trap msg -> Some (Faulted msg)
         | e -> Some (Faulted (Printexc.to_string e)))
   in

@@ -21,12 +21,10 @@ type status =
           reasons name what happened, e.g. ["channel-drop(3)"] or
           ["gt-alloc-fallback"]. *)
   | Hung of string
-      (** The run hung. Either watchdog aborts it mid-run: the
-          executor's per-launch instruction budget
-          ([Exec.Trap "watchdog: ..."]) or, under an active fault plan,
-          the runtime's slowdown budget
-          ({!Fpx_nvbit.Runtime.Hang_abort}); the payload is the
-          watchdog's message and partial results are still reported. A
+      (** The run hung: a watchdog raised {!Fpx_gpu.Exec.Watchdog}
+          mid-run, either the executor's per-launch instruction budget
+          or, under an active fault plan, the runtime's slowdown
+          budget; the payload is the watchdog's message and partial results are still reported. A
           run that completed but whose congestion pushed past the hang
           budget is judged hung post-hoc, with payload [""]. *)
   | Faulted of string

@@ -1,7 +1,7 @@
 module W = Fpx_workloads.Workload
 module Sched = Fpx_sched.Sched
 
-let run ?(jobs = 1) ?cost ?(observe = false) ?fault ?mode ~tool programs =
+let run ?(jobs = 1) ?(observe = false) ?fault ?mode ~tool programs =
   (* One job = one whole program run on a fresh device, channel, fault
      plan and sink — jobs share nothing, so the per-program measurements
      are identical to the sequential ones and [Sched.map] returns them
@@ -20,7 +20,7 @@ let run ?(jobs = 1) ?cost ?(observe = false) ?fault ?mode ~tool programs =
           let obs =
             if observe then Fpx_obs.Sink.create () else Fpx_obs.Sink.null
           in
-          Runner.run ?cost ~obs ?fault ?mode ~tool w)
+          Runner.run ~obs ?fault ?mode ~tool w)
         programs)
 
 let report_json ms =
@@ -52,7 +52,7 @@ let census ms =
           let loc =
             intern
               { Gpu_fpx.Loc_table.kernel = f.Runner.kernel; pc = f.Runner.pc;
-                loc = f.Runner.loc; sass = "" }
+                loc = f.Runner.loc }
           in
           Hashtbl.replace triplets
             (Fpx_tool.Exce.encode ~loc ~fmt:f.Runner.fmt f.Runner.exce)

@@ -9,14 +9,14 @@
 
 val run :
   ?jobs:int ->
-  ?cost:Fpx_gpu.Cost.t ->
   ?observe:bool ->
   ?fault:Fpx_fault.Fault.spec ->
   ?mode:Fpx_klang.Mode.t ->
   tool:Runner.tool_config ->
   Fpx_workloads.Workload.t list ->
   Runner.measurement list
-(** Measurements in input (catalog) order regardless of [jobs]
+(** Measurements under {!Fpx_gpu.Cost.default}, in input (catalog)
+    order regardless of [jobs]
     (default 1 = plain sequential loop). [observe] (default false)
     attaches a fresh metrics/trace sink to each run, for
     {!merged_metrics}. [fault] builds a fresh plan from the spec per

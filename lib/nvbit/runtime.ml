@@ -1,8 +1,6 @@
 open Fpx_gpu
 module Fault = Fpx_fault.Fault
 
-exception Hang_abort of string
-
 type request = {
   kernel : string;
   grid : int;
@@ -202,7 +200,7 @@ let launch t ?(grid = 1) ?(block = 32) ~params prog =
   (match Fault.active t.dev.Device.fault with
   | Some _ when Stats.slowdown t.total > cost.Cost.hang_slowdown ->
     raise
-      (Hang_abort
+      (Exec.Watchdog
          (Printf.sprintf
             "watchdog: launch %d of kernel %s pushed slowdown to %.0fx \
              (budget %.0fx)"

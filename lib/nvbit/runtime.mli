@@ -10,13 +10,6 @@
     lifecycle (should-instrument → instrument-once-per-kernel →
     on-launch-begin → run → on-drain). *)
 
-exception Hang_abort of string
-(** Raised by {!launch} when an active fault plan is attached to the
-    device and accumulated slowdown crosses [cost.hang_slowdown] — the
-    modelled equivalent of killing a hung instrumented process. Never
-    raised with {!Fpx_fault.Fault.none} (hangs are then judged post-hoc
-    by the harness). *)
-
 type t
 
 type request = {
@@ -25,7 +18,9 @@ type request = {
   block : int;
   params : Fpx_gpu.Param.t list;
 }
-(** What the host asked {!launch} for. *)
+(** What the host asked {!launch} for. A launch ledger compares whole
+    requests with [compare], so [grid], [block] and [params] are read
+    though no code names them. *)
 
 val create : Fpx_gpu.Device.t -> t
 val device : t -> Fpx_gpu.Device.t

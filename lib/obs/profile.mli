@@ -28,11 +28,11 @@ val kernels : t -> string list
 val top_by_dyn : ?n:int -> t -> site list
 (** Sites sorted by descending dynamic count (default top 10). Public,
     with {!top_by_exces}, as the query form of the table {!render}
-    prints. *)
+    prints; only tests pass [n]. *)
 
 val top_by_exces : ?n:int -> t -> site list
 (** Sites with at least one exception, sorted descending (default top
-    10). *)
+    10; only tests pass [n]). *)
 
 val render : ?top:int -> t -> string
 (** The per-kernel hot-spot table: top-N instructions by dynamic count

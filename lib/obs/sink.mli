@@ -22,7 +22,8 @@ val null : t
 
 val create : ?trace_capacity:int -> unit -> t
 (** A fresh active sink (empty registry, empty ring, empty profile,
-    cycle 0). *)
+    cycle 0). [trace_capacity] sizes the cycle trace's ring (default
+    that of {!Span.cycles}); only tests set it, to see the ring wrap. *)
 
 val active : t -> active option
 val is_active : t -> bool

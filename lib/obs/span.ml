@@ -157,8 +157,8 @@ let event t ~tid ~name ~cat ~ts ~dur ~instant args =
 let instant t ?(tid = 0) ~name ~cat ~ts ?(args = []) () =
   event t ~tid ~name ~cat ~ts ~dur:0 ~instant:true args
 
-let complete t ?(tid = 0) ~name ~cat ~ts ~dur ?(args = []) () =
-  event t ~tid ~name ~cat ~ts ~dur ~instant:false args
+let complete t ~name ~cat ~ts ~dur ?(args = []) () =
+  event t ~tid:0 ~name ~cat ~ts ~dur ~instant:false args
 
 (* --- Introspection (call after worker domains have joined) ------------ *)
 
@@ -168,26 +168,14 @@ let tracks t =
   Mutex.unlock t.mu;
   ts
 
-type track_info = {
-  track_id : int;
-  label : string;
-  track_recorded : int;
-  track_dropped : int;
-  track_unbalanced : int;
-  open_frames : int;
-}
+type track_info = { track_id : int; label : string }
 
 let track_dropped t tr = max 0 (tr.recorded - t.capacity)
 
 let track_infos t =
   List.map
     (fun tr ->
-      { track_id = tr.id;
-        label = Printf.sprintf "domain-%d" tr.domain;
-        track_recorded = tr.recorded;
-        track_dropped = track_dropped t tr;
-        track_unbalanced = tr.unbalanced;
-        open_frames = List.length tr.stack })
+      { track_id = tr.id; label = Printf.sprintf "domain-%d" tr.domain })
     (tracks t)
 
 let sum f t = List.fold_left (fun acc tr -> acc + f tr) 0 (tracks t)

@@ -50,7 +50,8 @@ val create : ?capacity:int -> ?clock:clock -> unit -> t
 
 val cycles : ?capacity:int -> unit -> t
 (** A fresh simulated-cycle recorder with one ring of [capacity]
-    (default 65536) events. *)
+    (default 65536) events. Only tests set [capacity], directly or
+    through {!Sink.create}'s [trace_capacity]. *)
 
 (** {1 The ambient recorder} *)
 
@@ -92,7 +93,6 @@ val instant :
 
 val complete :
   t ->
-  ?tid:int ->
   name:string ->
   cat:string ->
   ts:int ->
@@ -100,15 +100,15 @@ val complete :
   ?args:(string * arg) list ->
   unit ->
   unit
-(** A span ([ph:"X"]) covering cycles [ts .. ts + dur].
+(** A span ([ph:"X"]) covering cycles [ts .. ts + dur], on track 0.
     @raise Invalid_argument on a wall-clock recorder. *)
 
 (** {1 Introspection} *)
 
 type span = {
   track : int;
-      (** The Chrome [tid]: the recording domain's track, or the [tid]
-          an {!instant}/{!complete} caller passed. *)
+      (** The Chrome [tid]: the recording domain's track, the [tid] an
+          {!instant} caller passed, or 0 for a {!complete}. *)
   name : string;
   cat : string;
   depth : int;  (** Nesting depth at record time (0 = track root). *)
@@ -124,10 +124,6 @@ type span = {
 type track_info = {
   track_id : int;
   label : string;  (** ["domain-<id>"] of the registering domain. *)
-  track_recorded : int;
-  track_dropped : int;
-  track_unbalanced : int;
-  open_frames : int;
 }
 
 val spans : t -> span list

@@ -29,7 +29,7 @@
     decode-time FTZ already applied). *)
 
 exception Trap of string
-(** Simulator fault: watchdog timeout, malformed operand, bad address.
+(** Simulator fault: malformed operand, bad address.
     Poison descriptors carry it; [Fpx_gpu.Exec.Trap] is the same
     exception. *)
 

@@ -10,15 +10,14 @@ type config = {
   queue : int;
   cache_capacity : int;
   budget : int option;
-  max_requests : int option;
   log : string option;
   tenant_quotas : (string * int) list;
   default_quota : int option;
 }
 
 let default_config =
-  { jobs = 2; queue = 4; cache_capacity = 256; budget = None;
-    max_requests = None; log = None; tenant_quotas = []; default_quota = None }
+  { jobs = 2; queue = 4; cache_capacity = 256; budget = None; log = None;
+    tenant_quotas = []; default_quota = None }
 
 type t = {
   cfg : config;
@@ -437,9 +436,6 @@ let handle t line =
   | _ -> Metrics.incr t.c_error);
   Mutex.lock t.sm;
   t.served <- t.served + 1;
-  (match t.cfg.max_requests with
-  | Some n when t.served >= n -> t.stop <- true
-  | _ -> ());
   Mutex.unlock t.sm;
   resp
 

@@ -50,11 +50,12 @@ type config = {
           flight. *)
   cache_capacity : int;  (** {!Cache} LRU entry bound. *)
   budget : int option;
-      (** Default per-request watchdog budget factor (a budget-only
-          {!Fpx_fault.Fault.spec}: no injection sites, abort instead of
-          hang). Requests may override with their own ["budget"]. *)
-  max_requests : int option;
-      (** Stop accepting after this many requests (bench/smoke use). *)
+      (** Default per-request watchdog step cap: each launch of a
+          submission may run at most this many warp-instructions (a
+          budget-only {!Fpx_fault.Fault.spec}: no injection sites), and
+          one that runs more ends as a reported ["hung"] run instead of
+          hanging a worker. Requests may override with their own
+          ["budget"], which is part of their cache key. *)
   log : string option;  (** Append server events to this file. *)
   tenant_quotas : (string * int) list;
       (** Explicit per-tenant max in-flight fresh submissions. *)
@@ -88,7 +89,7 @@ val metrics_text : t -> string
     can expose it without the socket. *)
 
 val stopped : t -> bool
-(** Has a shutdown been requested (or [max_requests] exhausted)? *)
+(** Has a shutdown been requested? *)
 
 val stop : t -> unit
 (** Request the accept loop to wind down. *)

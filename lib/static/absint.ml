@@ -11,7 +11,7 @@ type fact = {
   src_cls : A.cls;
 }
 
-type t = { dec : D.t; cfg : Cfg.t; facts : fact array }
+type t = { dec : D.t; facts : fact array }
 
 let fact t pc = t.facts.(pc)
 
@@ -511,4 +511,4 @@ let analyze (prog : Program.t) =
         in
         step_block ~record env blk)
     cfg.Cfg.blocks;
-  { dec; cfg; facts }
+  { dec; facts }

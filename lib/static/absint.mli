@@ -43,7 +43,6 @@ type fact = {
 
 type t = private {
   dec : Fpx_sass.Decode.t;  (** The micro-ops the analysis ran on. *)
-  cfg : Cfg.t;
   facts : fact array;  (** Indexed by pc. *)
 }
 

@@ -22,9 +22,8 @@ val analyze : Fpx_sass.Program.t -> t
 val verdict : t -> int -> verdict
 
 val is_clean : t -> int -> bool
-(** [is_clean t pc] — the predicate handed to
-    {!Fpx_tool.Inject.set_prune}: [true] exactly on [Provably_clean]
-    sites. *)
+(** [is_clean t pc]: [true] exactly on [Provably_clean] sites, the
+    ones the detector's static pruning leaves uninstrumented. *)
 
 val n_sites : t -> int
 (** Instrumentable sites in the program (the detector's site count). *)

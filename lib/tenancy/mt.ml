@@ -44,8 +44,7 @@ let outcome_of tenant (m : Runner.measurement) ~launches ~stats =
     contention_cycles = stats.Stats.contention_cycles;
   }
 
-let run ?(partition = Bandwidth.No_partition) ?(cost = Cost.default)
-    ?(mode = Fpx_klang.Mode.precise) tenants =
+let run ?(partition = Bandwidth.No_partition) tenants =
   let ts = Array.of_list tenants in
   let n = Array.length ts in
   if n = 0 then invalid_arg "Mt.run: no tenants";
@@ -73,7 +72,7 @@ let run ?(partition = Bandwidth.No_partition) ?(cost = Cost.default)
   let shares =
     Array.map (fun (t : Tenant.t) -> (t.Tenant.slot_share, t.Tenant.mem_share)) ts
   in
-  let meter = Bandwidth.create ~partition ~cost ~shares () in
+  let meter = Bandwidth.create ~partition ~cost:Cost.default ~shares () in
   let results = Array.make n None in
   let errors = Array.make n None in
   let per_stats = Array.init n (fun _ -> Stats.create ()) in
@@ -87,7 +86,7 @@ let run ?(partition = Bandwidth.No_partition) ?(cost = Cost.default)
   let fiber i () =
     let t = ts.(i) in
     let m =
-      Runner.run ~cost ~mode ~tool:t.Tenant.tool
+      Runner.run ~tool:t.Tenant.tool
         ~bw:{ Bandwidth.meter; tenant = i }
         ~on_launch:(fun ~kernel stats ->
           launches.(i) <- launches.(i) + 1;
@@ -163,11 +162,11 @@ let run ?(partition = Bandwidth.No_partition) ?(cost = Cost.default)
   in
   { partition; outcomes; timeline = List.rev !timeline_rev }
 
-let solo ?(cost = Cost.default) ?mode tenant =
+let solo tenant =
   (* A one-tenant co-run exerts no neighbour pressure: every meter
      answer collapses to the unmetered one, so this IS the solo
      baseline — same code path, byte-identical report. *)
-  match (run ~partition:Bandwidth.No_partition ~cost ?mode [ tenant ]).outcomes with
+  match (run ~partition:Bandwidth.No_partition [ tenant ]).outcomes with
   | [ o ] -> o
   | _ -> assert false
 

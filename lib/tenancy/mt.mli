@@ -34,17 +34,16 @@ type result = {
 
 val run :
   ?partition:Fpx_gpu.Bandwidth.partition ->
-  ?cost:Fpx_gpu.Cost.t ->
-  ?mode:Fpx_klang.Mode.t ->
   Tenant.t list ->
   result
 (** Run every tenant's program to completion on one shared device
-    model. [partition] defaults to
+    model, in precise mode under {!Fpx_gpu.Cost.default}. [partition]
+    defaults to
     {!Fpx_gpu.Bandwidth.partition.No_partition}. Raises
     [Invalid_argument] on an empty tenant list, two tenants with one id
     or an unknown program. *)
 
-val solo : ?cost:Fpx_gpu.Cost.t -> ?mode:Fpx_klang.Mode.t -> Tenant.t -> outcome
+val solo : Tenant.t -> outcome
 (** The tenant alone on the device — the baseline its shared outcomes
     are compared against. Runs through the same executor (a one-tenant
     co-run exerts no neighbour pressure, so the meter is inert). *)

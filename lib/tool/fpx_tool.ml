@@ -36,14 +36,7 @@ module Stack_tool = struct
   let should_instrument ts ~kernel ~invocation =
     List.exists (fun i -> should_instrument i ~kernel ~invocation) ts
 
-  let instrument ts prog b =
-    List.iter
-      (fun i ->
-        instrument i prog b;
-        (* A member may have installed a prune predicate for its own
-           sites; it must not leak into the next member's inserts. *)
-        Inject.set_prune b (fun _ -> false))
-      ts
+  let instrument ts prog b = List.iter (fun i -> instrument i prog b) ts
 
   let on_launch_begin ts pre = List.iter (fun i -> on_launch_begin i pre) ts
 

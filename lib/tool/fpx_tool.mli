@@ -32,8 +32,9 @@ module type S = sig
   val instrument : t -> Fpx_sass.Program.t -> Inject.t -> unit
   (** JIT-time instrumentation: plant before/after callbacks on the
       builder. Called once per kernel (the runtime caches the result).
-      A tool that installs a prune predicate must reset it before
-      returning so stacked tools behind it are unaffected. *)
+      In a {!stack} every member plants on the same builder, so a tool
+      that leaves some sites out (the detector's static pruning) simply
+      does not insert them. *)
 
   val on_launch_begin : t -> Fpx_gpu.Stats.t -> unit
   val on_drain : t -> Fpx_gpu.Stats.t -> kernel:string -> unit

@@ -5,7 +5,6 @@ type t = {
   before : Exec.injection list array;
   after : Exec.injection list array;
   mutable sites : int;
-  mutable prune : int -> bool;
 }
 
 let create (device : Device.t) prog =
@@ -15,12 +14,9 @@ let create (device : Device.t) prog =
     before = Array.make n [];
     after = Array.make n [];
     sites = 0;
-    prune = (fun _ -> false);
   }
 
 let sites t = t.sites
-
-let set_prune t p = t.prune <- p
 
 let injection t ~n_values fn =
   {
@@ -29,23 +25,18 @@ let injection t ~n_values fn =
     fn;
   }
 
-let check_pc t pc arr =
-  ignore t;
+let check_pc pc arr =
   if pc < 0 || pc >= Array.length arr then
     invalid_arg (Printf.sprintf "Inject: pc %d out of range" pc)
 
 let insert_before t ~pc ~n_values fn =
-  check_pc t pc t.before;
-  if not (t.prune pc) then begin
-    t.before.(pc) <- t.before.(pc) @ [ injection t ~n_values fn ];
-    t.sites <- t.sites + 1
-  end
+  check_pc pc t.before;
+  t.before.(pc) <- t.before.(pc) @ [ injection t ~n_values fn ];
+  t.sites <- t.sites + 1
 
 let insert_after t ~pc ~n_values fn =
-  check_pc t pc t.after;
-  if not (t.prune pc) then begin
-    t.after.(pc) <- t.after.(pc) @ [ injection t ~n_values fn ];
-    t.sites <- t.sites + 1
-  end
+  check_pc pc t.after;
+  t.after.(pc) <- t.after.(pc) @ [ injection t ~n_values fn ];
+  t.sites <- t.sites + 1
 
 let build t = { Exec.before = Array.copy t.before; after = Array.copy t.after }

@@ -6,7 +6,9 @@
     declares how many runtime values (registers, cbank words) it
     materialises for the callback; the framework derives the per-dynamic-
     execution cost from that, exactly the overhead knob the paper's
-    detector minimises by reading only destination registers. *)
+    detector minimises by reading only destination registers. Every
+    insert is registered: a tool that prunes sites (the detector's
+    static pruning) leaves them out itself. *)
 
 type t
 
@@ -21,11 +23,5 @@ val insert_after :
 
 val sites : t -> int
 (** Number of injection sites registered so far. *)
-
-val set_prune : t -> (int -> bool) -> unit
-(** Install a site-pruning predicate: subsequent [insert_*] calls whose
-    [pc] satisfies it are dropped instead of registered. Tools hand the
-    static analyzer's provably-clean predicate here; the default never
-    prunes. *)
 
 val build : t -> Fpx_gpu.Exec.hooks

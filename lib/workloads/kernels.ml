@@ -401,7 +401,10 @@ let alloc_for ctx ty (xs : float array) =
   | F64 -> W.f64s ctx xs
   | I32 -> W.i32s ctx (Array.map (fun x -> Int32.of_float x) xs)
 
-let run_out_a_b ?(launches = 1) ?(block = 64) ~n ~seed k ctx =
+(* The runner helpers launch 64-thread blocks. *)
+let block = 64
+
+let run_out_a_b ?(launches = 1) ~n ~seed k ctx =
   let ty = elem_ty_of_kernel k in
   let prog = W.compile ctx k in
   let elt = match ty with F64 -> 8 | F32 | I32 -> 4 in
@@ -413,7 +416,7 @@ let run_out_a_b ?(launches = 1) ?(block = 64) ~n ~seed k ctx =
       [ Fpx_gpu.Param.Ptr out; Ptr a; Ptr b; I32 (Int32.of_int n) ]
   done
 
-let run_out_a ?(launches = 1) ?(block = 64) ~n ~seed k ctx =
+let run_out_a ?(launches = 1) ~n ~seed k ctx =
   let ty = elem_ty_of_kernel k in
   let prog = W.compile ctx k in
   let elt = match ty with F64 -> 8 | F32 | I32 -> 4 in

@@ -100,18 +100,17 @@ val ceil_div : int -> int -> int
 
 val run_out_a_b :
   ?launches:int ->
-  ?block:int ->
   n:int ->
   seed:int ->
   kernel ->
   Workload.ctx ->
   unit
-(** Standard (out, a, b, n) driver: random inputs, one grid covering
-    [n]. Handles F32/F64 by the kernel's first pointer parameter. *)
+(** Standard (out, a, b, n) driver: random inputs, one grid of
+    64-thread blocks covering [n]. Handles F32/F64 by the kernel's
+    first pointer parameter. *)
 
 val run_out_a :
   ?launches:int ->
-  ?block:int ->
   n:int ->
   seed:int ->
   kernel ->

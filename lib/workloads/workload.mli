@@ -44,6 +44,9 @@ val make :
   kernels:Fpx_klang.Ast.kernel list ->
   (ctx -> unit) ->
   t
+(** Suites pass [repair] and [meaningful] through a partial application
+    ([let mk = W.make ~suite:W.Polybench]), which [scripts/knobs.ml]
+    cannot follow, so both are on [scripts/exports.allow]. *)
 
 (** {1 Context helpers for writing [run] functions} *)
 

@@ -13,7 +13,9 @@
 #   scripts/exports.sh          print "path value class" lines
 #   scripts/exports.sh --check  fail unless the list equals the
 #                               allowlist (scripts/exports.allow, whose
-#                               `#` comments and blank lines are ignored)
+#                               `#` comments, blank lines and the `opt`
+#                               and `field` lines of scripts/knobs.ml
+#                               are ignored)
 #
 # The check is an equality, so it fails both on a new unreferenced
 # export and on an allowlisted one that has gained a caller: the
@@ -49,7 +51,9 @@ scan() {
 if [ "${1:-}" = "--check" ]; then
   allow=scripts/exports.allow
   found=$(scan)
-  listed=$(grep -vE '^[[:space:]]*(#|$)' "$allow" | sed -E 's/[[:space:]]+/ /g; s/ $//' | sort -u)
+  listed=$(grep -vE '^[[:space:]]*(#|$)' "$allow" |
+    grep -vE '[[:space:]](opt|field)[[:space:]]*$' |
+    sed -E 's/[[:space:]]+/ /g; s/ $//' | sort -u)
   if [ "$found" = "$listed" ]; then
     echo "exports: $(printf '%s\n' "$found" | grep -c .) allowlisted, none new"
     exit 0

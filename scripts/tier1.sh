@@ -141,6 +141,14 @@ run "one dispatch per warp step" \
 # doc. The list must equal the allowlist, so it can only shrink.
 run "no unreferenced exports" scripts/exports.sh --check
 
+# No unset knobs: every lib/*/*.mli optional argument is passed, and
+# every record field is read, by code outside test/, or is on
+# scripts/exports.allow with the reason in its .mli doc. The typed-tree
+# scan reads the .cmt files `dune build @check` leaves in _build, and
+# its list must equal the allowlist's opt/field lines.
+run "no unset knobs" \
+  sh -c 'dune build @check && dune exec scripts/knobs.exe -- --check'
+
 run "dune runtest" dune runtest
 
 # One report plan: every artefact declares its runs and the report runs

@@ -8,16 +8,13 @@ module Fault = Fpx_fault.Fault
 
 exception Trap = Decode.Trap
 
-type ctx = Exec.ctx = { device : Device.t; stats : Stats.t }
-
 type warp_api = Exec.warp_api = {
   warp_index : int;
-  block : int;
   mutable executing : int;
   read_reg : lane:int -> int -> int;
 }
 
-type callback = ctx -> warp_api -> unit
+type callback = Stats.t -> warp_api -> unit
 type injection = Exec.injection = { fixed_cost : int; fn : callback }
 
 type hooks = Exec.hooks = {
@@ -31,6 +28,7 @@ let warp_size = 32
 let done_pc = max_int
 
 let trapf fmt = Printf.ksprintf (fun s -> raise (Trap s)) fmt
+let watchdogf fmt = Printf.ksprintf (fun s -> raise (Exec.Watchdog s)) fmt
 
 let parse_generic_f64 s =
   match s with
@@ -404,8 +402,10 @@ let execute_lane ~ftz ~flt ~stats st cbank0 ~mem ~shared ~lane ~warp_in_block
 
 let shared_mem_bytes = 48 * 1024
 
-let run ?hooks ?(max_dyn_instrs = 50_000_000) ~device ~grid ~block ~params
-    prog =
+(* The decoded engine's default step budget. *)
+let max_dyn_instrs = 50_000_000
+
+let run ?hooks ~device ~grid ~block ~params prog =
   let stats = Stats.create () in
   stats.launches <- 1;
   let hooks = match hooks with Some h -> h | None -> no_hooks prog in
@@ -437,7 +437,6 @@ let run ?hooks ?(max_dyn_instrs = 50_000_000) ~device ~grid ~block ~params
     | None -> effective_budget
   in
   let budget = ref effective_budget in
-  let ctx = { device; stats } in
   (* Observability: when the device carries an active sink, count
      dynamic executions per static instruction (O(1) per step) and flag
      divergence transitions; everything is flushed once at the end so
@@ -486,7 +485,6 @@ let run ?hooks ?(max_dyn_instrs = 50_000_000) ~device ~grid ~block ~params
       let api =
         {
           warp_index;
-          block = blk;
           executing = 0;
           read_reg =
             (fun ~lane r -> Int32.to_int (read_reg st ~lane r) land 0xffffffff);
@@ -494,7 +492,7 @@ let run ?hooks ?(max_dyn_instrs = 50_000_000) ~device ~grid ~block ~params
       in
       let fire inj =
         stats.tool_cycles <- stats.tool_cycles + inj.fixed_cost;
-        inj.fn ctx api
+        inj.fn stats api
       in
       let min_pc () =
         let m = ref done_pc in
@@ -514,8 +512,8 @@ let run ?hooks ?(max_dyn_instrs = 50_000_000) ~device ~grid ~block ~params
         else begin
           decr budget;
           if !budget <= 0 then
-            trapf "watchdog: kernel %s exceeded %d instrs" prog.Program.name
-              effective_budget;
+            watchdogf "watchdog: kernel %s exceeded %d instrs"
+              prog.Program.name effective_budget;
           (* Targeted architectural flips (campaign injections): the
              plan counts warp-steps down to the targeted dynamic
              instruction and fires exactly once, into whichever warp is

@@ -6,11 +6,11 @@
     [bench/main.exe exec] times the decoded engine against it.
 
     It shares the decoded engine's hook ABI ({!Fpx_gpu.Exec.hooks}) and
-    raises the same {!Fpx_sass.Decode.Trap}. *)
+    raises the same {!Fpx_sass.Decode.Trap} and
+    {!Fpx_gpu.Exec.Watchdog}. *)
 
 val run :
   ?hooks:Fpx_gpu.Exec.hooks ->
-  ?max_dyn_instrs:int ->
   device:Fpx_gpu.Device.t ->
   grid:int ->
   block:int ->

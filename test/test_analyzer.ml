@@ -169,7 +169,7 @@ let test_render_format () =
     lines
 
 let test_max_reports_per_site () =
-  (* the same site reports at most max_reports_per_site times *)
+  (* the same site reports at most twice *)
   let k =
     kernel "rep" [ ("out", ptr Ast.F32); ("n", scalar Ast.I32) ]
       [ let_ "i" Ast.I32 tid;
@@ -181,7 +181,7 @@ let test_max_reports_per_site () =
   let prog = Fpx_klang.Compile.compile k in
   let dev = Gpu.Device.create () in
   let rt = Nvbit.Runtime.create dev in
-  let a = A.create ~max_reports_per_site:2 dev in
+  let a = A.create dev in
   Nvbit.Runtime.attach rt (A.tool a);
   let out = Gpu.Memory.alloc_zeroed dev.Gpu.Device.memory ~bytes:512 in
   Nvbit.Runtime.launch rt ~grid:1 ~block:32 ~params:[ Gpu.Param.Ptr out; I32 32l ]

@@ -287,9 +287,8 @@ let test_ledger_counters () =
   in
   Alcotest.(check bool) "launches replayed" true (s.C.launches_replayed > 0);
   Alcotest.(check bool) "injections reconverged" true (s.C.reconverged > 0);
-  let sink = Fpx_obs.Sink.create () in
-  C.record_metrics s sink;
-  let m = (Option.get (Fpx_obs.Sink.active sink)).Fpx_obs.Sink.metrics in
+  let m = Fpx_obs.Metrics.create () in
+  C.record_metrics s m;
   List.iter
     (fun (name, n) ->
       Alcotest.(check (option int)) name (Some n)

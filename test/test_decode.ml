@@ -31,8 +31,8 @@ type outcome = {
 
 (* An engine is its launch entry point. *)
 type engine =
-  ?hooks:Exec.hooks -> ?max_dyn_instrs:int -> device:Device.t -> grid:int ->
-  block:int -> params:Param.t list -> Program.t -> Stats.t
+  ?hooks:Exec.hooks -> device:Device.t -> grid:int -> block:int ->
+  params:Param.t list -> Program.t -> Stats.t
 
 let decoded : engine = Exec.run
 let reference : engine = Fpx_oracle.Exec_ref.run
@@ -91,6 +91,7 @@ let run_case ~run ?fault ?(detector = false) (c : Repro.t) =
     with
     | st -> (st, None)
     | exception Exec.Trap m -> (Stats.create (), Some ("Trap: " ^ m))
+    | exception Exec.Watchdog m -> (Stats.create (), Some ("Watchdog: " ^ m))
     | exception Invalid_argument m ->
       (Stats.create (), Some ("Invalid_argument: " ^ m))
   in

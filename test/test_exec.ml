@@ -229,18 +229,25 @@ let test_fp64_memory () =
     12.5
     (Memory.load_f64 dev.Device.memory ~addr:(buf + 8))
 
+(* A device whose fault plan injects nothing and only caps each
+   launch's step budget: how production bounds a run. *)
+let budget_device n =
+  Device.create
+    ~fault:
+      (Fpx_fault.Fault.of_spec
+         (Fpx_fault.Fault.spec ~sites:[] ~rate:0.0 ~budget:n ~seed:0 ()))
+    ()
+
 let test_watchdog () =
   let prog =
     Program.make ~name:"loop" [ Instr.make Isa.BRA [ Op.label 0 ] ]
   in
-  let dev = Device.create () in
+  let dev = budget_device 1000 in
   Alcotest.(check bool) "watchdog trips" true
     (try
-       ignore
-         (Exec.run ~max_dyn_instrs:1000 ~device:dev ~grid:1 ~block:32
-            ~params:[] prog);
+       ignore (Exec.run ~device:dev ~grid:1 ~block:32 ~params:[] prog);
        false
-     with Exec.Trap _ -> true)
+     with Exec.Watchdog _ -> true)
 
 let test_memory_fault () =
   let dev = Device.create () in
@@ -259,12 +266,11 @@ let test_memory_fault () =
 
 (* Every Exec.Trap path carries a stable message prefix so the harness
    (and fpx_run's exit-code mapping) can classify aborts. *)
-let expect_trap ~prefix ?(block = 1) ?max_dyn_instrs prog =
+let expect_trap ~prefix ?(block = 1) prog =
   let dev = Device.create () in
   let trapped =
     try
-      ignore
-        (Exec.run ?max_dyn_instrs ~device:dev ~grid:1 ~block ~params:[] prog);
+      ignore (Exec.run ~device:dev ~grid:1 ~block ~params:[] prog);
       None
     with Exec.Trap msg -> Some msg
   in
@@ -277,9 +283,18 @@ let expect_trap ~prefix ?(block = 1) ?max_dyn_instrs prog =
       prefix
       (if String.length msg >= n then String.sub msg 0 n else msg)
 
+(* The step watchdog is not a trap: it raises Exec.Watchdog, which the
+   harness reports as a hang, with a message naming kernel and budget. *)
 let test_trap_watchdog () =
-  expect_trap ~prefix:"watchdog:" ~block:32 ~max_dyn_instrs:100
-    (Program.make ~name:"loop" [ Instr.make Isa.BRA [ Op.label 0 ] ])
+  let dev = budget_device 100 in
+  match
+    Exec.run ~device:dev ~grid:1 ~block:32 ~params:[]
+      (Program.make ~name:"loop" [ Instr.make Isa.BRA [ Op.label 0 ] ])
+  with
+  | _ -> Alcotest.fail "expected the step watchdog"
+  | exception Exec.Watchdog msg ->
+    Alcotest.(check string) "message" "watchdog: kernel loop exceeded 100 instrs"
+      msg
 
 let test_trap_malformed_operand () =
   (* a predicate where FADD expects an FP32 source *)
@@ -424,8 +439,8 @@ type observed = {
 }
 
 type engine =
-  ?hooks:Exec.hooks -> ?max_dyn_instrs:int -> device:Device.t -> grid:int ->
-  block:int -> params:Param.t list -> Program.t -> Stats.t
+  ?hooks:Exec.hooks -> device:Device.t -> grid:int -> block:int ->
+  params:Param.t list -> Program.t -> Stats.t
 
 (* Kernels below start with the [run_lanes] prologue: R10 = tid,
    R11 = &out[global tid]; pc 2 is the first body instruction. *)

@@ -213,7 +213,7 @@ let test_runner_gt_fallback () =
   Alcotest.(check int) "findings intact" 9 m.R.total_exceptions
 
 (* The executor's budget watchdog ends the run as a hang (exit 2 in the
-   CLI), like the runtime's slowdown watchdog, with the trap message as
+   CLI), like the runtime's slowdown watchdog, with the watchdog's message as
    the status detail. *)
 let test_runner_watchdog_hung () =
   let fault =

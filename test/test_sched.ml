@@ -209,7 +209,7 @@ let test_pool_in_flight_concurrent_submitters () =
 
 (* --- Loc_table.intern ------------------------------------------------- *)
 
-let e ~kernel ~pc ~loc = { L.kernel; pc; loc; sass = kernel ^ "-sass" }
+let e ~kernel ~pc ~loc = { L.kernel; pc; loc }
 
 let test_loc_intern_first_seen () =
   let t = L.create () in

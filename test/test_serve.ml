@@ -339,6 +339,31 @@ let test_handle_config_change_misses () =
       Alcotest.(check bool) "fast-math changes the key" true (key r1 <> key r2);
       Alcotest.(check bool) "tool changes the key" true (key r1 <> key r3))
 
+(* "budget" is a per-launch step cap, not a factor: a GEMM launch runs
+   far more than 100 warp-instructions, so the executor's watchdog ends
+   the run as a hang, and the budget is part of the cache key. *)
+let test_handle_budget_caps_steps () =
+  with_server (fun t ->
+      let plain = Server.handle t (submit_req "GEMM") in
+      let capped =
+        Server.handle t
+          (submit_req ~extra:[ ("budget", J.Num 100.0) ] "GEMM")
+      in
+      let v = J.parse capped in
+      Alcotest.(check (option string)) "answered" (Some "ok")
+        (J.str_field "status" v);
+      (match J.member "payload" v with
+      | Some payload ->
+        Alcotest.(check (option string)) "hung" (Some "hung")
+          (J.str_field "status" payload);
+        Alcotest.(check (option string)) "watchdog detail"
+          (Some "watchdog: kernel sgemmNN exceeded 100 instrs")
+          (J.str_field "status_detail" payload)
+      | None -> Alcotest.fail "no payload");
+      let key r = J.str_field "key" (J.parse r) in
+      Alcotest.(check bool) "budget changes the key" true
+        (key plain <> key capped))
+
 let test_handle_sass_and_lint () =
   with_server (fun t ->
       let sass = read_file (example_path "fp64_chain.sass") in
@@ -760,4 +785,6 @@ let suite =
       Alcotest.test_case "handle: branch past the end" `Quick
         test_handle_branch_past_end;
       Alcotest.test_case "handle: malformed sass" `Quick
-        test_handle_malformed_sass ] )
+        test_handle_malformed_sass;
+      Alcotest.test_case "handle: budget is a step cap" `Quick
+        test_handle_budget_caps_steps ] )
