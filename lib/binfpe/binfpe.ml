@@ -85,22 +85,16 @@ let instrument t prog b =
           add_site t ~kernel:prog.Program.mangled ~pc:i.Instr.pc
             ~loc:(Instr.loc_string i) ~fmt:(Site.fmt p) ~div0:(Site.is_div0 p)
         in
+        (* a one-word value ships RZ, which reads 0, as its high word *)
         let lo, hi =
           match p with
-          | Site.Check_64 (lo, hi) | Site.Div0_64 (lo, hi) -> (lo, Some hi)
-          | Site.Check_32 d | Site.Div0_32 d | Site.Check_16 d -> (d, None)
+          | Site.Check_64 (lo, hi) | Site.Div0_64 (lo, hi) -> (lo, hi)
+          | Site.Check_32 d | Site.Div0_32 d | Site.Check_16 d ->
+            (d, Operand.rz)
         in
         Fpx_tool.Inject.insert_after b ~pc:i.Instr.pc
           ~n_values:(Site.n_values p) (fun stats api ->
-            let executing = api.Exec.executing in
-            for lane = 0 to 31 do
-              if (executing lsr lane) land 1 = 1 then
-                Channel.push t.channel ~stats id
-                  (api.Exec.read_reg ~lane lo)
-                  (match hi with
-                  | Some hi -> api.Exec.read_reg ~lane hi
-                  | None -> 0)
-            done))
+            Channel.push_lanes t.channel ~stats api id ~lo ~hi))
     prog.Program.instrs
 
 let kind_bit = function

@@ -125,14 +125,14 @@ let reg_plan (i : Instr.t) u =
 
 let classify_reg (api : Exec.warp_api) ~lane (n, width) =
   match width with
-  | Single -> Fp32.classify_word (api.Exec.read_reg ~lane n)
+  | Single -> Fp32.classify_word (Exec.word api ~lane n)
   | Pair ->
-    Fp64.classify_words ~lo:(api.Exec.read_reg ~lane n)
-      ~hi:(api.Exec.read_reg ~lane (n + 1))
-  | Hi_word -> Fp64.classify_words ~lo:0 ~hi:(api.Exec.read_reg ~lane n)
+    Fp64.classify_words ~lo:(Exec.word api ~lane n)
+      ~hi:(Exec.word api ~lane (n + 1))
+  | Hi_word -> Fp64.classify_words ~lo:0 ~hi:(Exec.word api ~lane n)
   | Packed_half ->
     (* report the worse of the two packed halves *)
-    let w = api.Exec.read_reg ~lane n in
+    let w = Exec.word api ~lane n in
     let klo = Fpx_num.Fp16.classify (w land 0xffff)
     and khi = Fpx_num.Fp16.classify ((w lsr 16) land 0xffff) in
     if Kind.is_exceptional klo then klo else khi

@@ -22,6 +22,15 @@ let default_config =
 
 type finding = { entry : Loc_table.entry; fmt : Isa.fp_format; exce : Exce.t }
 
+(* The host dedup set over {!Exce.encode} indices: an int is its own
+   hash, so a probe never calls the polymorphic C hash. *)
+module Seen = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
 type t = {
   fault : Fault.plan;
   cost : Cost.t;
@@ -31,7 +40,7 @@ type t = {
           injected GT-allocation failure forced the fallback. *)
   mutable locs : Loc_table.t;
   channel : Channel.t;  (** packets: an {!Exce.encode} index, 0, 0 *)
-  seen_host : (int, unit) Hashtbl.t;
+  seen_host : unit Seen.t;
   mutable findings_rev : finding list;
   mutable log_rev : string list;
   mutable gt_alloc_charged : bool;
@@ -87,7 +96,7 @@ let create ?(config = default_config) device =
     channel =
       Channel.create ~fault:device.Device.fault ?bw:device.Device.bw
         ~cost:device.Device.cost ();
-    seen_host = Hashtbl.create 64;
+    seen_host = Seen.create 64;
     findings_rev = [];
     log_rev = [];
     gt_alloc_charged = false;
@@ -99,15 +108,25 @@ let create ?(config = default_config) device =
 
 let gt_cardinal t = Option.fold ~none:0 ~some:Global_table.cardinal t.gt
 
+(* [Exec.word]'s RZ and in-range reads, inlined here: the callback
+   reads a register per executing lane of every hooked step, and the
+   build inlines nothing across modules (calling [Exec.word] per lane
+   made table4-detect's per-run latency ~5% slower). Out of range,
+   [Exec.word] raises its trap. *)
+let[@inline] word (api : Exec.warp_api) ~lane r =
+  if r = Operand.rz then 0
+  else if r < api.Exec.nslots then api.Exec.regs.((lane * api.Exec.nslots) + r)
+  else Exec.word api ~lane r
+
 (* CheckExce from Algorithm 2, on the lane's checked register(s). *)
 let exce_of_lane (api : Exec.warp_api) check ~lane =
   let fmt = Site.fmt check and div0 = Site.is_div0 check in
   match check with
   | Site.Check_32 d | Site.Check_16 d | Site.Div0_32 d ->
-    Exce.classify ~fmt ~div0 (api.Exec.read_reg ~lane d) 0
+    Exce.classify ~fmt ~div0 (word api ~lane d) 0
   | Site.Check_64 (lo, hi) | Site.Div0_64 (lo, hi) ->
-    Exce.classify ~fmt ~div0 (api.Exec.read_reg ~lane lo)
-      (api.Exec.read_reg ~lane hi)
+    Exce.classify ~fmt ~div0 (word api ~lane lo)
+      (word api ~lane hi)
 
 let exce_of_idx = [| Exce.Nan; Exce.Inf; Exce.Sub; Exce.Div0 |]
 
@@ -259,8 +278,8 @@ let line_of_finding t f =
 (* Absorb one drained record; only indices not yet seen host-side
    allocate anything (their finding + log line). *)
 let absorb t idx _ _ =
-  if not (Hashtbl.mem t.seen_host idx) then begin
-    Hashtbl.add t.seen_host idx ();
+  if not (Seen.mem t.seen_host idx) then begin
+    Seen.add t.seen_host idx ();
     let loc, fmt, exce = Exce.decode idx in
     match Loc_table.entry t.locs loc with
     | entry ->
@@ -351,7 +370,7 @@ let adaptive_k t = t.adaptive_k
 
 let channel_drains_delayed t = Channel.drains_delayed t.channel
 let channel_stranded t = Channel.queued t.channel
-let records_seen t = Hashtbl.length t.seen_host
+let records_seen t = Seen.length t.seen_host
 
 let degradations t =
   let r = [] in
@@ -374,7 +393,7 @@ type checkpoint = {
   c_gt : Global_table.t option;
   c_locs : Loc_table.t;
   c_channel : Channel.state;
-  c_seen : (int, unit) Hashtbl.t;
+  c_seen : unit Seen.t;
   c_findings : finding list;
   c_log : string list;
   c_gt_alloc_charged : bool;
@@ -382,8 +401,8 @@ type checkpoint = {
 }
 
 let same_seen seen c =
-  Hashtbl.length seen = Hashtbl.length c.c_seen
-  && Hashtbl.fold (fun k () ok -> ok && Hashtbl.mem seen k) c.c_seen true
+  Seen.length seen = Seen.length c.c_seen
+  && Seen.fold (fun k () ok -> ok && Seen.mem seen k) c.c_seen true
 
 let same_gt gt c =
   match gt, c.c_gt with
@@ -409,7 +428,7 @@ let checkpoint ?prev t =
         (fun c -> c.c_locs);
     c_channel = Channel.state t.channel;
     c_seen =
-      keep (same_seen t.seen_host) (fun () -> Hashtbl.copy t.seen_host)
+      keep (same_seen t.seen_host) (fun () -> Seen.copy t.seen_host)
         (fun c -> c.c_seen);
     c_findings = t.findings_rev;
     c_log = t.log_rev;
@@ -421,8 +440,8 @@ let restore t c =
   t.gt <- Option.map Global_table.copy c.c_gt;
   t.locs <- Loc_table.copy c.c_locs;
   Channel.restore t.channel c.c_channel;
-  Hashtbl.reset t.seen_host;
-  Hashtbl.iter (Hashtbl.replace t.seen_host) c.c_seen;
+  Seen.reset t.seen_host;
+  Seen.iter (Seen.replace t.seen_host) c.c_seen;
   t.findings_rev <- c.c_findings;
   t.log_rev <- c.c_log;
   t.gt_alloc_charged <- c.c_gt_alloc_charged;

@@ -9,8 +9,13 @@
     A record is a fixed-size packet of three ints, as NVBit's channel
     is a buffer of fixed-size packets: each tool encodes what it ships
     into them (an exception-record index, a site id and a value's two
-    words, an index into a side table). Packets live in one growable
-    int buffer, so a push allocates nothing once it has grown.
+    words, an index into a side table). Packets live in one off-heap
+    int buffer ([Bigarray]: the GC neither scans nor zero-fills it), so
+    a push allocates nothing once it has grown. A drain that empties the
+    channel hands the buffer to its domain's one spare slot, and the
+    next push on that domain takes it back: short runs on one domain
+    reuse one buffer instead of growing a fresh one each. Taking empties
+    the slot, so two live channels never share a buffer.
 
     Records carry a checksum so that injected in-transit corruption
     (see {!Fpx_fault.Fault}) is detected at the host and the record
@@ -42,6 +47,18 @@ val new_launch : t -> unit
 
 val push : t -> stats:Stats.t -> int -> int -> int -> unit
 (** [push t ~stats a b c] sends the packet [(a, b, c)]. *)
+
+val push_lanes :
+  t -> stats:Stats.t -> Exec.warp_api -> int -> lo:int -> hi:int -> unit
+(** [push_lanes t ~stats api a ~lo ~hi] pushes one warp step's records:
+    for each executing lane of [api], in ascending lane order, the
+    packet [(a, Exec.word api ~lane lo, Exec.word api ~lane hi)] (pass
+    {!Fpx_sass.Operand.rz} as [hi] for a one-word value). It charges,
+    counts and queues exactly what that many {!push} calls would. With
+    no active fault plan and no {!Bandwidth} binding it makes one room
+    check and one closed-form charge for the step; otherwise it is those
+    {!push} calls, so fault draws and contention stalls keep their
+    order. *)
 
 val try_push : t -> stats:Stats.t -> int -> int -> int -> bool
 (** Like {!push} but reports delivery: [false] means the record was

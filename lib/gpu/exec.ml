@@ -31,7 +31,8 @@ exception Watchdog of string
 type warp_api = {
   warp_index : int;
   mutable executing : int;
-  read_reg : lane:int -> int -> int;
+  regs : int array;
+  nslots : int;
 }
 
 type callback = Stats.t -> warp_api -> unit
@@ -50,6 +51,11 @@ let trapf fmt = Printf.ksprintf (fun s -> raise (Trap s)) fmt
    message inline with [Printf.sprintf] there made short runs ~12%
    slower (catalog median per-run wall). *)
 let watchdogf fmt = Printf.ksprintf (fun s -> raise (Watchdog s)) fmt
+
+let[@inline] word api ~lane r =
+  if r = Operand.rz then 0
+  else if r < api.nslots then api.regs.((lane * api.nslots) + r)
+  else trapf "register R%d out of range" r
 
 (* FP32 on raw bits held in native ints. The float round trips below
    replicate the reference core's [Fp32] calls exactly: compute in
@@ -1139,17 +1145,7 @@ let run_decoded ?hooks ~device ~grid ~block ~params (d : Decode.t) =
       let regs = st.Device.regs in
       let preds = st.Device.preds in
       let warp_index = (blk * warps_per_block) + w in
-      let api =
-        {
-          warp_index;
-          executing = 0;
-          read_reg =
-            (fun ~lane r ->
-              if r = Operand.rz then 0
-              else if r < nslots then regs.((lane * nslots) + r)
-              else trapf "register R%d out of range" r);
-        }
-      in
+      let api = { warp_index; executing = 0; regs; nslots } in
       let fire inj =
         stats.tool_cycles <- stats.tool_cycles + inj.fixed_cost;
         inj.fn stats api

@@ -30,7 +30,9 @@
     Instrumentation is injected per static instruction as before/after
     callbacks (the NVBit model). Callbacks receive the launch's
     {!Stats.t} for cost accounting and a {!warp_api} view of the
-    executing warp. *)
+    executing warp: plain data (the warp index, the executing-lane mask
+    and the register file), built once per warp slice with no closure,
+    whose registers a tool reads through {!word}. *)
 
 exception Trap of string
 (** Simulator fault: malformed operand, bad address. The same exception
@@ -50,10 +52,17 @@ type warp_api = {
           ascending lane order. (Mutable so the executor can reuse one
           view per warp; callbacks must not retain it across
           invocations.) *)
-  read_reg : lane:int -> int -> int;
-      (** The register's 32-bit word, zero-extended into an [int]; RZ
-          reads 0. Allocates nothing. *)
+  regs : int array;
+      (** The warp's register file, [lane * nslots + r]: zero-extended
+          32-bit words. Read it through {!word}. *)
+  nslots : int;  (** Register slots per lane. *)
 }
+
+val word : warp_api -> lane:int -> int -> int
+(** [word api ~lane r] is lane [lane]'s register [r] as a zero-extended
+    32-bit word; RZ reads 0. Allocates nothing.
+    @raise Trap ["register Rn out of range"] when [r] is past the
+    kernel's register slots. *)
 
 type callback = Stats.t -> warp_api -> unit
 

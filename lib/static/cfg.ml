@@ -5,7 +5,6 @@ type block = {
   first : int;
   last : int;
   succs : int list;
-  preds : int list;
 }
 
 type t = {
@@ -74,10 +73,6 @@ let build (dec : Decode.t) =
     succs_from dec block_of_pc (last_of b) ~may_true ~may_false
   in
   let succs = Array.init nb succs_of in
-  let preds = Array.make nb [] in
-  for b = nb - 1 downto 0 do
-    List.iter (fun s -> preds.(s) <- b :: preds.(s)) succs.(b)
-  done;
   let blocks =
     Array.init nb (fun b ->
         {
@@ -85,7 +80,6 @@ let build (dec : Decode.t) =
           first = firsts.(b);
           last = last_of b;
           succs = succs.(b);
-          preds = preds.(b);
         })
   in
   { dec; blocks; block_of_pc }

@@ -17,10 +17,6 @@ type block = {
   first : int;  (** First pc of the block. *)
   last : int;  (** Last pc of the block (inclusive). *)
   succs : int list;  (** Successor block ids, taken-edge first. *)
-  preds : int list;
-      (** Predecessor block ids, ascending. Only tests read it: the
-          analyses walk {!succs}; it is kept so a block is a complete
-          CFG node. *)
 }
 
 type t = {

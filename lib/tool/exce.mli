@@ -18,7 +18,7 @@ val classify :
     as the two words of an FP64 value, or [lo] as two packed FP16 values
     (the worse half wins: NaN, then INF, then SUB); [hi] is ignored
     outside FP64. Each word is a 32-bit pattern zero-extended into an
-    [int], as {!Fpx_gpu.Exec.warp_api}'s [read_reg] returns it; nothing
+    [int], as {!Fpx_gpu.Exec.word} returns it; nothing
     is allocated. With [div0] (a MUFU.RCP/RSQ result) a NaN or INF
     reports [Div0] and anything else [None]. *)
 

@@ -128,11 +128,12 @@ run "flat channel" \
 
 # One dispatch per warp step: the executor matches a micro-op once and
 # loops over the executing lanes inside its arm, and hands tools an int
-# lane mask. No per-lane executor or lane list may come back, and each
-# FP32 bit rule (NaN test, flush, FMNMX min/max) has its one definition
-# in Fpx_num.Fp32.
+# lane mask and the register file as plain data, read through
+# Exec.word. No per-lane executor, lane list or register-read closure
+# may come back, and each FP32 bit rule (NaN test, flush, FMNMX
+# min/max) has its one definition in Fpx_num.Fp32.
 run "one dispatch per warp step" \
-  sh -c '! grep -rnE "executing_lanes|exec_lane" lib bin test/oracle &&
+  sh -c '! grep -rnE "executing_lanes|exec_lane|read_reg" lib bin test/oracle &&
          ! grep -rnE "let(\[@[a-z]+\])? +(rec +)?(is_nan32|ftz32|min_nv32|max_nv32)([^A-Za-z0-9_]|$)" \
            lib --exclude-dir=fpnum'
 

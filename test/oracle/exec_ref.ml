@@ -11,7 +11,8 @@ exception Trap = Decode.Trap
 type warp_api = Exec.warp_api = {
   warp_index : int;
   mutable executing : int;
-  read_reg : lane:int -> int -> int;
+  regs : int array;
+  nslots : int;
 }
 
 type callback = Stats.t -> warp_api -> unit
@@ -47,7 +48,7 @@ type warp_state = {
   pcs : int array;
 }
 
-let read_reg st ~lane r =
+let get_reg st ~lane r =
   if r = Operand.rz then 0l
   else if r < Array.length st.regs.(lane) then st.regs.(lane).(r)
   else trapf "register R%d out of range" r
@@ -75,7 +76,7 @@ let cbank_read64 cbank0 ~offset =
 
 let i32_value st cbank0 ~lane (o : Operand.t) =
   match o.base with
-  | Operand.Reg n -> read_reg st ~lane n
+  | Operand.Reg n -> get_reg st ~lane n
   | Operand.Imm_i v -> v
   | Operand.Imm_f32 b -> b
   | Operand.Cbank { offset; _ } -> cbank_read cbank0 ~offset
@@ -85,7 +86,7 @@ let i32_value st cbank0 ~lane (o : Operand.t) =
 let f32_value ~ftz st cbank0 ~lane (o : Operand.t) =
   let raw =
     match o.base with
-    | Operand.Reg n -> read_reg st ~lane n
+    | Operand.Reg n -> get_reg st ~lane n
     | Operand.Imm_f32 b -> b
     | Operand.Imm_f64 v -> Fp32.of_float v
     | Operand.Imm_i v -> v
@@ -102,7 +103,7 @@ let f64_value st cbank0 ~lane (o : Operand.t) =
   let raw =
     match o.base with
     | Operand.Reg n ->
-      Fp64.of_words ~lo:(read_reg st ~lane n) ~hi:(read_reg st ~lane (n + 1))
+      Fp64.of_words ~lo:(get_reg st ~lane n) ~hi:(get_reg st ~lane (n + 1))
     | Operand.Imm_f64 v -> v
     | Operand.Imm_f32 b -> Fp32.to_float b
     | Operand.Generic s -> parse_generic_f64 s
@@ -326,8 +327,8 @@ let execute_lane ~ftz ~flt ~stats st cbank0 ~mem ~shared ~lane ~warp_in_block
       match (op_ i 1).base with
       | Operand.Reg n ->
         Fp64.of_words
-          ~lo:(read_reg st ~lane n)
-          ~hi:(read_reg st ~lane (n + 1))
+          ~lo:(get_reg st ~lane n)
+          ~hi:(get_reg st ~lane (n + 1))
       | _ -> f64 1
     in
     Memory.store_i64 mem ~addr (Int64.bits_of_float s);
@@ -362,8 +363,8 @@ let execute_lane ~ftz ~flt ~stats st cbank0 ~mem ~shared ~lane ~warp_in_block
       match (op_ i 1).base with
       | Operand.Reg n ->
         Int64.logor
-          (Int64.logand (Int64.of_int32 (read_reg st ~lane n)) 0xffffffffL)
-          (Int64.shift_left (Int64.of_int32 (read_reg st ~lane (n + 1))) 32)
+          (Int64.logand (Int64.of_int32 (get_reg st ~lane n)) 0xffffffffL)
+          (Int64.shift_left (Int64.of_int32 (get_reg st ~lane (n + 1))) 32)
       | _ -> Int64.bits_of_float (f64 1)
     in
     Bytes.set_int64_le shared addr x;
@@ -482,16 +483,22 @@ let run ?hooks ~device ~grid ~block ~params prog =
     let run_warp_slice w =
       let st = warps.(w) in
       let warp_index = (blk * warps_per_block) + w in
+      (* Hooks read registers through [Exec.word], over a flat
+         zero-extended copy of this warp's file refreshed before each
+         callback. *)
+      let nslots = prog.Program.n_regs + 2 in
       let api =
-        {
-          warp_index;
-          executing = 0;
-          read_reg =
-            (fun ~lane r -> Int32.to_int (read_reg st ~lane r) land 0xffffffff);
-        }
+        { warp_index; executing = 0; regs = Array.make (warp_size * nslots) 0;
+          nslots }
       in
       let fire inj =
         stats.tool_cycles <- stats.tool_cycles + inj.fixed_cost;
+        for lane = 0 to warp_size - 1 do
+          for r = 0 to nslots - 1 do
+            api.regs.((lane * nslots) + r) <-
+              Int32.to_int st.regs.(lane).(r) land 0xffffffff
+          done
+        done;
         inj.fn stats api
       in
       let min_pc () =

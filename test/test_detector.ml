@@ -458,6 +458,79 @@ let test_binfpe_step_allocates_nothing () =
   Alcotest.(check int) "every lane's value received" (32 * 5000)
     (Binfpe.records_received bin)
 
+(* --- Stacked tools keep their own channel packets ---------------------- *)
+
+(* R3 starts at 0 and grows by 1 a trip, so FMUL's R3 * INF is NaN on
+   every lane of the first trip and INF after it. The detector without
+   GT pushes a record per lane there; BinFPE pushes one per lane at all
+   four FP instructions, so its first-trip NaN records sit at queue
+   positions the detector's queue reaches two trips later. A buffer the
+   two channels shared would lose BinFPE its NaN records. *)
+let flood_loop =
+  let module Op = Fpx_sass.Operand in
+  let module Instr = Fpx_sass.Instr in
+  let one = Op.imm_f32 Fpx_num.Fp32.one in
+  Fpx_sass.Program.make ~name:"flood_loop"
+    [ Instr.make Isa.FADD [ Op.reg 5; Op.reg 5; one ];
+      Instr.make Isa.FADD [ Op.reg 6; Op.reg 6; one ];
+      Instr.make Isa.FMUL
+        [ Op.reg 4; Op.reg 3; Op.imm_f32 (Fpx_num.Fp32.of_float infinity) ];
+      Instr.make Isa.FADD [ Op.reg 3; Op.reg 3; one ];
+      Instr.make Isa.IADD [ Op.reg 1; Op.reg 1; Op.imm_i 1l ];
+      Instr.make (Isa.ISETP (Isa.cmp Isa.Lt))
+        [ Op.pred 0; Op.reg 1; Op.cbank ~bank:0 ~offset:0x160 ];
+      Instr.make ~guard:(Op.pred 0) Isa.BRA [ Op.label 0 ] ]
+
+(* (trips, block) per launch, one warp each, some partial: backlogs
+   that grow the buffers and then hand them back and forth through the
+   domain's spare between the two channels. *)
+let flood_launches = [ (3, 32); (200, 20); (7, 32); (90, 13) ]
+
+let run_flood dev tool =
+  let d = Fpx_sass.Decode.program flood_loop in
+  let b = Fpx_tool.Inject.create dev flood_loop in
+  Fpx_tool.instrument tool flood_loop b;
+  let hooks = Fpx_tool.Inject.build b in
+  List.iter
+    (fun (trips, block) ->
+      Fpx_tool.on_launch_begin tool (Gpu.Stats.create ());
+      let stats =
+        Gpu.Exec.run_decoded ~hooks ~device:dev ~grid:1 ~block
+          ~params:[ Gpu.Param.I32 (Int32.of_int trips) ] d
+      in
+      Fpx_tool.on_drain tool stats ~kernel:"flood_loop")
+    flood_launches
+
+let test_stack_keeps_packets () =
+  let module Binfpe = Fpx_binfpe.Binfpe in
+  let config = { D.default_config with D.use_gt = false } in
+  let results ~stacked ~order =
+    let dev = Gpu.Device.create () in
+    let det = D.create ~config dev and bin = Binfpe.create dev in
+    let tools = [ D.tool det; Binfpe.tool bin ] in
+    let tools = if order then tools else List.rev tools in
+    if stacked then run_flood dev (Fpx_tool.stack tools)
+    else List.iter (fun t -> run_flood (Gpu.Device.create ()) t) tools;
+    ( (D.log_lines det, D.records_seen det),
+      (Binfpe.records_received bin, List.length (Binfpe.findings bin)) )
+  in
+  let alone = results ~stacked:false ~order:true in
+  let records =
+    List.fold_left (fun n (trips, block) -> n + (4 * block * trips)) 0
+      flood_launches
+  in
+  Alcotest.(check int) "BinFPE received every lane's four values" records
+    (fst (snd alone));
+  Alcotest.(check (pair int int)) "NaN and INF, found by both" (2, 2)
+    (snd (fst alone), snd (snd alone));
+  List.iter
+    (fun order ->
+      Alcotest.(check bool)
+        (if order then "detector first" else "BinFPE first")
+        true
+        (results ~stacked:true ~order = alone))
+    [ true; false ]
+
 let suite =
   ( "detector",
     [ Alcotest.test_case "record encode/decode" `Quick test_encode_decode;
@@ -492,4 +565,6 @@ let suite =
       Alcotest.test_case "hooked step allocates nothing" `Quick
         test_detector_step_allocates_nothing;
       Alcotest.test_case "BinFPE hooked step allocates nothing" `Quick
-        test_binfpe_step_allocates_nothing ] )
+        test_binfpe_step_allocates_nothing;
+      Alcotest.test_case "stack: each tool drains its own packets" `Quick
+        test_stack_keeps_packets ] )
